@@ -5,7 +5,7 @@
 // By default it spawns the whole stack in-process — Engine resident on
 // the ATT backbone, svc::Server on an ephemeral loopback port — so the
 // measurement covers the real service path: TCP, JSONL parse, admission
-// control, batch dispatch, plan (de)serialization. Point it at an
+// control, worker dispatch, plan (de)serialization. Point it at an
 // external server with --port.
 //
 // The request set is every C(M, k) failure combination for k=1..max_k

@@ -7,9 +7,11 @@
 //
 // Usage:
 //   ./build/examples/pm_server [--port=7071] [--port-file=port.txt]
-//     [--jobs=N] [--cache-mb=64] [--max-queue=64] [--batch-max=16]
-//     [--deadline-ms=0] [--log-level=info]
+//     [--jobs=N] [--cache-mb=64] [--max-queue=64] [--deadline-ms=0]
+//     [--log-level=info]
 //
+// --jobs sets the solver workers: up to N uncached requests compute at
+// once, each on its own worker; cache hits never wait for one.
 // --port=0 binds an ephemeral port; --port-file writes the resolved
 // port for scripts (the CI smoke job uses exactly that). Try it:
 //   printf '%s\n' '{"verb":"solve","failed":[3,4]}' | nc 127.0.0.1 7071
@@ -29,8 +31,6 @@ int main(int argc, char** argv) {
   server_config.port = static_cast<int>(args.get_int("port", 7071));
   server_config.max_queue =
       static_cast<int>(args.get_int("max-queue", 64));
-  server_config.batch_max =
-      static_cast<int>(args.get_int("batch-max", 16));
   server_config.default_deadline_ms = args.get_double("deadline-ms", 0.0);
   const std::string port_file = args.get_string("port-file", "");
   svc::EngineConfig engine_config;

@@ -7,6 +7,7 @@ namespace pm::core {
 
 RecoveryMetrics evaluate_plan(const sdwan::FailureState& state,
                               const RecoveryPlan& plan) {
+  const sdwan::Network& net = state.network();
   RecoveryMetrics m;
   m.algorithm = plan.algorithm;
   m.solve_seconds = plan.solve_seconds;
@@ -14,13 +15,68 @@ RecoveryMetrics evaluate_plan(const sdwan::FailureState& state,
   m.recoverable_flow_count = state.recoverable_flows().size();
   m.ideal_total_delay_ms = state.ideal_total_delay();
 
-  const auto h = flow_programmability(state, plan);
+  // Flat working arrays indexed by id: h^l per flow, the mapped
+  // controller per switch, capacity units per controller.
+  std::vector<std::int64_t> h(static_cast<std::size_t>(net.flow_count()), 0);
+  std::vector<sdwan::ControllerId> mapped(
+      static_cast<std::size_t>(net.switch_count()), -1);
+  for (const auto& [sw, ctrl] : plan.mapping) {
+    if (sw >= 0 && sw < net.switch_count()) {
+      mapped[static_cast<std::size_t>(sw)] = ctrl;
+    }
+  }
+  std::vector<double> load(static_cast<std::size_t>(net.controller_count()),
+                           0.0);
+  std::vector<char> loaded(load.size(), 0);
+  for (sdwan::ControllerId j : state.active_controllers()) {
+    loaded[static_cast<std::size_t>(j)] = 1;
+  }
+  // Charges `units` control units on controller j (range-checked by
+  // delay_ms) at switch sw; returns the overhead they cost.
+  const auto charge = [&](sdwan::SwitchId sw, sdwan::ControllerId j,
+                          double units) {
+    const double per_unit = net.delay_ms(sw, j) + plan.middle_layer_ms;
+    load[static_cast<std::size_t>(j)] += units;
+    loaded[static_cast<std::size_t>(j)] = 1;
+    return units * per_unit;
+  };
+
+  if (plan.whole_switch_control) {
+    for (const auto& [sw, ctrl] : plan.mapping) {
+      m.total_overhead_ms +=
+          charge(sw, ctrl, static_cast<double>(state.gamma(sw)));
+    }
+  }
+  // One pass over Y, in (switch, flow) order. assignment_controller has
+  // the same key order, so a cursor walks it in step.
+  auto override_it = plan.assignment_controller.begin();
+  const auto override_end = plan.assignment_controller.end();
+  sdwan::SwitchId last_switch = -1;
+  for (const auto& assignment : plan.sdn_assignments) {
+    const auto [sw, flow] = assignment;
+    const std::int64_t p = net.diversity(flow, sw);  // range-checks both
+    h[static_cast<std::size_t>(flow)] += p;
+    // Switches in actual use (prune semantics: mapped + >= 1 assignment).
+    if (sw != last_switch) {
+      ++m.recovered_switch_count;
+      last_switch = sw;
+    }
+    if (plan.whole_switch_control) continue;
+    while (override_it != override_end && override_it->first < assignment) {
+      ++override_it;
+    }
+    const sdwan::ControllerId j =
+        override_it != override_end && override_it->first == assignment
+            ? override_it->second
+            : mapped[static_cast<std::size_t>(sw)];
+    if (j >= 0) m.total_overhead_ms += charge(sw, j, 1.0);
+  }
+
   std::vector<double> recovered_h;
-  recovered_h.reserve(h.size());
+  recovered_h.reserve(state.recoverable_flows().size());
   m.least_programmability = std::numeric_limits<std::int64_t>::max();
   for (sdwan::FlowId l : state.recoverable_flows()) {
-    const auto it = h.find(l);
-    const std::int64_t hl = it == h.end() ? 0 : it->second;
+    const std::int64_t hl = h[static_cast<std::size_t>(l)];
     m.least_programmability = std::min(m.least_programmability, hl);
     if (hl > 0) {
       recovered_h.push_back(static_cast<double>(hl));
@@ -36,23 +92,16 @@ RecoveryMetrics evaluate_plan(const sdwan::FailureState& state,
           : static_cast<double>(m.recovered_flow_count) /
                 static_cast<double>(m.recoverable_flow_count);
 
-  // Switches in actual use (prune semantics: mapped + >= 1 assignment).
-  std::set<sdwan::SwitchId> used;
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
-    (void)flow;
-    used.insert(sw);
-  }
-  m.recovered_switch_count = used.size();
-
   for (sdwan::ControllerId j : state.active_controllers()) {
     m.available_control_resource += state.rest_capacity(j);
   }
-  m.controller_load = controller_loads(state, plan);
-  for (const auto& [j, load] : m.controller_load) {
-    (void)j;
-    m.used_control_resource += load;
+  for (std::size_t j = 0; j < load.size(); ++j) {
+    if (!loaded[j]) continue;
+    m.controller_load.emplace_hint(m.controller_load.end(),
+                                   static_cast<sdwan::ControllerId>(j),
+                                   load[j]);
+    m.used_control_resource += load[j];
   }
-  m.total_overhead_ms = total_control_overhead_ms(state, plan);
   m.per_flow_overhead_ms = m.recovered_flow_count == 0
                                ? 0.0
                                : m.total_overhead_ms /

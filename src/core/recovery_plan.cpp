@@ -33,24 +33,6 @@ std::map<sdwan::ControllerId, double> controller_loads(
   return loads;
 }
 
-double total_control_overhead_ms(const sdwan::FailureState& state,
-                                 const RecoveryPlan& plan) {
-  const sdwan::Network& net = state.network();
-  double total = 0.0;
-  if (plan.whole_switch_control) {
-    for (const auto& [sw, ctrl] : plan.mapping) {
-      total += static_cast<double>(state.gamma(sw)) *
-               (net.delay_ms(sw, ctrl) + plan.middle_layer_ms);
-    }
-  } else {
-    for (const auto& [sw, flow] : plan.sdn_assignments) {
-      const sdwan::ControllerId j = plan.controller_of_assignment(sw, flow);
-      if (j >= 0) total += net.delay_ms(sw, j) + plan.middle_layer_ms;
-    }
-  }
-  return total;
-}
-
 std::vector<std::string> validate_plan(const sdwan::FailureState& state,
                                        const RecoveryPlan& plan) {
   std::vector<std::string> problems;

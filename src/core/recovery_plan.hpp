@@ -73,12 +73,6 @@ struct RecoveryPlan {
 std::map<sdwan::ControllerId, double> controller_loads(
     const sdwan::FailureState& state, const RecoveryPlan& plan);
 
-/// Total control-channel cost in ms: every consumed control unit pays the
-/// switch-controller propagation delay plus the plan's middle-layer
-/// processing latency.
-double total_control_overhead_ms(const sdwan::FailureState& state,
-                                 const RecoveryPlan& plan);
-
 /// Violations of the hard FMSSM constraints; empty means the plan is valid
 /// for `state`. Each entry is a human-readable description.
 std::vector<std::string> validate_plan(const sdwan::FailureState& state,

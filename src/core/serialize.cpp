@@ -126,4 +126,165 @@ JsonValue case_report_to_json(const std::string& label,
   return out;
 }
 
+namespace {
+
+/// Streams JSON members in order; `first_` is true right after an
+/// opening bracket, so the next member or element takes no comma.
+class ReportWriter {
+ public:
+  explicit ReportWriter(std::string& out) : out_(out) {}
+
+  void open(char bracket) {
+    out_ += bracket;
+    first_ = true;
+  }
+  void close(char bracket) {
+    out_ += bracket;
+    first_ = false;
+  }
+  /// Starts the next member: comma if needed, then `"key":`. `name` is
+  /// a literal that needs no escaping.
+  void key(const char* name) {
+    next();
+    out_ += '"';
+    out_ += name;
+    out_ += "\":";
+  }
+  /// key() for a computed name.
+  void escaped_key(std::string_view name) {
+    next();
+    util::write_escaped(out_, name);
+    out_ += ':';
+  }
+  /// Starts the next array element.
+  void next() {
+    if (!first_) out_ += ',';
+    first_ = false;
+  }
+  void number(double v) { util::write_number(out_, v); }
+  void string(std::string_view s) { util::write_escaped(out_, s); }
+  void boolean(bool b) { out_ += b ? "true" : "false"; }
+
+  void member(const char* name, double v) {
+    key(name);
+    number(v);
+  }
+
+ private:
+  std::string& out_;
+  bool first_ = true;
+};
+
+void write_plan(ReportWriter& w, const RecoveryPlan& plan) {
+  w.open('{');
+  w.key("algorithm");
+  w.string(plan.algorithm);
+  w.key("whole_switch_control");
+  w.boolean(plan.whole_switch_control);
+  w.member("middle_layer_ms", plan.middle_layer_ms);
+  w.member("solve_seconds", plan.solve_seconds);
+  w.key("proven_optimal");
+  w.boolean(plan.proven_optimal);
+  if (!plan.note.empty()) {
+    w.key("note");
+    w.string(plan.note);
+  }
+
+  w.key("mapping");
+  w.open('[');
+  for (const auto& [sw, ctrl] : plan.mapping) {
+    w.next();
+    w.open('{');
+    w.member("switch", sw);
+    w.member("controller", ctrl);
+    w.close('}');
+  }
+  w.close(']');
+
+  // assignment_controller is keyed like sdn_assignments, so one cursor
+  // walks it in step instead of a lookup per assignment.
+  auto override_it = plan.assignment_controller.begin();
+  const auto override_end = plan.assignment_controller.end();
+  w.key("sdn_assignments");
+  w.open('[');
+  for (const auto& assignment : plan.sdn_assignments) {
+    w.next();
+    w.open('{');
+    w.member("switch", assignment.first);
+    w.member("flow", assignment.second);
+    while (override_it != override_end && override_it->first < assignment) {
+      ++override_it;
+    }
+    if (override_it != override_end && override_it->first == assignment) {
+      w.member("controller", override_it->second);
+    }
+    w.close('}');
+  }
+  w.close(']');
+  w.close('}');
+}
+
+void write_metrics(ReportWriter& w, const RecoveryMetrics& m) {
+  w.open('{');
+  w.key("algorithm");
+  w.string(m.algorithm);
+  w.member("least_programmability",
+           static_cast<double>(m.least_programmability));
+  w.member("total_programmability",
+           static_cast<double>(m.total_programmability));
+  w.member("recoverable_flows", static_cast<double>(m.recoverable_flow_count));
+  w.member("recovered_flows", static_cast<double>(m.recovered_flow_count));
+  w.member("recovered_fraction", m.recovered_flow_fraction);
+  w.member("offline_switches", static_cast<double>(m.offline_switch_count));
+  w.member("recovered_switches",
+           static_cast<double>(m.recovered_switch_count));
+  w.member("used_control_resource", m.used_control_resource);
+  w.member("available_control_resource", m.available_control_resource);
+  w.member("total_overhead_ms", m.total_overhead_ms);
+  w.member("per_flow_overhead_ms", m.per_flow_overhead_ms);
+  w.member("ideal_total_delay_ms", m.ideal_total_delay_ms);
+  w.member("solve_seconds", m.solve_seconds);
+
+  w.key("programmability");
+  w.open('{');
+  w.member("min", m.programmability.min);
+  w.member("q1", m.programmability.q1);
+  w.member("median", m.programmability.median);
+  w.member("q3", m.programmability.q3);
+  w.member("max", m.programmability.max);
+  w.member("mean", m.programmability.mean);
+  w.member("count", static_cast<double>(m.programmability.count));
+  w.close('}');
+
+  w.key("controller_load");
+  w.open('{');
+  for (const auto& [j, load] : m.controller_load) {
+    w.escaped_key(std::to_string(j));
+    w.number(load);
+  }
+  w.close('}');
+  w.close('}');
+}
+
+}  // namespace
+
+std::string write_case_report(const std::string& label,
+                              const RecoveryPlan& plan,
+                              const RecoveryMetrics& metrics) {
+  std::string out;
+  // A mapping or assignment object takes 25-45 bytes; the rest is small.
+  out.reserve(1024 + 40 * (plan.mapping.size() + plan.sdn_assignments.size()));
+  ReportWriter w(out);
+  w.open('{');
+  w.key("case");
+  w.string(label);
+  w.key("plan");
+  write_plan(w, plan);
+  w.key("metrics");
+  write_metrics(w, metrics);
+  w.close('}');
+  out.shrink_to_fit();
+  return out;
+}
+
 }  // namespace pm::core

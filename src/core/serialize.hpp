@@ -18,8 +18,18 @@ RecoveryPlan plan_from_json(const util::JsonValue& json);
 util::JsonValue metrics_to_json(const RecoveryMetrics& metrics);
 
 /// One self-contained case report: scenario label, plan and metrics.
+/// The tree form; write_case_report must produce its compact bytes.
 util::JsonValue case_report_to_json(const std::string& label,
                                     const RecoveryPlan& plan,
                                     const RecoveryMetrics& metrics);
+
+/// The same case report streamed straight into a string, with no JSON
+/// tree: byte-identical to case_report_to_json(...).to_string(0), using
+/// util::json's number and string spellings. The result carries no
+/// spare capacity, so a cache that charges size() charges what is
+/// resident.
+std::string write_case_report(const std::string& label,
+                              const RecoveryPlan& plan,
+                              const RecoveryMetrics& metrics);
 
 }  // namespace pm::core

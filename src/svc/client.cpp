@@ -50,14 +50,18 @@ std::string Client::roundtrip_line(const std::string& line) {
     sent += static_cast<std::size_t>(n);
   }
 
-  char chunk[4096];
+  char chunk[64 * 1024];
+  // Bytes before `scan` were already searched and hold no newline, so a
+  // response split over many reads is scanned once, not once per read.
+  std::size_t scan = 0;
   while (true) {
-    const std::size_t nl = buffer_.find('\n');
+    const std::size_t nl = buffer_.find('\n', scan);
     if (nl != std::string::npos) {
       std::string response = buffer_.substr(0, nl);
       buffer_.erase(0, nl + 1);
       return response;
     }
+    scan = buffer_.size();
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;

@@ -49,7 +49,6 @@ Engine::Engine(sdwan::Network network, EngineConfig config)
     : network_(std::move(network)),
       config_(config),
       cache_(config.cache_bytes, &metrics_),
-      pool_(config.jobs),
       legacy_tables_(
           sdwan::compute_legacy_tables(network_.topology().graph())),
       diversity_cache_(network_.config().path_count),
@@ -159,10 +158,8 @@ SolveOutcome Engine::solve(const SolveJob& job) {
     plan.solve_seconds = 0.0;
     metrics.solve_seconds = 0.0;
 
-    outcome.payload =
-        core::case_report_to_json(state->scenario().label(network_), plan,
-                                  metrics)
-            .to_string(0);
+    outcome.payload = core::write_case_report(
+        state->scenario().label(network_), plan, metrics);
     outcome.ok = true;
     cache_.put(outcome.key, outcome.payload);
     solves_.inc();
@@ -203,12 +200,6 @@ SolveOutcome Engine::solve(const SolveParams& params) {
                                           params.deadline_ms));
   }
   return solve(job);
-}
-
-std::vector<SolveOutcome> Engine::solve_batch(
-    const std::vector<SolveJob>& jobs) {
-  return pool_.parallel_map(
-      jobs, [&](std::size_t, const SolveJob& job) { return solve(job); });
 }
 
 }  // namespace pm::svc

@@ -19,10 +19,9 @@
 //
 // Concurrency: solve() is thread-safe (the Network and every cached
 // FailureState are immutable after construction; the plan/state caches
-// lock internally), and solve_batch() fans a batch across the Engine's
-// util::TaskPool — the server's dispatcher pops queued requests and
-// dispatches them as one batch, so service throughput scales with
-// --jobs like the offline sweeps do.
+// lock internally). The server runs config().jobs worker threads, each
+// calling solve() on one queued request at a time, so service
+// throughput scales with --jobs like the offline sweeps do.
 #pragma once
 
 #include <chrono>
@@ -42,12 +41,12 @@
 #include "sdwan/ospf.hpp"
 #include "svc/plan_cache.hpp"
 #include "svc/protocol.hpp"
-#include "util/task_pool.hpp"
 
 namespace pm::svc {
 
 struct EngineConfig {
-  /// TaskPool size for solve_batch (1 = serial, zero extra threads).
+  /// Solver threads the server runs (values < 1 mean 1); each computes
+  /// one queued request at a time.
   int jobs = 1;
   /// PlanCache byte budget.
   std::size_t cache_bytes = std::size_t{64} << 20;
@@ -118,10 +117,6 @@ class Engine {
   /// time itself).
   SolveOutcome solve(const SolveParams& params);
 
-  /// Fans the batch across the Engine's TaskPool; results in submission
-  /// order. Exactly equivalent to calling solve() per job.
-  std::vector<SolveOutcome> solve_batch(const std::vector<SolveJob>& jobs);
-
  private:
   /// Sorted/deduped failure set, validated against the network. Throws
   /// ProtocolError(bad_request) on out-of-range ids or when no
@@ -136,7 +131,6 @@ class Engine {
   EngineConfig config_;
   obs::MetricsRegistry metrics_;
   PlanCache cache_;
-  util::TaskPool pool_;
   std::vector<sdwan::LegacyRoutingTable> legacy_tables_;
   graph::DiversityCache diversity_cache_;
   int diameter_hops_ = 0;

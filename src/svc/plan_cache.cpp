@@ -50,6 +50,9 @@ std::optional<std::string> PlanCache::peek(const std::string& key) {
 }
 
 void PlanCache::put(const std::string& key, std::string payload) {
+  // Entries are charged size(); spare capacity moved in would be
+  // resident but uncharged.
+  payload.shrink_to_fit();
   const std::lock_guard<std::mutex> lock(mutex_);
   if (cost(key, payload) > byte_budget_) {
     oversize_.inc();

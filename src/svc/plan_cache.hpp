@@ -8,15 +8,17 @@
 // indistinguishable from a recompute except for latency.
 //
 // Eviction is strict LRU under a byte budget: every entry is charged
-// key.size() + payload.size(), inserts evict least-recently-used
+// key.size() + payload.size() (payloads are stored without spare
+// capacity, so the charge is what stays resident), inserts evict
+// least-recently-used
 // entries until the total fits, and an entry larger than the whole
 // budget is simply not stored (counted, never cached). Hit/miss/
 // eviction counters and the resident-bytes gauge live in the
 // obs::MetricsRegistry handed to the constructor, so the service's
 // `metrics` verb exposes cache effectiveness without extra plumbing.
 //
-// Thread-safe: one mutex around the index; pool workers solving a batch
-// probe and fill it concurrently.
+// Thread-safe: one mutex around the index; the server's solver workers
+// and connection threads probe and fill it concurrently.
 #pragma once
 
 #include <cstddef>

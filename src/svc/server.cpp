@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -57,6 +58,8 @@ std::string solve_response_line(const util::JsonValue& id,
   head["solve_ms"] = util::JsonValue(outcome.solve_ms);
   std::string line = head.to_string(0);
   line.pop_back();  // strip '}' to splice the result member in
+  // Room for the payload, the closing brace and write_line's newline.
+  line.reserve(line.size() + outcome.payload.size() + 16);
   line += ",\"result\":";
   line += outcome.payload;
   line += '}';
@@ -121,7 +124,9 @@ void Server::start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = static_cast<int>(ntohs(addr.sin_port));
 
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
+  for (int i = 0; i < std::max(1, engine_.config().jobs); ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
   acceptor_ = std::thread([this] { acceptor_loop(); });
   obs::log().info("svc: listening on 127.0.0.1:" + std::to_string(port_));
 }
@@ -154,9 +159,15 @@ void Server::stop() {
     }
     connections_.clear();
   }
-  // Dispatcher drains the remaining queue, then exits.
-  queue_cv_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  // Workers drain the remaining queue, then exit. Notifying under the
+  // lock means no worker can miss the wake-up between its check of
+  // stopping_ and its wait.
+  {
+    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    queue_cv_.notify_all();
+  }
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
   running_.store(false);
   obs::log().info("svc: server stopped");
 }
@@ -211,12 +222,15 @@ void Server::connection_loop(Connection* connection) {
       if (n < 0 && errno == EINTR) continue;
       break;
     }
+    // Bytes before `scan` were already searched and hold no newline, so
+    // each byte is scanned once however a line is split across reads.
+    std::size_t scan = buffer.size();
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start);
-         nl != std::string::npos; nl = buffer.find('\n', start)) {
+    for (std::size_t nl = buffer.find('\n', scan);
+         nl != std::string::npos; nl = buffer.find('\n', scan)) {
       std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
+      start = scan = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       if (!write_line(fd, handle_line(line))) {
@@ -292,7 +306,7 @@ std::string Server::handle_line(const std::string& line) {
 
 std::string Server::handle_solve(const Request& request) {
   // Fast path: cache hits are answered inline on the connection thread,
-  // skipping the queue -> dispatcher -> pool round trip entirely. They
+  // skipping the queue -> worker round trip entirely. They
   // never consume a queue slot, so admission control and deadlines
   // govern only requests that actually compute.
   if (auto cached = engine_.try_cached(request.solve)) {
@@ -333,30 +347,20 @@ std::string Server::handle_solve(const Request& request) {
   return solve_response_line(request.id, future.get());
 }
 
-void Server::dispatcher_loop() {
+void Server::worker_loop() {
   while (true) {
-    std::vector<std::unique_ptr<PendingSolve>> batch;
+    std::unique_ptr<PendingSolve> pending;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock, [this] {
         return !queue_.empty() || stopping_.load();
       });
-      if (queue_.empty() && stopping_.load()) return;
-      const std::size_t n = std::min(
-          queue_.size(), static_cast<std::size_t>(config_.batch_max));
-      for (std::size_t i = 0; i < n; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      if (queue_.empty()) return;  // stopping, and nothing left to drain
+      pending = std::move(queue_.front());
+      queue_.pop_front();
       queue_depth_.set(static_cast<double>(queue_.size()));
     }
-    std::vector<SolveJob> jobs;
-    jobs.reserve(batch.size());
-    for (const auto& p : batch) jobs.push_back(p->job);
-    const std::vector<SolveOutcome> outcomes = engine_.solve_batch(jobs);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      batch[i]->promise.set_value(outcomes[i]);
-    }
+    pending->promise.set_value(engine_.solve(pending->job));
   }
 }
 

@@ -7,10 +7,10 @@
 //   * connection threads read newline-delimited requests, answer
 //     `health`/`metrics` inline, and push `solve` requests through
 //     admission control into a bounded queue;
-//   * one dispatcher thread pops queued requests in arrival order — up
-//     to batch_max at a time — and runs them as a single
-//     Engine::solve_batch, so concurrent clients fill the engine's
-//     TaskPool instead of queueing behind one solve.
+//   * EngineConfig::jobs worker threads (--jobs) each pop the oldest
+//     queued request and run Engine::solve on it, so up to `jobs`
+//     misses compute at once and a request waits only while every
+//     worker is busy.
 //
 // Admission control contract (DESIGN.md "Recovery service"): a cache
 // hit is answered inline on the connection thread before admission —
@@ -25,9 +25,9 @@
 // open — one bad client line never takes the server down.
 //
 // Shutdown: stop() (or run_until_shutdown() observing
-// util::shutdown_requested()) closes the listening socket, completes
-// every already-queued request, answers in-flight connections, then
-// joins all threads — a graceful drain, not an abort.
+// util::shutdown_requested()) closes the listening socket, lets the
+// workers complete every already-queued request, answers in-flight
+// connections, then joins all threads — a graceful drain, not an abort.
 #pragma once
 
 #include <atomic>
@@ -39,6 +39,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "svc/engine.hpp"
 
@@ -50,8 +51,6 @@ struct ServerConfig {
   /// Bounded queue depth; a solve arriving on a full queue is shed with
   /// an `overloaded` error.
   int max_queue = 64;
-  /// Max requests the dispatcher hands to one Engine::solve_batch.
-  int batch_max = 16;
   /// Deadline applied to solve requests that carry none; <= 0 = none.
   double default_deadline_ms = 0.0;
 };
@@ -65,7 +64,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds 127.0.0.1, listens, spawns the acceptor and dispatcher.
+  /// Binds 127.0.0.1, listens, spawns the acceptor and the workers.
   /// Throws std::runtime_error when the socket cannot be set up.
   void start();
 
@@ -94,7 +93,7 @@ class Server {
   };
 
   void acceptor_loop();
-  void dispatcher_loop();
+  void worker_loop();
   void connection_loop(Connection* connection);
   /// Handles one request line; returns the response line (no newline).
   std::string handle_line(const std::string& line);
@@ -112,7 +111,7 @@ class Server {
   std::mutex stop_mutex_;
 
   std::thread acceptor_;
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;
   std::mutex connections_mutex_;
   std::list<std::unique_ptr<Connection>> connections_;
 

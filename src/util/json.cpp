@@ -26,7 +26,9 @@ const char* type_name(JsonValue::Type t) {
                          ", got " + type_name(got));
 }
 
-void write_escaped(std::string& out, const std::string& s) {
+}  // namespace
+
+void write_escaped(std::string& out, std::string_view s) {
   out += '"';
   for (unsigned char c : s) {
     switch (c) {
@@ -59,15 +61,19 @@ void write_number(std::string& out, double v) {
     out += "null";
     return;
   }
-  if (v == std::floor(v) &&
-      std::abs(v) < 9.0e15) {
-    out += std::to_string(static_cast<long long>(v));
+  if (v == std::floor(v) && std::abs(v) < 9.0e15) {
+    char buf[24];
+    const auto end =
+        std::to_chars(buf, buf + sizeof buf, static_cast<long long>(v)).ptr;
+    out.append(buf, end);
     return;
   }
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   out += buf;
 }
+
+namespace {
 
 class Parser {
  public:

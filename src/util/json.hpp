@@ -33,6 +33,16 @@ class JsonError : public std::runtime_error {
   std::size_t offset_;
 };
 
+/// The writer's number and string spellings, shared by JsonValue and the
+/// streaming writers that emit the same bytes without building a tree
+/// (core::write_case_report). Non-finite numbers append `null`; integral
+/// values below 9e15 in magnitude append as integers; every other number
+/// appends as %.17g.
+void write_number(std::string& out, double v);
+/// Appends `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters; other bytes (UTF-8) pass through.
+void write_escaped(std::string& out, std::string_view s);
+
 class JsonValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };

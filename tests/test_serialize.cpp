@@ -1,14 +1,20 @@
 // RecoveryPlan serialization contract: the JSON format is pinned by a
 // golden file (a format change must show up as a reviewed diff of
-// tests/data/), and serialize -> deserialize -> serialize must be
+// tests/data/), serialize -> deserialize -> serialize must be
 // byte-identical for every algorithm — the property the svc plan cache
-// leans on when it treats serialized payloads as canonical.
+// leans on when it treats serialized payloads as canonical — and the
+// streaming case-report writer must emit exactly the bytes of the JSON
+// tree it replaces on the service path.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 
+#include "core/metrics.hpp"
 #include "core/naive.hpp"
 #include "core/pg.hpp"
 #include "core/pm_algorithm.hpp"
@@ -101,6 +107,167 @@ TEST(SerializeProperty, RoundTripPreservesEveryField) {
   EXPECT_EQ(back.assignment_controller, plan.assignment_controller);
   EXPECT_DOUBLE_EQ(back.middle_layer_ms, plan.middle_layer_ms);
   EXPECT_DOUBLE_EQ(back.solve_seconds, plan.solve_seconds);
+}
+
+// ---------------------------------------------------------------------
+// write_case_report == case_report_to_json(...).to_string(0)
+// ---------------------------------------------------------------------
+
+void expect_writer_matches_dom(const std::string& label,
+                               const core::RecoveryPlan& plan,
+                               const core::RecoveryMetrics& metrics) {
+  const std::string dom =
+      core::case_report_to_json(label, plan, metrics).to_string(0);
+  const std::string streamed =
+      core::write_case_report(label, plan, metrics);
+  EXPECT_EQ(streamed, dom) << "algorithm '" << plan.algorithm << "'";
+  EXPECT_EQ(streamed.capacity(), streamed.size());
+}
+
+TEST(SerializeWriter, MatchesDomOnEveryAttCaseAndAlgorithm) {
+  const sdwan::Network net = core::make_att_network();
+  for (int k = 1; k <= 2; ++k) {
+    for (const auto& scenario : sdwan::enumerate_failures(net, k)) {
+      const sdwan::FailureState state(net, scenario);
+      for (core::RecoveryPlan plan :
+           {core::run_pm(state), core::run_naive_nearest(state),
+            core::run_retroflow(state), core::run_pg(state)}) {
+        const core::RecoveryMetrics metrics =
+            core::evaluate_plan(state, plan);
+        expect_writer_matches_dom(scenario.label(net), plan, metrics);
+      }
+    }
+  }
+}
+
+TEST(SerializeWriter, EscapesNotesAndLabelsLikeTheDom) {
+  core::RecoveryPlan plan;
+  plan.algorithm = "al\"go";
+  plan.note = std::string("quote\" back\\slash \x01\x1f\x7f \n\r\t\b\f ") +
+              "caf\xc3\xa9 \xe6\x97\xa5\xe6\x9c\xac \xf0\x9f\x98\x80";
+  core::RecoveryMetrics metrics;
+  metrics.algorithm = plan.note;
+  expect_writer_matches_dom("(\"a\", \\b\n)", plan, metrics);
+  expect_writer_matches_dom(std::string("nul\0inside", 11), plan, metrics);
+}
+
+TEST(SerializeWriter, NumbersTakeTheDomSpelling) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> values = {
+      kNaN, kInf, -kInf, -0.0, 0.0, 9.0e15, -9.0e15, 8999999999999999.0,
+      -8999999999999999.0, 9000000000000001.0, 9007199254740993.0, 1e300,
+      5e-324, 0.1, -2.5, 3.8399999999999999};
+  for (const double v : values) {
+    core::RecoveryPlan plan;
+    plan.algorithm = "x";
+    plan.middle_layer_ms = v;
+    plan.solve_seconds = v;
+    core::RecoveryMetrics m;
+    m.recovered_flow_fraction = v;
+    m.used_control_resource = v;
+    m.available_control_resource = v;
+    m.total_overhead_ms = v;
+    m.per_flow_overhead_ms = v;
+    m.ideal_total_delay_ms = v;
+    m.solve_seconds = v;
+    m.programmability = {v, v, v, v, v, v, 3};
+    m.controller_load[0] = v;
+    m.controller_load[-1] = -v;
+    if (std::isfinite(v) && std::abs(v) < 9.3e18) {
+      m.least_programmability = static_cast<std::int64_t>(v);
+      m.total_programmability = -static_cast<std::int64_t>(v);
+    }
+    expect_writer_matches_dom("n", plan, m);
+  }
+}
+
+TEST(SerializeWriter, EmptyCollectionsMatchTheDom) {
+  // Empty mapping, sdn_assignments and controller_load.
+  expect_writer_matches_dom("", core::RecoveryPlan{}, core::RecoveryMetrics{});
+  core::RecoveryPlan mapped_only;
+  mapped_only.mapping[7] = 2;
+  expect_writer_matches_dom("()", mapped_only, core::RecoveryMetrics{});
+}
+
+TEST(SerializeWriter, WholeSwitchAndPartialPerAssignmentControllers) {
+  const sdwan::Network net = core::make_att_network();
+  const sdwan::FailureState state(net, {{0, 3, 4}});
+  core::RecoveryPlan retroflow = core::run_retroflow(state);
+  ASSERT_TRUE(retroflow.whole_switch_control);
+  expect_writer_matches_dom("rf", retroflow,
+                            core::evaluate_plan(state, retroflow));
+
+  // PG with controllers recorded for only some assignments: drop every
+  // other override, plus the first and the last.
+  core::RecoveryPlan pg = core::run_pg(state);
+  ASSERT_GT(pg.assignment_controller.size(), 4u);
+  bool keep = false;
+  for (auto it = pg.assignment_controller.begin();
+       it != pg.assignment_controller.end();) {
+    keep = !keep;
+    it = keep ? std::next(it) : pg.assignment_controller.erase(it);
+  }
+  pg.assignment_controller.erase(pg.assignment_controller.begin());
+  pg.assignment_controller.erase(std::prev(pg.assignment_controller.end()));
+  // An override for a pair that is not an assignment is never written.
+  pg.assignment_controller[{-5, -5}] = 1;
+  expect_writer_matches_dom("pg", pg, core::evaluate_plan(state, pg));
+}
+
+TEST(SerializeWriter, RandomPlansMatchTheDom) {
+  std::mt19937_64 rng(20211017);
+  const std::vector<double> specials = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(), -0.0, 9.0e15, 1.0 / 3.0};
+  auto number = [&]() -> double {
+    switch (rng() % 4) {
+      case 0: return specials[rng() % specials.size()];
+      case 1: return static_cast<double>(rng() % 1000);
+      default: return std::ldexp(static_cast<double>(rng() % 100000), -7);
+    }
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    core::RecoveryPlan plan;
+    plan.algorithm = trial % 3 == 0 ? "" : "alg" + std::to_string(trial);
+    plan.whole_switch_control = rng() % 2 == 0;
+    plan.proven_optimal = rng() % 2 == 0;
+    plan.middle_layer_ms = number();
+    plan.solve_seconds = number();
+    if (rng() % 2 == 0) plan.note = std::string(1, static_cast<char>(rng() % 128));
+    const int switches = static_cast<int>(rng() % 12);
+    for (int i = 0; i < switches; ++i) {
+      const sdwan::SwitchId sw = static_cast<sdwan::SwitchId>(rng() % 40);
+      plan.mapping[sw] = static_cast<sdwan::ControllerId>(rng() % 6);
+      const int flows = static_cast<int>(rng() % 8);
+      for (int f = 0; f < flows; ++f) {
+        const auto pair =
+            std::make_pair(sw, static_cast<sdwan::FlowId>(rng() % 600));
+        plan.sdn_assignments.insert(pair);
+        if (rng() % 3 == 0) {
+          plan.assignment_controller[pair] =
+              static_cast<sdwan::ControllerId>(rng() % 6);
+        }
+      }
+    }
+    core::RecoveryMetrics m;
+    m.algorithm = plan.algorithm;
+    m.least_programmability = static_cast<std::int64_t>(rng() % 50);
+    m.total_programmability = static_cast<std::int64_t>(rng());
+    m.recoverable_flow_count = rng() % 600;
+    m.recovered_flow_count = rng() % 600;
+    m.recovered_flow_fraction = number();
+    m.used_control_resource = number();
+    m.total_overhead_ms = number();
+    m.programmability = {number(), number(), number(), number(),
+                         number(), number(), rng() % 600};
+    const int loads = static_cast<int>(rng() % 5);
+    for (int j = 0; j < loads; ++j) {
+      m.controller_load[static_cast<sdwan::ControllerId>(rng() % 6)] =
+          number();
+    }
+    expect_writer_matches_dom("case " + std::to_string(trial), plan, m);
+  }
 }
 
 }  // namespace

@@ -1,11 +1,24 @@
 // Tests for the recovery service: request canonicalization, the
 // byte-budgeted LRU plan cache, engine determinism (cached ==
-// recomputed, batch == serial), deadline handling, and a loopback
-// server smoke covering the admission-control contract end to end.
+// recomputed, concurrent == serial, payloads == the committed golden
+// case reports), deadline handling, line framing, and a loopback server
+// smoke covering the admission-control contract and the graceful drain
+// end to end.
 #include <gtest/gtest.h>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +29,10 @@
 #include "svc/plan_cache.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
+
+#ifndef PM_TEST_DATA_DIR
+#define PM_TEST_DATA_DIR "tests/data"
+#endif
 
 namespace pm {
 namespace {
@@ -207,26 +224,139 @@ TEST(SvcEngine, ExpiredDeadlineReturnsDeadlineExceeded) {
   EXPECT_FALSE(engine.try_cached(job.params).has_value());
 }
 
-TEST(SvcEngine, BatchMatchesSerialSolves) {
-  Engine engine(core::make_att_network(), small_engine_config());
-  std::vector<svc::SolveJob> jobs;
+TEST(SvcEngine, ConcurrentSolvesMatchSerialSolves) {
+  // Every thread walks the same overlapping requests (one failure set
+  // under several algorithms, permuted duplicates) from its own starting
+  // point, so threads race on the FailureState LRU — kept shallow here so
+  // it also evicts under contention — and on filling the same cache keys.
+  std::vector<SolveParams> requests;
   for (const auto& failed : std::vector<std::vector<sdwan::ControllerId>>{
-           {3}, {4}, {3, 4}, {0, 5}}) {
-    svc::SolveJob job;
-    job.params.failed = failed;
-    jobs.push_back(job);
+           {3}, {4}, {3, 4}, {4, 3}, {0, 5}, {3, 4, 3}}) {
+    for (const std::string& algorithm : svc::known_algorithms()) {
+      SolveParams params;
+      params.failed = failed;
+      params.algorithm = algorithm;
+      requests.push_back(params);
+    }
   }
-  const auto batch = engine.solve_batch(jobs);
-  ASSERT_EQ(batch.size(), jobs.size());
 
   Engine serial_engine(core::make_att_network(), small_engine_config());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto one = serial_engine.solve(jobs[i]);
-    ASSERT_TRUE(batch[i].ok);
-    ASSERT_TRUE(one.ok);
-    EXPECT_EQ(batch[i].payload, one.payload) << "job " << i;
-    EXPECT_EQ(batch[i].key, one.key) << "job " << i;
+  std::map<std::string, std::string> expected;
+  for (const SolveParams& params : requests) {
+    const auto one = serial_engine.solve(params);
+    ASSERT_TRUE(one.ok) << one.error_message;
+    expected[one.key] = one.payload;
   }
+
+  EngineConfig config = small_engine_config();
+  config.state_cache_entries = 2;
+  Engine engine(core::make_att_network(), config);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<svc::SolveOutcome>> outcomes(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        const std::size_t r = (i + t * 5) % requests.size();
+        outcomes[t].push_back(engine.solve(requests[r]));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(outcomes[t].size(), requests.size());
+    for (const auto& outcome : outcomes[t]) {
+      ASSERT_TRUE(outcome.ok) << outcome.error_message;
+      EXPECT_EQ(outcome.payload, expected.at(outcome.key))
+          << "thread " << t << ", " << outcome.key;
+    }
+  }
+  EXPECT_EQ(engine.cache().entries(), expected.size());
+}
+
+TEST(SvcEngine, PayloadsCarryNoSpareCapacity) {
+  // The cache charges payload.size(); a payload with spare capacity would
+  // keep more resident than svc_cache_bytes and the budget admit.
+  Engine engine(core::make_att_network(), small_engine_config());
+  std::size_t charged = 0;
+  for (const std::string& algorithm : svc::known_algorithms()) {
+    SolveParams params;
+    params.failed = {3, 4};
+    params.algorithm = algorithm;
+    const auto cold = engine.solve(params);
+    ASSERT_TRUE(cold.ok);
+    EXPECT_EQ(cold.payload.capacity(), cold.payload.size()) << algorithm;
+    charged += cold.key.size() + cold.payload.size();
+  }
+  EXPECT_EQ(engine.cache().bytes(), charged);
+}
+
+// ---------------------------------------------------------------------
+// Golden case reports
+//
+// Generated by case_report_to_json(...).to_string(0) before the engine
+// switched to the streaming writer; the engine must keep every byte.
+// ---------------------------------------------------------------------
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+TEST(SvcGolden, AttThreeFourCaseReportsMatchFiles) {
+  Engine engine(core::make_att_network(), small_engine_config());
+  for (const std::string& algorithm : svc::known_algorithms()) {
+    SolveParams params;
+    params.failed = {3, 4};
+    params.algorithm = algorithm;
+    const auto outcome = engine.solve(params);
+    ASSERT_TRUE(outcome.ok) << outcome.error_message;
+    const std::string golden =
+        read_file(std::string(PM_TEST_DATA_DIR) + "/case_report_" +
+                  algorithm + "_att_3_4.json");
+    EXPECT_EQ(outcome.payload + "\n", golden) << algorithm;
+  }
+}
+
+TEST(SvcGolden, AttCaseReportDigestsMatchUpToTwoFailures) {
+  Engine engine(core::make_att_network(), small_engine_config());
+  std::istringstream lines(read_file(std::string(PM_TEST_DATA_DIR) +
+                                     "/case_report_digests_att_k2.txt"));
+  std::size_t checked = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string algorithm, failed_csv, digest;
+    fields >> algorithm >> failed_csv >> digest;
+    SolveParams params;
+    params.algorithm = algorithm;
+    std::istringstream ids(failed_csv);
+    for (std::string id; std::getline(ids, id, ',');) {
+      params.failed.push_back(std::stoi(id));
+    }
+    const auto outcome = engine.solve(params);
+    ASSERT_TRUE(outcome.ok) << line << ": " << outcome.error_message;
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(outcome.payload)));
+    EXPECT_EQ(hex, digest) << line;
+    ++checked;
+  }
+  // C(6,1) + C(6,2) failure sets, four algorithms each.
+  EXPECT_EQ(checked, (6u + 15u) * 4u);
 }
 
 // ---------------------------------------------------------------------
@@ -346,6 +476,167 @@ TEST(SvcServer, ZeroQueueShedsUncachedSolves) {
     EXPECT_TRUE(warm.at("cached").as_bool());
   }
   server.stop();
+}
+
+TEST(SvcServer, StopAnswersEveryQueuedMissAcrossWorkers) {
+  // More distinct misses than workers, each on its own connection, so
+  // most of them sit in the queue when stop() begins its drain.
+  EngineConfig config;
+  config.jobs = 2;
+  Engine engine(core::make_att_network(), config);
+  Engine reference(core::make_att_network(), config);
+  svc::ServerConfig server_config;
+  server_config.port = 0;
+  svc::Server server(engine, server_config);
+  server.start();
+
+  std::vector<std::string> lines;
+  std::vector<std::string> expected;
+  for (int k = 1; k <= 2; ++k) {
+    for (const auto& scenario :
+         sdwan::enumerate_failures(engine.network(), k)) {
+      SolveParams params;
+      params.failed = scenario.failed;
+      params.algorithm = "pg";
+      const auto outcome = reference.solve(params);
+      ASSERT_TRUE(outcome.ok);
+      expected.push_back(outcome.payload);
+      JsonValue failed = JsonValue::array();
+      for (const auto j : scenario.failed) failed.push_back(JsonValue(j));
+      JsonValue request = JsonValue::object();
+      request["verb"] = JsonValue("solve");
+      request["failed"] = std::move(failed);
+      request["algorithm"] = JsonValue("pg");
+      lines.push_back(request.to_string(0));
+    }
+  }
+  const std::size_t n = lines.size();
+  std::vector<std::string> responses(n);
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < n; ++i) {
+    clients.emplace_back([&, i] {
+      svc::Client client("127.0.0.1", server.port());
+      responses[i] = client.roundtrip_line(lines[i]);
+    });
+  }
+
+  // Wait until every request is admitted. A worker counts a cache miss
+  // only after popping a request, so misses read before the queue depth
+  // never count a request twice: their sum reaching n means all n were
+  // queued.
+  std::int64_t depth = 0;
+  {
+    svc::Client probe("127.0.0.1", server.port());
+    while (true) {
+      const std::uint64_t started = engine.cache().misses();
+      depth = probe.health().at("result").at("queue_depth").as_int();
+      if (started + static_cast<std::uint64_t>(depth) >= n) break;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+  server.stop();
+  for (std::thread& client : clients) client.join();
+  RecordProperty("queued_at_stop", static_cast<int>(depth));
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const JsonValue response = JsonValue::parse(responses[i]);
+    ASSERT_TRUE(response.at("ok").as_bool()) << responses[i];
+    const std::size_t at = responses[i].find(",\"result\":");
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_EQ(responses[i].substr(at + 10, responses[i].size() - at - 11),
+              expected[i])
+        << lines[i];
+  }
+  EXPECT_EQ(engine.cache().misses(), n);
+}
+
+// ---------------------------------------------------------------------
+// Line framing
+// ---------------------------------------------------------------------
+
+/// A loopback listener on an ephemeral port.
+int listen_loopback(int& port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  EXPECT_EQ(::listen(fd, 4), 0);
+  socklen_t len = sizeof addr;
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  port = ntohs(addr.sin_port);
+  return fd;
+}
+
+int connect_loopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  return fd;
+}
+
+/// Writes `bytes` in writes of `piece` bytes, with Nagle off so small
+/// writes leave as separate segments.
+void send_in_pieces(int fd, const std::string& bytes, std::size_t piece) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  for (std::size_t at = 0; at < bytes.size(); at += piece) {
+    const std::size_t len = std::min(piece, bytes.size() - at);
+    ASSERT_EQ(::send(fd, bytes.data() + at, len, MSG_NOSIGNAL),
+              static_cast<ssize_t>(len));
+  }
+}
+
+/// Reads one newline-terminated line (newline stripped).
+std::string read_line(int fd) {
+  std::string line;
+  char c = 0;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line += c;
+  return line;
+}
+
+TEST(SvcClient, FramesResponsesSplitAcrossWritesOrSharingOne) {
+  int port = 0;
+  const int listen_fd = listen_loopback(port);
+  std::string big(20000, 'x');
+  for (std::size_t i = 0; i < big.size(); i += 97) big[i] = 'y';
+  std::thread peer([&] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    EXPECT_EQ(read_line(fd), "first");
+    send_in_pieces(fd, big + "\n", 1);
+    EXPECT_EQ(read_line(fd), "second");
+    send_in_pieces(fd, "two\nthree\n", 64);
+    EXPECT_EQ(read_line(fd), "third");
+    ::close(fd);
+  });
+  {
+    svc::Client client("127.0.0.1", port);
+    EXPECT_EQ(client.roundtrip_line("first"), big);
+    EXPECT_EQ(client.roundtrip_line("second"), "two");
+    // Already buffered: answered without another byte from the peer.
+    EXPECT_EQ(client.roundtrip_line("third"), "three");
+  }
+  peer.join();
+  ::close(listen_fd);
+}
+
+TEST_F(SvcServerTest, FramesRequestsSplitAcrossWritesOrSharingOne) {
+  const int fd = connect_loopback(server_->port());
+  send_in_pieces(fd, R"({"verb":"health","id":1})" "\n", 1);
+  send_in_pieces(fd,
+                 R"({"verb":"health","id":2})" "\n"
+                 R"({"verb":"health","id":3})" "\n",
+                 4096);
+  for (int id = 1; id <= 3; ++id) {
+    const JsonValue response = JsonValue::parse(read_line(fd));
+    EXPECT_TRUE(response.at("ok").as_bool());
+    EXPECT_EQ(response.at("id").as_int(), id);
+  }
+  ::close(fd);
 }
 
 }  // namespace
