@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 
@@ -33,6 +34,7 @@ class Simplex {
  public:
   Simplex(const Model& model, const SimplexOptions& options)
       : model_(model), options_(options) {
+    options_.refactor_every = std::max(1, options_.refactor_every);
     build();
   }
 
@@ -160,12 +162,19 @@ class Simplex {
     }
     // Initial basis inverse: basis columns are all +-e_i (slacks are e_i,
     // artificials are sign * e_i), so B^-1 is diagonal.
-    binv_.assign(static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_),
-                 0.0);
+    const std::size_t mm =
+        static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_);
+    binv_.assign(mm, 0.0);
+    row_cols_.resize(mm);
+    row_len_.assign(static_cast<std::size_t>(m_), 1);
     for (int i = 0; i < m_; ++i) {
       const int bj = basis_[static_cast<std::size_t>(i)];
       binv_[idx(i, i)] = cols_[static_cast<std::size_t>(bj)][0].value;
+      row_cols_[idx(i, 0)] = i;
     }
+    stamp_.assign(static_cast<std::size_t>(m_), 0);
+    y_.resize(static_cast<std::size_t>(m_));
+    w_.resize(static_cast<std::size_t>(m_));
     compute_basic_values();
   }
 
@@ -249,57 +258,85 @@ class Simplex {
     }
   }
 
-  /// Rebuilds binv_ from the basis columns by Gauss-Jordan with partial
-  /// pivoting. Returns false if the basis matrix is numerically singular.
+  /// Rebuilds binv_ in place from the basis columns by Gauss-Jordan with
+  /// partial pivoting, then its row index. Each elimination step updates
+  /// only the pivot row's nonzero columns. Returns false if the basis
+  /// matrix is numerically singular.
   bool refactorize() {
-    std::vector<double> mat(static_cast<std::size_t>(m_) *
-                                static_cast<std::size_t>(m_),
-                            0.0);
+    std::vector<double> mat(binv_.size(), 0.0);
     for (int c = 0; c < m_; ++c) {
       for (const SparseEntry& e :
            cols_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(c)])]) {
         mat[idx(e.row, c)] = e.value;
       }
     }
-    std::vector<double> inv(static_cast<std::size_t>(m_) *
-                                static_cast<std::size_t>(m_),
-                            0.0);
+    std::vector<double>& inv = binv_;
+    std::fill(inv.begin(), inv.end(), 0.0);
     for (int i = 0; i < m_; ++i) inv[idx(i, i)] = 1.0;
 
+    std::vector<int> mat_cols, inv_cols, col_rows;
     for (int col = 0; col < m_; ++col) {
+      // One pass down the column: its nonzero rows, and the pivot (the
+      // largest entry on or below the diagonal).
+      col_rows.clear();
       int pivot_row = col;
       double best = std::abs(mat[idx(col, col)]);
-      for (int r = col + 1; r < m_; ++r) {
+      for (int r = 0; r < m_; ++r) {
         const double v = std::abs(mat[idx(r, col)]);
-        if (v > best) {
+        if (v == 0.0) continue;
+        col_rows.push_back(r);
+        if (r > col && v > best) {
           best = v;
           pivot_row = r;
         }
       }
       if (best < 1e-12) return false;
       if (pivot_row != col) {
-        for (int c = 0; c < m_; ++c) {
-          std::swap(mat[idx(pivot_row, c)], mat[idx(col, c)]);
-          std::swap(inv[idx(pivot_row, c)], inv[idx(col, c)]);
-        }
+        std::swap_ranges(&mat[idx(pivot_row, 0)], &mat[idx(pivot_row, 0)] + m_,
+                         &mat[idx(col, 0)]);
+        std::swap_ranges(&inv[idx(pivot_row, 0)], &inv[idx(pivot_row, 0)] + m_,
+                         &inv[idx(col, 0)]);
       }
       const double pivot = mat[idx(col, col)];
+      mat_cols.clear();
+      inv_cols.clear();
       for (int c = 0; c < m_; ++c) {
         mat[idx(col, c)] /= pivot;
         inv[idx(col, c)] /= pivot;
+        if (mat[idx(col, c)] != 0.0) mat_cols.push_back(c);
+        if (inv[idx(col, c)] != 0.0) inv_cols.push_back(c);
       }
-      for (int r = 0; r < m_; ++r) {
+      for (int r : col_rows) {
+        if (r == pivot_row) r = col;  // the rows swapped places
+        else if (r == col) r = pivot_row;
         if (r == col) continue;
         const double f = mat[idx(r, col)];
-        if (f == 0.0) continue;
-        for (int c = 0; c < m_; ++c) {
-          mat[idx(r, c)] -= f * mat[idx(col, c)];
-          inv[idx(r, c)] -= f * inv[idx(col, c)];
-        }
+        for (const int c : mat_cols) mat[idx(r, c)] -= f * mat[idx(col, c)];
+        for (const int c : inv_cols) inv[idx(r, c)] -= f * inv[idx(col, c)];
       }
     }
-    binv_ = std::move(inv);
+    for (int r = 0; r < m_; ++r) index_row(r);
     return true;
+  }
+
+  /// Rebuilds row r's index from its nonzeros.
+  void index_row(int r) {
+    int len = 0;
+    for (int c = 0; c < m_; ++c) {
+      if (binv_[idx(r, c)] != 0.0) row_cols_[idx(r, len++)] = c;
+    }
+    row_len_[static_cast<std::size_t>(r)] = len;
+  }
+
+  /// Gives dense rows whose nonzeros cancelled back below m/8 an index.
+  void resparsify() {
+    for (int r = 0; r < m_; ++r) {
+      if (row_len_[static_cast<std::size_t>(r)] != kDenseRow) continue;
+      const double* row = &binv_[idx(r, 0)];
+      int nnz = 0;
+      for (int c = 0; c < m_; ++c) nnz += row[c] != 0.0;
+      if (8 * nnz <= m_) index_row(r);
+    }
   }
 
   // ------------------------------------------------------------------
@@ -315,16 +352,28 @@ class Simplex {
       if (iteration_counter % options_.refactor_every == 0) {
         if (!refactorize()) return LpStatus::kIterationLimit;
         compute_basic_values();
+      } else if (iteration_counter % 64 == 0) {
+        resparsify();
       }
 
       // Simplex multipliers y = c_B^T B^-1.
-      std::vector<double> y(static_cast<std::size_t>(m_), 0.0);
+      std::vector<double>& y = y_;
+      std::fill(y.begin(), y.end(), 0.0);
       for (int r = 0; r < m_; ++r) {
         const double cb =
             cost_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])];
         if (cb == 0.0) continue;
-        for (int k = 0; k < m_; ++k) {
-          y[static_cast<std::size_t>(k)] += cb * binv_[idx(r, k)];
+        const double* row = &binv_[idx(r, 0)];
+        const int len = row_len_[static_cast<std::size_t>(r)];
+        if (len == kDenseRow) {
+          for (int k = 0; k < m_; ++k) {
+            y[static_cast<std::size_t>(k)] += cb * row[k];
+          }
+        } else {
+          const int* cols = &row_cols_[idx(r, 0)];
+          for (int t = 0; t < len; ++t) {
+            y[static_cast<std::size_t>(cols[t])] += cb * row[cols[t]];
+          }
         }
       }
 
@@ -369,7 +418,8 @@ class Simplex {
       if (entering < 0) return LpStatus::kOptimal;
 
       // w = B^-1 a_entering.
-      std::vector<double> w(static_cast<std::size_t>(m_), 0.0);
+      std::vector<double>& w = w_;
+      std::fill(w.begin(), w.end(), 0.0);
       for (const SparseEntry& e : cols_[static_cast<std::size_t>(entering)]) {
         for (int r = 0; r < m_; ++r) {
           w[static_cast<std::size_t>(r)] +=
@@ -455,18 +505,63 @@ class Simplex {
       state_[static_cast<std::size_t>(entering)] = VarState::kBasic;
       xb_[static_cast<std::size_t>(leaving_row)] = entering_value;
 
-      // Update B^-1: divide pivot row, eliminate elsewhere.
-      const double pivot = w[static_cast<std::size_t>(leaving_row)];
+      update_inverse(leaving_row);
+    }
+  }
+
+  /// B^-1 update for a pivot on `pivot_row`: divide the pivot row by
+  /// w[pivot_row], then subtract w[r] times it from every other row r.
+  /// Only the pivot row's nonzero columns take part; new ones join each
+  /// touched sparse row's index. A row whose index would grow past m/8
+  /// goes dense (see simplex.hpp).
+  void update_inverse(int pivot_row) {
+    const double pivot = w_[static_cast<std::size_t>(pivot_row)];
+    double* prow = &binv_[idx(pivot_row, 0)];
+    pivot_cols_.clear();
+    const int plen = row_len_[static_cast<std::size_t>(pivot_row)];
+    if (plen == kDenseRow) {
       for (int c = 0; c < m_; ++c) {
-        binv_[idx(leaving_row, c)] /= pivot;
+        prow[c] /= pivot;
+        if (prow[c] != 0.0) pivot_cols_.push_back(c);
       }
-      for (int r = 0; r < m_; ++r) {
-        if (r == leaving_row) continue;
-        const double f = w[static_cast<std::size_t>(r)];
-        if (f == 0.0) continue;
-        for (int c = 0; c < m_; ++c) {
-          binv_[idx(r, c)] -= f * binv_[idx(leaving_row, c)];
+    } else {
+      const int* cols = &row_cols_[idx(pivot_row, 0)];
+      for (int t = 0; t < plen; ++t) {
+        prow[cols[t]] /= pivot;
+        if (prow[cols[t]] != 0.0) pivot_cols_.push_back(cols[t]);
+      }
+    }
+    const int nnz = static_cast<int>(pivot_cols_.size());
+    for (int r = 0; r < m_; ++r) {
+      if (r == pivot_row) continue;
+      const double f = w_[static_cast<std::size_t>(r)];
+      if (f == 0.0) continue;
+      double* row = &binv_[idx(r, 0)];
+      int& len = row_len_[static_cast<std::size_t>(r)];
+      int* cols = &row_cols_[idx(r, 0)];
+      if (len != kDenseRow) {
+        // Mark the row's columns, dropping those that cancelled to zero.
+        if (++stamp_token_ == 0) {
+          std::fill(stamp_.begin(), stamp_.end(), 0u);
+          stamp_token_ = 1;
         }
+        int kept = 0;
+        for (int t = 0; t < len; ++t) {
+          if (row[cols[t]] == 0.0) continue;
+          stamp_[static_cast<std::size_t>(cols[t])] = stamp_token_;
+          cols[kept++] = cols[t];
+        }
+        len = 8 * (kept + nnz) > m_ ? kDenseRow : kept;
+      }
+      if (len == kDenseRow) {
+        for (const int c : pivot_cols_) row[c] -= f * prow[c];
+        continue;
+      }
+      for (const int c : pivot_cols_) {
+        if (stamp_[static_cast<std::size_t>(c)] != stamp_token_) {
+          cols[len++] = c;
+        }
+        row[c] -= f * prow[c];
       }
     }
   }
@@ -503,7 +598,18 @@ class Simplex {
   int m_ = 0;
   int n_structural_ = 0;
   std::vector<std::vector<SparseEntry>> cols_;
-  std::vector<double> lb_, ub_, cost_, b_, xb_, binv_;
+  std::vector<double> lb_, ub_, cost_, b_, xb_;
+  // Dense row-major basis inverse. Sparse row r lists, in row_cols_[r*m,
+  // r*m + row_len_[r]), a superset of its nonzero columns; every other
+  // entry of the row is an exact zero. row_len_[r] == kDenseRow marks a
+  // row without an index.
+  static constexpr int kDenseRow = -1;
+  std::vector<double> binv_;
+  std::vector<int> row_cols_, row_len_;
+  std::vector<std::uint32_t> stamp_;  // merge marks, one per column
+  std::uint32_t stamp_token_ = 0;
+  std::vector<int> pivot_cols_;
+  std::vector<double> y_, w_;  // per-iteration scratch
   std::vector<VarState> state_;
   std::vector<int> basis_;
   std::map<std::size_t, double> objective_cost_of_;

@@ -1,12 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <map>
 #include <random>
+#include <sstream>
+#include <string>
 
+#include "core/fmssm.hpp"
+#include "core/scenario.hpp"
 #include "milp/branch_bound.hpp"
 #include "milp/model.hpp"
 #include "milp/presolve.hpp"
 #include "milp/simplex.hpp"
+#include "sdwan/failure.hpp"
 
 namespace pm::milp {
 namespace {
@@ -555,6 +565,322 @@ TEST(SimplexRobustness, IterationLimitReported) {
   SimplexOptions strangled;
   strangled.max_iterations = 1;
   EXPECT_EQ(solve_lp(m, strangled).status, LpStatus::kIterationLimit);
+}
+
+TEST(SimplexRobustness, RefactorEveryBelowOneIsClampedToOne) {
+  Model m;
+  m.set_objective_sense(Objective::kMaximize);
+  const int x = m.add_continuous("x", 0.0, kInfinity, 3.0);
+  const int y = m.add_continuous("y", 0.0, kInfinity, 5.0);
+  m.add_constraint("c1", {{x, 1.0}}, Sense::kLe, 4.0);
+  m.add_constraint("c2", {{y, 2.0}}, Sense::kLe, 12.0);
+  m.add_constraint("c3", {{x, 3.0}, {y, 2.0}}, Sense::kLe, 18.0);
+  for (const int every : {0, -3}) {
+    SimplexOptions options;
+    options.refactor_every = every;
+    const LpResult r = solve_lp(m, options);
+    ASSERT_EQ(r.status, LpStatus::kOptimal) << every;
+    EXPECT_NEAR(r.objective, 36.0, 1e-9) << every;
+    EXPECT_NEAR(r.x[0], 2.0, 1e-9) << every;
+    EXPECT_NEAR(r.x[1], 6.0, 1e-9) << every;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Golden LP results. The data files hold what the all-dense simplex of
+// commit fdefd08 produced. Skipping exact zeros must keep its pivot
+// path, so status, iteration count, objective and every bit of x stay
+// the same.
+// ---------------------------------------------------------------------
+
+std::string read_data_file(const std::string& name) {
+  const std::string path = std::string(PM_TEST_DATA_DIR) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+/// FNV-1a-64 over the little-endian bytes of each value's bit pattern.
+std::uint64_t fnv1a64_bits(const std::vector<double>& values) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const double v : values) {
+    const std::uint64_t bits = bits_of(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+/// Non-comment lines of a data file.
+std::vector<std::string> data_lines(const std::string& name) {
+  std::vector<std::string> out;
+  std::istringstream in(read_data_file(name));
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line[0] != '#') out.push_back(line);
+  }
+  return out;
+}
+
+std::string failed_csv(const sdwan::FailureScenario& scenario) {
+  std::string out;
+  for (const int c : scenario.failed) {
+    if (!out.empty()) out += ',';
+    out += std::to_string(c);
+  }
+  return out;
+}
+
+/// The root LP run_optimal solves for one ATT failure set: the FMSSM
+/// model, presolved, relaxed. Line format of fmssm_root_lp_att_k2.txt:
+/// failed-set m n iterations objective-bits x-digest.
+std::string root_lp_line(const sdwan::FailureState& state) {
+  const core::FmssmProblem problem = core::build_fmssm(state);
+  const PresolveResult reduced = presolve(problem.model);
+  const LpResult lp = solve_lp(reduced.reduced);
+  return failed_csv(state.scenario()) + " " +
+         std::to_string(reduced.reduced.constraint_count()) + " " +
+         std::to_string(reduced.reduced.variable_count()) + " " +
+         std::to_string(lp.iterations) + " " +
+         hex64(bits_of(lp.objective)) + " " + hex64(fnv1a64_bits(lp.x));
+}
+
+/// Checks every ATT failure set with k <= 2 whose k is 1 or whose golden
+/// row count is below `max_k2_rows`; returns how many were solved.
+int check_att_root_lps(int max_k2_rows) {
+  std::map<std::string, std::string> golden;
+  for (const std::string& line : data_lines("fmssm_root_lp_att_k2.txt")) {
+    golden[line.substr(0, line.find(' '))] = line;
+  }
+  EXPECT_EQ(golden.size(), 6u + 15u);
+  const sdwan::Network net = core::make_att_network();
+  int checked = 0;
+  for (const int k : {1, 2}) {
+    for (sdwan::FailureScenario& scenario : sdwan::enumerate_failures(net, k)) {
+      const auto it = golden.find(failed_csv(scenario));
+      if (it == golden.end()) {
+        ADD_FAILURE() << "no golden line for " << failed_csv(scenario);
+        continue;
+      }
+      int rows = 0;
+      std::istringstream(it->second.substr(it->first.size())) >> rows;
+      if (k == 2 && rows >= max_k2_rows) continue;
+      const sdwan::FailureState state(net, std::move(scenario));
+      EXPECT_EQ(root_lp_line(state), it->second);
+      ++checked;
+    }
+  }
+  return checked;
+}
+
+TEST(MilpGolden, AttRootLpsMatchParent) {
+  EXPECT_GE(check_att_root_lps(700), 6);
+}
+
+// All 21 sets, up to m = 1253 rows (several seconds in Release); CI runs
+// it with --gtest_also_run_disabled_tests.
+TEST(MilpGolden, DISABLED_AttRootLpsMatchParentAllSets) {
+  EXPECT_EQ(check_att_root_lps(1 << 30), 21);
+}
+
+/// Draws straight from the engine's output, so the models do not depend
+/// on a standard library's distribution implementation.
+class Draw {
+ public:
+  explicit Draw(std::uint64_t seed) : rng_(seed) {}
+  int below(int n) {
+    return static_cast<int>(rng_() % static_cast<std::uint64_t>(n));
+  }
+  double unit() { return static_cast<double>(rng_() >> 11) * 0x1.0p-53; }
+  bool chance(double p) { return unit() < p; }
+  /// Nonzero; a small integer half the time (ties, degeneracy), a
+  /// quarter step otherwise.
+  double coeff() {
+    const double v = chance(0.5) ? 1 + below(5) : 0.25 * (1 + below(24));
+    return chance(0.5) ? v : -v;
+  }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+/// A seeded LP that reaches every simplex path: <=, >= and = rows (phase
+/// 1), boxed, half-bounded, free and fixed variables (bound flips,
+/// kFreeAtZero), rows tight at the resting point (degenerate pivots), a
+/// block of rows with >= 50% fill (dense rows in the basis inverse) and,
+/// in a quarter of the models, a cone on which the resting point is
+/// optimal (a run of degenerate pivots long enough for Bland's rule).
+/// Rows are built around a point x0 inside the bounds, so most models are
+/// feasible; some stay unbounded and a few get a contradictory pair of
+/// rows.
+Model random_lp(std::uint64_t seed) {
+  Draw d(seed);
+  Model m;
+  const bool maximize = d.chance(0.5);
+  m.set_objective_sense(maximize ? Objective::kMaximize
+                                 : Objective::kMinimize);
+  const int n = 30 + d.below(60);
+  const int rows = 20 + d.below(50);
+  std::vector<double> x0(static_cast<std::size_t>(n));
+  std::vector<int> at_zero;  // lower bound 0 and x0 = 0
+  for (int j = 0; j < n; ++j) {
+    double lo = 0.0;
+    double hi = kInfinity;
+    double& x = x0[static_cast<std::size_t>(j)];
+    switch (d.below(10)) {
+      case 0: case 1: case 2: case 3:
+        hi = 1 + d.below(6);
+        x = d.chance(0.4) ? 0.0 : d.unit() * hi;
+        break;
+      case 4:
+        lo = -d.below(4);
+        hi = lo + 1 + d.below(5);
+        x = lo + d.unit() * (hi - lo);
+        break;
+      case 5:
+        x = d.chance(0.4) ? 0.0 : d.unit() * 3;
+        break;
+      case 6:
+        lo = -kInfinity;
+        hi = d.below(4);
+        x = hi - d.unit() * 3;
+        break;
+      case 7:
+        lo = -kInfinity;
+        x = d.unit() * 6 - 3;
+        break;
+      case 8:
+        lo = hi = d.below(3);
+        x = lo;
+        break;
+      default:
+        lo = d.below(3);
+        x = lo + d.unit() * 2;
+        break;
+    }
+    if (lo == 0.0 && x == 0.0) at_zero.push_back(j);
+    m.add_continuous("x" + std::to_string(j), lo, hi,
+                     d.chance(0.2) ? 0.0 : d.coeff());
+    // Most infinite bounds get a row that caps the variable near x0, so
+    // most models stay bounded.
+    if (!std::isfinite(lo) && d.chance(0.6)) {
+      m.add_constraint("cap_lo" + std::to_string(j), {{j, 1.0}}, Sense::kGe,
+                       x - 1 - d.below(4));
+    }
+    if (!std::isfinite(hi) && d.chance(0.6)) {
+      m.add_constraint("cap_hi" + std::to_string(j), {{j, 1.0}}, Sense::kLe,
+                       x + 1 + d.below(4));
+    }
+  }
+  for (int i = 0; i < rows; ++i) {
+    std::vector<Term> terms;
+    const int block = d.below(4);
+    if (block == 0 && at_zero.size() >= 2) {
+      // Tight at x0 and at the resting point.
+      const int len = 2 + d.below(4);
+      for (int t = 0; t < len; ++t) {
+        terms.push_back({at_zero[static_cast<std::size_t>(
+                             d.below(static_cast<int>(at_zero.size())))],
+                         d.coeff()});
+      }
+      m.add_constraint("deg" + std::to_string(i), terms, Sense::kLe, 0.0);
+      continue;
+    }
+    if (block == 1) {
+      for (int j = 0; j < n; ++j) {
+        if (d.chance(0.6)) terms.push_back({j, d.coeff()});
+      }
+    } else {
+      const int len = 1 + d.below(6);
+      for (int t = 0; t < len; ++t) terms.push_back({d.below(n), d.coeff()});
+    }
+    double a = 0.0;
+    for (const Term& t : terms) {
+      a += t.coeff * x0[static_cast<std::size_t>(t.var)];
+    }
+    switch (d.below(5)) {
+      case 0: case 1:
+        m.add_constraint("le" + std::to_string(i), terms, Sense::kLe,
+                         a + (d.chance(0.3) ? 0.0 : d.unit() * 4));
+        break;
+      case 2: case 3:
+        m.add_constraint("ge" + std::to_string(i), terms, Sense::kGe,
+                         a - (d.chance(0.3) ? 0.0 : d.unit() * 4));
+        break;
+      default:
+        m.add_constraint("eq" + std::to_string(i), terms, Sense::kEq, a);
+        break;
+    }
+  }
+  if (d.chance(0.25)) {
+    // Cone A z >= 0, z >= 0 with cost A^T y0 + s (y0, s >= 0): z = 0 is
+    // optimal, so every pivot on z is degenerate. The costs are scaled
+    // so Dantzig pricing picks z before the rest of the model.
+    const int k = 100 + d.below(20);
+    const int cone_rows = k * 5 / 6;
+    std::vector<double> y0(static_cast<std::size_t>(cone_rows));
+    for (double& y : y0) y = d.unit();
+    std::vector<std::vector<Term>> cone(static_cast<std::size_t>(cone_rows));
+    for (int j = 0; j < k; ++j) {
+      double cost = 0.1 * d.unit();
+      for (int i = 0; i < cone_rows; ++i) {
+        if (!d.chance(0.3)) continue;
+        const double a = d.coeff();
+        cone[static_cast<std::size_t>(i)].push_back({n + j, a});
+        cost += a * y0[static_cast<std::size_t>(i)];
+      }
+      m.add_continuous("z" + std::to_string(j), 0.0, kInfinity,
+                       (maximize ? -10.0 : 10.0) * cost);
+    }
+    for (int i = 0; i < cone_rows; ++i) {
+      m.add_constraint("cone" + std::to_string(i),
+                       cone[static_cast<std::size_t>(i)], Sense::kGe, 0.0);
+    }
+  }
+  if (d.chance(0.1)) {
+    const int j = d.below(n);
+    m.add_constraint("contra_lo", {{j, 1.0}}, Sense::kGe, 1.0);
+    m.add_constraint("contra_hi", {{j, 1.0}}, Sense::kLe, 0.5);
+  }
+  return m;
+}
+
+/// Line format of simplex_random_lp_digests.txt: seed refactor_every
+/// status iterations objective-bits x-digest.
+std::string random_lp_line(std::uint64_t seed, int refactor_every) {
+  SimplexOptions options;
+  options.refactor_every = refactor_every;
+  const LpResult lp = solve_lp(random_lp(seed), options);
+  return std::to_string(seed) + " " + std::to_string(refactor_every) + " " +
+         to_string(lp.status) + " " + std::to_string(lp.iterations) + " " +
+         hex64(bits_of(lp.objective)) + " " + hex64(fnv1a64_bits(lp.x));
+}
+
+TEST(MilpGolden, SeededRandomLpsMatchParent) {
+  const std::vector<std::string> golden =
+      data_lines("simplex_random_lp_digests.txt");
+  ASSERT_FALSE(golden.empty());
+  for (const std::string& line : golden) {
+    std::uint64_t seed = 0;
+    int refactor_every = 0;
+    std::istringstream(line) >> seed >> refactor_every;
+    EXPECT_EQ(random_lp_line(seed, refactor_every), line);
+  }
 }
 
 }  // namespace
