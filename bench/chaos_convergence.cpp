@@ -26,9 +26,9 @@
 //
 // --mid-recovery appends a second sweep that kills a SECOND controller
 // 350 ms after the first failure — inside the recovery window — once
-// targeting the coordinator and once a wave-1 adopter, with the
-// transactional machinery (epoch guard, failover/replan, rollback)
-// enabled. The default table/CSV/JSON above are unchanged by the flag.
+// targeting the coordinator and once a wave-1 adopter, which exercises
+// the failover/replan/rollback machinery of the transactional protocol.
+// The default table/CSV/JSON above are unchanged by the flag.
 #include <iostream>
 #include <vector>
 
@@ -59,21 +59,19 @@ struct Cell {
   bool computed = true;
 };
 
+// One sweep cell: controller 3 (C13) fails at t=500 and `second` at
+// `second_at_ms`, with PM seeded by the previous plan as the policy.
 pm::ctrl::SimulationReport run_cell(const pm::sdwan::Network& net,
                                     double loss, double jitter_ms,
                                     double dup, std::uint64_t seed,
                                     double until_ms,
+                                    pm::sdwan::ControllerId second,
+                                    double second_at_ms,
                                     const pm::obs::ObsOptions* obs) {
   pm::ctrl::ControllerConfig config;
   // Hysteresis sized for the sweep's jitter range: three consecutive
   // missed detector checks before suspecting a peer.
   config.suspicion_checks = 3;
-  // The legacy sweep benchmarks the pre-transactional protocol and its
-  // numbers are pinned bit-for-bit across commits; under 20% loss the
-  // epoch guard (correctly) discards late prior-wave acks, which shifts
-  // convergence, so transactional enforcement is exercised by the
-  // --mid-recovery sweep below instead.
-  config.transactional = false;
   pm::ctrl::ControlSimulation simulation(
       net,
       [](const pm::sdwan::FailureState& state,
@@ -93,8 +91,8 @@ pm::ctrl::SimulationReport run_cell(const pm::sdwan::Network& net,
     simulation.observability().tracer.set_enabled(obs->tracing_requested());
     simulation.observability().detailed_metrics = obs->detailed_requested();
   }
-  simulation.fail_controller_at(3, 500.0);   // C13
-  simulation.fail_controller_at(4, 3000.0);  // C20
+  simulation.fail_controller_at(3, 500.0);  // C13
+  simulation.fail_controller_at(second, second_at_ms);
   const pm::ctrl::SimulationReport report = simulation.run(until_ms);
   if (obs != nullptr) {
     pm::obs::write_outputs(*obs, simulation.observability());
@@ -109,38 +107,6 @@ struct KillCell {
   pm::ctrl::SimulationReport report;
   bool computed = true;
 };
-
-// One mid-recovery cell: controller 3 (C13) fails at t=500; the kill
-// target fails at t=850, squarely inside the first recovery wave. Runs
-// with transactional enforcement ON — this sweep measures the
-// failover/replan/rollback machinery the legacy sweep deliberately
-// pins off.
-pm::ctrl::SimulationReport run_kill_cell(const pm::sdwan::Network& net,
-                                         double loss, double jitter_ms,
-                                         double dup, std::uint64_t seed,
-                                         double until_ms,
-                                         pm::sdwan::ControllerId kill) {
-  pm::ctrl::ControllerConfig config;
-  config.suspicion_checks = 3;
-  pm::ctrl::ControlSimulation simulation(
-      net,
-      [](const pm::sdwan::FailureState& state,
-         const pm::core::RecoveryPlan* previous) {
-        pm::core::PmOptions opts;
-        opts.seed = previous;
-        return pm::core::run_pm(state, opts);
-      },
-      config);
-  pm::ctrl::ChannelFaultModel faults;
-  faults.seed = seed;
-  faults.drop_probability = loss;
-  faults.duplicate_probability = dup;
-  faults.jitter_ms = jitter_ms;
-  simulation.set_fault_model(faults);
-  simulation.fail_controller_at(3, 500.0);  // C13
-  simulation.fail_controller_at(kill, 850.0);
-  return simulation.run(until_ms);
-}
 
 }  // namespace
 
@@ -188,6 +154,7 @@ int main(int argc, char** argv) {
         c.jitter_ms == jitters.back() && c.loss == losses.back();
     return {c.loss, c.jitter_ms,
             run_cell(net, c.loss, c.jitter_ms, dup, seed, until,
+                     4, 3000.0,  // C20
                      last ? &obs_options : nullptr)};
   });
   const std::size_t total_cells = cells.size();
@@ -310,8 +277,8 @@ int main(int argc, char** argv) {
             return {c.loss, c.jitter_ms, c.kill, {}, false};
           }
           return {c.loss, c.jitter_ms, c.kill,
-                  run_kill_cell(net, c.loss, c.jitter_ms, dup, seed, until,
-                                kill_targets[idx])};
+                  run_cell(net, c.loss, c.jitter_ms, dup, seed, until,
+                           kill_targets[idx], 850.0, nullptr)};
         });
     const std::size_t total_kill_cells = kill_cells.size();
     std::erase_if(kill_cells,
@@ -322,7 +289,7 @@ int main(int argc, char** argv) {
     }
 
     std::cout << "\n=== Mid-recovery kill sweep: second failure at "
-                 "t=850 ms, inside the first wave (transactional) ===\n\n";
+                 "t=850 ms, inside the first wave ===\n\n";
     util::TextTable mid({"kill", "loss", "jitter_ms", "detected_ms",
                          "converged_ms", "failovers", "aborted",
                          "rb_removes", "stale_disc", "audit_viol",

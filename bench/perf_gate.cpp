@@ -212,7 +212,6 @@ ctrl::SimulationReport run_chaos_cell(const sdwan::Network& net,
                                       double until_ms) {
   ctrl::ControllerConfig config;
   config.suspicion_checks = 3;
-  config.transactional = false;
   ctrl::ControlSimulation simulation(
       net,
       [](const sdwan::FailureState& state,

@@ -7,7 +7,7 @@
 //
 // Usage: ./build/examples/protocol_trace [--fail=13,20]
 //        [--second-failure-at=3000] [--until=10000]
-//        [--kill-at=<time>:<controller>]... [--no-transactional]
+//        [--kill-at=<time>:<controller>]...
 //        [--heartbeat=50] [--timeout=200] [--suspicion-checks=1]
 //        [--retries=5] [--backoff=2] [--rto-margin=60]
 //        [--loss=0.1] [--dup=0.05] [--jitter=20]
@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
   config.max_retries = static_cast<int>(args.get_int("retries", 5));
   config.retransmit_backoff = args.get_double("backoff", 2.0);
   config.retransmit_margin_ms = args.get_double("rto-margin", 60.0);
-  config.transactional = !args.get_bool("no-transactional", false);
   const std::vector<std::string> kill_specs = args.get_strings("kill-at");
 
   ctrl::ChannelFaultModel faults;

@@ -177,51 +177,38 @@ void ControllerNode::run_recovery() {
   // removed at the end of this wave's distribution (the rollback half of
   // commit — without it a shrinking plan leaves orphan entries behind).
   std::vector<std::pair<sdwan::SwitchId, sdwan::FlowId>> stale_installed;
-  if (config_.transactional) {
-    for (const auto& [key, epoch] : shared_->installed) {
-      if (!plan.sdn_assignments.contains(key)) {
-        stale_installed.push_back(key);
-      }
-    }
+  for (const auto& [key, epoch] : shared_->installed) {
+    if (!plan.sdn_assignments.contains(key)) stale_installed.push_back(key);
   }
 
   // Distribute: RoleRequest per adopted switch, then the flow-mods. Every
   // message is sent by the ADOPTING controller in the plan; as a modeling
   // simplification the coordinator instructs peers instantly through the
   // synchronized data store (the paper's controllers share a logically
-  // centralized view), so the mods originate at the adopter's endpoint —
-  // but only if the adopter is this node or an unsuspected peer.
-  for (const auto& [sw, adopter] : plan.mapping) {
+  // centralized view), so the mods originate at the adopter's endpoint.
+  // An adopter that died before its death was detected cannot send: this
+  // node adopts its switches instead.
+  for (const auto& [sw, planned] : plan.mapping) {
+    const sdwan::ControllerId adopter = live_or_self(planned);
     Message role;
     role.from = controller_endpoint(*net_, adopter);
     role.to = switch_endpoint(sw);
     role.body = RoleRequest{adopter, shared_->wave_epoch};
     role.seq = channel_->send(role);
     shared_->pending_roles.insert(sw);
-    if (config_.transactional) {
-      shared_->wave_masters[sw] = adopter;
-      shared_->slices[adopter].pending_roles.insert(sw);
-    }
+    shared_->wave_masters[sw] = adopter;
+    shared_->slices[adopter].pending_roles.insert(sw);
     arm_role_retry(sw, role);
   }
   // Cleanup adoptions: a switch holding stale entries but absent from the
   // new mapping needs a master before a removal can be applied (the
   // master check would silently drop it). The coordinator adopts it.
   for (const auto& [sw, flow] : stale_installed) {
-    if (shared_->wave_masters.contains(sw)) continue;
-    Message role;
-    role.from = controller_endpoint(*net_, id_);
-    role.to = switch_endpoint(sw);
-    role.body = RoleRequest{id_, shared_->wave_epoch};
-    role.seq = channel_->send(role);
-    shared_->pending_roles.insert(sw);
-    shared_->wave_masters[sw] = id_;
-    shared_->slices[id_].pending_roles.insert(sw);
-    arm_role_retry(sw, role);
+    if (!shared_->wave_masters.contains(sw)) adopt_switch(sw);
   }
   for (const auto& [sw, flow] : plan.sdn_assignments) {
-    const sdwan::ControllerId adopter = plan.controller_of_assignment(
-        sw, flow);
+    const sdwan::ControllerId adopter =
+        live_or_self(plan.controller_of_assignment(sw, flow));
     const auto& f = net_->flow(flow);
     // The entry pins the flow at this switch to its current next hop
     // (programmability = the controller can now change it).
@@ -243,18 +230,38 @@ void ControllerNode::run_recovery() {
     mod.body = body;
     shared_->pending_acks.insert(body.xid);
     shared_->xid_mods[body.xid] = {flow, sw, adopter, false};
-    if (config_.transactional) {
-      shared_->slices[adopter].pending_acks.insert(body.xid);
-    }
+    shared_->slices[adopter].pending_acks.insert(body.xid);
     mod.seq = channel_->send(mod, plan.middle_layer_ms);
     arm_mod_retry(body.xid, mod, plan.middle_layer_ms);
   }
-  if (config_.transactional) shared_->last_plan = plan;
+  shared_->last_plan = plan;
   installed_plan_ = std::move(plan);
   for (const auto& [sw, flow] : stale_installed) {
     send_rollback_remove(sw, flow);
   }
   if (shared_->pending_acks.empty()) maybe_mark_converged();
+}
+
+sdwan::ControllerId ControllerNode::live_or_self(
+    sdwan::ControllerId j) const {
+  return channel_->is_attached(controller_endpoint(*net_, j)) ? j : id_;
+}
+
+void ControllerNode::adopt_switch(sdwan::SwitchId sw) {
+  // A dead master's slice no longer waits on this switch's role reply.
+  if (const auto prev = shared_->wave_masters.find(sw);
+      prev != shared_->wave_masters.end()) {
+    shared_->slices[prev->second].pending_roles.erase(sw);
+  }
+  Message role;
+  role.from = controller_endpoint(*net_, id_);
+  role.to = switch_endpoint(sw);
+  role.body = RoleRequest{id_, shared_->wave_epoch};
+  role.seq = channel_->send(role);
+  shared_->pending_roles.insert(sw);
+  shared_->wave_masters[sw] = id_;
+  shared_->slices[id_].pending_roles.insert(sw);
+  arm_role_retry(sw, role);
 }
 
 sdwan::FlowId ControllerNode::flow_by_match(sdwan::SwitchId src,
@@ -273,22 +280,14 @@ void ControllerNode::send_rollback_remove(sdwan::SwitchId sw,
   if (!shared_->pending_removals.insert({sw, flow}).second) return;
   // The removal must come from the switch's current master, or the
   // master check drops it. If no wave touched the switch yet (a mid-wave
-  // flow rollback hitting an unmapped switch), adopt it first.
-  sdwan::ControllerId master = id_;
+  // flow rollback hitting an unmapped switch), or its wave master has
+  // died since, this node adopts it first.
   const auto it = shared_->wave_masters.find(sw);
-  if (it != shared_->wave_masters.end()) {
-    master = it->second;
-  } else {
-    Message role;
-    role.from = controller_endpoint(*net_, id_);
-    role.to = switch_endpoint(sw);
-    role.body = RoleRequest{id_, shared_->wave_epoch};
-    role.seq = channel_->send(role);
-    shared_->pending_roles.insert(sw);
-    shared_->wave_masters[sw] = id_;
-    shared_->slices[id_].pending_roles.insert(sw);
-    arm_role_retry(sw, role);
+  if (it == shared_->wave_masters.end() ||
+      live_or_self(it->second) != it->second) {
+    adopt_switch(sw);
   }
+  const sdwan::ControllerId master = shared_->wave_masters.at(sw);
   const auto& f = net_->flow(flow);
   Message mod;
   mod.from = controller_endpoint(*net_, master);
@@ -357,7 +356,6 @@ void ControllerNode::roll_back_flow(sdwan::FlowId flow) {
 }
 
 void ControllerNode::slice_role_done(sdwan::SwitchId sw) {
-  if (!config_.transactional) return;
   const auto master = shared_->wave_masters.find(sw);
   if (master == shared_->wave_masters.end()) return;
   const auto slice = shared_->slices.find(master->second);
@@ -367,7 +365,6 @@ void ControllerNode::slice_role_done(sdwan::SwitchId sw) {
 }
 
 void ControllerNode::slice_ack_done(std::uint64_t xid) {
-  if (!config_.transactional) return;
   const auto rec = shared_->xid_mods.find(xid);
   if (rec == shared_->xid_mods.end()) return;
   const auto slice = shared_->slices.find(rec->second.adopter);
@@ -421,6 +418,10 @@ void ControllerNode::arm_mod_retry(std::uint64_t xid, Message msg,
 
 void ControllerNode::arm_role_retry(sdwan::SwitchId sw, Message msg) {
   if (config_.max_retries <= 0) return;
+  // A re-adoption replaces the switch's earlier request and its timer.
+  if (const auto old = role_retries_.find(sw); old != role_retries_.end()) {
+    queue_->cancel(old->second.timer);
+  }
   Retry r;
   r.msg = std::move(msg);
   r.rto_ms = initial_rto(r.msg, 0.0);
@@ -449,13 +450,12 @@ void ControllerNode::on_mod_timer(std::uint64_t xid) {
     if (rec != shared_->xid_mods.end()) {
       const sdwan::FlowId flow = rec->second.flow;
       const bool was_remove = rec->second.remove;
+      shared_->degraded_flows.insert(flow);
       if (was_remove) {
         // A rollback removal itself exhausted: the entry may linger on
         // an unreachable switch. Count it; the flow stays degraded.
         ++shared_->rollback_failures;
-        shared_->degraded_flows.insert(flow);
       } else {
-        shared_->degraded_flows.insert(flow);
         if (obs::Context* obs = channel_->observability();
             obs != nullptr && obs->tracer.enabled()) {
           obs->tracer.instant(
@@ -465,14 +465,12 @@ void ControllerNode::on_mod_timer(std::uint64_t xid) {
                {"xid", static_cast<std::int64_t>(xid)},
                {"attempts", r.attempts}});
         }
-        // Transactional: degradation means *legacy*, not half-programmed
-        // — cancel the flow's sibling installs and remove what landed.
-        if (config_.transactional) {
-          mod_retries_.erase(it);
-          roll_back_flow(flow);
-          maybe_mark_converged();
-          return;
-        }
+        // Degradation means *legacy*, not half-programmed: cancel the
+        // flow's sibling installs and remove what landed.
+        mod_retries_.erase(it);
+        roll_back_flow(flow);
+        maybe_mark_converged();
+        return;
       }
     }
     mod_retries_.erase(it);
@@ -584,7 +582,7 @@ void ControllerNode::on_message(const Message& m) {
   }
   if (const auto* ack = std::get_if<FlowModAck>(&m.body)) {
     const auto rec = shared_->xid_mods.find(ack->xid);
-    if (config_.transactional && ack->epoch != shared_->wave_epoch) {
+    if (ack->epoch != shared_->wave_epoch) {
       // Ack from a superseded wave: it must not complete work in (or
       // un-degrade flows of) the current one. But the old wave's mod DID
       // land on the switch — if the current plan no longer wants that
@@ -608,34 +606,28 @@ void ControllerNode::on_message(const Message& m) {
     }
     shared_->pending_acks.erase(ack->xid);
     if (rec != shared_->xid_mods.end()) {
-      if (config_.transactional) {
-        const auto key =
-            std::make_pair(rec->second.sw, rec->second.flow);
-        if (rec->second.remove) {
-          shared_->installed.erase(key);
+      const auto key = std::make_pair(rec->second.sw, rec->second.flow);
+      if (rec->second.remove) {
+        shared_->installed.erase(key);
+      } else {
+        shared_->installed[key] = ack->epoch;
+        if (shared_->rolled_back_flows.contains(rec->second.flow)) {
+          // Install landed after its flow was rolled back (the in-flight
+          // copy beat the cancellation): compensate immediately.
+          send_rollback_remove(key.first, key.second);
         } else {
-          shared_->installed[key] = ack->epoch;
-          if (shared_->rolled_back_flows.contains(rec->second.flow)) {
-            // Install landed after its flow was rolled back (the
-            // in-flight copy beat the cancellation): compensate
-            // immediately.
-            send_rollback_remove(key.first, key.second);
-          } else {
-            // A late ack (e.g. after a retransmission) un-degrades the
-            // flow.
-            shared_->degraded_flows.erase(rec->second.flow);
-          }
+          // A late ack (e.g. after a retransmission) un-degrades the
+          // flow.
+          shared_->degraded_flows.erase(rec->second.flow);
         }
-        slice_ack_done(ack->xid);
-      } else if (!rec->second.remove) {
-        shared_->degraded_flows.erase(rec->second.flow);
       }
+      slice_ack_done(ack->xid);
     }
     maybe_mark_converged();
     return;
   }
   if (const auto* reply = std::get_if<RoleReply>(&m.body)) {
-    if (config_.transactional && reply->epoch != shared_->wave_epoch) {
+    if (reply->epoch != shared_->wave_epoch) {
       // Reply to a superseded wave's RoleRequest; the current wave's
       // own request/retry will collect its own reply.
       ++shared_->stale_discarded;
@@ -644,7 +636,7 @@ void ControllerNode::on_message(const Message& m) {
     const bool first = shared_->pending_roles.erase(reply->sw) > 0;
     shared_->degraded_switches.erase(reply->sw);
     slice_role_done(reply->sw);
-    if (config_.transactional && first) {
+    if (first) {
       // Handover resync: the switch reported its installed entries. Any
       // entry from an earlier epoch was installed by a master that may
       // have died before its ack arrived — this is the only channel

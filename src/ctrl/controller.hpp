@@ -38,7 +38,10 @@
 //    detects it, ABORTS the preparing wave (epoch bump kills its timers
 //    and messages), recomputes the plan against the updated failure set —
 //    seeded from the shared store's last distributed plan — and re-runs
-//    the wave as the new coordinator.
+//    the wave as the new coordinator;
+//  * no controller sends from a dead peer's endpoint: when a planned
+//    adopter or a switch's wave master has died (detected or not), the
+//    live sender adopts the switch itself before installing or removing.
 #pragma once
 
 #include <cstdint>
@@ -77,11 +80,6 @@ struct ControllerConfig {
   /// further retry multiplies the timeout by `retransmit_backoff`.
   double retransmit_margin_ms = 60.0;
   double retransmit_backoff = 2.0;
-  /// Transactional recovery: enforce epoch guards and roll partially
-  /// installed flows back to legacy routing on retry exhaustion /
-  /// mid-wave crashes. false reproduces the pre-transactional protocol
-  /// bit-for-bit (epochs are stamped but never acted on).
-  bool transactional = true;
 };
 
 /// Lifecycle of one recovery wave through the shared store.
@@ -247,9 +245,16 @@ class ControllerNode {
   /// remove its acked entries, and remember it so late acks compensate.
   void roll_back_flow(sdwan::FlowId flow);
   /// Send (and track) a removal FlowMod for one installed entry, adopting
-  /// the switch under this node first if no wave master holds it.
+  /// the switch under this node first if no live wave master holds it.
   /// De-duplicated per wave via SharedRecoveryState::pending_removals.
   void send_rollback_remove(sdwan::SwitchId sw, sdwan::FlowId flow);
+  /// `j` while its endpoint is attached, else this node: a live peer
+  /// never speaks from a dead controller's endpoint, it takes charge of
+  /// the dead one's switches itself (the graceful-restart helper role).
+  sdwan::ControllerId live_or_self(sdwan::ControllerId j) const;
+  /// Make this node the switch's wave master: RoleRequest at the current
+  /// epoch, tracked and retransmitted like the plan's own.
+  void adopt_switch(sdwan::SwitchId sw);
   /// Flow whose (src, dst) equals the match, or -1. Backs the handover
   /// resync (a reported entry only names its match). Lazily built.
   sdwan::FlowId flow_by_match(sdwan::SwitchId src, sdwan::SwitchId dst);

@@ -8,7 +8,6 @@ ControlSimulation::ControlSimulation(const sdwan::Network& net,
                                      RecoveryPolicy policy,
                                      ControllerConfig config)
     : net_(&net),
-      config_(config),
       channel_(net, queue_),
       dataplane_(net.topology(), sdwan::RoutingMode::kHybrid) {
   channel_.set_observability(&obs_);
@@ -21,7 +20,7 @@ ControlSimulation::ControlSimulation(const sdwan::Network& net,
   }
   for (int s = 0; s < net.switch_count(); ++s) {
     switches_.push_back(std::make_unique<SwitchAgent>(
-        s, dataplane_.at(s), channel_, config.transactional));
+        s, dataplane_.at(s), channel_));
     switches_.back()->attach();
   }
   for (sdwan::ControllerId j = 0; j < net.controller_count(); ++j) {
@@ -47,17 +46,10 @@ void ControlSimulation::fail_controller_at(sdwan::ControllerId j,
     channel_.invalidate_delays();
     // Orphan every switch the controller currently masters: its original
     // domain plus any mid-wave adoptions (a successor wave's auditor
-    // would otherwise find switches mastered by a dead controller). The
-    // legacy protocol orphaned only the home domain; reproduce that
-    // bit-for-bit when transactional enforcement is off.
+    // would otherwise find switches mastered by a dead controller).
     std::vector<sdwan::SwitchId> orphaned;
-    if (config_.transactional) {
-      for (auto& agent : switches_) {
-        if (agent->master() == j) orphaned.push_back(agent->id());
-      }
-    } else {
-      orphaned.assign(net_->controller(j).domain.begin(),
-                      net_->controller(j).domain.end());
+    for (auto& agent : switches_) {
+      if (agent->master() == j) orphaned.push_back(agent->id());
     }
     if (obs_.tracer.enabled()) {
       obs_.tracer.instant(
@@ -222,29 +214,20 @@ void ControlSimulation::publish_metrics() {
             "Data-plane audit: 1 if every flow is still deliverable",
             all_flows_deliverable ? 1.0 : 0.0);
 
-  // Consistency audit against the committed plan/epoch. Only meaningful
-  // (and only paid for — it rebuilds a FailureState) when the
-  // transaction layer maintains a committed plan; legacy runs publish a
-  // vacuously clean audit.
-  double audit_violations = 0.0;
-  double audit_clean = 1.0;
-  if (config_.transactional) {
-    const AuditReport audit_report = audit();
-    audit_violations = static_cast<double>(audit_report.violations.size());
-    audit_clean = audit_report.clean() ? 1.0 : 0.0;
-    for (const auto& [invariant, count] : audit_report.by_invariant()) {
-      m.gauge("pm_audit_violations_by_invariant",
-              "Consistency-audit violations per invariant family",
-              {{"invariant", invariant}})
-          .set(static_cast<double>(count));
-    }
+  // Consistency audit against the committed plan/epoch.
+  const AuditReport audit_report = audit();
+  for (const auto& [invariant, count] : audit_report.by_invariant()) {
+    m.gauge("pm_audit_violations_by_invariant",
+            "Consistency-audit violations per invariant family",
+            {{"invariant", invariant}})
+        .set(static_cast<double>(count));
   }
   set_gauge("pm_audit_violations",
             "Post-run consistency-audit violations (0 = clean)",
-            audit_violations);
+            static_cast<double>(audit_report.violations.size()));
   set_gauge("pm_audit_clean",
             "1 if the post-run consistency audit found no violations",
-            audit_clean);
+            audit_report.clean() ? 1.0 : 0.0);
 }
 
 AuditReport ControlSimulation::audit() const {

@@ -133,7 +133,6 @@ class ControlSimulation {
   SimulationReport report_from_metrics() const;
 
   const sdwan::Network* net_;
-  ControllerConfig config_;
   obs::Context obs_;
   sim::EventQueue queue_;
   ControlChannel channel_;

@@ -10,9 +10,8 @@ EndpointId controller_endpoint(const sdwan::Network& net,
 }
 
 SwitchAgent::SwitchAgent(sdwan::SwitchId id, sdwan::HybridSwitch& sw,
-                         ControlChannel& channel, bool epoch_guard)
-    : id_(id), switch_(&sw), channel_(&channel),
-      epoch_guard_(epoch_guard) {}
+                         ControlChannel& channel)
+    : id_(id), switch_(&sw), channel_(&channel) {}
 
 void SwitchAgent::attach() {
   channel_->attach(switch_endpoint(id_), id_,
@@ -24,7 +23,7 @@ void SwitchAgent::on_message(const Message& m) {
     // Epoch guard: a request below the high-water mark is a deposed
     // master's retransmission from a superseded wave. Discard without
     // replying — the new wave's master already holds the switch.
-    if (epoch_guard_ && role->epoch < epoch_) {
+    if (role->epoch < epoch_) {
       ++stale_discarded_;
       return;
     }
@@ -49,19 +48,16 @@ void SwitchAgent::on_message(const Message& m) {
       master_endpoint_ = m.from;
     }
     // Always (re)reply: a duplicate request usually means our first
-    // reply was lost on the way back. Under the epoch guard the reply
-    // carries the handover resync — every installed entry with its
-    // epoch tag — so the new master can reconcile state left by a
-    // crashed predecessor.
+    // reply was lost on the way back. The reply carries the handover
+    // resync — every installed entry with its epoch tag — so the new
+    // master can reconcile state left by a crashed predecessor.
     Message reply;
     reply.from = switch_endpoint(id_);
     reply.to = m.from;
     RoleReply body{id_, role->controller, role->epoch, {}};
-    if (epoch_guard_) {
-      body.entries.reserve(entry_epochs_.size());
-      for (const auto& [match, entry_epoch] : entry_epochs_) {
-        body.entries.push_back({match.first, match.second, entry_epoch});
-      }
+    body.entries.reserve(entry_epochs_.size());
+    for (const auto& [match, entry_epoch] : entry_epochs_) {
+      body.entries.push_back({match.first, match.second, entry_epoch});
     }
     reply.body = std::move(body);
     channel_->send(reply);
@@ -77,7 +73,7 @@ void SwitchAgent::on_message(const Message& m) {
     // seeded incrementally, so a re-adoption often keeps the adopter);
     // the epoch tells a superseded wave's mod apart. No ack — letting the
     // stale wave's machinery believe it succeeded would be worse.
-    if (epoch_guard_ && mod->epoch < epoch_) {
+    if (mod->epoch < epoch_) {
       ++stale_discarded_;
       return;
     }
@@ -94,26 +90,20 @@ void SwitchAgent::on_message(const Message& m) {
     }
     seen_seqs_.insert(m.seq);
     if (mod->epoch > epoch_) epoch_ = mod->epoch;
-    if (epoch_guard_) {
-      const auto key =
-          std::make_pair(mod->entry.match.src, mod->entry.match.dst);
-      if (mod->remove) {
-        switch_->remove(mod->entry.match);
-        entry_epochs_.erase(key);
-      } else {
-        // Replace-on-install: a later wave re-programming the same match
-        // supersedes the old entry instead of stacking a duplicate, and
-        // the entry's epoch tag moves forward with it.
-        if (entry_epochs_.contains(key)) {
-          switch_->remove(mod->entry.match);
-        }
-        switch_->install(mod->entry);
-        entry_epochs_[key] = mod->epoch;
-      }
-    } else if (mod->remove) {
+    const auto key =
+        std::make_pair(mod->entry.match.src, mod->entry.match.dst);
+    if (mod->remove) {
       switch_->remove(mod->entry.match);
+      entry_epochs_.erase(key);
     } else {
+      // Replace-on-install: a later wave re-programming the same match
+      // supersedes the old entry instead of stacking a duplicate, and
+      // the entry's epoch tag moves forward with it.
+      if (entry_epochs_.contains(key)) {
+        switch_->remove(mod->entry.match);
+      }
       switch_->install(mod->entry);
+      entry_epochs_[key] = mod->epoch;
     }
     ++flow_mods_applied_;
     if (obs::Context* obs = channel_->observability();

@@ -34,10 +34,8 @@ namespace pm::ctrl {
 class SwitchAgent {
  public:
   /// `sw` must outlive the agent (it lives in the shared Dataplane).
-  /// `epoch_guard` = false reproduces the pre-transactional protocol
-  /// (epochs carried but never enforced); used for A/B comparisons.
   SwitchAgent(sdwan::SwitchId id, sdwan::HybridSwitch& sw,
-              ControlChannel& channel, bool epoch_guard = true);
+              ControlChannel& channel);
 
   sdwan::SwitchId id() const { return id_; }
 
@@ -93,7 +91,6 @@ class SwitchAgent {
   sdwan::SwitchId id_;
   sdwan::HybridSwitch* switch_;
   ControlChannel* channel_;
-  bool epoch_guard_;
   sdwan::ControllerId master_ = -1;
   EndpointId master_endpoint_ = -1;
   std::uint64_t epoch_ = 0;

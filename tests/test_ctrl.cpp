@@ -6,6 +6,7 @@
 #include <variant>
 #include <vector>
 
+#include "core/metrics.hpp"
 #include "core/pm_algorithm.hpp"
 #include "core/scenario.hpp"
 #include "ctrl/simulation.hpp"
@@ -404,6 +405,95 @@ TEST(ControlSimulation, OrphanedSwitchesKeepForwarding) {
 }
 
 // ---------------------------------------------------------------------
+// Recovery timeline: detection, distribution, convergence
+// ---------------------------------------------------------------------
+
+TEST(ControlPlaneTest, TimelineIsOrdered) {
+  // Crash, then detection, then one wave from detection to its last ack.
+  ControlSimulation simulation(att(), pm_policy());
+  simulation.fail_controller_at(3, 500.0);  // C13
+  const SimulationReport report = simulation.run(5000.0);
+  ASSERT_TRUE(report.detected_at.has_value());
+  ASSERT_TRUE(report.converged_at.has_value());
+  EXPECT_GT(*report.detected_at, 500.0);
+  EXPECT_GT(*report.converged_at, *report.detected_at);
+  const obs::Histogram& waves =
+      simulation.observability().metrics.histogram(
+          "pm_wave_convergence_ms", "", {});
+  ASSERT_EQ(waves.count(), 1u);
+  EXPECT_DOUBLE_EQ(waves.sum(),
+                   *report.converged_at - *report.detected_at);
+}
+
+TEST(ControlPlaneTest, EveryRecoveredFlowGetsATimestamp) {
+  // Every flow PM recovers is programmed, with one RoleRequest per
+  // adopted switch and one acked FlowMod per assignment that has a next
+  // hop to pin.
+  const sdwan::FailureState state(att(), {{3}});
+  const core::RecoveryPlan plan = core::run_pm(state);
+  std::uint64_t pinned = 0;
+  for (const auto& [sw, flow] : plan.sdn_assignments) {
+    const auto& path = att().flow(flow).path;
+    if (path.back() != sw) ++pinned;
+  }
+  ControlSimulation simulation(att(), pm_policy());
+  simulation.fail_controller_at(3, 500.0);
+  const SimulationReport report = simulation.run(5000.0);
+  ASSERT_TRUE(report.converged_at.has_value());
+  EXPECT_EQ(report.flows_with_entries,
+            core::evaluate_plan(state, plan).recovered_flow_count);
+  EXPECT_EQ(report.messages_by_kind.at("role-request"),
+            plan.mapping.size());
+  EXPECT_EQ(report.messages_by_kind.at("flow-mod"), pinned);
+  EXPECT_EQ(report.messages_by_kind.at("flow-mod-ack"), pinned);
+}
+
+TEST(ControlPlaneTest, DetectionTimeoutShiftsEverything) {
+  // C13 and C20 crash together; each extra 100 ms of detection timeout
+  // moves detection and convergence by exactly 100 ms.
+  const std::vector<std::pair<double, double>> expected = {
+      {100.0, 600.0}, {200.0, 700.0}, {500.0, 1000.0}};
+  for (const auto& [timeout, detected] : expected) {
+    ctrl::ControllerConfig config;
+    config.detection_timeout_ms = timeout;
+    ControlSimulation simulation(att(), pm_policy(), config);
+    simulation.fail_controller_at(3, 500.0);
+    simulation.fail_controller_at(4, 500.0);
+    const SimulationReport report = simulation.run(5000.0);
+    ASSERT_TRUE(report.detected_at.has_value()) << timeout;
+    ASSERT_TRUE(report.converged_at.has_value()) << timeout;
+    EXPECT_NEAR(*report.detected_at, detected, 1e-9) << timeout;
+    EXPECT_NEAR(*report.converged_at, detected + 22.288, 1e-3) << timeout;
+  }
+}
+
+TEST(ControlPlaneTest, MiddleLayerDelaysConvergenceExactly) {
+  // A middle layer that adds X ms to every FlowMod (PG's per-message
+  // cost) delays convergence by exactly X, and the RTT-derived
+  // retransmission timeout absorbs it: no retransmission fires.
+  const std::vector<std::pair<double, double>> expected = {
+      {0.0, 711.282}, {2.0, 713.282}, {10.0, 721.282}};
+  for (const auto& [middle_layer_ms, converged] : expected) {
+    const double extra = middle_layer_ms;
+    ControlSimulation simulation(
+        att(), [extra](const sdwan::FailureState& state,
+                       const core::RecoveryPlan* previous) {
+          core::PmOptions opts;
+          opts.seed = previous;
+          core::RecoveryPlan plan = core::run_pm(state, opts);
+          plan.middle_layer_ms = extra;
+          return plan;
+        });
+    simulation.fail_controller_at(3, 500.0);
+    const SimulationReport report = simulation.run(5000.0);
+    ASSERT_TRUE(report.converged_at.has_value()) << middle_layer_ms;
+    EXPECT_NEAR(*report.converged_at, converged, 1e-3) << middle_layer_ms;
+    EXPECT_EQ(report.retransmissions, 0u) << middle_layer_ms;
+    EXPECT_TRUE(report.all_flows_deliverable) << middle_layer_ms;
+  }
+}
+
+// ---------------------------------------------------------------------
 // Reliable delivery under channel faults
 // ---------------------------------------------------------------------
 
@@ -696,6 +786,47 @@ TEST(TransactionalRecovery, CorrelatedMidWaveKillsStillConverge) {
   EXPECT_EQ(simulation.shared_state().phase, WavePhase::kCommitted);
 }
 
+TEST(TransactionalRecovery, DeadAdopterIsTakenOverNotSpokenFor) {
+  // C2 fails at 500 ms and C6, a wave-1 adopter, at 850 ms, while its
+  // installs are in flight. Their retries exhaust against the detached
+  // endpoint and roll the flows back; the removals must come from a
+  // live controller that re-adopts the switch, never from the dead
+  // adopter's endpoint (the channel throws on that).
+  const auto at_node = [](int node) {
+    for (sdwan::ControllerId j = 0; j < att().controller_count(); ++j) {
+      if (att().controller(j).location == node) return j;
+    }
+    return sdwan::ControllerId{-1};
+  };
+  ctrl::ControllerConfig config;
+  config.suspicion_checks = 3;
+  ControlSimulation simulation(att(), pm_policy(), config);
+  ChannelFaultModel faults;
+  faults.jitter_ms = 5.0;
+  simulation.set_fault_model(faults);
+  simulation.fail_controller_at(at_node(2), 500.0);
+  simulation.fail_controller_at(at_node(6), 850.0);
+  SimulationReport report;
+  ASSERT_NO_THROW(report = simulation.run(10000.0));
+
+  ASSERT_TRUE(report.converged_at.has_value());
+  EXPECT_TRUE(report.all_flows_deliverable);
+  EXPECT_GE(report.rollback_removals, 1u);
+  EXPECT_EQ(report.degraded_flows, 0u);
+  if (!report.audit_clean) {
+    for (const auto& v : simulation.audit().violations) {
+      ADD_FAILURE() << v.invariant << ": " << v.detail;
+    }
+  }
+  // Every flow the committed plan recovers is programmed.
+  const sdwan::FailureState state(att(), {{at_node(2), at_node(6)}});
+  ASSERT_TRUE(simulation.shared_state().committed_plan.has_value());
+  EXPECT_EQ(report.flows_with_entries,
+            core::evaluate_plan(state,
+                                *simulation.shared_state().committed_plan)
+                .recovered_flow_count);
+}
+
 TEST(TransactionalRecovery, RetryExhaustionRollsBackToLegacyNotMixed) {
   // Permanently cut SOME of the failed controller's switches off the
   // control plane: installs to them exhaust, and transactional rollback
@@ -743,7 +874,7 @@ TEST(TransactionalRecovery, SwitchDiscardsStaleEpochMessages) {
   sim::EventQueue queue;
   ControlChannel channel(att(), queue);
   sdwan::Dataplane dataplane(att().topology(), sdwan::RoutingMode::kHybrid);
-  SwitchAgent agent(0, dataplane.at(0), channel, /*epoch_guard=*/true);
+  SwitchAgent agent(0, dataplane.at(0), channel);
   agent.attach();
   const EndpointId ctrl_ep = controller_endpoint(att(), 0);
   std::size_t replies = 0;
@@ -805,21 +936,6 @@ TEST(TransactionalRecovery, SwitchDiscardsStaleEpochMessages) {
   EXPECT_EQ(agent.entry_epochs().size(), 1u);
   EXPECT_EQ(agent.entry_epochs().at({0, 5}), 3u);
   EXPECT_EQ(dataplane.at(0).flow_table_size(), 1u);
-
-  // Legacy mode (epoch_guard off) accepts everything — the
-  // pre-transactional protocol, bit for bit.
-  SwitchAgent legacy(1, dataplane.at(1), channel, /*epoch_guard=*/false);
-  legacy.attach();
-  Message m;
-  m.from = ctrl_ep;
-  m.to = switch_endpoint(1);
-  m.body = RoleRequest{0, 5};
-  m.seq = channel.send(m);
-  queue.run();
-  m.body = RoleRequest{0, 1};  // would be stale under the guard
-  m.seq = channel.send(m);
-  queue.run();
-  EXPECT_EQ(legacy.stale_discarded(), 0u);
 }
 
 TEST(TransactionalRecovery, AuditorFlagsTamperedState) {
@@ -831,7 +947,7 @@ TEST(TransactionalRecovery, AuditorFlagsTamperedState) {
   std::vector<std::unique_ptr<SwitchAgent>> agents;
   for (int s = 0; s < att().switch_count(); ++s) {
     agents.push_back(
-        std::make_unique<SwitchAgent>(s, dataplane.at(s), channel, true));
+        std::make_unique<SwitchAgent>(s, dataplane.at(s), channel));
     agents.back()->attach();
   }
   const EndpointId ctrl_ep = controller_endpoint(att(), 1);

@@ -9,8 +9,8 @@
 
 #include "core/runner.hpp"
 #include "core/scenario.hpp"
+#include "ctrl/simulation.hpp"
 #include "sdwan/dataplane.hpp"
-#include "sim/control_plane.hpp"
 #include "topo/att.hpp"
 
 namespace pm::core {
@@ -264,20 +264,31 @@ TEST(DataplaneIntegration, RecoveredFlowsForwardAndRerouteable) {
 }
 
 // ---------------------------------------------------------------------
-// Plan -> temporal replay
+// Plan -> message-level recovery
 // ---------------------------------------------------------------------
 
 TEST(SimIntegration, FullRecoveryWithinASecondOfDetection) {
-  const FailureState st(att(), by_nodes(att(), {13, 20}));
-  const RecoveryPlan plan = run_pm(st);
-  sim::ControlPlaneConfig cfg;
-  cfg.plan_compute_ms = plan.solve_seconds * 1000.0;
-  const auto timeline = sim::simulate_recovery(st, plan, cfg);
+  const FailureScenario failed = by_nodes(att(), {13, 20});
+  const FailureState st(att(), failed);
+  ctrl::ControlSimulation simulation(
+      att(), [](const FailureState& state, const RecoveryPlan* previous) {
+        PmOptions opts;
+        opts.seed = previous;
+        return run_pm(state, opts);
+      });
+  for (const sdwan::ControllerId j : failed.failed) {
+    simulation.fail_controller_at(j, 500.0);
+  }
+  const ctrl::SimulationReport report = simulation.run(5000.0);
+  ASSERT_TRUE(report.detected_at.has_value());
+  ASSERT_TRUE(report.converged_at.has_value());
   // Heuristic computation is sub-ms and propagation is tens of ms; the
   // whole recovery must complete well within a second after detection.
-  EXPECT_LT(timeline.completed_at - timeline.detected_at, 1000.0);
-  EXPECT_EQ(timeline.flow_recovered_at.size(),
-            evaluate_plan(st, plan).recovered_flow_count);
+  EXPECT_LT(*report.converged_at - *report.detected_at, 1000.0);
+  EXPECT_EQ(report.flows_with_entries,
+            evaluate_plan(st, run_pm(st)).recovered_flow_count);
+  EXPECT_TRUE(report.all_flows_deliverable);
+  EXPECT_TRUE(report.audit_clean);
 }
 
 }  // namespace

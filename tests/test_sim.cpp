@@ -2,10 +2,6 @@
 
 #include <vector>
 
-#include "core/pg.hpp"
-#include "core/pm_algorithm.hpp"
-#include "core/scenario.hpp"
-#include "sim/control_plane.hpp"
 #include "sim/event_queue.hpp"
 
 namespace pm::sim {
@@ -97,88 +93,6 @@ TEST(EventQueue, PastEventsClampToNow) {
   });
   q.run();
   EXPECT_DOUBLE_EQ(seen, 5.0);
-}
-
-// ---------------------------------------------------------------------
-// Control-plane recovery replay
-// ---------------------------------------------------------------------
-
-class ControlPlaneTest : public ::testing::Test {
- protected:
-  ControlPlaneTest()
-      : net_(core::make_att_network()), state_(net_, scenario()) {}
-
-  static sdwan::FailureScenario scenario() {
-    // Fail the controller at node 13.
-    return {{3}};
-  }
-
-  sdwan::Network net_;
-  sdwan::FailureState state_;
-};
-
-TEST_F(ControlPlaneTest, TimelineIsOrdered) {
-  const core::RecoveryPlan plan = core::run_pm(state_);
-  const RecoveryTimeline t = simulate_recovery(state_, plan);
-  EXPECT_GT(t.detected_at, t.failure_at);
-  EXPECT_GE(t.plan_ready_at, t.detected_at);
-  EXPECT_GE(t.completed_at, t.plan_ready_at);
-  for (const auto& [flow, at] : t.flow_recovered_at) {
-    (void)flow;
-    EXPECT_GE(at, t.plan_ready_at);
-    EXPECT_LE(at, t.completed_at);
-  }
-}
-
-TEST_F(ControlPlaneTest, EveryRecoveredFlowGetsATimestamp) {
-  const core::RecoveryPlan plan = core::run_pm(state_);
-  const RecoveryTimeline t = simulate_recovery(state_, plan);
-  std::set<sdwan::FlowId> flows;
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
-    (void)sw;
-    flows.insert(flow);
-  }
-  EXPECT_EQ(t.flow_recovered_at.size(), flows.size());
-  // role request per switch + flow-mod per assignment.
-  EXPECT_EQ(t.control_messages,
-            plan.sdn_assignments.size() + plan.mapping.size());
-}
-
-TEST_F(ControlPlaneTest, DetectionTimeoutShiftsEverything) {
-  const core::RecoveryPlan plan = core::run_pm(state_);
-  ControlPlaneConfig fast;
-  fast.detection_timeout_ms = 100.0;
-  ControlPlaneConfig slow;
-  slow.detection_timeout_ms = 500.0;
-  const auto t_fast = simulate_recovery(state_, plan, fast);
-  const auto t_slow = simulate_recovery(state_, plan, slow);
-  EXPECT_NEAR(t_slow.detected_at - t_fast.detected_at, 400.0, 1e-9);
-  EXPECT_NEAR(t_slow.completed_at - t_fast.completed_at, 400.0, 1e-6);
-}
-
-TEST_F(ControlPlaneTest, MiddleLayerSlowsPgDown) {
-  const core::RecoveryPlan pm_plan = core::run_pm(state_);
-  const core::RecoveryPlan pg_plan = core::run_pg(state_);
-  ControlPlaneConfig cfg;
-  cfg.plan_compute_ms = 10.0;  // same computation budget for both
-  const auto t_pm = simulate_recovery(state_, pm_plan, cfg);
-  const auto t_pg = simulate_recovery(state_, pg_plan, cfg);
-  EXPECT_GT(t_pg.total_recovery_ms(), t_pm.total_recovery_ms());
-}
-
-TEST_F(ControlPlaneTest, InvalidPlanRejected) {
-  core::RecoveryPlan bogus;
-  bogus.mapping[13] = 0;  // switch 13 offline, controller 0 active — but
-  bogus.sdn_assignments.insert({13, -1});  // flow id is nonsense
-  EXPECT_THROW(simulate_recovery(state_, bogus), std::exception);
-}
-
-TEST_F(ControlPlaneTest, ExplicitComputeBudgetOverridesPlanTime) {
-  const core::RecoveryPlan plan = core::run_pm(state_);
-  ControlPlaneConfig cfg;
-  cfg.plan_compute_ms = 1234.0;
-  const auto t = simulate_recovery(state_, plan, cfg);
-  EXPECT_NEAR(t.plan_ready_at - t.detected_at, 1234.0, 1e-9);
 }
 
 }  // namespace

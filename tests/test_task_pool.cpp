@@ -184,7 +184,6 @@ ctrl::SimulationReport chaos_cell(const sdwan::Network& net, double loss,
                                   double jitter_ms) {
   ctrl::ControllerConfig config;
   config.suspicion_checks = 3;
-  config.transactional = false;
   ctrl::ControlSimulation simulation(
       net,
       [](const sdwan::FailureState& state,
