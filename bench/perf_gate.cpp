@@ -24,6 +24,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,9 @@ core::RecoveryPlan run_pm_reference(const sdwan::FailureState& state,
                                     core::PmOptions options = {}) {
   core::RecoveryPlan plan;
   plan.algorithm = "PM";
+  // Y as the original node-based set; copied into the plan's sorted
+  // vector at the end.
+  std::set<core::Assignment> assignments;
 
   std::map<SwitchId, std::vector<std::pair<FlowId, std::int64_t>>> by_switch;
   for (SwitchId s : state.offline_switches()) by_switch[s] = {};
@@ -92,7 +96,7 @@ core::RecoveryPlan run_pm_reference(const sdwan::FailureState& state,
       if (it == flows.end() || rest.at(j) < 1.0) continue;
       rest.at(j) -= 1.0;
       h.at(flow) += it->second;
-      plan.sdn_assignments.insert({sw, flow});
+      assignments.insert({sw, flow});
     }
   }
 
@@ -150,11 +154,11 @@ core::RecoveryPlan run_pm_reference(const sdwan::FailureState& state,
     std::erase(untested, i0);
 
     for (const auto& [l0, p] : by_switch.at(i0)) {
-      if (h.at(l0) <= sigma && !plan.sdn_assignments.contains({i0, l0}) &&
+      if (h.at(l0) <= sigma && !assignments.contains({i0, l0}) &&
           rest.at(j0) >= 1.0) {
         rest.at(j0) -= 1.0;
         h.at(l0) += p;
-        plan.sdn_assignments.insert({i0, l0});
+        assignments.insert({i0, l0});
       }
     }
     if (untested.empty()) restart_sweep();
@@ -167,14 +171,15 @@ core::RecoveryPlan run_pm_reference(const sdwan::FailureState& state,
       for (const auto& [l0, p] : flows) {
         (void)p;
         if (rest.at(j0) >= 1.0 &&
-            !plan.sdn_assignments.contains({i0, l0})) {
+            !assignments.contains({i0, l0})) {
           rest.at(j0) -= 1.0;
-          plan.sdn_assignments.insert({i0, l0});
+          assignments.insert({i0, l0});
         }
       }
     }
   }
 
+  plan.sdn_assignments.assign(assignments.begin(), assignments.end());
   core::prune_unused_mappings(plan);
   return plan;
 }

@@ -55,12 +55,8 @@ FmssmProblem build_fmssm(const sdwan::FailureState& state,
   }
 
   // w_ij^l for beta = 1 pairs, with objective lambda * p.
-  // Also collect the per-switch opportunity-flow lists for (9').
-  std::map<SwitchId, std::vector<std::pair<FlowId, std::int64_t>>> at_switch;
-  for (SwitchId i : state.offline_switches()) at_switch[i] = {};
   for (FlowId l : state.recoverable_flows()) {
     for (const auto& opp : state.opportunities(l)) {
-      at_switch[opp.sw].emplace_back(l, opp.p);
       for (ControllerId j : state.active_controllers()) {
         p.w_var[{opp.sw, j, l}] = p.model.add_binary(
             "w_" + id(opp.sw) + "_" + id(j) + "_" + id(l),
@@ -80,13 +76,13 @@ FmssmProblem build_fmssm(const sdwan::FailureState& state,
   }
 
   // (9') aggregated activation: sum_l w_ij^l - B_i x_ij <= 0.
-  for (const auto& [i, flows] : at_switch) {
+  for (SwitchId i : state.offline_switches()) {
+    const auto flows = state.opportunities_at(i);
     if (flows.empty()) continue;
     for (ControllerId j : state.active_controllers()) {
       std::vector<milp::Term> terms;
-      for (const auto& [l, pr] : flows) {
-        (void)pr;
-        terms.push_back({p.w_var.at({i, j, l}), 1.0});
+      for (const auto& opp : flows) {
+        terms.push_back({p.w_var.at({i, j, opp.flow}), 1.0});
       }
       terms.push_back(
           {p.x_var.at({i, j}), -static_cast<double>(flows.size())});
@@ -96,14 +92,13 @@ FmssmProblem build_fmssm(const sdwan::FailureState& state,
   }
 
   // pair: sum_j w_ij^l <= 1.
-  for (const auto& [i, flows] : at_switch) {
-    for (const auto& [l, pr] : flows) {
-      (void)pr;
+  for (SwitchId i : state.offline_switches()) {
+    for (const auto& opp : state.opportunities_at(i)) {
       std::vector<milp::Term> terms;
       for (ControllerId j : state.active_controllers()) {
-        terms.push_back({p.w_var.at({i, j, l}), 1.0});
+        terms.push_back({p.w_var.at({i, j, opp.flow}), 1.0});
       }
-      p.model.add_constraint("pair_" + id(i) + "_" + id(l),
+      p.model.add_constraint("pair_" + id(i) + "_" + id(opp.flow),
                              std::move(terms), milp::Sense::kLe, 1.0);
     }
   }
@@ -156,11 +151,14 @@ RecoveryPlan FmssmProblem::decode(const std::vector<double>& solution) const {
       plan.mapping[key.first] = key.second;
     }
   }
+  // w_var iterates in (switch, controller, flow) order, so the pairs
+  // need sorting.
   for (const auto& [key, var] : w_var) {
     if (solution[static_cast<std::size_t>(var)] > 0.5) {
-      plan.sdn_assignments.insert({std::get<0>(key), std::get<2>(key)});
+      plan.sdn_assignments.emplace_back(std::get<0>(key), std::get<2>(key));
     }
   }
+  sort_assignments(plan);
   prune_unused_mappings(plan);
   return plan;
 }
@@ -177,14 +175,14 @@ std::vector<double> FmssmProblem::encode(const sdwan::FailureState& state,
   const auto h = flow_programmability(state, plan);
   bool first = true;
   for (FlowId l : state.recoverable_flows()) {
-    const auto it = h.find(l);
-    const std::int64_t hl = it == h.end() ? 0 : it->second;
+    const std::int64_t hl = h[static_cast<std::size_t>(l)];
     min_h = first ? hl : std::min(min_h, hl);
     first = false;
   }
   x[static_cast<std::size_t>(r_var)] = static_cast<double>(min_h);
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
-    const ControllerId j = plan.controller_of_assignment(sw, flow);
+  for (std::size_t k = 0; k < plan.sdn_assignments.size(); ++k) {
+    const auto [sw, flow] = plan.sdn_assignments[k];
+    const ControllerId j = plan.controller_of_assignment(k);
     const auto it = w_var.find({sw, j, flow});
     if (it != w_var.end()) x[static_cast<std::size_t>(it->second)] = 1.0;
   }

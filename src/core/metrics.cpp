@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 namespace pm::core {
 
@@ -47,28 +48,34 @@ RecoveryMetrics evaluate_plan(const sdwan::FailureState& state,
           charge(sw, ctrl, static_cast<double>(state.gamma(sw)));
     }
   }
-  // One pass over Y, in (switch, flow) order. assignment_controller has
-  // the same key order, so a cursor walks it in step.
-  auto override_it = plan.assignment_controller.begin();
-  const auto override_end = plan.assignment_controller.end();
+  // One pass over Y, in (switch, flow) order. The switch's opportunities
+  // ascend by flow too, so a cursor over them reads p without a path
+  // search; pairs that are not opportunities fall back to diversity().
+  const auto& controllers = plan.assignment_controller;
   sdwan::SwitchId last_switch = -1;
-  for (const auto& assignment : plan.sdn_assignments) {
-    const auto [sw, flow] = assignment;
-    const std::int64_t p = net.diversity(flow, sw);  // range-checks both
-    h[static_cast<std::size_t>(flow)] += p;
+  std::span<const sdwan::FailureState::SwitchOpportunity> at_switch;
+  std::size_t cursor = 0;
+  for (std::size_t k = 0; k < plan.sdn_assignments.size(); ++k) {
+    const auto [sw, flow] = plan.sdn_assignments[k];
     // Switches in actual use (prune semantics: mapped + >= 1 assignment).
     if (sw != last_switch) {
       ++m.recovered_switch_count;
       last_switch = sw;
+      at_switch = state.opportunities_at(sw);  // range-checks sw
+      cursor = 0;
     }
+    while (cursor < at_switch.size() && at_switch[cursor].flow < flow) {
+      ++cursor;
+    }
+    const std::int64_t p =
+        cursor < at_switch.size() && at_switch[cursor].flow == flow
+            ? at_switch[cursor].p
+            : net.diversity(flow, sw);  // range-checks flow
+    h[static_cast<std::size_t>(flow)] += p;
     if (plan.whole_switch_control) continue;
-    while (override_it != override_end && override_it->first < assignment) {
-      ++override_it;
-    }
-    const sdwan::ControllerId j =
-        override_it != override_end && override_it->first == assignment
-            ? override_it->second
-            : mapped[static_cast<std::size_t>(sw)];
+    const sdwan::ControllerId j = k < controllers.size() && controllers[k] >= 0
+                                      ? controllers[k]
+                                      : mapped[static_cast<std::size_t>(sw)];
     if (j >= 0) m.total_overhead_ms += charge(sw, j, 1.0);
   }
 

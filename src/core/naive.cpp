@@ -13,9 +13,11 @@ RecoveryPlan run_naive_nearest(const sdwan::FailureState& state) {
   for (sdwan::SwitchId s : state.offline_switches()) {
     plan.mapping[s] = state.nearest_active_controller(s);
   }
-  for (sdwan::FlowId l : state.recoverable_flows()) {
-    for (const auto& opp : state.opportunities(l)) {
-      plan.sdn_assignments.insert({opp.sw, l});
+  // Every opportunity, read switch-major: already in (switch, flow) order.
+  plan.sdn_assignments.reserve(state.opportunity_count());
+  for (sdwan::SwitchId s : state.offline_switches()) {
+    for (const auto& opp : state.opportunities_at(s)) {
+      plan.sdn_assignments.emplace_back(s, opp.flow);
     }
   }
   // Note: no prune — the naive takeover adopts every offline switch,

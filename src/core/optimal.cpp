@@ -1,6 +1,7 @@
 #include "core/optimal.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/pm_algorithm.hpp"
@@ -18,55 +19,66 @@ RecoveryPlan trim_to_delay_budget(const sdwan::FailureState& state,
                                   RecoveryPlan plan) {
   const sdwan::Network& net = state.network();
   const double budget = state.ideal_total_delay();
+  auto& pairs = plan.sdn_assignments;
+  const std::size_t n = pairs.size();
+  // Delay and programmability of each assignment, by position.
+  std::vector<double> delay(n);
+  std::vector<std::int64_t> gain(n);
   double total = 0.0;
-  struct Item {
-    sdwan::SwitchId sw;
-    sdwan::FlowId flow;
-    double delay;
-  };
-  std::vector<Item> items;
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
-    const sdwan::ControllerId j = plan.controller_of_assignment(sw, flow);
-    const double d = net.delay_ms(sw, j);
-    items.push_back({sw, flow, d});
-    total += d;
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto [sw, flow] = pairs[k];
+    delay[k] = net.delay_ms(sw, plan.controller_of_assignment(k));
+    gain[k] = net.diversity(flow, sw);
+    total += delay[k];
   }
   if (total <= budget) return plan;
 
   auto h = flow_programmability(state, plan);
   std::int64_t level = std::numeric_limits<std::int64_t>::max();
   for (sdwan::FlowId l : state.recoverable_flows()) {
-    const auto it = h.find(l);
-    level = std::min(level, it == h.end() ? 0 : it->second);
+    level = std::min(level, h[static_cast<std::size_t>(l)]);
   }
 
   // Drop the most expensive assignment whose removal keeps its flow at or
   // above the balance level; when none qualifies, lower the bar to "keeps
-  // the flow recovered", and only then sacrifice flows outright.
-  while (total > budget && !items.empty()) {
-    auto qualifies = [&](const Item& it, std::int64_t floor) {
-      return h.at(it.flow) - net.diversity(it.flow, it.sw) >= floor;
+  // the flow recovered", and only then sacrifice flows outright. Ties go
+  // to the earliest assignment.
+  std::vector<char> dropped(n, 0);
+  std::size_t remaining = n;
+  while (total > budget && remaining > 0) {
+    auto qualifies = [&](std::size_t k, std::int64_t floor) {
+      return h[static_cast<std::size_t>(pairs[k].second)] - gain[k] >= floor;
     };
-    std::size_t pick = items.size();
+    std::size_t pick = n;
     for (const std::int64_t floor : {level, std::int64_t{1},
                                      std::int64_t{0}}) {
       double best_delay = -1.0;
-      for (std::size_t k = 0; k < items.size(); ++k) {
-        if (qualifies(items[k], floor) && items[k].delay > best_delay) {
-          best_delay = items[k].delay;
+      for (std::size_t k = 0; k < n; ++k) {
+        if (!dropped[k] && qualifies(k, floor) && delay[k] > best_delay) {
+          best_delay = delay[k];
           pick = k;
         }
       }
-      if (pick < items.size()) break;
+      if (pick < n) break;
     }
-    if (pick >= items.size()) break;
-    const Item it = items[pick];
-    items.erase(items.begin() + static_cast<long>(pick));
-    plan.sdn_assignments.erase({it.sw, it.flow});
-    plan.assignment_controller.erase({it.sw, it.flow});
-    h.at(it.flow) -= net.diversity(it.flow, it.sw);
-    total -= it.delay;
+    if (pick >= n) break;
+    dropped[pick] = 1;
+    --remaining;
+    h[static_cast<std::size_t>(pairs[pick].second)] -= gain[pick];
+    total -= delay[pick];
   }
+
+  // One compaction pass removes every dropped entry.
+  auto& controllers = plan.assignment_controller;
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (dropped[k]) continue;
+    pairs[kept] = pairs[k];
+    if (!controllers.empty()) controllers[kept] = controllers[k];
+    ++kept;
+  }
+  pairs.resize(kept);
+  if (!controllers.empty()) controllers.resize(kept);
   prune_unused_mappings(plan);
   return plan;
 }

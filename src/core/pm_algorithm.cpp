@@ -17,19 +17,14 @@ using sdwan::SwitchId;
 
 /// Dense working state of Algorithm 1. Switch, controller and flow ids are
 /// small dense integers, so every map the balancing loop used to consult is
-/// a vector indexed by id (or by offline-switch slot): the inner sweeps
-/// touch contiguous memory and never pay a tree lookup.
+/// a vector indexed by id: the inner sweeps touch contiguous memory and
+/// never pay a tree lookup. The flows at each offline switch come from
+/// FailureState::opportunities_at (ascending flow id, which makes seed
+/// adoption a binary search).
 struct WorkingState {
-  /// slot_of[i] = position of offline switch i in offline_switches(),
-  /// -1 for online switches.
-  std::vector<int> slot_of;
-  /// Flows with beta = 1 at each offline switch (by slot), with the
-  /// programmability gained there. Ascending flow id (recoverable_flows()
-  /// order), which makes seed adoption a binary search.
-  std::vector<std::vector<std::pair<FlowId, std::int64_t>>> by_switch;
-  /// assigned[slot][k] = 1 iff by_switch[slot][k] is already in SDN mode
-  /// (mirrors plan.sdn_assignments for O(1) membership).
-  std::vector<std::vector<char>> assigned;
+  /// assigned[k] = 1 iff opportunity k of FailureState's flat array is
+  /// already in SDN mode; the plan's assignments are emitted from it.
+  std::vector<char> assigned;
   /// Residual capacity per controller id (active entries only are read).
   std::vector<double> rest;
   /// H per flow id; valid only where recoverable[l] != 0.
@@ -43,22 +38,7 @@ struct WorkingState {
 WorkingState build_working_state(const sdwan::FailureState& state) {
   const sdwan::Network& net = state.network();
   WorkingState w;
-  const auto& offline = state.offline_switches();
-  w.slot_of.assign(static_cast<std::size_t>(net.switch_count()), -1);
-  for (std::size_t k = 0; k < offline.size(); ++k) {
-    w.slot_of[static_cast<std::size_t>(offline[k])] = static_cast<int>(k);
-  }
-  w.by_switch.resize(offline.size());
-  for (FlowId l : state.recoverable_flows()) {
-    for (const auto& opp : state.opportunities(l)) {
-      const int slot = w.slot_of[static_cast<std::size_t>(opp.sw)];
-      w.by_switch[static_cast<std::size_t>(slot)].emplace_back(l, opp.p);
-    }
-  }
-  w.assigned.resize(offline.size());
-  for (std::size_t k = 0; k < offline.size(); ++k) {
-    w.assigned[k].assign(w.by_switch[k].size(), 0);
-  }
+  w.assigned.assign(state.opportunity_count(), 0);
   w.rest.assign(static_cast<std::size_t>(net.controller_count()), 0.0);
   for (ControllerId j : state.active_controllers()) {
     w.rest[static_cast<std::size_t>(j)] = state.rest_capacity(j);
@@ -107,22 +87,19 @@ RecoveryPlan run_pm(const sdwan::FailureState& state, PmOptions options) {
           !w.recoverable[static_cast<std::size_t>(flow)]) {
         continue;
       }
-      // by_switch rows are ascending in flow id, so the old linear
+      // A switch's opportunities ascend in flow id, so the old linear
       // find_if is a binary search.
-      const auto slot = static_cast<std::size_t>(
-          w.slot_of[static_cast<std::size_t>(sw)]);
-      auto& flows = w.by_switch[slot];
+      const auto flows = state.opportunities_at(sw);
       const auto it = std::lower_bound(
           flows.begin(), flows.end(), flow,
-          [](const auto& fl, FlowId f) { return fl.first < f; });
-      if (it == flows.end() || it->first != flow ||
+          [](const auto& opp, FlowId f) { return opp.flow < f; });
+      if (it == flows.end() || it->flow != flow ||
           w.rest[static_cast<std::size_t>(j)] < 1.0) {
         continue;
       }
       w.rest[static_cast<std::size_t>(j)] -= 1.0;
-      w.h[static_cast<std::size_t>(flow)] += it->second;
-      w.assigned[slot][static_cast<std::size_t>(it - flows.begin())] = 1;
-      plan.sdn_assignments.insert({sw, flow});
+      w.h[static_cast<std::size_t>(flow)] += it->p;
+      w.assigned[it->index] = 1;
     }
   }
 
@@ -151,13 +128,9 @@ RecoveryPlan run_pm(const sdwan::FailureState& state, PmOptions options) {
       std::size_t delta = 0;
       SwitchId i0 = -1;
       for (SwitchId s : untested) {
-        const auto& flows =
-            w.by_switch[static_cast<std::size_t>(
-                w.slot_of[static_cast<std::size_t>(s)])];
         std::size_t count = 0;
-        for (const auto& [l, p] : flows) {
-          (void)p;
-          if (w.h[static_cast<std::size_t>(l)] == sigma) ++count;
+        for (const auto& opp : state.opportunities_at(s)) {
+          if (w.h[static_cast<std::size_t>(opp.flow)] == sigma) ++count;
         }
         if (count > delta) {
           delta = count;
@@ -199,20 +172,15 @@ RecoveryPlan run_pm(const sdwan::FailureState& state, PmOptions options) {
       std::erase(untested, i0);  // line 29: S* <- S* \ s_i0
 
       // Lines 31-36: put least-programmability flows at i0 into SDN mode.
-      const auto slot = static_cast<std::size_t>(
-          w.slot_of[static_cast<std::size_t>(i0)]);
-      const auto& flows = w.by_switch[slot];
-      auto& flags = w.assigned[slot];
-      for (std::size_t k = 0; k < flows.size(); ++k) {
-        const auto& [l0, p] = flows[k];
+      for (const auto& opp : state.opportunities_at(i0)) {
         // An assignment costs one whole control unit, so a fractional
         // residual below 1 cannot host it.
-        if (w.h[static_cast<std::size_t>(l0)] <= sigma && !flags[k] &&
+        if (w.h[static_cast<std::size_t>(opp.flow)] <= sigma &&
+            !w.assigned[opp.index] &&
             w.rest[static_cast<std::size_t>(j0)] >= 1.0) {
           w.rest[static_cast<std::size_t>(j0)] -= 1.0;
-          w.h[static_cast<std::size_t>(l0)] += p;
-          flags[k] = 1;
-          plan.sdn_assignments.insert({i0, l0});
+          w.h[static_cast<std::size_t>(opp.flow)] += opp.p;
+          w.assigned[opp.index] = 1;
         }
       }
 
@@ -226,19 +194,24 @@ RecoveryPlan run_pm(const sdwan::FailureState& state, PmOptions options) {
     OBS_SPAN("pm.utilization");
     // offline_switches() ascends, so switches are visited in the same
     // order the map-keyed working state used.
-    const auto& offline = state.offline_switches();
-    for (std::size_t slot = 0; slot < offline.size(); ++slot) {
-      const SwitchId i0 = offline[slot];
+    for (const SwitchId i0 : state.offline_switches()) {
       const ControllerId j0 = w.mapped_to[static_cast<std::size_t>(i0)];
       if (j0 < 0) continue;
-      const auto& flows = w.by_switch[slot];
-      auto& flags = w.assigned[slot];
-      for (std::size_t k = 0; k < flows.size(); ++k) {
-        if (w.rest[static_cast<std::size_t>(j0)] >= 1.0 && !flags[k]) {
+      for (const auto& opp : state.opportunities_at(i0)) {
+        if (w.rest[static_cast<std::size_t>(j0)] >= 1.0 &&
+            !w.assigned[opp.index]) {
           w.rest[static_cast<std::size_t>(j0)] -= 1.0;
-          flags[k] = 1;
-          plan.sdn_assignments.insert({i0, flows[k].first});
+          w.assigned[opp.index] = 1;
         }
+      }
+    }
+  }
+
+  // Y in (switch, flow) order, straight from the flags.
+  for (const SwitchId sw : state.offline_switches()) {
+    for (const auto& opp : state.opportunities_at(sw)) {
+      if (w.assigned[opp.index]) {
+        plan.sdn_assignments.emplace_back(sw, opp.flow);
       }
     }
   }

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,21 +22,27 @@
 
 namespace pm::core {
 
+/// One SDN-mode selection: (offline switch, flow).
+using Assignment = std::pair<sdwan::SwitchId, sdwan::FlowId>;
+
 struct RecoveryPlan {
   std::string algorithm;
 
   /// X: offline switch -> active controller.
   std::map<sdwan::SwitchId, sdwan::ControllerId> mapping;
 
-  /// Y: SDN-mode selections, (offline switch, flow).
-  std::set<std::pair<sdwan::SwitchId, sdwan::FlowId>> sdn_assignments;
+  /// Y: SDN-mode selections, (offline switch, flow), sorted ascending and
+  /// duplicate-free — the invariant validate_plan checks and every
+  /// membership test (has_assignment) relies on.
+  std::vector<Assignment> sdn_assignments;
 
   /// Flow-level solutions (PG) may slice one switch across several
   /// controllers through the middle layer; such plans record the exact
-  /// controller per assignment here, overriding `mapping` for capacity
-  /// and overhead accounting. Switch-controller solutions leave it empty.
-  std::map<std::pair<sdwan::SwitchId, sdwan::FlowId>, sdwan::ControllerId>
-      assignment_controller;
+  /// controller of each assignment here, aligned with sdn_assignments by
+  /// position, overriding `mapping` for capacity and overhead accounting.
+  /// An entry of -1 defers to the switch's mapping. Switch-controller
+  /// solutions leave it empty.
+  std::vector<sdwan::ControllerId> assignment_controller;
 
   /// Extra per-control-message processing latency in ms (nonzero only for
   /// PG, whose FlowVisor-style middle layer handles every message).
@@ -62,11 +67,23 @@ struct RecoveryPlan {
   /// Controller that switch `i` is mapped to, or -1.
   sdwan::ControllerId controller_of(sdwan::SwitchId i) const;
 
-  /// Controller serving a specific assignment: the per-pair override if
-  /// present, otherwise the switch's mapping. -1 if neither exists.
+  /// True iff (i, l) is in sdn_assignments (a binary search).
+  bool has_assignment(sdwan::SwitchId i, sdwan::FlowId l) const;
+
+  /// Controller serving the assignment at position k of sdn_assignments:
+  /// its per-pair controller if recorded, otherwise the switch's mapping.
+  sdwan::ControllerId controller_of_assignment(std::size_t k) const;
+
+  /// Controller serving assignment (i, l): the per-pair controller if
+  /// recorded, otherwise the switch's mapping. -1 if neither exists.
   sdwan::ControllerId controller_of_assignment(sdwan::SwitchId i,
                                                sdwan::FlowId l) const;
 };
+
+/// Restores the sdn_assignments invariant after unordered insertion:
+/// sorts the pairs, carrying assignment_controller along, and keeps one
+/// entry per pair (with the last recorded controller among duplicates).
+void sort_assignments(RecoveryPlan& plan);
 
 /// Capacity units the plan consumes per active controller, honoring the
 /// plan's load model (per assignment, or per whole switch for RetroFlow).
@@ -78,9 +95,10 @@ std::map<sdwan::ControllerId, double> controller_loads(
 std::vector<std::string> validate_plan(const sdwan::FailureState& state,
                                        const RecoveryPlan& plan);
 
-/// h^l for every flow: the recovered path programmability
-/// sum_{(i,l) in Y} p_i^l. Flows without assignments map to 0.
-std::map<sdwan::FlowId, std::int64_t> flow_programmability(
+/// h^l for every flow, indexed by flow id: the recovered path
+/// programmability sum_{(i,l) in Y} p_i^l. 0 for flows without
+/// assignments.
+std::vector<std::int64_t> flow_programmability(
     const sdwan::FailureState& state, const RecoveryPlan& plan);
 
 /// Drops mapped switches that carry no SDN assignment (they would consume

@@ -23,7 +23,7 @@ std::vector<SwitchId> reroutable_switches(const sdwan::FailureState& state,
     if (s == f.dst) continue;
     if (net.diversity(flow, s) < 2) continue;  // no real choice there
     if (state.is_offline_switch(s)) {
-      if (plan.sdn_assignments.contains({s, flow})) out.push_back(s);
+      if (plan.has_assignment(s, flow)) out.push_back(s);
     } else {
       out.push_back(s);  // its domain controller is alive
     }

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <vector>
 
 namespace pm::core {
 
 namespace {
 using sdwan::ControllerId;
-using sdwan::FlowId;
 using sdwan::SwitchId;
 }  // namespace
 
@@ -20,47 +18,37 @@ RecoveryPlan run_retroflow(const sdwan::FailureState& state,
   plan.algorithm = "RetroFlow";
   plan.whole_switch_control = true;
 
-  // Programmability each switch would recover if remapped wholesale.
-  std::map<SwitchId, std::int64_t> switch_value;
-  std::map<SwitchId, std::vector<FlowId>> switch_flows;
-  for (SwitchId s : state.offline_switches()) {
-    switch_value[s] = 0;
-    switch_flows[s] = {};
-  }
-  for (FlowId l : state.recoverable_flows()) {
-    for (const auto& opp : state.opportunities(l)) {
-      switch_value[opp.sw] += opp.p;
-      switch_flows[opp.sw].push_back(l);
-    }
-  }
-
-  std::map<ControllerId, double> rest;
+  std::vector<double> rest(
+      static_cast<std::size_t>(state.network().controller_count()), 0.0);
   for (ControllerId j : state.active_controllers()) {
-    rest[j] = state.rest_capacity(j);
+    rest[static_cast<std::size_t>(j)] = state.rest_capacity(j);
   }
 
   // Switches in ascending id (deterministic); each may go only to its
-  // nearest `controller_candidates` controllers.
+  // nearest `controller_candidates` controllers. A switch's opportunities
+  // ascend by flow, so the plan comes out in (switch, flow) order.
   const int candidates = std::max(1, options.controller_candidates);
   for (SwitchId s : state.offline_switches()) {
-    if (switch_value.at(s) == 0) continue;  // nothing to recover there
+    const auto flows = state.opportunities_at(s);
+    if (flows.empty()) continue;  // nothing to recover there
     const double cost = static_cast<double>(state.gamma(s));
     ControllerId chosen = -1;
-    const auto by_delay = state.controllers_by_delay(s);
+    const auto& by_delay = state.controllers_by_delay(s);
     const int tries =
         std::min<int>(candidates, static_cast<int>(by_delay.size()));
     for (int k = 0; k < tries; ++k) {
-      if (rest.at(by_delay[static_cast<std::size_t>(k)]) >= cost) {
-        chosen = by_delay[static_cast<std::size_t>(k)];
+      const ControllerId j = by_delay[static_cast<std::size_t>(k)];
+      if (rest[static_cast<std::size_t>(j)] >= cost) {
+        chosen = j;
         break;
       }
     }
     if (chosen < 0) continue;  // stays in legacy mode — unrecovered
-    rest.at(chosen) -= cost;
+    rest[static_cast<std::size_t>(chosen)] -= cost;
     plan.mapping[s] = chosen;
     // Whole-switch SDN mode: every programmable flow there is recovered.
-    for (FlowId l : switch_flows.at(s)) {
-      plan.sdn_assignments.insert({s, l});
+    for (const auto& opp : flows) {
+      plan.sdn_assignments.emplace_back(s, opp.flow);
     }
   }
 

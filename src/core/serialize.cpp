@@ -23,13 +23,13 @@ JsonValue plan_to_json(const RecoveryPlan& plan) {
   out["mapping"] = std::move(mapping);
 
   JsonValue assignments = JsonValue::array();
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
+  for (std::size_t k = 0; k < plan.sdn_assignments.size(); ++k) {
     JsonValue entry = JsonValue::object();
-    entry["switch"] = JsonValue(sw);
-    entry["flow"] = JsonValue(flow);
-    const auto it = plan.assignment_controller.find({sw, flow});
-    if (it != plan.assignment_controller.end()) {
-      entry["controller"] = JsonValue(it->second);
+    entry["switch"] = JsonValue(plan.sdn_assignments[k].first);
+    entry["flow"] = JsonValue(plan.sdn_assignments[k].second);
+    if (k < plan.assignment_controller.size() &&
+        plan.assignment_controller[k] >= 0) {
+      entry["controller"] = JsonValue(plan.assignment_controller[k]);
     }
     assignments.push_back(std::move(entry));
   }
@@ -54,19 +54,26 @@ RecoveryPlan plan_from_json(const util::JsonValue& json) {
           static_cast<sdwan::ControllerId>(entry.at("controller").as_int());
     }
     const JsonValue& assignments = json.at("sdn_assignments");
+    plan.sdn_assignments.reserve(assignments.size());
+    // Entries without a controller defer to the mapping (-1); the aligned
+    // vector is kept only if some entry names one.
+    std::vector<sdwan::ControllerId> controllers;
+    controllers.reserve(assignments.size());
+    bool any_controller = false;
     for (std::size_t i = 0; i < assignments.size(); ++i) {
       const JsonValue& entry = assignments.at(i);
-      const auto sw =
-          static_cast<sdwan::SwitchId>(entry.at("switch").as_int());
-      const auto flow =
-          static_cast<sdwan::FlowId>(entry.at("flow").as_int());
-      plan.sdn_assignments.insert({sw, flow});
+      plan.sdn_assignments.emplace_back(
+          static_cast<sdwan::SwitchId>(entry.at("switch").as_int()),
+          static_cast<sdwan::FlowId>(entry.at("flow").as_int()));
+      controllers.push_back(-1);
       if (entry.contains("controller")) {
-        plan.assignment_controller[{sw, flow}] =
-            static_cast<sdwan::ControllerId>(
-                entry.at("controller").as_int());
+        controllers.back() = static_cast<sdwan::ControllerId>(
+            entry.at("controller").as_int());
+        any_controller = true;
       }
     }
+    if (any_controller) plan.assignment_controller = std::move(controllers);
+    sort_assignments(plan);
     return plan;
   } catch (const std::logic_error& e) {
     // Covers both type mismatches and std::out_of_range (missing keys).
@@ -201,22 +208,16 @@ void write_plan(ReportWriter& w, const RecoveryPlan& plan) {
   }
   w.close(']');
 
-  // assignment_controller is keyed like sdn_assignments, so one cursor
-  // walks it in step instead of a lookup per assignment.
-  auto override_it = plan.assignment_controller.begin();
-  const auto override_end = plan.assignment_controller.end();
   w.key("sdn_assignments");
   w.open('[');
-  for (const auto& assignment : plan.sdn_assignments) {
+  for (std::size_t k = 0; k < plan.sdn_assignments.size(); ++k) {
     w.next();
     w.open('{');
-    w.member("switch", assignment.first);
-    w.member("flow", assignment.second);
-    while (override_it != override_end && override_it->first < assignment) {
-      ++override_it;
-    }
-    if (override_it != override_end && override_it->first == assignment) {
-      w.member("controller", override_it->second);
+    w.member("switch", plan.sdn_assignments[k].first);
+    w.member("flow", plan.sdn_assignments[k].second);
+    if (k < plan.assignment_controller.size() &&
+        plan.assignment_controller[k] >= 0) {
+      w.member("controller", plan.assignment_controller[k]);
     }
     w.close('}');
   }

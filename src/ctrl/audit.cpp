@@ -172,7 +172,7 @@ AuditReport audit_recovery(const sdwan::Network& net,
       bool planned = false;
       if (flows != flows_by_match.end()) {
         for (const sdwan::FlowId l : flows->second) {
-          if (plan.sdn_assignments.contains({agent->id(), l})) {
+          if (plan.has_assignment(agent->id(), l)) {
             planned = true;
             break;
           }

@@ -178,7 +178,9 @@ void ControllerNode::run_recovery() {
   // commit — without it a shrinking plan leaves orphan entries behind).
   std::vector<std::pair<sdwan::SwitchId, sdwan::FlowId>> stale_installed;
   for (const auto& [key, epoch] : shared_->installed) {
-    if (!plan.sdn_assignments.contains(key)) stale_installed.push_back(key);
+    if (!plan.has_assignment(key.first, key.second)) {
+      stale_installed.push_back(key);
+    }
   }
 
   // Distribute: RoleRequest per adopted switch, then the flow-mods. Every
@@ -206,9 +208,10 @@ void ControllerNode::run_recovery() {
   for (const auto& [sw, flow] : stale_installed) {
     if (!shared_->wave_masters.contains(sw)) adopt_switch(sw);
   }
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
+  for (std::size_t k = 0; k < plan.sdn_assignments.size(); ++k) {
+    const auto [sw, flow] = plan.sdn_assignments[k];
     const sdwan::ControllerId adopter =
-        live_or_self(plan.controller_of_assignment(sw, flow));
+        live_or_self(plan.controller_of_assignment(k));
     const auto& f = net_->flow(flow);
     // The entry pins the flow at this switch to its current next hop
     // (programmability = the controller can now change it).
@@ -597,7 +600,7 @@ void ControllerNode::on_message(const Message& m) {
         }
         const bool wanted =
             shared_->last_plan &&
-            shared_->last_plan->sdn_assignments.contains(key);
+            shared_->last_plan->has_assignment(key.first, key.second);
         // If wanted, the current wave re-installs (replace-on-install
         // re-tags the entry); otherwise it is an orphan — remove it.
         if (!wanted) send_rollback_remove(key.first, key.second);
@@ -651,7 +654,7 @@ void ControllerNode::on_message(const Message& m) {
         recorded = std::max(recorded, e.epoch);
         const bool wanted =
             shared_->last_plan &&
-            shared_->last_plan->sdn_assignments.contains(key);
+            shared_->last_plan->has_assignment(key.first, key.second);
         // Wanted entries are re-installed by this wave's own mods
         // (replace-on-install re-tags them); orphans are removed.
         if (!wanted) send_rollback_remove(reply->sw, flow);

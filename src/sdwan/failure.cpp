@@ -85,28 +85,59 @@ FailureState::FailureState(const Network& net, FailureScenario scenario)
         std::max(0.0, net.controller(j).capacity - net.normal_load(j));
   }
 
-  // Offline flows and their recovery opportunities.
-  opportunities_.resize(static_cast<std::size_t>(net.flow_count()));
-  for (const Flow& f : net.flows()) {
-    bool offline = false;
-    int offline_on_path = 0;
-    for (SwitchId s : f.path) {
-      if (offline_switch_mask_[static_cast<std::size_t>(s)]) {
-        offline = true;
-        ++offline_on_path;
+  // Offline flows and their recovery opportunities, flow-major in one
+  // flat array. Offline switches on each path are counted from the
+  // switches' side, so flows that touch no offline switch are never
+  // read; p is read by path position.
+  const auto switch_count = static_cast<std::size_t>(net.switch_count());
+  const auto flow_count = static_cast<std::size_t>(net.flow_count());
+  std::vector<int> offline_on_path(flow_count, 0);
+  std::size_t incidences = 0;
+  for (const SwitchId s : offline_) {
+    for (const FlowId l : net.flows_at(s)) {
+      ++offline_on_path[static_cast<std::size_t>(l)];
+    }
+    incidences += net.flows_at(s).size();
+  }
+  opportunities_.reserve(incidences);
+  flow_offset_.assign(flow_count + 1, 0);
+  switch_offset_.assign(switch_count + 1, 0);
+  for (FlowId l = 0; l < net.flow_count(); ++l) {
+    const std::size_t first = opportunities_.size();
+    flow_offset_[static_cast<std::size_t>(l)] =
+        static_cast<std::uint32_t>(first);
+    const int on_path = offline_on_path[static_cast<std::size_t>(l)];
+    if (on_path == 0) continue;
+    offline_flows_.push_back(l);
+    max_offline_on_path_ = std::max(max_offline_on_path_, on_path);
+    const auto& path = net.flow(l).path;
+    const auto p_at = net.path_diversity(l);
+    for (std::size_t k = 0; k < path.size(); ++k) {
+      const auto s = static_cast<std::size_t>(path[k]);
+      if (offline_switch_mask_[s] && p_at[k] >= 2) {
+        opportunities_.push_back({path[k], p_at[k]});
+        ++switch_offset_[s + 1];
       }
     }
-    if (!offline) continue;
-    offline_flows_.push_back(f.id);
-    max_offline_on_path_ = std::max(max_offline_on_path_, offline_on_path);
-    auto& opps = opportunities_[static_cast<std::size_t>(f.id)];
-    for (std::size_t k = 0; k < f.path.size(); ++k) {
-      const SwitchId s = f.path[k];
-      if (!offline_switch_mask_[static_cast<std::size_t>(s)]) continue;
-      const std::int64_t p = net.diversity(f.id, s);
-      if (p >= 2) opps.push_back({s, p});
+    if (opportunities_.size() > first) recoverable_flows_.push_back(l);
+  }
+  opportunities_.shrink_to_fit();
+  flow_offset_.back() = static_cast<std::uint32_t>(opportunities_.size());
+
+  // The switch-major transpose, by counting sort: recoverable flows are
+  // visited in ascending id, so each switch's run ascends by flow.
+  for (std::size_t s = 0; s < switch_count; ++s) {
+    switch_offset_[s + 1] += switch_offset_[s];
+  }
+  at_switch_.resize(opportunities_.size());
+  std::vector<std::uint32_t> cursor(switch_offset_.begin(),
+                                    switch_offset_.end() - 1);
+  for (FlowId l : recoverable_flows_) {
+    for (std::uint32_t k = flow_offset_[static_cast<std::size_t>(l)];
+         k < flow_offset_[static_cast<std::size_t>(l) + 1]; ++k) {
+      const Opportunity& opp = opportunities_[k];
+      at_switch_[cursor[static_cast<std::size_t>(opp.sw)]++] = {l, k, opp.p};
     }
-    if (!opps.empty()) recoverable_flows_.push_back(f.id);
   }
 
   // Precomputed C(i) orderings. The planners walk controllers-by-delay in
@@ -157,10 +188,24 @@ double FailureState::total_rest_capacity() const {
   return total;
 }
 
-const std::vector<FailureState::Opportunity>& FailureState::opportunities(
+std::span<const FailureState::Opportunity> FailureState::opportunities(
     FlowId l) const {
+  const std::size_t first = opportunity_offset(l);
+  return std::span<const Opportunity>(opportunities_)
+      .subspan(first, flow_offset_[static_cast<std::size_t>(l) + 1] - first);
+}
+
+std::size_t FailureState::opportunity_offset(FlowId l) const {
   if (l < 0 || l >= net_->flow_count()) throw std::out_of_range("flow id");
-  return opportunities_[static_cast<std::size_t>(l)];
+  return flow_offset_[static_cast<std::size_t>(l)];
+}
+
+std::span<const FailureState::SwitchOpportunity>
+FailureState::opportunities_at(SwitchId i) const {
+  net_->topology().graph().check_node(i);
+  const std::uint32_t first = switch_offset_[static_cast<std::size_t>(i)];
+  return std::span<const SwitchOpportunity>(at_switch_)
+      .subspan(first, switch_offset_[static_cast<std::size_t>(i) + 1] - first);
 }
 
 const std::vector<ControllerId>& FailureState::controllers_by_delay(

@@ -5,6 +5,8 @@
 //   ideal-case delay budget G of Eq. (6).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,8 +79,27 @@ class FailureState {
   };
   /// Opportunities of offline flow `l`, in path order. Empty for flows
   /// that cannot regain any programmability (all their offline switches
-  /// have diversity < 2).
-  const std::vector<Opportunity>& opportunities(FlowId l) const;
+  /// have diversity < 2). A view into one flat array shared by all flows:
+  /// opportunities(l)[k] sits at position opportunity_offset(l) + k.
+  std::span<const Opportunity> opportunities(FlowId l) const;
+  /// Position of flow `l`'s first opportunity in the flat array, so
+  /// per-opportunity working state can live in one dense vector of
+  /// opportunity_count() entries.
+  std::size_t opportunity_offset(FlowId l) const;
+  std::size_t opportunity_count() const { return opportunities_.size(); }
+
+  /// The same opportunities seen from the switch side: one entry per
+  /// recoverable flow with beta = 1 at the switch, ascending flow id.
+  /// `index` is the entry's position in the flat flow-major array.
+  struct SwitchOpportunity {
+    FlowId flow = 0;
+    std::uint32_t index = 0;
+    std::int64_t p = 0;
+  };
+  /// Opportunities at switch `i`, ascending flow id; empty for online
+  /// switches. Walking offline_switches() and these in turn visits every
+  /// opportunity in (switch, flow) order.
+  std::span<const SwitchOpportunity> opportunities_at(SwitchId i) const;
 
   /// Active controllers sorted by ascending D_ij from switch `i` (the
   /// paper's C(i) ordering; ties broken by controller id). Precomputed for
@@ -109,8 +130,14 @@ class FailureState {
   std::vector<char> offline_switch_mask_;
   std::vector<char> active_mask_;
   std::vector<double> rest_capacity_;  // indexed by ControllerId
-  /// Indexed by FlowId; empty vectors for flows that are not offline.
-  std::vector<std::vector<Opportunity>> opportunities_;
+  /// Every flow's opportunities, flow-major in path order; flow l's run
+  /// is [flow_offset_[l], flow_offset_[l + 1]).
+  std::vector<Opportunity> opportunities_;
+  std::vector<std::uint32_t> flow_offset_;
+  /// The switch-major transpose; switch i's run is
+  /// [switch_offset_[i], switch_offset_[i + 1]).
+  std::vector<SwitchOpportunity> at_switch_;
+  std::vector<std::uint32_t> switch_offset_;
   /// by_delay_[i] = active controllers in ascending-D_ij order from
   /// switch i (ties by id). One sort per switch at construction.
   std::vector<std::vector<ControllerId>> by_delay_;

@@ -164,6 +164,11 @@ std::int64_t Network::diversity(FlowId l, SwitchId i) const {
   return 0;
 }
 
+std::span<const std::int64_t> Network::path_diversity(FlowId l) const {
+  if (l < 0 || l >= flow_count()) throw std::out_of_range("flow id");
+  return diversity_[static_cast<std::size_t>(l)];
+}
+
 const std::vector<SwitchId>& Network::programmable_switches(FlowId l) const {
   if (l < 0 || l >= flow_count()) throw std::out_of_range("flow id");
   return beta_switches_[static_cast<std::size_t>(l)];

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,10 @@ class Network {
   /// configured counting policy. 0 if `i` is not on the path or is the
   /// destination.
   std::int64_t diversity(FlowId l, SwitchId i) const;
+
+  /// p at every position of flow l's path: path_diversity(l)[k] is
+  /// diversity(l, flow(l).path[k]), without diversity()'s path search.
+  std::span<const std::int64_t> path_diversity(FlowId l) const;
 
   /// beta_i^l — 1 iff switch `i` is on flow `l`'s path and has at least
   /// two routes to the destination (diversity >= 2), per Sec. IV-A.

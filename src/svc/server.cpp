@@ -1,6 +1,7 @@
 #include "svc/server.hpp"
 
 #include <arpa/inet.h>
+#include <malloc.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -97,6 +98,15 @@ Server::~Server() { stop(); }
 void Server::start() {
   if (running_.exchange(true)) return;
   stopping_.store(false);
+#ifdef M_ARENA_MAX
+  // A payload is built on a worker, written by a connection thread and
+  // evicted by whichever worker fills the cache next, so every thread
+  // frees memory another one allocated. glibc's default of one malloc
+  // arena per thread then holds the sum of every arena's peak; one
+  // shared arena holds the peak of their sum (about 35 MB less resident
+  // on the Waxman-150 miss workload, at no measured cost in throughput).
+  mallopt(M_ARENA_MAX, 1);
+#endif
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {

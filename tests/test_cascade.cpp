@@ -134,7 +134,7 @@ TEST(PlanChurn, SelfChurnIsZeroAndDiffCounts) {
           ? state.active_controllers().back()
           : state.active_controllers().front();
   other.sdn_assignments.erase(other.sdn_assignments.begin());
-  other.sdn_assignments.insert({-99, -99});
+  other.sdn_assignments.insert(other.sdn_assignments.begin(), {-99, -99});
   const auto churn = core::plan_churn(plan, other);
   EXPECT_EQ(churn.mappings_changed, 1u);
   EXPECT_EQ(churn.entries_added, 1u);

@@ -169,7 +169,7 @@ TEST(RecoveryPlan, ValidationCatchesEveryViolationKind) {
   {  // assignment at unmapped switch
     RecoveryPlan p;
     FlowId l = state.recoverable_flows().front();
-    p.sdn_assignments.insert({state.opportunities(l).front().sw, l});
+    p.sdn_assignments.push_back({state.opportunities(l).front().sw, l});
     EXPECT_FALSE(validate_plan(state, p).empty());
   }
   {  // assignment where beta = 0 (flow's own destination)
@@ -187,7 +187,7 @@ TEST(RecoveryPlan, ValidationCatchesEveryViolationKind) {
     (void)f;
     if (dst_offline >= 0) {
       p.mapping[dst_offline] = active;
-      p.sdn_assignments.insert({dst_offline, l});
+      p.sdn_assignments.push_back({dst_offline, l});
       EXPECT_FALSE(validate_plan(state, p).empty());
     }
   }
@@ -199,11 +199,12 @@ TEST(RecoveryPlan, ValidationCatchesEveryViolationKind) {
     for (FlowId l : tight_state.recoverable_flows()) {
       for (const auto& o : tight_state.opportunities(l)) {
         p.mapping[o.sw] = tight_state.active_controllers().front();
-        p.sdn_assignments.insert({o.sw, l});
+        p.sdn_assignments.push_back({o.sw, l});
         if (++added >= 5) break;
       }
       if (added >= 5) break;
     }
+    sort_assignments(p);
     EXPECT_FALSE(validate_plan(tight_state, p).empty());
   }
 }
@@ -217,9 +218,10 @@ TEST(RecoveryPlan, FlowProgrammabilitySumsDiversity) {
   std::int64_t expected = 0;
   for (const auto& o : opps) {
     p.mapping[o.sw] = state.active_controllers().front();
-    p.sdn_assignments.insert({o.sw, l});
+    p.sdn_assignments.push_back({o.sw, l});
     expected += o.p;
   }
+  sort_assignments(p);
   const auto h = flow_programmability(state, p);
   EXPECT_EQ(h.at(l), expected);
 }
@@ -228,7 +230,7 @@ TEST(RecoveryPlan, PruneRemovesIdleMappings) {
   RecoveryPlan p;
   p.mapping[3] = 1;
   p.mapping[4] = 1;
-  p.sdn_assignments.insert({3, 7});
+  p.sdn_assignments.push_back({3, 7});
   prune_unused_mappings(p);
   EXPECT_TRUE(p.mapping.contains(3));
   EXPECT_FALSE(p.mapping.contains(4));
@@ -237,10 +239,68 @@ TEST(RecoveryPlan, PruneRemovesIdleMappings) {
 TEST(RecoveryPlan, ControllerOfAssignmentPrefersOverride) {
   RecoveryPlan p;
   p.mapping[3] = 1;
-  p.assignment_controller[{3, 7}] = 2;
+  p.sdn_assignments = {{3, 7}, {3, 8}};
+  p.assignment_controller = {2, -1};  // -1: (3, 8) defers to the mapping
   EXPECT_EQ(p.controller_of_assignment(3, 7), 2);
+  EXPECT_EQ(p.controller_of_assignment(std::size_t{0}), 2);
+  EXPECT_EQ(p.controller_of_assignment(std::size_t{1}), 1);
   EXPECT_EQ(p.controller_of_assignment(3, 8), 1);
   EXPECT_EQ(p.controller_of_assignment(5, 7), -1);
+}
+
+TEST(RecoveryPlan, ValidateReportsUnsortedOrDuplicatedAssignments) {
+  const Network net = small_network(100.0);
+  const FailureState state(net, {{0}});
+  RecoveryPlan p = run_pm(state);
+  ASSERT_GE(p.sdn_assignments.size(), 2u);
+  ASSERT_TRUE(validate_plan(state, p).empty());
+  const auto mentions_order = [&](const RecoveryPlan& plan) {
+    const auto problems = validate_plan(state, plan);
+    return std::any_of(problems.begin(), problems.end(), [](const auto& m) {
+      return m.find("sorted") != std::string::npos;
+    });
+  };
+  RecoveryPlan swapped = p;
+  std::swap(swapped.sdn_assignments.front(), swapped.sdn_assignments.back());
+  EXPECT_TRUE(mentions_order(swapped));
+  RecoveryPlan duplicated = p;
+  duplicated.sdn_assignments.insert(duplicated.sdn_assignments.begin(),
+                                    duplicated.sdn_assignments.front());
+  EXPECT_TRUE(mentions_order(duplicated));
+  sort_assignments(duplicated);
+  EXPECT_EQ(duplicated.sdn_assignments, p.sdn_assignments);
+}
+
+TEST(RecoveryPlan, ValidateReportsMisalignedControllerVector) {
+  const Network net = small_network(100.0);
+  const FailureState state(net, {{0}});
+  RecoveryPlan p = run_pg(state);
+  ASSERT_EQ(p.assignment_controller.size(), p.sdn_assignments.size());
+  ASSERT_TRUE(validate_plan(state, p).empty());
+  p.assignment_controller.pop_back();
+  const auto problems = validate_plan(state, p);
+  EXPECT_TRUE(std::any_of(problems.begin(), problems.end(), [](const auto& m) {
+    return m.find("assignment_controller has") != std::string::npos;
+  }));
+}
+
+TEST(RecoveryPlan, PgPlanAnswersThePerPairController) {
+  // ATT (13, 20): C13 and C20 are controllers 3 and 4. PG slices
+  // switches across controllers, so some pair's controller differs from
+  // its switch's majority mapping.
+  const Network net = make_att_network();
+  const FailureState state(net, {{3, 4}});
+  const RecoveryPlan plan = run_pg(state);
+  ASSERT_EQ(plan.assignment_controller.size(), plan.sdn_assignments.size());
+  std::size_t sliced = 0;
+  for (std::size_t k = 0; k < plan.sdn_assignments.size(); ++k) {
+    const auto [sw, flow] = plan.sdn_assignments[k];
+    const ControllerId j = plan.assignment_controller[k];
+    EXPECT_EQ(plan.controller_of_assignment(sw, flow), j);
+    EXPECT_EQ(plan.controller_of_assignment(k), j);
+    if (j != plan.controller_of(sw)) ++sliced;
+  }
+  EXPECT_GT(sliced, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -299,7 +359,7 @@ TEST(Pm, AmpleCapacityRecoversEverythingRecoverable) {
   for (FlowId l : state.recoverable_flows()) {
     for (const auto& opp : state.opportunities(l)) {
       if (plan.mapping.contains(opp.sw)) {
-        EXPECT_TRUE(plan.sdn_assignments.contains({opp.sw, l}))
+        EXPECT_TRUE(plan.has_assignment(opp.sw, l))
             << "unused opportunity at mapped switch " << opp.sw;
       }
     }
@@ -368,7 +428,7 @@ TEST(RetroFlow, ValidWholeSwitchPlans) {
       const auto& opps = state.opportunities(l);
       const bool has = std::any_of(opps.begin(), opps.end(),
                                    [&](const auto& o) { return o.sw == sw; });
-      EXPECT_EQ(plan.sdn_assignments.contains({sw, l}), has);
+      EXPECT_EQ(plan.has_assignment(sw, l), has);
     }
   }
 }
@@ -562,7 +622,7 @@ TEST(Metrics, HandBuiltPlan) {
   plan.algorithm = "manual";
   const ControllerId j = state.active_controllers().front();
   plan.mapping[opp.sw] = j;
-  plan.sdn_assignments.insert({opp.sw, l});
+  plan.sdn_assignments.push_back({opp.sw, l});
 
   const RecoveryMetrics m = evaluate_plan(state, plan);
   EXPECT_EQ(m.recovered_flow_count, 1u);

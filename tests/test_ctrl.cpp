@@ -1010,7 +1010,7 @@ TEST(TransactionalRecovery, AuditorFlagsTamperedState) {
   consistent.committed_epoch = 1;
   core::RecoveryPlan honest;
   honest.mapping[0] = 1;
-  honest.sdn_assignments.insert({0, pinned});
+  honest.sdn_assignments.push_back({0, pinned});
   consistent.committed_plan = honest;
   std::vector<bool> all_alive(
       static_cast<std::size_t>(att().controller_count()), true);

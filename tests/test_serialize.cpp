@@ -182,6 +182,29 @@ TEST(SerializeWriter, NumbersTakeTheDomSpelling) {
   }
 }
 
+TEST(SerializeProperty, UnsortedOrDuplicatedAssignmentsParseToTheSortedPlan) {
+  const sdwan::Network net = core::make_att_network();
+  const sdwan::FailureState state(net, {{3, 4}});
+  const core::RecoveryPlan plan = core::run_pg(state);
+  ASSERT_GE(plan.sdn_assignments.size(), 3u);
+  JsonValue json = core::plan_to_json(plan);
+  JsonValue& entries = json["sdn_assignments"];
+  // Reverse the entries and repeat the first and the last of them.
+  JsonValue shuffled = JsonValue::array();
+  for (std::size_t k = entries.size(); k-- > 0;) {
+    shuffled.push_back(entries.at(k));
+  }
+  shuffled.push_back(entries.at(0));
+  shuffled.push_back(entries.at(entries.size() - 1));
+  entries = std::move(shuffled);
+  const core::RecoveryPlan back = core::plan_from_json(json);
+  EXPECT_EQ(back.sdn_assignments, plan.sdn_assignments);
+  EXPECT_EQ(back.assignment_controller, plan.assignment_controller);
+  EXPECT_EQ(core::plan_to_json(back).to_string(),
+            core::plan_to_json(plan).to_string());
+  EXPECT_TRUE(core::validate_plan(state, back).empty());
+}
+
 TEST(SerializeWriter, EmptyCollectionsMatchTheDom) {
   // Empty mapping, sdn_assignments and controller_load.
   expect_writer_matches_dom("", core::RecoveryPlan{}, core::RecoveryMetrics{});
@@ -198,20 +221,15 @@ TEST(SerializeWriter, WholeSwitchAndPartialPerAssignmentControllers) {
   expect_writer_matches_dom("rf", retroflow,
                             core::evaluate_plan(state, retroflow));
 
-  // PG with controllers recorded for only some assignments: drop every
-  // other override, plus the first and the last.
+  // PG with controllers recorded for only some assignments: every other
+  // entry, plus the first and the last, defers to the mapping (-1).
   core::RecoveryPlan pg = core::run_pg(state);
   ASSERT_GT(pg.assignment_controller.size(), 4u);
-  bool keep = false;
-  for (auto it = pg.assignment_controller.begin();
-       it != pg.assignment_controller.end();) {
-    keep = !keep;
-    it = keep ? std::next(it) : pg.assignment_controller.erase(it);
+  for (std::size_t k = 1; k < pg.assignment_controller.size(); k += 2) {
+    pg.assignment_controller[k] = -1;
   }
-  pg.assignment_controller.erase(pg.assignment_controller.begin());
-  pg.assignment_controller.erase(std::prev(pg.assignment_controller.end()));
-  // An override for a pair that is not an assignment is never written.
-  pg.assignment_controller[{-5, -5}] = 1;
+  pg.assignment_controller.front() = -1;
+  pg.assignment_controller.back() = -1;
   expect_writer_matches_dom("pg", pg, core::evaluate_plan(state, pg));
 }
 
@@ -243,13 +261,13 @@ TEST(SerializeWriter, RandomPlansMatchTheDom) {
       for (int f = 0; f < flows; ++f) {
         const auto pair =
             std::make_pair(sw, static_cast<sdwan::FlowId>(rng() % 600));
-        plan.sdn_assignments.insert(pair);
-        if (rng() % 3 == 0) {
-          plan.assignment_controller[pair] =
-              static_cast<sdwan::ControllerId>(rng() % 6);
-        }
+        plan.sdn_assignments.push_back(pair);
+        plan.assignment_controller.push_back(
+            rng() % 3 == 0 ? static_cast<sdwan::ControllerId>(rng() % 6)
+                           : -1);
       }
     }
+    core::sort_assignments(plan);
     core::RecoveryMetrics m;
     m.algorithm = plan.algorithm;
     m.least_programmability = static_cast<std::int64_t>(rng() % 50);

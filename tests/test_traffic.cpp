@@ -165,7 +165,7 @@ TEST(Reroute, OfflineFlowsGatedByPlan) {
     for (SwitchId s : core::reroutable_switches(state, pm, fl)) {
       if (state.is_offline_switch(s)) {
         any_offline_point = true;
-        EXPECT_TRUE(pm.sdn_assignments.contains({s, fl}));
+        EXPECT_TRUE(pm.has_assignment(s, fl));
       }
     }
   }
