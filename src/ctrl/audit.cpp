@@ -1,5 +1,6 @@
 #include "ctrl/audit.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/recovery_plan.hpp"
@@ -34,16 +35,6 @@ AuditReport audit_recovery(const sdwan::Network& net,
         {std::move(invariant), std::move(detail)});
   };
 
-  // Flows by (src, dst) match — on the standard networks this is a
-  // bijection, but the audit tolerates shared matches: an entry is
-  // "planned" if ANY flow with its match has the assignment.
-  std::map<std::pair<sdwan::SwitchId, sdwan::SwitchId>,
-           std::vector<sdwan::FlowId>>
-      flows_by_match;
-  for (const auto& f : net.flows()) {
-    flows_by_match[{f.src, f.dst}].push_back(f.id);
-  }
-
   // 1. No switch mastered by a failed controller. (An orphaned switch,
   // master == -1, is legitimate: it forwards legacy.)
   for (const SwitchAgent* agent : agents) {
@@ -74,7 +65,7 @@ AuditReport audit_recovery(const sdwan::Network& net,
 
   // 2. Epoch consistency: entries tagged with the committed epoch only,
   // and no flow mixing epochs across switches.
-  std::map<sdwan::FlowId, std::set<std::uint64_t>> flow_epochs;
+  std::vector<std::pair<sdwan::FlowId, std::uint64_t>> flow_epochs;
   for (const SwitchAgent* agent : agents) {
     for (const auto& [match, epoch] : agent->entry_epochs()) {
       ++report.entries_checked;
@@ -86,19 +77,24 @@ AuditReport audit_recovery(const sdwan::Network& net,
                  std::to_string(epoch) + ", committed epoch is " +
                  std::to_string(shared.committed_epoch));
       }
-      const auto flows = flows_by_match.find(match);
-      if (flows != flows_by_match.end()) {
-        for (const sdwan::FlowId l : flows->second) {
-          flow_epochs[l].insert(epoch);
-        }
-      }
+      const sdwan::FlowId flow = net.flow_by_match(match.first, match.second);
+      if (flow >= 0) flow_epochs.emplace_back(flow, epoch);
     }
   }
-  for (const auto& [flow, epochs] : flow_epochs) {
-    if (epochs.size() > 1) {
-      flag("mixed-epoch", "flow " + std::to_string(flow) +
-                              " has entries from " +
-                              std::to_string(epochs.size()) + " epochs");
+  // Distinct (flow, epoch) pairs in flow order; a flow with several is
+  // mixed.
+  std::sort(flow_epochs.begin(), flow_epochs.end());
+  flow_epochs.erase(std::unique(flow_epochs.begin(), flow_epochs.end()),
+                    flow_epochs.end());
+  for (std::size_t i = 0, j = 0; i < flow_epochs.size(); i = j) {
+    while (j < flow_epochs.size() &&
+           flow_epochs[j].first == flow_epochs[i].first) {
+      ++j;
+    }
+    if (j - i > 1) {
+      flag("mixed-epoch", "flow " + std::to_string(flow_epochs[i].first) +
+                              " has entries from " + std::to_string(j - i) +
+                              " epochs");
     }
   }
 
@@ -168,17 +164,8 @@ AuditReport audit_recovery(const sdwan::Network& net,
   // master extra switches — that is legal; extra ENTRIES are not.)
   for (const SwitchAgent* agent : agents) {
     for (const auto& [match, epoch] : agent->entry_epochs()) {
-      const auto flows = flows_by_match.find(match);
-      bool planned = false;
-      if (flows != flows_by_match.end()) {
-        for (const sdwan::FlowId l : flows->second) {
-          if (plan.has_assignment(agent->id(), l)) {
-            planned = true;
-            break;
-          }
-        }
-      }
-      if (!planned) {
+      const sdwan::FlowId flow = net.flow_by_match(match.first, match.second);
+      if (flow < 0 || !plan.has_assignment(agent->id(), flow)) {
         flag("unplanned-entry",
              "switch " + std::to_string(agent->id()) + " entry (" +
                  std::to_string(match.first) + "->" +

@@ -1,5 +1,7 @@
 #include "ctrl/channel.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <utility>
 
@@ -26,30 +28,41 @@ obs::Tracer::Args message_args(const Message& m, const std::string& kind) {
 
 }  // namespace
 
-std::string message_kind(const Message& m) {
-  struct Visitor {
-    std::string operator()(const Heartbeat&) const { return "heartbeat"; }
-    std::string operator()(const RoleRequest&) const {
-      return "role-request";
-    }
-    std::string operator()(const RoleReply&) const { return "role-reply"; }
-    std::string operator()(const FlowMod&) const { return "flow-mod"; }
-    std::string operator()(const FlowModAck&) const {
-      return "flow-mod-ack";
-    }
-  };
-  return std::visit(Visitor{}, m.body);
+const std::string& message_kind_name(std::size_t index) {
+  static const std::array<std::string, kMessageKindCount> kNames = {
+      "heartbeat", "role-request", "role-reply", "flow-mod",
+      "flow-mod-ack"};
+  return kNames.at(index);
 }
+
+ControlChannel::ControlChannel(const sdwan::Network& net,
+                               sim::EventQueue& queue)
+    : net_(&net),
+      queue_(&queue),
+      endpoints_(static_cast<std::size_t>(net.switch_count() +
+                                          net.controller_count())),
+      delays_(static_cast<std::size_t>(net.switch_count()) *
+              static_cast<std::size_t>(net.switch_count())),
+      delay_row_filled_(static_cast<std::size_t>(net.switch_count()), 0) {}
 
 void ControlChannel::attach(EndpointId id, sdwan::SwitchId location,
                             Handler handler) {
   net_->topology().graph().check_node(location);
-  endpoints_[id] = {location, std::move(handler), true};
+  if (id < 0) {
+    throw std::invalid_argument("negative endpoint id " +
+                                std::to_string(id));
+  }
+  if (static_cast<std::size_t>(id) >= endpoints_.size()) {
+    endpoints_.resize(static_cast<std::size_t>(id) + 1);
+  }
+  endpoints_[static_cast<std::size_t>(id)] = {location, std::move(handler),
+                                              true, true};
 }
 
 void ControlChannel::detach(EndpointId id) {
-  const auto it = endpoints_.find(id);
-  if (it != endpoints_.end()) it->second.attached = false;
+  if (endpoint(id) != nullptr) {
+    endpoints_[static_cast<std::size_t>(id)].attached = false;
+  }
 }
 
 void ControlChannel::set_fault_model(const ChannelFaultModel& model) {
@@ -67,11 +80,19 @@ void ControlChannel::set_observability(obs::Context* obs) {
   latency_hist_ = nullptr;  // re-resolved lazily against the new registry
 }
 
+std::map<std::string, std::uint64_t> ControlChannel::sent_by_kind() const {
+  std::map<std::string, std::uint64_t> out;
+  for (std::size_t k = 0; k < kMessageKindCount; ++k) {
+    if (by_kind_[k] > 0) out.emplace(message_kind_name(k), by_kind_[k]);
+  }
+  return out;
+}
+
 double ControlChannel::path_delay_ms(EndpointId a, EndpointId b) const {
-  const auto ia = endpoints_.find(a);
-  const auto ib = endpoints_.find(b);
-  if (ia == endpoints_.end() || ib == endpoints_.end()) return 0.0;
-  return shortest_delay(ia->second.location, ib->second.location);
+  const Endpoint* ea = endpoint(a);
+  const Endpoint* eb = endpoint(b);
+  if (ea == nullptr || eb == nullptr) return 0.0;
+  return shortest_delay(ea->location, eb->location);
 }
 
 std::uint64_t ControlChannel::send(Message m, double extra_latency_ms) {
@@ -95,14 +116,14 @@ void ControlChannel::resend(Message m, double extra_latency_ms) {
 }
 
 void ControlChannel::dispatch(Message m, double extra_latency_ms) {
-  const auto from = endpoints_.find(m.from);
-  if (from == endpoints_.end() || !from->second.attached) {
+  const Endpoint* from = endpoint(m.from);
+  if (from == nullptr || !from->attached) {
     throw std::logic_error("send from unattached endpoint " +
                            std::to_string(m.from));
   }
   const bool tracing = obs_ != nullptr && obs_->tracer.enabled();
-  const auto to = endpoints_.find(m.to);
-  if (to == endpoints_.end()) {
+  const Endpoint* to = endpoint(m.to);
+  if (to == nullptr) {
     ++dropped_;
     if (tracing) {
       auto args = message_args(m, message_kind(m));
@@ -112,9 +133,9 @@ void ControlChannel::dispatch(Message m, double extra_latency_ms) {
     }
     return;
   }
-  const std::string kind = message_kind(m);
+  const std::string& kind = message_kind(m);
   ++sent_;
-  ++by_kind_[kind];
+  ++by_kind_[m.body.index()];
   if (tracing) {
     obs_->tracer.instant(queue_->now(), "channel", "send",
                          tracks::kChannel, message_args(m, kind));
@@ -126,7 +147,7 @@ void ControlChannel::dispatch(Message m, double extra_latency_ms) {
   // re-derive from the topology. Both locations are topology nodes, so
   // use the graph distance directly.
   const double base_delay =
-      shortest_delay(from->second.location, to->second.location) +
+      shortest_delay(from->location, to->location) +
       extra_latency_ms;
 
   if (!faults_) {
@@ -165,11 +186,9 @@ void ControlChannel::dispatch(Message m, double extra_latency_ms) {
 void ControlChannel::deliver_in(double delay, Message m) {
   const EndpointId target = m.to;
   const double sent_at = queue_->now();
-  queue_->schedule_in(delay, [this, target, sent_at,
-                              m = std::move(m)] {
-    const auto it = endpoints_.find(target);
-    if (it == endpoints_.end() || !it->second.attached ||
-        !it->second.handler) {
+  auto deliver = [this, target, sent_at, m = std::move(m)] {
+    const Endpoint* to = endpoint(target);
+    if (to == nullptr || !to->attached || !to->handler) {
       ++dropped_;
       if (obs_ != nullptr && obs_->tracer.enabled()) {
         auto args = message_args(m, message_kind(m));
@@ -194,25 +213,42 @@ void ControlChannel::deliver_in(double delay, Message m) {
       obs_->tracer.instant(queue_->now(), "channel", "recv",
                            tracks::kChannel, std::move(args));
     }
-    it->second.handler(m);
-  });
+    to->handler(m);
+  };
+  static_assert(sim::Task::stores_inline<decltype(deliver)>(),
+                "a delivery event must not allocate");
+  queue_->schedule_in(delay, std::move(deliver));
+}
+
+void ControlChannel::invalidate_delays() {
+  std::fill(delay_row_filled_.begin(), delay_row_filled_.end(), 0);
+  delay_rows_filled_ = 0;
+}
+
+std::size_t ControlChannel::cached_delay_pairs() const {
+  // Pairs with a filled end: r diagonal pairs plus every off-diagonal
+  // pair except those between two unfilled locations.
+  const std::size_t n = delay_row_filled_.size();
+  const std::size_t r = delay_rows_filled_;
+  const auto pairs = [](std::size_t k) { return k < 2 ? 0 : k * (k - 1) / 2; };
+  return r + pairs(n) - pairs(n - r);
 }
 
 double ControlChannel::shortest_delay(sdwan::SwitchId a,
                                       sdwan::SwitchId b) const {
   if (a == b) return 0.0;
-  // Network caches per-switch-to-controller delays only; derive the
-  // general pairwise delay from a controller location when possible,
-  // otherwise via a (cached) Dijkstra.
-  const auto key = a < b ? std::pair{a, b} : std::pair{b, a};
-  const auto it = delay_cache_.find(key);
-  if (it != delay_cache_.end()) return it->second;
-  const auto sssp = graph::dijkstra(net_->topology().graph(), a);
-  for (int v = 0; v < net_->switch_count(); ++v) {
-    const auto k = a < v ? std::pair{a, v} : std::pair{v, a};
-    delay_cache_[k] = sssp.dist[static_cast<std::size_t>(v)];
+  const auto n = delay_row_filled_.size();
+  const auto ua = static_cast<std::size_t>(a);
+  const auto ub = static_cast<std::size_t>(b);
+  if (delay_row_filled_[ua] == 0 && delay_row_filled_[ub] == 0) {
+    const auto sssp = graph::dijkstra(net_->topology().graph(), a);
+    for (std::size_t v = 0; v < n; ++v) {
+      delays_[ua * n + v] = delays_[v * n + ua] = sssp.dist[v];
+    }
+    delay_row_filled_[ua] = 1;
+    ++delay_rows_filled_;
   }
-  return delay_cache_.at(key);
+  return delays_[ua * n + ub];
 }
 
 }  // namespace pm::ctrl

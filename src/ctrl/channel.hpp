@@ -10,12 +10,13 @@
 // fault-free one.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "ctrl/fault_model.hpp"
 #include "ctrl/messages.hpp"
@@ -47,13 +48,13 @@ class ControlChannel {
  public:
   using Handler = std::function<void(const Message&)>;
 
-  ControlChannel(const sdwan::Network& net, sim::EventQueue& queue)
-      : net_(&net), queue_(&queue) {}
+  ControlChannel(const sdwan::Network& net, sim::EventQueue& queue);
 
   /// Registers the receive handler of an endpoint located at topology
   /// node `location`. Endpoints must be registered before they can
   /// receive; sending to an unregistered endpoint drops the message
-  /// (counted).
+  /// (counted). Ids are dense (switches, then controllers); a handler
+  /// must not attach an id outside the network's range while it runs.
   void attach(EndpointId id, sdwan::SwitchId location, Handler handler);
 
   /// Detaches an endpoint (a dead controller); its queued messages are
@@ -72,8 +73,8 @@ class ControlChannel {
 
   /// Whether `id` is currently attached (known and not detached).
   bool is_attached(EndpointId id) const {
-    const auto it = endpoints_.find(id);
-    return it != endpoints_.end() && it->second.attached;
+    const Endpoint* e = endpoint(id);
+    return e != nullptr && e->attached;
   }
 
   /// Re-sends an already-sequenced message (ack-driven retransmission):
@@ -104,40 +105,54 @@ class ControlChannel {
   /// topology/failure state the delays were computed from changes
   /// (link failures, reweighting); the simulation hooks it from its
   /// failure events.
-  void invalidate_delays() { delay_cache_.clear(); }
-  std::size_t cached_delay_pairs() const { return delay_cache_.size(); }
+  void invalidate_delays();
+  /// Location pairs {a, b} (a == b included) whose delay is memoized.
+  std::size_t cached_delay_pairs() const;
 
   std::uint64_t messages_sent() const { return sent_; }
   std::uint64_t messages_dropped() const { return dropped_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
-  const std::map<std::string, std::uint64_t>& sent_by_kind() const {
-    return by_kind_;
-  }
+  /// Messages sent per kind name; kinds never sent are absent.
+  std::map<std::string, std::uint64_t> sent_by_kind() const;
 
  private:
   struct Endpoint {
     sdwan::SwitchId location = -1;
     Handler handler;
+    bool known = false;  // ever attached
     bool attached = false;
   };
 
+  const Endpoint* endpoint(EndpointId id) const {
+    if (id < 0 || static_cast<std::size_t>(id) >= endpoints_.size()) {
+      return nullptr;
+    }
+    const Endpoint& e = endpoints_[static_cast<std::size_t>(id)];
+    return e.known ? &e : nullptr;
+  }
   void dispatch(Message m, double extra_latency_ms);
   void deliver_in(double delay, Message m);
   double shortest_delay(sdwan::SwitchId a, sdwan::SwitchId b) const;
 
   const sdwan::Network* net_;
   sim::EventQueue* queue_;
-  std::map<EndpointId, Endpoint> endpoints_;
+  /// Indexed by endpoint id.
+  std::vector<Endpoint> endpoints_;
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::map<std::string, std::uint64_t> by_kind_;
+  std::array<std::uint64_t, kMessageKindCount> by_kind_{};
   std::unique_ptr<FaultInjector> faults_;
   obs::Context* obs_ = nullptr;
   obs::Histogram* latency_hist_ = nullptr;
-  mutable std::map<std::pair<sdwan::SwitchId, sdwan::SwitchId>, double>
-      delay_cache_;
+  /// Memoized propagation delays, row-major by location: delays_[a * n +
+  /// b] is valid while row a or row b is filled. Filling a row runs one
+  /// Dijkstra from that location and writes both halves, so a pair holds
+  /// the value of the latest Dijkstra from either end.
+  mutable std::vector<double> delays_;
+  mutable std::vector<char> delay_row_filled_;
+  mutable std::size_t delay_rows_filled_ = 0;
 };
 
 }  // namespace pm::ctrl

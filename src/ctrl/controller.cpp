@@ -29,7 +29,19 @@ ControllerNode::ControllerNode(const sdwan::Network& net,
       queue_(&queue),
       shared_(&shared),
       policy_(std::move(policy)),
-      config_(config) {}
+      config_(config) {
+  const auto switches = static_cast<std::size_t>(net.switch_count());
+  const auto controllers = static_cast<std::size_t>(net.controller_count());
+  if (shared.xid_mods.empty()) shared.xid_mods.resize(1);  // xid 0 unused
+  if (shared.role_pending.size() < switches) {
+    shared.role_pending.resize(switches, 0);
+    shared.wave_masters.resize(switches, -1);
+  }
+  if (shared.slices.size() < controllers) shared.slices.resize(controllers);
+  last_heard_.assign(controllers, 0.0);
+  miss_counts_.assign(controllers, 0);
+  role_retries_.resize(switches);
+}
 
 void ControllerNode::start() {
   alive_ = true;
@@ -37,7 +49,7 @@ void ControllerNode::start() {
                    net_->controller(id_).location,
                    [this](const Message& m) { on_message(m); });
   for (sdwan::ControllerId j = 0; j < net_->controller_count(); ++j) {
-    if (j != id_) last_heard_[j] = queue_->now();
+    if (j != id_) last_heard_[static_cast<std::size_t>(j)] = queue_->now();
   }
   beat();
   queue_->schedule_in(config_.detection_timeout_ms,
@@ -47,8 +59,7 @@ void ControllerNode::start() {
 void ControllerNode::fail() {
   alive_ = false;
   cancel_wave_timers();
-  mod_retries_.clear();
-  role_retries_.clear();
+  clear_retries();
   channel_->detach(controller_endpoint(*net_, id_));
 }
 
@@ -60,7 +71,7 @@ void ControllerNode::beat() {
     m.from = controller_endpoint(*net_, id_);
     m.to = controller_endpoint(*net_, j);
     m.body = Heartbeat{id_, sequence_};
-    channel_->send(m);
+    channel_->send(std::move(m));
   }
   ++sequence_;
   queue_->schedule_in(config_.heartbeat_interval_ms, [this] { beat(); });
@@ -70,12 +81,15 @@ void ControllerNode::check_peers() {
   if (!alive_) return;
   const double now = queue_->now();
   bool newly_suspected = false;
-  for (const auto& [peer, heard] : last_heard_) {
-    if (suspected_.contains(peer)) continue;
+  for (sdwan::ControllerId peer = 0; peer < net_->controller_count();
+       ++peer) {
+    if (peer == id_ || suspected_.contains(peer)) continue;
+    const auto p = static_cast<std::size_t>(peer);
+    const double heard = last_heard_[p];
     // Hysteresis: one late check is not proof of death when the channel
     // jitters — require `suspicion_checks` consecutive misses.
     if (now - heard > config_.detection_timeout_ms) {
-      if (++miss_counts_[peer] >= std::max(config_.suspicion_checks, 1)) {
+      if (++miss_counts_[p] >= std::max(config_.suspicion_checks, 1)) {
         suspected_.insert(peer);
         newly_suspected = true;
         if (obs::Context* obs = channel_->observability();
@@ -87,7 +101,7 @@ void ControllerNode::check_peers() {
         }
       }
     } else {
-      miss_counts_[peer] = 0;
+      miss_counts_[p] = 0;
     }
   }
   if (newly_suspected) {
@@ -123,8 +137,7 @@ void ControllerNode::run_recovery() {
   // A new wave supersedes the old one: stale retransmission timers must
   // not resend a superseded plan's messages.
   cancel_wave_timers();
-  mod_retries_.clear();
-  role_retries_.clear();
+  clear_retries();
   const double now = queue_->now();
   obs::Context* obs = channel_->observability();
   if (shared_->phase == WavePhase::kPreparing) {
@@ -137,7 +150,7 @@ void ControllerNode::run_recovery() {
           now, "wave", "wave.abort", tracks::kWaves,
           {{"epoch", static_cast<std::int64_t>(shared_->wave_epoch)},
            {"pending_acks",
-            static_cast<std::int64_t>(shared_->pending_acks.size())}});
+            static_cast<std::int64_t>(shared_->pending_acks)}});
     }
   }
   if (shared_->coordinator >= 0 && shared_->coordinator != id_ &&
@@ -150,16 +163,34 @@ void ControllerNode::run_recovery() {
            {"successor", static_cast<int>(id_)}});
     }
   }
+  // Switches the superseded wave handed to a controller that has died
+  // since: the dead master may have programmed them (or been granted the
+  // role by a request still in flight when it died) after its last
+  // report, so this wave takes them over and resyncs them even when the
+  // new plan leaves them out.
+  std::vector<sdwan::SwitchId> dead_mastered;
+  for (std::size_t sw = 0; sw < shared_->wave_masters.size(); ++sw) {
+    const sdwan::ControllerId master = shared_->wave_masters[sw];
+    if (master >= 0 && live_or_self(master) != master) {
+      dead_mastered.push_back(static_cast<sdwan::SwitchId>(sw));
+    }
+  }
   shared_->coordinator = id_;
   ++shared_->wave_epoch;
   shared_->converged_at = -1.0;
-  shared_->pending_acks.clear();
-  shared_->pending_roles.clear();
+  for (std::uint64_t xid = shared_->wave_first_xid; xid < shared_->next_xid;
+       ++xid) {
+    shared_->xid_mods[xid].pending = false;
+  }
+  shared_->pending_acks = 0;
+  shared_->wave_first_xid = shared_->next_xid;
+  std::fill(shared_->role_pending.begin(), shared_->role_pending.end(), 0);
+  shared_->pending_roles = 0;
   shared_->wave_active = true;
   shared_->wave_started_at = now;
   shared_->phase = WavePhase::kPreparing;
-  shared_->slices.clear();
-  shared_->wave_masters.clear();
+  std::fill(shared_->slices.begin(), shared_->slices.end(), AdopterSlice{});
+  std::fill(shared_->wave_masters.begin(), shared_->wave_masters.end(), -1);
   shared_->rolled_back_flows.clear();
   shared_->pending_removals.clear();
   if (obs != nullptr && obs->tracer.enabled()) {
@@ -197,16 +228,22 @@ void ControllerNode::run_recovery() {
     role.to = switch_endpoint(sw);
     role.body = RoleRequest{adopter, shared_->wave_epoch};
     role.seq = channel_->send(role);
-    shared_->pending_roles.insert(sw);
-    shared_->wave_masters[sw] = adopter;
-    shared_->slices[adopter].pending_roles.insert(sw);
-    arm_role_retry(sw, role);
+    track_role(sw, adopter);
+    arm_role_retry(sw, std::move(role));
   }
   // Cleanup adoptions: a switch holding stale entries but absent from the
   // new mapping needs a master before a removal can be applied (the
-  // master check would silently drop it). The coordinator adopts it.
+  // master check would silently drop it). The coordinator adopts it, as
+  // it does the dead masters' switches the new mapping leaves out.
   for (const auto& [sw, flow] : stale_installed) {
-    if (!shared_->wave_masters.contains(sw)) adopt_switch(sw);
+    if (shared_->wave_masters[static_cast<std::size_t>(sw)] < 0) {
+      adopt_switch(sw);
+    }
+  }
+  for (const sdwan::SwitchId sw : dead_mastered) {
+    if (shared_->wave_masters[static_cast<std::size_t>(sw)] < 0) {
+      adopt_switch(sw);
+    }
   }
   for (std::size_t k = 0; k < plan.sdn_assignments.size(); ++k) {
     const auto [sw, flow] = plan.sdn_assignments[k];
@@ -231,18 +268,16 @@ void ControllerNode::run_recovery() {
     body.xid = shared_->next_xid++;
     body.epoch = shared_->wave_epoch;
     mod.body = body;
-    shared_->pending_acks.insert(body.xid);
-    shared_->xid_mods[body.xid] = {flow, sw, adopter, false};
-    shared_->slices[adopter].pending_acks.insert(body.xid);
+    track_mod(body.xid, {flow, sw, adopter, false});
     mod.seq = channel_->send(mod, plan.middle_layer_ms);
-    arm_mod_retry(body.xid, mod, plan.middle_layer_ms);
+    arm_mod_retry(body.xid, std::move(mod), plan.middle_layer_ms);
   }
   shared_->last_plan = plan;
   installed_plan_ = std::move(plan);
   for (const auto& [sw, flow] : stale_installed) {
     send_rollback_remove(sw, flow);
   }
-  if (shared_->pending_acks.empty()) maybe_mark_converged();
+  if (shared_->pending_acks == 0) maybe_mark_converged();
 }
 
 sdwan::ControllerId ControllerNode::live_or_self(
@@ -251,31 +286,61 @@ sdwan::ControllerId ControllerNode::live_or_self(
 }
 
 void ControllerNode::adopt_switch(sdwan::SwitchId sw) {
-  // A dead master's slice no longer waits on this switch's role reply.
-  if (const auto prev = shared_->wave_masters.find(sw);
-      prev != shared_->wave_masters.end()) {
-    shared_->slices[prev->second].pending_roles.erase(sw);
-  }
   Message role;
   role.from = controller_endpoint(*net_, id_);
   role.to = switch_endpoint(sw);
   role.body = RoleRequest{id_, shared_->wave_epoch};
   role.seq = channel_->send(role);
-  shared_->pending_roles.insert(sw);
-  shared_->wave_masters[sw] = id_;
-  shared_->slices[id_].pending_roles.insert(sw);
-  arm_role_retry(sw, role);
+  // A dead master's slice no longer waits on this switch's role reply.
+  track_role(sw, id_);
+  arm_role_retry(sw, std::move(role));
 }
 
-sdwan::FlowId ControllerNode::flow_by_match(sdwan::SwitchId src,
-                                            sdwan::SwitchId dst) {
-  if (match_to_flow_.empty()) {
-    for (const auto& f : net_->flows()) {
-      match_to_flow_[{f.src, f.dst}] = f.id;
-    }
+void ControllerNode::track_role(sdwan::SwitchId sw,
+                                sdwan::ControllerId adopter) {
+  const auto s = static_cast<std::size_t>(sw);
+  if (shared_->role_pending[s] != 0) {
+    // Re-adoption: the reply is now owed to the new master's slice.
+    const auto prev = static_cast<std::size_t>(shared_->wave_masters[s]);
+    --shared_->slices[prev].pending_roles;
+  } else {
+    shared_->role_pending[s] = 1;
+    ++shared_->pending_roles;
   }
-  const auto it = match_to_flow_.find({src, dst});
-  return it == match_to_flow_.end() ? -1 : it->second;
+  shared_->wave_masters[s] = adopter;
+  AdopterSlice& slice = shared_->slices[static_cast<std::size_t>(adopter)];
+  slice.active = true;
+  ++slice.pending_roles;
+}
+
+void ControllerNode::track_mod(std::uint64_t xid, const ModRecord& record) {
+  if (xid >= shared_->xid_mods.size()) shared_->xid_mods.resize(xid + 1);
+  ModRecord& r = shared_->xid_mods[xid];
+  r = record;
+  r.pending = true;
+  ++shared_->pending_acks;
+  AdopterSlice& slice =
+      shared_->slices[static_cast<std::size_t>(record.adopter)];
+  slice.active = true;
+  ++slice.pending_acks;
+}
+
+void ControllerNode::clear_pending_ack(std::uint64_t xid) {
+  if (xid >= shared_->xid_mods.size()) return;
+  ModRecord& r = shared_->xid_mods[xid];
+  if (!r.pending) return;
+  r.pending = false;
+  --shared_->pending_acks;
+  --shared_->slices[static_cast<std::size_t>(r.adopter)].pending_acks;
+}
+
+void ControllerNode::clear_pending_role(sdwan::SwitchId sw) {
+  const auto s = static_cast<std::size_t>(sw);
+  if (shared_->role_pending[s] == 0) return;
+  shared_->role_pending[s] = 0;
+  --shared_->pending_roles;
+  const auto master = static_cast<std::size_t>(shared_->wave_masters[s]);
+  --shared_->slices[master].pending_roles;
 }
 
 void ControllerNode::send_rollback_remove(sdwan::SwitchId sw,
@@ -285,12 +350,12 @@ void ControllerNode::send_rollback_remove(sdwan::SwitchId sw,
   // master check drops it. If no wave touched the switch yet (a mid-wave
   // flow rollback hitting an unmapped switch), or its wave master has
   // died since, this node adopts it first.
-  const auto it = shared_->wave_masters.find(sw);
-  if (it == shared_->wave_masters.end() ||
-      live_or_self(it->second) != it->second) {
+  const auto s = static_cast<std::size_t>(sw);
+  const sdwan::ControllerId wave_master = shared_->wave_masters[s];
+  if (wave_master < 0 || live_or_self(wave_master) != wave_master) {
     adopt_switch(sw);
   }
-  const sdwan::ControllerId master = shared_->wave_masters.at(sw);
+  const sdwan::ControllerId master = shared_->wave_masters[s];
   const auto& f = net_->flow(flow);
   Message mod;
   mod.from = controller_endpoint(*net_, master);
@@ -301,11 +366,9 @@ void ControllerNode::send_rollback_remove(sdwan::SwitchId sw,
   body.xid = shared_->next_xid++;
   body.epoch = shared_->wave_epoch;
   mod.body = body;
-  shared_->pending_acks.insert(body.xid);
-  shared_->xid_mods[body.xid] = {flow, sw, master, true};
-  shared_->slices[master].pending_acks.insert(body.xid);
+  track_mod(body.xid, {flow, sw, master, true});
   mod.seq = channel_->send(mod);
-  arm_mod_retry(body.xid, mod, 0.0);
+  arm_mod_retry(body.xid, std::move(mod), 0.0);
   ++shared_->rollback_removals;
   if (obs::Context* obs = channel_->observability();
       obs != nullptr && obs->tracer.enabled()) {
@@ -323,21 +386,19 @@ void ControllerNode::roll_back_flow(sdwan::FlowId flow) {
   // flow is going back to legacy wholesale, a partial install would be
   // exactly the mixed state rollback exists to prevent.
   std::vector<std::uint64_t> cancelled;
-  for (const auto& [xid, retry] : mod_retries_) {
-    const auto rec = shared_->xid_mods.find(xid);
-    if (rec == shared_->xid_mods.end() || rec->second.remove) continue;
-    if (rec->second.flow == flow &&
-        shared_->pending_acks.contains(xid)) {
-      cancelled.push_back(xid);
+  for (const ModRetry& r : mod_retries_) {
+    if (!r.live) continue;
+    const ModRecord& rec = shared_->xid_mods[r.xid];
+    if (!rec.remove && rec.flow == flow && rec.pending) {
+      cancelled.push_back(r.xid);
     }
   }
   for (const std::uint64_t xid : cancelled) {
-    shared_->pending_acks.erase(xid);
+    clear_pending_ack(xid);
     slice_ack_done(xid);
-    const auto it = mod_retries_.find(xid);
-    if (it != mod_retries_.end()) {
-      queue_->cancel(it->second.timer);
-      mod_retries_.erase(it);
+    if (const Retry* retry = find_mod_retry(xid)) {
+      queue_->cancel(retry->timer);
+      end_mod_retry(xid);
     }
   }
   // Remove what already made it into the data plane.
@@ -359,30 +420,23 @@ void ControllerNode::roll_back_flow(sdwan::FlowId flow) {
 }
 
 void ControllerNode::slice_role_done(sdwan::SwitchId sw) {
-  const auto master = shared_->wave_masters.find(sw);
-  if (master == shared_->wave_masters.end()) return;
-  const auto slice = shared_->slices.find(master->second);
-  if (slice == shared_->slices.end()) return;
-  slice->second.pending_roles.erase(sw);
-  maybe_mark_slice_prepared(master->second);
+  const sdwan::ControllerId master =
+      shared_->wave_masters[static_cast<std::size_t>(sw)];
+  if (master >= 0) maybe_mark_slice_prepared(master);
 }
 
 void ControllerNode::slice_ack_done(std::uint64_t xid) {
-  const auto rec = shared_->xid_mods.find(xid);
-  if (rec == shared_->xid_mods.end()) return;
-  const auto slice = shared_->slices.find(rec->second.adopter);
-  if (slice == shared_->slices.end()) return;
-  slice->second.pending_acks.erase(xid);
-  maybe_mark_slice_prepared(rec->second.adopter);
+  if (xid < shared_->xid_mods.size() &&
+      shared_->xid_mods[xid].adopter >= 0) {
+    maybe_mark_slice_prepared(shared_->xid_mods[xid].adopter);
+  }
 }
 
 void ControllerNode::maybe_mark_slice_prepared(
     sdwan::ControllerId adopter) {
-  const auto it = shared_->slices.find(adopter);
-  if (it == shared_->slices.end()) return;
-  AdopterSlice& slice = it->second;
-  if (slice.prepared || !slice.pending_acks.empty() ||
-      !slice.pending_roles.empty()) {
+  AdopterSlice& slice = shared_->slices[static_cast<std::size_t>(adopter)];
+  if (!slice.active || slice.prepared || slice.pending_acks > 0 ||
+      slice.pending_roles > 0) {
     return;
   }
   slice.prepared = true;
@@ -409,52 +463,78 @@ double ControllerNode::initial_rto(const Message& msg,
 void ControllerNode::arm_mod_retry(std::uint64_t xid, Message msg,
                                    double extra) {
   if (config_.max_retries <= 0) return;
-  Retry r;
+  ModRetry entry;
+  entry.xid = xid;
+  entry.live = true;
+  Retry& r = entry.retry;
   r.msg = std::move(msg);
   r.extra_latency_ms = extra;
   r.rto_ms = initial_rto(r.msg, extra);
   r.epoch = shared_->wave_epoch;
   r.timer =
       queue_->schedule_in(r.rto_ms, [this, xid] { on_mod_timer(xid); });
-  mod_retries_[xid] = std::move(r);
+  // Xids only grow, so this appends.
+  mod_retries_.insert(mod_retry_at(xid), std::move(entry));
+}
+
+std::vector<ControllerNode::ModRetry>::iterator ControllerNode::mod_retry_at(
+    std::uint64_t xid) {
+  return std::lower_bound(
+      mod_retries_.begin(), mod_retries_.end(), xid,
+      [](const ModRetry& e, std::uint64_t x) { return e.xid < x; });
+}
+
+ControllerNode::Retry* ControllerNode::find_mod_retry(std::uint64_t xid) {
+  const auto it = mod_retry_at(xid);
+  return it != mod_retries_.end() && it->xid == xid && it->live
+             ? &it->retry
+             : nullptr;
+}
+
+void ControllerNode::end_mod_retry(std::uint64_t xid) {
+  const auto it = mod_retry_at(xid);
+  if (it == mod_retries_.end() || it->xid != xid || !it->live) return;
+  it->live = false;
+  // Sweep once the ended entries outnumber the live ones.
+  if (++ended_mod_retries_ >= 32 &&
+      2 * ended_mod_retries_ > mod_retries_.size()) {
+    std::erase_if(mod_retries_, [](const ModRetry& e) { return !e.live; });
+    ended_mod_retries_ = 0;
+  }
 }
 
 void ControllerNode::arm_role_retry(sdwan::SwitchId sw, Message msg) {
   if (config_.max_retries <= 0) return;
+  std::optional<Retry>& slot = role_retries_[static_cast<std::size_t>(sw)];
   // A re-adoption replaces the switch's earlier request and its timer.
-  if (const auto old = role_retries_.find(sw); old != role_retries_.end()) {
-    queue_->cancel(old->second.timer);
-  }
+  if (slot) queue_->cancel(slot->timer);
   Retry r;
   r.msg = std::move(msg);
   r.rto_ms = initial_rto(r.msg, 0.0);
   r.epoch = shared_->wave_epoch;
   r.timer =
       queue_->schedule_in(r.rto_ms, [this, sw] { on_role_timer(sw); });
-  role_retries_[sw] = std::move(r);
+  slot = std::move(r);
 }
 
 void ControllerNode::on_mod_timer(std::uint64_t xid) {
-  const auto it = mod_retries_.find(xid);
-  if (it == mod_retries_.end()) return;
-  Retry& r = it->second;
-  if (!alive_ || r.epoch != shared_->wave_epoch ||
-      !shared_->pending_acks.contains(xid)) {
-    mod_retries_.erase(it);
+  Retry* r = find_mod_retry(xid);
+  if (r == nullptr) return;
+  if (!alive_ || r->epoch != shared_->wave_epoch ||
+      !shared_->xid_mods[xid].pending) {
+    end_mod_retry(xid);
     return;
   }
-  if (r.attempts >= config_.max_retries ||
-      !channel_->is_attached(r.msg.from)) {
+  if (r->attempts >= config_.max_retries ||
+      !channel_->is_attached(r->msg.from)) {
     // Give up: the flow degrades to legacy forwarding instead of wedging
     // the wave; the audit reports it.
-    shared_->pending_acks.erase(xid);
+    clear_pending_ack(xid);
     slice_ack_done(xid);
-    const auto rec = shared_->xid_mods.find(xid);
-    if (rec != shared_->xid_mods.end()) {
-      const sdwan::FlowId flow = rec->second.flow;
-      const bool was_remove = rec->second.remove;
-      shared_->degraded_flows.insert(flow);
-      if (was_remove) {
+    const ModRecord rec = shared_->xid_mods[xid];
+    if (rec.adopter >= 0) {
+      shared_->degraded_flows.insert(rec.flow);
+      if (rec.remove) {
         // A rollback removal itself exhausted: the entry may linger on
         // an unreachable switch. Count it; the flow stays degraded.
         ++shared_->rollback_failures;
@@ -464,41 +544,41 @@ void ControllerNode::on_mod_timer(std::uint64_t xid) {
           obs->tracer.instant(
               queue_->now(), "wave", "degrade.flow",
               tracks::controller(id_),
-              {{"flow", static_cast<int>(flow)},
+              {{"flow", static_cast<int>(rec.flow)},
                {"xid", static_cast<std::int64_t>(xid)},
-               {"attempts", r.attempts}});
+               {"attempts", r->attempts}});
         }
         // Degradation means *legacy*, not half-programmed: cancel the
         // flow's sibling installs and remove what landed.
-        mod_retries_.erase(it);
-        roll_back_flow(flow);
+        end_mod_retry(xid);
+        roll_back_flow(rec.flow);
         maybe_mark_converged();
         return;
       }
     }
-    mod_retries_.erase(it);
+    end_mod_retry(xid);
     maybe_mark_converged();
     return;
   }
-  ++r.attempts;
-  channel_->resend(r.msg, r.extra_latency_ms);
-  r.rto_ms *= config_.retransmit_backoff;
-  r.timer =
-      queue_->schedule_in(r.rto_ms, [this, xid] { on_mod_timer(xid); });
+  ++r->attempts;
+  channel_->resend(r->msg, r->extra_latency_ms);
+  r->rto_ms *= config_.retransmit_backoff;
+  r->timer =
+      queue_->schedule_in(r->rto_ms, [this, xid] { on_mod_timer(xid); });
 }
 
 void ControllerNode::on_role_timer(sdwan::SwitchId sw) {
-  const auto it = role_retries_.find(sw);
-  if (it == role_retries_.end()) return;
-  Retry& r = it->second;
+  std::optional<Retry>& slot = role_retries_[static_cast<std::size_t>(sw)];
+  if (!slot) return;
+  Retry& r = *slot;
   if (!alive_ || r.epoch != shared_->wave_epoch ||
-      !shared_->pending_roles.contains(sw)) {
-    role_retries_.erase(it);
+      shared_->role_pending[static_cast<std::size_t>(sw)] == 0) {
+    slot.reset();
     return;
   }
   if (r.attempts >= config_.max_retries ||
       !channel_->is_attached(r.msg.from)) {
-    shared_->pending_roles.erase(sw);
+    clear_pending_role(sw);
     shared_->degraded_switches.insert(sw);
     slice_role_done(sw);
     if (obs::Context* obs = channel_->observability();
@@ -508,7 +588,7 @@ void ControllerNode::on_role_timer(sdwan::SwitchId sw) {
                           {{"switch", static_cast<int>(sw)},
                            {"attempts", r.attempts}});
     }
-    role_retries_.erase(it);
+    slot.reset();
     return;
   }
   ++r.attempts;
@@ -519,12 +599,22 @@ void ControllerNode::on_role_timer(sdwan::SwitchId sw) {
 }
 
 void ControllerNode::cancel_wave_timers() {
-  for (auto& [xid, r] : mod_retries_) queue_->cancel(r.timer);
-  for (auto& [sw, r] : role_retries_) queue_->cancel(r.timer);
+  for (const ModRetry& e : mod_retries_) {
+    if (e.live) queue_->cancel(e.retry.timer);
+  }
+  for (const std::optional<Retry>& r : role_retries_) {
+    if (r) queue_->cancel(r->timer);
+  }
+}
+
+void ControllerNode::clear_retries() {
+  mod_retries_.clear();
+  ended_mod_retries_ = 0;
+  for (std::optional<Retry>& r : role_retries_) r.reset();
 }
 
 void ControllerNode::maybe_mark_converged() {
-  if (shared_->wave_active && shared_->pending_acks.empty() &&
+  if (shared_->wave_active && shared_->pending_acks == 0 &&
       shared_->converged_at < 0) {
     shared_->converged_at = queue_->now();
     // Commit: the last ack landed, the distributed plan is now the data
@@ -559,7 +649,7 @@ void ControllerNode::maybe_mark_converged() {
 
 void ControllerNode::on_message(const Message& m) {
   if (!alive_) return;
-  if (seen(m.seq)) {
+  if (seen_seqs_.contains(m.seq)) {
     // Channel-injected duplicate (every logical message has a unique
     // seq; retransmissions reuse it).
     ++duplicates_suppressed_;
@@ -567,8 +657,8 @@ void ControllerNode::on_message(const Message& m) {
   }
   if (m.seq != 0) seen_seqs_.insert(m.seq);
   if (const auto* hb = std::get_if<Heartbeat>(&m.body)) {
-    last_heard_[hb->from] = queue_->now();
-    miss_counts_[hb->from] = 0;
+    last_heard_[static_cast<std::size_t>(hb->from)] = queue_->now();
+    miss_counts_[static_cast<std::size_t>(hb->from)] = 0;
     if (suspected_.erase(hb->from) > 0) {
       // The peer was alive all along — the detector fired on jitter or
       // loss. Count it; the next detector pass sees the peer live again.
@@ -584,16 +674,19 @@ void ControllerNode::on_message(const Message& m) {
     return;
   }
   if (const auto* ack = std::get_if<FlowModAck>(&m.body)) {
-    const auto rec = shared_->xid_mods.find(ack->xid);
+    // Copied: compensating removals below can grow xid_mods.
+    const ModRecord rec = ack->xid < shared_->xid_mods.size()
+                              ? shared_->xid_mods[ack->xid]
+                              : ModRecord{};
+    const bool recorded = rec.adopter >= 0;
     if (ack->epoch != shared_->wave_epoch) {
       // Ack from a superseded wave: it must not complete work in (or
       // un-degrade flows of) the current one. But the old wave's mod DID
       // land on the switch — if the current plan no longer wants that
       // entry, compensate with a removal at the current epoch.
       ++shared_->stale_discarded;
-      if (rec != shared_->xid_mods.end() && !rec->second.remove) {
-        const auto key =
-            std::make_pair(rec->second.sw, rec->second.flow);
+      if (recorded && !rec.remove) {
+        const auto key = std::make_pair(rec.sw, rec.flow);
         const auto cur = shared_->installed.find(key);
         if (cur == shared_->installed.end() || cur->second < ack->epoch) {
           shared_->installed[key] = ack->epoch;
@@ -607,21 +700,21 @@ void ControllerNode::on_message(const Message& m) {
       }
       return;
     }
-    shared_->pending_acks.erase(ack->xid);
-    if (rec != shared_->xid_mods.end()) {
-      const auto key = std::make_pair(rec->second.sw, rec->second.flow);
-      if (rec->second.remove) {
+    clear_pending_ack(ack->xid);
+    if (recorded) {
+      const auto key = std::make_pair(rec.sw, rec.flow);
+      if (rec.remove) {
         shared_->installed.erase(key);
       } else {
         shared_->installed[key] = ack->epoch;
-        if (shared_->rolled_back_flows.contains(rec->second.flow)) {
+        if (shared_->rolled_back_flows.contains(rec.flow)) {
           // Install landed after its flow was rolled back (the in-flight
           // copy beat the cancellation): compensate immediately.
           send_rollback_remove(key.first, key.second);
         } else {
           // A late ack (e.g. after a retransmission) un-degrades the
           // flow.
-          shared_->degraded_flows.erase(rec->second.flow);
+          shared_->degraded_flows.erase(rec.flow);
         }
       }
       slice_ack_done(ack->xid);
@@ -636,7 +729,9 @@ void ControllerNode::on_message(const Message& m) {
       ++shared_->stale_discarded;
       return;
     }
-    const bool first = shared_->pending_roles.erase(reply->sw) > 0;
+    const bool first =
+        shared_->role_pending[static_cast<std::size_t>(reply->sw)] != 0;
+    clear_pending_role(reply->sw);
     shared_->degraded_switches.erase(reply->sw);
     slice_role_done(reply->sw);
     if (first) {
@@ -647,7 +742,7 @@ void ControllerNode::on_message(const Message& m) {
       // Record it, and remove whatever the current plan no longer wants.
       for (const ReportedEntry& e : reply->entries) {
         if (e.epoch >= shared_->wave_epoch) continue;
-        const sdwan::FlowId flow = flow_by_match(e.src, e.dst);
+        const sdwan::FlowId flow = net_->flow_by_match(e.src, e.dst);
         if (flow < 0) continue;
         const auto key = std::make_pair(reply->sw, flow);
         auto& recorded = shared_->installed[key];

@@ -44,12 +44,11 @@
 //    live sender adopts the switch itself before installing or removing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <set>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -57,6 +56,7 @@
 #include "ctrl/channel.hpp"
 #include "ctrl/switch_agent.hpp"
 #include "sim/event_queue.hpp"
+#include "util/flat_map.hpp"
 
 namespace pm::ctrl {
 
@@ -91,11 +91,15 @@ enum class WavePhase {
 };
 
 /// Outstanding work one adopting controller owes the current wave. The
-/// wave "prepares" per adopter; a slice whose sets drain is prepared, and
-/// the wave commits when every slice is.
+/// wave "prepares" per adopter; a slice whose counts drain is prepared,
+/// and the wave commits when every slice is.
 struct AdopterSlice {
-  std::set<sdwan::SwitchId> pending_roles;
-  std::set<std::uint64_t> pending_acks;
+  /// Whether the current wave has given this controller any work.
+  bool active = false;
+  /// Switches whose RoleRequest (sent by this adopter) awaits a reply.
+  std::size_t pending_roles = 0;
+  /// FlowMods (sent by this adopter) whose ack is outstanding.
+  std::size_t pending_acks = 0;
   bool prepared = false;
 };
 
@@ -105,7 +109,13 @@ struct ModRecord {
   sdwan::SwitchId sw = -1;
   sdwan::ControllerId adopter = -1;
   bool remove = false;
+  /// The ack is outstanding in the current wave.
+  bool pending = false;
 };
+
+/// An acked install: (switch, flow) and the epoch that installed it.
+using InstalledEntries =
+    util::FlatMap<std::pair<sdwan::SwitchId, sdwan::FlowId>, std::uint64_t>;
 
 /// The controllers' logically centralized data store (the paper's control
 /// plane synchronizes state across controllers): outstanding flow-mod
@@ -113,10 +123,19 @@ struct ModRecord {
 /// ControllerNode so an adopter's ack completes the coordinator's wave;
 /// plus the cumulative degradation record of messages that exhausted
 /// their retries.
+///
+/// The per-wave bookkeeping is dense: xid-, switch- and
+/// controller-indexed vectors sized by ControllerNode (xid_mods grows
+/// with next_xid), with counts kept beside the pending flags.
 struct SharedRecoveryState {
-  std::set<std::uint64_t> pending_acks;
-  std::set<sdwan::SwitchId> pending_roles;
+  /// Acks outstanding in the current wave: xid_mods[x].pending set.
+  std::size_t pending_acks = 0;
+  /// Switch-indexed: the switch's RoleRequest awaits its reply.
+  std::vector<char> role_pending;
+  std::size_t pending_roles = 0;
   std::uint64_t next_xid = 1;
+  /// First xid of the current wave; every pending ack is at or above it.
+  std::uint64_t wave_first_xid = 1;
   double converged_at = -1.0;
   bool wave_active = false;
   /// When the current wave's distribution began (simulated clock); feeds
@@ -126,9 +145,10 @@ struct SharedRecoveryState {
   /// stale retransmission timers and in-flight messages from an earlier
   /// wave observe the mismatch and die.
   std::uint64_t wave_epoch = 0;
-  /// What each xid's FlowMod was for (cumulative across waves, so a
-  /// stale ack can still be attributed for compensation).
-  std::map<std::uint64_t, ModRecord> xid_mods;
+  /// Xid-indexed (xid 0 unused): what each FlowMod was for, cumulative
+  /// across waves so a stale ack can still be attributed for
+  /// compensation.
+  std::vector<ModRecord> xid_mods;
   /// Flows whose FlowMod retries exhausted: forwarded legacy-only until
   /// a later wave re-programs them (an ack removes the flow again).
   std::set<sdwan::FlowId> degraded_flows;
@@ -140,16 +160,15 @@ struct SharedRecoveryState {
   WavePhase phase = WavePhase::kIdle;
   /// Controller coordinating the current/last wave.
   sdwan::ControllerId coordinator = -1;
-  /// Per-adopter outstanding work of the current wave.
-  std::map<sdwan::ControllerId, AdopterSlice> slices;
-  /// Acked installs the control plane believes are in the data plane:
-  /// (switch, flow) -> installing epoch. Removal acks erase; this is the
-  /// rollback worklist when a plan drops assignments or a flow degrades.
-  std::map<std::pair<sdwan::SwitchId, sdwan::FlowId>, std::uint64_t>
-      installed;
-  /// The master each switch was given in the current wave (plan mapping
-  /// plus cleanup adoptions); removals are sent from this endpoint.
-  std::map<sdwan::SwitchId, sdwan::ControllerId> wave_masters;
+  /// Controller-indexed outstanding work of the current wave.
+  std::vector<AdopterSlice> slices;
+  /// Acked installs the control plane believes are in the data plane,
+  /// in (switch, flow) order. Removal acks erase; this is the rollback
+  /// worklist when a plan drops assignments or a flow degrades.
+  InstalledEntries installed;
+  /// Switch-indexed master given in the current wave (plan mapping plus
+  /// cleanup adoptions), -1 if none; removals are sent from it.
+  std::vector<sdwan::ControllerId> wave_masters;
   /// Flows rolled back in the current wave: their pending installs were
   /// cancelled and their entries removed; a late install-ack triggers a
   /// compensating removal instead of un-degrading the flow.
@@ -236,6 +255,13 @@ class ControllerNode {
     std::uint64_t epoch = 0;
     sim::EventId timer = 0;
   };
+  /// A FlowMod's retry, keyed by xid. `live` is cleared when the retry
+  /// ends; the entry stays (xid kept for the search) until a sweep.
+  struct ModRetry {
+    std::uint64_t xid = 0;
+    bool live = false;
+    Retry retry;
+  };
 
   void on_message(const Message& m);
   void beat();
@@ -255,24 +281,33 @@ class ControllerNode {
   /// Make this node the switch's wave master: RoleRequest at the current
   /// epoch, tracked and retransmitted like the plan's own.
   void adopt_switch(sdwan::SwitchId sw);
-  /// Flow whose (src, dst) equals the match, or -1. Backs the handover
-  /// resync (a reported entry only names its match). Lazily built.
-  sdwan::FlowId flow_by_match(sdwan::SwitchId src, sdwan::SwitchId dst);
-  /// Drop completed work from its adopter slice; a drained slice is
-  /// marked prepared (traced).
+  /// Record a RoleRequest to `sw` from `adopter` as pending in the
+  /// current wave, in the switch's and the adopter's books.
+  void track_role(sdwan::SwitchId sw, sdwan::ControllerId adopter);
+  /// Record a FlowMod as pending in the current wave.
+  void track_mod(std::uint64_t xid, const ModRecord& record);
+  /// Clear a pending ack/role (no-op if not pending), counts included.
+  void clear_pending_ack(std::uint64_t xid);
+  void clear_pending_role(sdwan::SwitchId sw);
+  /// Re-check completed work's adopter slice; a drained slice is marked
+  /// prepared (traced).
   void slice_role_done(sdwan::SwitchId sw);
   void slice_ack_done(std::uint64_t xid);
   void maybe_mark_slice_prepared(sdwan::ControllerId adopter);
   void arm_mod_retry(std::uint64_t xid, Message msg, double extra);
   void arm_role_retry(sdwan::SwitchId sw, Message msg);
+  /// First entry of mod_retries_ whose xid is not below `xid`.
+  std::vector<ModRetry>::iterator mod_retry_at(std::uint64_t xid);
+  /// The live retry of `xid`, or nullptr.
+  Retry* find_mod_retry(std::uint64_t xid);
+  /// Ends the retry of `xid` (found live by find_mod_retry).
+  void end_mod_retry(std::uint64_t xid);
   void on_mod_timer(std::uint64_t xid);
   void on_role_timer(sdwan::SwitchId sw);
   void cancel_wave_timers();
+  void clear_retries();
   void maybe_mark_converged();
   double initial_rto(const Message& msg, double extra) const;
-  bool seen(std::uint64_t seq) const {
-    return seq != 0 && seen_seqs_.contains(seq);
-  }
 
   const sdwan::Network* net_;
   sdwan::ControllerId id_;
@@ -284,20 +319,22 @@ class ControllerNode {
 
   bool alive_ = false;
   std::uint64_t sequence_ = 0;
-  std::map<sdwan::ControllerId, double> last_heard_;
-  std::map<sdwan::ControllerId, int> miss_counts_;
+  /// Peer-indexed detector state (this node's own entries unused).
+  std::vector<double> last_heard_;
+  std::vector<int> miss_counts_;
   std::set<sdwan::ControllerId> suspected_;
   double first_detection_at_ = -1.0;
   std::uint64_t spurious_detections_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
-  std::unordered_set<std::uint64_t> seen_seqs_;
+  SeenSeqs seen_seqs_;
 
-  std::map<std::uint64_t, Retry> mod_retries_;
-  std::map<sdwan::SwitchId, Retry> role_retries_;
+  /// In xid order: xids only grow, so arming appends.
+  std::vector<ModRetry> mod_retries_;
+  std::size_t ended_mod_retries_ = 0;
+  /// Switch-indexed.
+  std::vector<std::optional<Retry>> role_retries_;
 
   std::optional<core::RecoveryPlan> installed_plan_;
-  std::map<std::pair<sdwan::SwitchId, sdwan::SwitchId>, sdwan::FlowId>
-      match_to_flow_;
   std::uint64_t recoveries_run_ = 0;
 };
 

@@ -7,6 +7,7 @@
 // delay and the agents (switch_agent.hpp, controller.hpp) react.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -93,7 +94,36 @@ struct Message {
   std::uint64_t seq = 0;
 };
 
+/// The channel seqs a receiver has acted on. Seqs are channel-wide and
+/// dense (1, 2, ...), so a bitmap over every seq sent so far replaces a
+/// hash set: one bit per seq, no allocation per insert.
+class SeenSeqs {
+ public:
+  bool contains(std::uint64_t seq) const {
+    const std::uint64_t word = seq >> 6;
+    return seq != 0 && word < words_.size() &&
+           ((words_[word] >> (seq & 63)) & 1U) != 0;
+  }
+  void insert(std::uint64_t seq) {
+    const std::uint64_t word = seq >> 6;
+    if (word >= words_.size()) words_.resize(word + 1, 0);
+    words_[word] |= std::uint64_t{1} << (seq & 63);
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
+
+/// Message kinds, indexed like MessageBody's alternatives.
+inline constexpr std::size_t kMessageKindCount =
+    std::variant_size_v<MessageBody>;
+
+/// Human-readable tag of kind `index` ("heartbeat", "flow-mod", ...).
+const std::string& message_kind_name(std::size_t index);
+
 /// Human-readable tag for traces ("heartbeat", "flow-mod", ...).
-std::string message_kind(const Message& m);
+inline const std::string& message_kind(const Message& m) {
+  return message_kind_name(m.body.index());
+}
 
 }  // namespace pm::ctrl

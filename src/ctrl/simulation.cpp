@@ -1,6 +1,6 @@
 #include "ctrl/simulation.hpp"
 
-#include <set>
+#include <vector>
 
 namespace pm::ctrl {
 
@@ -160,7 +160,6 @@ void ControlSimulation::publish_metrics() {
 
   // Data-plane audit.
   bool all_flows_deliverable = false;
-  std::set<sdwan::FlowId> flows_with_entries;
   std::size_t adopted_switches = 0;
   for (const auto& f : net_->flows()) {
     const auto trace = dataplane_.trace(f.src, {f.src, f.dst});
@@ -174,16 +173,22 @@ void ControlSimulation::publish_metrics() {
       "pm_switch_flow_entries",
       "Per-switch SDN flow-table size at the end of the run",
       {0, 1, 2, 5, 10, 20, 50, 100});
+  // The agents install exact (src, dst) matches only, so a flow has an
+  // entry iff some agent holds its match.
+  std::vector<char> has_entry(static_cast<std::size_t>(net_->flow_count()),
+                              0);
+  std::size_t flows_with_entries = 0;
   for (int s = 0; s < net_->switch_count(); ++s) {
     load.observe(
         static_cast<double>(dataplane_.at(s).flow_table_size()));
-    if (dataplane_.at(s).flow_table_size() > 0) {
-      for (const auto& f : net_->flows()) {
-        const auto r = dataplane_.at(s).lookup({f.src, f.dst});
-        if (r.matched_flow_table) flows_with_entries.insert(f.id);
+    const auto& agent = *switches_[static_cast<std::size_t>(s)];
+    for (const auto& [match, epoch] : agent.entry_epochs()) {
+      const sdwan::FlowId flow = net_->flow_by_match(match.first, match.second);
+      if (flow >= 0 && has_entry[static_cast<std::size_t>(flow)] == 0) {
+        has_entry[static_cast<std::size_t>(flow)] = 1;
+        ++flows_with_entries;
       }
     }
-    const auto& agent = *switches_[static_cast<std::size_t>(s)];
     if (agent.master() >= 0 &&
         agent.master() != net_->controller_of(s)) {
       ++adopted_switches;
@@ -201,7 +206,7 @@ void ControlSimulation::publish_metrics() {
             shared_.converged_at);
   set_gauge("pm_flows_with_entries",
             "Flows whose SDN entries are installed in the data plane",
-            static_cast<double>(flows_with_entries.size()));
+            static_cast<double>(flows_with_entries));
   set_gauge("pm_adopted_switches", "Switches adopted by a new master",
             static_cast<double>(adopted_switches));
   set_gauge("pm_degraded_flows",

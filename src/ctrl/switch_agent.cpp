@@ -27,7 +27,7 @@ void SwitchAgent::on_message(const Message& m) {
       ++stale_discarded_;
       return;
     }
-    if (seen(m.seq)) {
+    if (seen_seqs_.contains(m.seq)) {
       ++duplicates_suppressed_;
     } else {
       seen_seqs_.insert(m.seq);
@@ -77,7 +77,7 @@ void SwitchAgent::on_message(const Message& m) {
       ++stale_discarded_;
       return;
     }
-    if (seen(m.seq)) {
+    if (seen_seqs_.contains(m.seq)) {
       // Already applied — the ack got lost. Re-ack without re-applying
       // (a second install would duplicate the flow-table entry).
       ++duplicates_suppressed_;

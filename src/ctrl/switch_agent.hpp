@@ -21,15 +21,19 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <unordered_set>
 #include <utility>
 
 #include "ctrl/channel.hpp"
 #include "ctrl/messages.hpp"
 #include "sdwan/hybrid_switch.hpp"
+#include "util/flat_map.hpp"
 
 namespace pm::ctrl {
+
+/// Installing epoch per flow-table entry, keyed by the entry's (src,
+/// dst) match and iterated in match order.
+using EntryEpochs =
+    util::FlatMap<std::pair<sdwan::SwitchId, sdwan::SwitchId>, std::uint64_t>;
 
 class SwitchAgent {
  public:
@@ -73,20 +77,13 @@ class SwitchAgent {
   /// The epoch that installed each currently present flow-table entry,
   /// keyed by the entry's (src, dst) match. The consistency auditor
   /// reads this to detect mixed-epoch flow state.
-  const std::map<std::pair<sdwan::SwitchId, sdwan::SwitchId>,
-                 std::uint64_t>&
-  entry_epochs() const {
-    return entry_epochs_;
-  }
+  const EntryEpochs& entry_epochs() const { return entry_epochs_; }
 
   /// Wire this agent's handler into the channel.
   void attach();
 
  private:
   void on_message(const Message& m);
-  bool seen(std::uint64_t seq) const {
-    return seq != 0 && seen_seqs_.contains(seq);
-  }
 
   sdwan::SwitchId id_;
   sdwan::HybridSwitch* switch_;
@@ -97,9 +94,8 @@ class SwitchAgent {
   std::uint64_t flow_mods_applied_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
   std::uint64_t stale_discarded_ = 0;
-  std::unordered_set<std::uint64_t> seen_seqs_;
-  std::map<std::pair<sdwan::SwitchId, sdwan::SwitchId>, std::uint64_t>
-      entry_epochs_;
+  SeenSeqs seen_seqs_;
+  EntryEpochs entry_epochs_;
 };
 
 /// Endpoint id helpers shared by agents and the harness.

@@ -68,6 +68,15 @@ class Network {
   const Flow& flow(FlowId l) const;
   const std::vector<Flow>& flows() const { return flows_; }
 
+  /// The flow matching packets from `src` to `dst`, or -1 (src == dst,
+  /// or either is not a node). Flows are laid out one per ordered pair
+  /// in (src, dst) order, so this is arithmetic, not a search.
+  FlowId flow_by_match(SwitchId src, SwitchId dst) const {
+    const int n = switch_count();
+    if (src < 0 || dst < 0 || src >= n || dst >= n || src == dst) return -1;
+    return src * (n - 1) + (dst < src ? dst : dst - 1);
+  }
+
   /// Ids of flows whose path traverses switch `i`.
   const std::vector<FlowId>& flows_at(SwitchId i) const;
 

@@ -87,6 +87,18 @@ TEST(Network, AllPairsFlows) {
   }
 }
 
+TEST(Network, FlowByMatchInvertsTheFlowLayout) {
+  for (const Network& net : {tiny_network(), core::make_att_network()}) {
+    for (const Flow& f : net.flows()) {
+      EXPECT_EQ(net.flow_by_match(f.src, f.dst), f.id);
+    }
+    const int n = net.switch_count();
+    EXPECT_EQ(net.flow_by_match(1, 1), -1);
+    EXPECT_EQ(net.flow_by_match(-1, 0), -1);
+    EXPECT_EQ(net.flow_by_match(0, n), -1);
+  }
+}
+
 TEST(Network, GammaConsistency) {
   const Network net = tiny_network();
   // Sum of per-switch flow counts == sum of path node counts.
