@@ -13,13 +13,6 @@ void DiversityCache::sync(const Graph& g) {
   memo_.assign(static_cast<std::size_t>(g.node_count()), {});
 }
 
-void DiversityCache::clear() {
-  graph_ = nullptr;
-  epoch_ = 0;
-  dist_.clear();
-  memo_.clear();
-}
-
 const std::vector<int>& DiversityCache::distances(const Graph& g,
                                                   NodeId dst) {
   g.check_node(dst);
@@ -39,11 +32,7 @@ std::int64_t DiversityCache::diversity(const Graph& g, NodeId src,
     row.assign(static_cast<std::size_t>(g.node_count()), -1);
   }
   auto& slot = row[static_cast<std::size_t>(src)];
-  if (slot >= 0) {
-    ++hits_;
-    return slot;
-  }
-  ++misses_;
+  if (slot >= 0) return slot;
   slot = path_diversity(g, src, dst, options_, distances(g, dst));
   return slot;
 }

@@ -41,13 +41,6 @@ class DiversityCache {
   /// different graph.
   const std::vector<int>& distances(const Graph& g, NodeId dst);
 
-  /// Drops every entry. Automatic on epoch/graph change; exposed for tests.
-  void clear();
-
-  /// Cache-effectiveness counters (for perf_gate and tests).
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
  private:
   /// Rebinds the cache to (g, g.epoch()), clearing it if either changed.
   void sync(const Graph& g);
@@ -57,8 +50,6 @@ class DiversityCache {
   std::uint64_t epoch_ = 0;
   std::vector<std::vector<int>> dist_;        // [dst] -> hops; empty = unset
   std::vector<std::vector<std::int64_t>> memo_;  // [dst][src]; -1 = unset
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace pm::graph

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "util/strings.hpp"
-#include "util/table.hpp"
-
 namespace pm::obs {
 
 Profiler& Profiler::global() {
@@ -47,22 +44,6 @@ util::JsonValue Profiler::to_json() const {
   }
   doc["spans"] = std::move(spans);
   return doc;
-}
-
-void Profiler::write_table(std::ostream& out) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  util::TextTable t(
-      {"span", "count", "total_ms", "mean_ms", "min_ms", "max_ms"});
-  for (const auto& [name, s] : spans_) {
-    const double mean =
-        s.count > 0 ? s.total_ms / static_cast<double>(s.count) : 0.0;
-    t.add_row({name, std::to_string(s.count),
-               util::format_double(s.total_ms, 3),
-               util::format_double(mean, 4),
-               util::format_double(s.min_ms, 4),
-               util::format_double(s.max_ms, 4)});
-  }
-  t.print(out);
 }
 
 }  // namespace pm::obs

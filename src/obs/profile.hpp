@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
 
 #include "util/json.hpp"
@@ -73,9 +72,6 @@ class Profiler {
 
   /// JSON report, marked non-deterministic.
   util::JsonValue to_json() const;
-
-  /// Aligned text table ("span  count  total  mean  min  max").
-  void write_table(std::ostream& out) const;
 
  private:
   bool enabled_ = false;

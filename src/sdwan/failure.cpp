@@ -180,14 +180,6 @@ double FailureState::rest_capacity(ControllerId j) const {
   return rest_capacity_[static_cast<std::size_t>(j)];
 }
 
-double FailureState::total_rest_capacity() const {
-  double total = 0.0;
-  for (ControllerId j : active_) {
-    total += rest_capacity_[static_cast<std::size_t>(j)];
-  }
-  return total;
-}
-
 std::span<const FailureState::Opportunity> FailureState::opportunities(
     FlowId l) const {
   const std::size_t first = opportunity_offset(l);

@@ -64,8 +64,6 @@ class FailureState {
   /// Clamped at 0. Only meaningful for active controllers.
   double rest_capacity(ControllerId j) const;
 
-  double total_rest_capacity() const;
-
   /// gamma_i — number of flows traversing offline switch `i` (its
   /// switch-level control cost, as in RetroFlow's model).
   int gamma(SwitchId i) const { return net_->flow_count_at(i); }

@@ -1,7 +1,7 @@
 // Thin blocking client for the JSONL recovery service: one TCP
 // connection, one request line out, one response line back. Used by
-// examples/pm_client, bench/service_load and the in-process server
-// tests; anything that can write a line of JSON to a socket (netcat,
+// examples/pm_client, perfbench's serve workloads and the in-process
+// server tests; anything that can write a line of JSON to a socket (netcat,
 // a five-line Python script) speaks the same protocol.
 #pragma once
 

@@ -15,7 +15,7 @@
 // Determinism: timing fields (solve_seconds) are zeroed before
 // serialization, so a given canonical request always produces the same
 // payload bytes — which is what lets a cache hit be byte-identical to a
-// recompute, and what the CI smoke and bench/service_load assert.
+// recompute, and what the CI smoke, test_svc and perfbench assert.
 //
 // Concurrency: solve() is thread-safe (the Network and every cached
 // FailureState are immutable after construction; the plan/state caches

@@ -1,6 +1,7 @@
 // RecoveryPlan serialization contract: the JSON format is pinned by a
 // golden file (a format change must show up as a reviewed diff of
-// tests/data/), serialize -> deserialize -> serialize must be
+// tests/data/), PM's fresh and seeded plans are pinned by digests,
+// serialize -> deserialize -> serialize must be
 // byte-identical for every algorithm — the property the svc plan cache
 // leans on when it treats serialized payloads as canonical — and the
 // streaming case-report writer must emit exactly the bytes of the JSON
@@ -8,11 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/metrics.hpp"
 #include "core/naive.hpp"
@@ -69,6 +74,71 @@ TEST(SerializeGolden, GoldenFileDeserializesAndValidates) {
       core::plan_from_json(JsonValue::parse(golden));
   EXPECT_EQ(plan.algorithm, "PM");
   EXPECT_TRUE(core::validate_plan(state, plan).empty());
+}
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+std::vector<sdwan::ControllerId> parse_ids(const std::string& csv) {
+  std::vector<sdwan::ControllerId> ids;
+  std::istringstream in(csv);
+  for (std::string id; std::getline(in, id, ',');) {
+    ids.push_back(std::stoi(id));
+  }
+  return ids;
+}
+
+/// Each line of pm_plan_digests_att_k3.txt is `seed-set failed-set
+/// digest`: the FNV-1a-64 of the plan's case report (wall clock zeroed)
+/// with PM run from scratch (`-`) or seeded with the fresh plan of
+/// seed-set. The digests were generated, and checked against the frozen
+/// map-based run_pm that the dense planner replaced, before that
+/// reference was retired.
+TEST(SerializeGolden, PmPlanDigestsUpToThreeFailures) {
+  const sdwan::Network net = core::make_att_network();
+  std::istringstream lines(read_file(std::string(PM_TEST_DATA_DIR) +
+                                     "/pm_plan_digests_att_k3.txt"));
+  struct Line {
+    std::string text, seed, failed, digest;
+  };
+  std::vector<Line> entries;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    Line entry;
+    entry.text = line;
+    std::istringstream fields(line);
+    fields >> entry.seed >> entry.failed >> entry.digest;
+    entries.push_back(std::move(entry));
+  }
+  // C(6,1) + C(6,2) + C(6,3) fresh plans, then each k = 2, 3 set seeded
+  // from each of its (k-1)-subsets: 15 * 2 + 20 * 3.
+  ASSERT_EQ(entries.size(), (6u + 15u + 20u) + (15u * 2u + 20u * 3u));
+
+  std::map<std::string, core::RecoveryPlan> fresh;
+  for (const Line& entry : entries) {
+    const sdwan::FailureState state(net, {parse_ids(entry.failed)});
+    core::PmOptions options;
+    if (entry.seed != "-") {
+      const auto seed = fresh.find(entry.seed);
+      ASSERT_NE(seed, fresh.end()) << entry.text << ": seed not listed yet";
+      options.seed = &seed->second;
+    }
+    core::RecoveryPlan plan = core::run_pm(state, options);
+    plan.solve_seconds = 0.0;
+    const std::string report = core::write_case_report(
+        state.scenario().label(net), plan, core::evaluate_plan(state, plan));
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(report)));
+    EXPECT_EQ(hex, entry.digest) << entry.text;
+    if (entry.seed == "-") fresh.emplace(entry.failed, std::move(plan));
+  }
 }
 
 /// serialize -> deserialize -> serialize is byte-identical.

@@ -164,19 +164,27 @@ void expect_same_metrics(const core::CaseResult& a,
   EXPECT_EQ(a.violations, b.violations);
 }
 
-TEST(TaskPoolGolden, FigureSweepIsIdenticalAtJobsFour) {
+TEST(TaskPoolGolden, FigureSweepIsIdenticalAtEveryJobCount) {
   const sdwan::Network net = core::make_att_network();
   core::RunnerOptions serial_opts;
   serial_opts.run_optimal = false;  // keep the test fast and deterministic
   serial_opts.jobs = 1;
-  core::RunnerOptions parallel_opts = serial_opts;
-  parallel_opts.jobs = 4;
 
-  const auto serial = core::run_failure_sweep(net, 1, serial_opts);
-  const auto parallel = core::run_failure_sweep(net, 1, parallel_opts);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_same_metrics(serial[i], parallel[i]);
+  // The Fig. 4 and Fig. 5 sweeps (k = 1, 2) at several pool sizes, each
+  // against its serial sweep.
+  for (int k = 1; k <= 2; ++k) {
+    const auto serial = core::run_failure_sweep(net, k, serial_opts);
+    for (const int jobs : {2, 4, 8}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " jobs=" + std::to_string(jobs));
+      core::RunnerOptions parallel_opts = serial_opts;
+      parallel_opts.jobs = jobs;
+      const auto parallel = core::run_failure_sweep(net, k, parallel_opts);
+      ASSERT_EQ(serial.size(), parallel.size());
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        expect_same_metrics(serial[i], parallel[i]);
+      }
+    }
   }
 }
 
