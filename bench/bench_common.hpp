@@ -8,7 +8,6 @@
 #pragma once
 
 #include <ctime>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -47,7 +46,6 @@ struct BenchOptions {
   bool run_optimal = true;
   double optimal_time_limit = 20.0;
   std::optional<std::string> csv_path;
-  int retroflow_candidates = 1;
   /// Observability flags (--log-level, --profile-out, ...), applied to
   /// the global logger/profiler by parse_bench_options.
   obs::ObsOptions obs;
@@ -131,34 +129,39 @@ inline void write_metadata_comments(std::ostream& out,
   }
 }
 
-/// Writes per-case/algorithm metric rows as CSV if requested.
-inline void maybe_write_csv(const BenchOptions& options,
+/// Writes per-case/algorithm metric rows as CSV if requested; false
+/// (after logging) when the file cannot be written.
+inline bool maybe_write_csv(const BenchOptions& options,
                             const std::string& experiment,
                             const std::vector<core::CaseResult>& results) {
-  if (!options.csv_path) return;
-  std::ofstream out(*options.csv_path);
-  write_metadata_comments(out, make_run_metadata(options, experiment));
-  util::CsvWriter csv(out);
-  csv.write_row({"experiment", "case", "algorithm", "least_programmability",
-                 "total_programmability", "recovered_flow_pct",
-                 "recovered_switches", "offline_switches",
-                 "used_control_resource", "available_control_resource",
-                 "per_flow_overhead_ms", "solve_seconds"});
-  for (const auto& r : results) {
-    for (const auto& [name, m] : r.metrics) {
-      csv.write_row({experiment, r.label, name,
-                     std::to_string(m.least_programmability),
-                     std::to_string(m.total_programmability),
-                     num(100.0 * m.recovered_flow_fraction, 3),
-                     std::to_string(m.recovered_switch_count),
-                     std::to_string(m.offline_switch_count),
-                     num(m.used_control_resource, 0),
-                     num(m.available_control_resource, 0),
-                     num(m.per_flow_overhead_ms, 4),
-                     num(m.solve_seconds, 6)});
-    }
-  }
-  std::cout << "\n[csv written to " << *options.csv_path << "]\n";
+  if (!options.csv_path) return true;
+  return obs::write_file(
+      *options.csv_path,
+      [&](std::ostream& out) {
+        write_metadata_comments(out, make_run_metadata(options, experiment));
+        util::CsvWriter csv(out);
+        csv.write_row({"experiment", "case", "algorithm",
+                       "least_programmability", "total_programmability",
+                       "recovered_flow_pct", "recovered_switches",
+                       "offline_switches", "used_control_resource",
+                       "available_control_resource",
+                       "per_flow_overhead_ms", "solve_seconds"});
+        for (const auto& r : results) {
+          for (const auto& [name, m] : r.metrics) {
+            csv.write_row({experiment, r.label, name,
+                           std::to_string(m.least_programmability),
+                           std::to_string(m.total_programmability),
+                           num(100.0 * m.recovered_flow_fraction, 3),
+                           std::to_string(m.recovered_switch_count),
+                           std::to_string(m.offline_switch_count),
+                           num(m.used_control_resource, 0),
+                           num(m.available_control_resource, 0),
+                           num(m.per_flow_overhead_ms, 4),
+                           num(m.solve_seconds, 6)});
+          }
+        }
+      },
+      "csv");
 }
 
 /// Prints the standard sub-figure tables shared by Figs. 4, 5 and 6.

@@ -44,7 +44,6 @@
 #include "util/table.hpp"
 #include "util/task_pool.hpp"
 
-#include <fstream>
 #include <optional>
 #include <string>
 
@@ -194,8 +193,7 @@ int main(int argc, char** argv) {
                     : "WARNING: some cells broke delivery")
             << "\n";
 
-  if (csv_path) {
-    std::ofstream out(*csv_path);
+  const auto write_sweep_csv = [&](std::ostream& out) {
     util::CsvWriter csv(out);
     csv.write_row({"loss", "jitter_ms", "detected_ms", "converged_ms",
                    "messages_sent", "injected_drops",
@@ -220,7 +218,9 @@ int main(int argc, char** argv) {
                      std::to_string(c.report.degraded_switches),
                      c.report.all_flows_deliverable ? "true" : "false"});
     }
-    std::cout << "[csv written to " << *csv_path << "]\n";
+  };
+  if (csv_path && !obs::write_file(*csv_path, write_sweep_csv, "csv")) {
+    return 1;
   }
   if (as_json) {
     util::JsonValue rows = util::JsonValue::array();
@@ -318,8 +318,7 @@ int main(int argc, char** argv) {
               << "\n";
     all_deliverable &= mid_ok;
 
-    if (mid_csv_path) {
-      std::ofstream out(*mid_csv_path);
+    const auto write_mid_csv = [&](std::ostream& out) {
       util::CsvWriter csv(out);
       csv.write_row({"kill", "loss", "jitter_ms", "detected_ms",
                      "converged_ms", "coordinator_failovers",
@@ -340,8 +339,10 @@ int main(int argc, char** argv) {
              std::to_string(c.report.audit_violations),
              c.report.all_flows_deliverable ? "true" : "false"});
       }
-      std::cout << "[mid-recovery csv written to " << *mid_csv_path
-                << "]\n";
+    };
+    if (mid_csv_path &&
+        !obs::write_file(*mid_csv_path, write_mid_csv, "mid-recovery csv")) {
+      return 1;
     }
   }
   if (util::shutdown_requested()) return 130;

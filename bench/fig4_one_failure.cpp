@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
                               /*with_switch_counts=*/false,
                               /*with_controller_loads=*/false);
   bench::print_improvement_summary(results);
-  bench::maybe_write_csv(options, "fig4", results);
+  if (!bench::maybe_write_csv(options, "fig4", results)) return 1;
   obs::write_profile(options.obs);
   return 0;
 }

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
               << "proven optimal in " << proven << "/15 (time limit "
               << bench::num(options.optimal_time_limit, 0) << "s)\n";
   }
-  bench::maybe_write_csv(options, "fig5", results);
+  if (!bench::maybe_write_csv(options, "fig5", results)) return 1;
   obs::write_profile(options.obs);
   return 0;
 }

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
                  "(time limit "
               << bench::num(options.optimal_time_limit, 0) << "s)\n";
   }
-  bench::maybe_write_csv(options, "fig6", results);
+  if (!bench::maybe_write_csv(options, "fig6", results)) return 1;
   obs::write_profile(options.obs);
   return 0;
 }

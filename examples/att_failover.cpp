@@ -8,10 +8,9 @@
 //
 // Usage: ./build/examples/att_failover [--fail=13,20] [--optimal]
 //        [--optimal-time=30] [--json=report.json]
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <set>
+#include <stdexcept>
 
 #include "core/runner.hpp"
 #include "core/scenario.hpp"
@@ -36,24 +35,11 @@ int main(int argc, char** argv) {
 
   const sdwan::Network net = core::make_att_network();
 
-  // Resolve failed controller ids from node ids.
-  std::set<int> fail_nodes;
-  for (const auto& tok : util::split(fail_spec, ',')) {
-    long long node = 0;
-    if (!util::parse_int(tok, node)) {
-      obs::log().error("bad --fail value '" + tok + "'");
-      return 1;
-    }
-    fail_nodes.insert(static_cast<int>(node));
-  }
   sdwan::FailureScenario scenario;
-  for (int j = 0; j < net.controller_count(); ++j) {
-    if (fail_nodes.contains(net.controller(j).location)) {
-      scenario.failed.push_back(j);
-    }
-  }
-  if (scenario.failed.size() != fail_nodes.size()) {
-    obs::log().error("--fail must name controller nodes (2,5,6,13,20,22)");
+  try {
+    scenario = sdwan::FailureScenario::parse(net, fail_spec);
+  } catch (const std::invalid_argument& e) {
+    obs::log().error(std::string("--fail: ") + e.what());
     return 1;
   }
 
@@ -121,9 +107,12 @@ int main(int argc, char** argv) {
     const core::RecoveryPlan plan = core::run_pm(state);
     const auto json = core::case_report_to_json(
         scenario.label(net), plan, core::evaluate_plan(state, plan));
-    std::ofstream out(json_path);
-    out << json.to_string(2) << "\n";
-    std::cout << "\n[PM plan written to " << json_path << "]\n";
+    if (!obs::write_file(
+            json_path,
+            [&](std::ostream& out) { out << json.to_string(2) << "\n"; },
+            "PM plan")) {
+      return 1;
+    }
   }
 
   // PM's recovery on the wire: the failed controllers crash together at

@@ -3,7 +3,6 @@
 //
 // Usage: ./build/examples/failure_sweep [--k=2] [--optimal]
 //        [--optimal-time=20] [--out=sweep.csv]
-#include <fstream>
 #include <iostream>
 
 #include "core/runner.hpp"
@@ -35,30 +34,27 @@ int main(int argc, char** argv) {
                   " cases with k=" + std::to_string(k) + "...");
   const auto results = core::run_failure_sweep(net, k, opts);
 
-  std::ofstream out(out_path);
-  if (!out) {
-    obs::log().error("cannot write " + out_path);
-    return 1;
-  }
-  util::CsvWriter csv(out);
-  csv.write_row({"case", "algorithm", "least_programmability",
-                 "total_programmability", "recovered_flow_pct",
-                 "recovered_switches", "offline_switches",
-                 "used_control_resource", "per_flow_overhead_ms",
-                 "solve_ms"});
-  for (const auto& r : results) {
-    for (const auto& [name, m] : r.metrics) {
-      csv.write_row(
-          {r.label, name, std::to_string(m.least_programmability),
-           std::to_string(m.total_programmability),
-           util::format_double(100.0 * m.recovered_flow_fraction, 2),
-           std::to_string(m.recovered_switch_count),
-           std::to_string(m.offline_switch_count),
-           util::format_double(m.used_control_resource, 0),
-           util::format_double(m.per_flow_overhead_ms, 4),
-           util::format_double(m.solve_seconds * 1000.0, 4)});
+  const auto write_csv = [&](std::ostream& out) {
+    util::CsvWriter csv(out);
+    csv.write_row({"case", "algorithm", "least_programmability",
+                   "total_programmability", "recovered_flow_pct",
+                   "recovered_switches", "offline_switches",
+                   "used_control_resource", "per_flow_overhead_ms",
+                   "solve_ms"});
+    for (const auto& r : results) {
+      for (const auto& [name, m] : r.metrics) {
+        csv.write_row(
+            {r.label, name, std::to_string(m.least_programmability),
+             std::to_string(m.total_programmability),
+             util::format_double(100.0 * m.recovered_flow_fraction, 2),
+             std::to_string(m.recovered_switch_count),
+             std::to_string(m.offline_switch_count),
+             util::format_double(m.used_control_resource, 0),
+             util::format_double(m.per_flow_overhead_ms, 4),
+             util::format_double(m.solve_seconds * 1000.0, 4)});
+      }
     }
-  }
-  obs::log().info("wrote " + out_path);
+  };
+  if (!obs::write_file(out_path, write_csv, "sweep csv")) return 1;
   return 0;
 }

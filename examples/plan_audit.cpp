@@ -12,8 +12,8 @@
 //   ./build/examples/plan_audit --fail=13,20 --plan=plan.json
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/pm_algorithm.hpp"
 #include "core/scenario.hpp"
@@ -56,16 +56,12 @@ int main(int argc, char** argv) {
   }
 
   const sdwan::Network net = core::make_att_network();
-  std::set<int> fail_nodes;
-  for (const auto& tok : util::split(fail_spec, ',')) {
-    long long v = 0;
-    if (util::parse_int(tok, v)) fail_nodes.insert(static_cast<int>(v));
-  }
   sdwan::FailureScenario scenario;
-  for (int j = 0; j < net.controller_count(); ++j) {
-    if (fail_nodes.contains(net.controller(j).location)) {
-      scenario.failed.push_back(j);
-    }
+  try {
+    scenario = sdwan::FailureScenario::parse(net, fail_spec);
+  } catch (const std::invalid_argument& e) {
+    obs::log().error(std::string("--fail: ") + e.what());
+    return 1;
   }
   const sdwan::FailureState state(net, scenario);
 

@@ -15,7 +15,6 @@
 // --port=0 binds an ephemeral port; --port-file writes the resolved
 // port for scripts (the CI smoke job uses exactly that). Try it:
 //   printf '%s\n' '{"verb":"solve","failed":[3,4]}' | nc 127.0.0.1 7071
-#include <fstream>
 #include <iostream>
 
 #include "core/scenario.hpp"
@@ -57,9 +56,12 @@ int main(int argc, char** argv) {
             << ", cache=" << (engine_config.cache_bytes >> 20)
             << " MiB, queue=" << server_config.max_queue << ")"
             << std::endl;
-  if (!port_file.empty()) {
-    std::ofstream out(port_file);
-    out << server.port() << "\n";
+  if (!port_file.empty() &&
+      !obs::write_file(
+          port_file,
+          [&](std::ostream& out) { out << server.port() << "\n"; },
+          "port")) {
+    return 2;
   }
 
   server.run_until_shutdown();

@@ -8,8 +8,7 @@
 // Usage: ./build/examples/protocol_trace [--fail=13,20]
 //        [--second-failure-at=3000] [--until=10000]
 //        [--kill-at=<time>:<controller>]...
-//        [--heartbeat=50] [--timeout=200] [--suspicion-checks=1]
-//        [--retries=5] [--backoff=2] [--rto-margin=60]
+//        [--suspicion-checks=1]
 //        [--loss=0.1] [--dup=0.05] [--jitter=20]
 //        [--reorder=0.01] [--reorder-delay=40] [--fault-seed=42]
 //        [--trace-out=t.json] [--trace-jsonl=t.jsonl]
@@ -26,7 +25,7 @@
 // Both derive from the simulated clock only, so same-seed runs produce
 // byte-identical files.
 #include <iostream>
-#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,13 +44,8 @@ int main(int argc, char** argv) {
   const double second_at = args.get_double("second-failure-at", 3000.0);
   const double until = args.get_double("until", 10000.0);
   ctrl::ControllerConfig config;
-  config.heartbeat_interval_ms = args.get_double("heartbeat", 50.0);
-  config.detection_timeout_ms = args.get_double("timeout", 200.0);
   config.suspicion_checks =
       static_cast<int>(args.get_int("suspicion-checks", 1));
-  config.max_retries = static_cast<int>(args.get_int("retries", 5));
-  config.retransmit_backoff = args.get_double("backoff", 2.0);
-  config.retransmit_margin_ms = args.get_double("rto-margin", 60.0);
   const std::vector<std::string> kill_specs = args.get_strings("kill-at");
 
   ctrl::ChannelFaultModel faults;
@@ -67,10 +61,12 @@ int main(int argc, char** argv) {
   }
 
   const sdwan::Network net = core::make_att_network();
-  std::set<int> fail_nodes;
-  for (const auto& tok : util::split(fail_spec, ',')) {
-    long long v = 0;
-    if (util::parse_int(tok, v)) fail_nodes.insert(static_cast<int>(v));
+  sdwan::FailureScenario scenario;
+  try {
+    scenario = sdwan::FailureScenario::parse(net, fail_spec);
+  } catch (const std::invalid_argument& e) {
+    obs::log().error(std::string("--fail: ") + e.what());
+    return 1;
   }
 
   ctrl::ControlSimulation simulation(
@@ -99,8 +95,7 @@ int main(int argc, char** argv) {
               << "ms reorder=" << faults.reorder_probability
               << " seed=" << faults.seed << "\n";
   }
-  for (int j = 0; j < net.controller_count(); ++j) {
-    if (!fail_nodes.contains(net.controller(j).location)) continue;
+  for (const sdwan::ControllerId j : scenario.failed) {
     std::cout << "scheduling crash of " << net.controller(j).name
               << " at t=" << util::format_double(at, 0) << " ms\n";
     simulation.fail_controller_at(j, at);

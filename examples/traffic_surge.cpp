@@ -14,7 +14,7 @@
 // Usage: ./build/examples/traffic_surge [--fail=13,20] [--surge-node=12]
 //        [--surge=8] [--total-traffic=200000] [--link-capacity=10000]
 #include <iostream>
-#include <set>
+#include <stdexcept>
 
 #include "core/naive.hpp"
 #include "core/pg.hpp"
@@ -42,15 +42,11 @@ int main(int argc, char** argv) {
 
   const sdwan::Network net = core::make_att_network();
   sdwan::FailureScenario scenario;
-  std::set<int> fail_nodes;
-  for (const auto& tok : util::split(fail_spec, ',')) {
-    long long v = 0;
-    if (util::parse_int(tok, v)) fail_nodes.insert(static_cast<int>(v));
-  }
-  for (int j = 0; j < net.controller_count(); ++j) {
-    if (fail_nodes.contains(net.controller(j).location)) {
-      scenario.failed.push_back(j);
-    }
+  try {
+    scenario = sdwan::FailureScenario::parse(net, fail_spec);
+  } catch (const std::invalid_argument& e) {
+    obs::log().error(std::string("--fail: ") + e.what());
+    return 1;
   }
   const sdwan::FailureState state(net, scenario);
 

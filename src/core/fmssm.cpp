@@ -129,16 +129,14 @@ FmssmProblem build_fmssm(const sdwan::FailureState& state,
   }
 
   // (14): delay budget.
-  if (options.delay_constraint) {
-    std::vector<milp::Term> terms;
-    for (const auto& [key, var] : p.w_var) {
-      const auto& [i, j, l] = key;
-      (void)l;
-      terms.push_back({var, net.delay_ms(i, j)});
-    }
-    p.model.add_constraint("delay", std::move(terms), milp::Sense::kLe,
-                           state.ideal_total_delay());
+  std::vector<milp::Term> delay_terms;
+  for (const auto& [key, var] : p.w_var) {
+    const auto& [i, j, l] = key;
+    (void)l;
+    delay_terms.push_back({var, net.delay_ms(i, j)});
   }
+  p.model.add_constraint("delay", std::move(delay_terms), milp::Sense::kLe,
+                         state.ideal_total_delay());
 
   return p;
 }

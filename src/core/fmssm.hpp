@@ -36,9 +36,6 @@ struct FmssmOptions {
   /// lambda = 1 / (1 + sum of all flows' maximum programmability), which
   /// makes any gain in r dominate every possible gain in obj_2.
   double lambda = 0.0;
-  /// Include the delay-budget constraint (14). The ablation bench turns
-  /// it off to measure its effect on overhead.
-  bool delay_constraint = true;
 };
 
 /// The built model plus the index maps needed to decode solutions.

@@ -92,17 +92,15 @@ OptimalOutcome run_optimal(const sdwan::FailureState& state,
 
   milp::MipOptions mip;
   mip.time_limit_seconds = options.time_limit_seconds;
-  mip.node_limit = options.node_limit;
-  if (options.warm_start_with_pm) {
-    const RecoveryPlan pm_plan = run_pm(state);
-    auto encoded = problem.encode(state, pm_plan);
-    if (!problem.model.is_feasible(encoded)) {
-      encoded =
-          problem.encode(state, trim_to_delay_budget(state, pm_plan));
-    }
-    if (problem.model.is_feasible(encoded)) {
-      mip.warm_start = encoded;
-    }
+  mip.node_limit = kOptimalNodeLimit;
+  // Warm start with PM's plan, trimmed to the delay budget if needed.
+  const RecoveryPlan pm_plan = run_pm(state);
+  auto encoded = problem.encode(state, pm_plan);
+  if (!problem.model.is_feasible(encoded)) {
+    encoded = problem.encode(state, trim_to_delay_budget(state, pm_plan));
+  }
+  if (problem.model.is_feasible(encoded)) {
+    mip.warm_start = encoded;
   }
 
   const milp::MipResult result = milp::solve_mip(problem.model, mip);

@@ -21,11 +21,10 @@ namespace pm::core {
 struct OptimalOptions {
   FmssmOptions fmssm;
   double time_limit_seconds = 60.0;
-  long node_limit = 10000;
-  /// Warm-start with PM's plan (dropped automatically if it violates the
-  /// delay budget).
-  bool warm_start_with_pm = true;
 };
+
+/// Branch-and-bound node budget for every Optimal solve.
+inline constexpr long kOptimalNodeLimit = 10000;
 
 struct OptimalOutcome {
   /// Present when the solver found any incumbent.

@@ -63,9 +63,8 @@ RecoveryPlan run_pm(const sdwan::FailureState& state, PmOptions options) {
   WorkingState w = build_working_state(state);
   const auto& recoverable_flows = state.recoverable_flows();
 
-  const int total_iterations =
-      options.total_iterations > 0 ? options.total_iterations
-                                   : state.max_offline_switches_on_path();
+  // TOTAL_ITERATIONS: the most offline switches on any offline flow's path.
+  const int max_sweeps = state.max_offline_switches_on_path();
 
   // Incremental mode: adopt the still-valid parts of a previous plan
   // before the balancing loop (the loop then treats the adopted switches
@@ -122,7 +121,7 @@ RecoveryPlan run_pm(const sdwan::FailureState& state, PmOptions options) {
   // Lines 2-40: the balancing loop.
   {
     OBS_SPAN("pm.balancing");
-    while (test_count < total_iterations && !recoverable_flows.empty()) {
+    while (test_count < max_sweeps && !recoverable_flows.empty()) {
       // Lines 5-15: find the switch with the most least-programmability
       // flows. `untested` is kept ascending, so ties pick the lowest id.
       std::size_t delta = 0;

@@ -31,9 +31,6 @@
 namespace pm::core {
 
 struct PmOptions {
-  /// Override for TOTAL_ITERATIONS; <= 0 means use the paper's value
-  /// (max offline switches on an offline flow's path).
-  int total_iterations = 0;
   /// Incremental mode for successive failures (Sec. I: "several
   /// controllers may fail simultaneously or fail successively"): still-
   /// valid mappings and SDN selections of a previous plan are kept, and

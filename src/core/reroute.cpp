@@ -11,6 +11,9 @@ namespace {
 using sdwan::FlowId;
 using sdwan::LinkId;
 using sdwan::SwitchId;
+
+/// Minimum MLU improvement for the greedy to keep a move.
+constexpr double kMinMluGain = 1e-6;
 }  // namespace
 
 std::vector<SwitchId> reroutable_switches(const sdwan::FailureState& state,
@@ -96,9 +99,9 @@ RerouteResult minimize_congestion(const sdwan::FailureState& state,
   struct Score {
     double mlu = 0.0;
     double sum_sq = 0.0;
-    bool better_than(const Score& o, double min_gain) const {
-      if (mlu < o.mlu - min_gain) return true;
-      if (mlu > o.mlu + min_gain) return false;
+    bool better_than(const Score& o) const {
+      if (mlu < o.mlu - kMinMluGain) return true;
+      if (mlu > o.mlu + kMinMluGain) return false;
       return sum_sq < o.sum_sq - 1e-12;
     }
   };
@@ -167,7 +170,7 @@ RerouteResult minimize_congestion(const sdwan::FailureState& state,
           }
           add_path(candidate, rate, tentative);
           const Score new_score = score_of(tentative);
-          if (new_score.better_than(best_score, options.min_gain)) {
+          if (new_score.better_than(best_score)) {
             best_score = new_score;
             found = true;
             best_flow = l;

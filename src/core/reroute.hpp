@@ -30,8 +30,6 @@ struct RerouteOptions {
   double link_capacity_mbps = 1000.0;
   /// Stop after this many flow moves (safety valve).
   int max_moves = 500;
-  /// Minimum MLU improvement to keep going.
-  double min_gain = 1e-6;
 };
 
 struct RerouteResult {

@@ -52,8 +52,7 @@ void ControllerNode::start() {
     if (j != id_) last_heard_[static_cast<std::size_t>(j)] = queue_->now();
   }
   beat();
-  queue_->schedule_in(config_.detection_timeout_ms,
-                      [this] { check_peers(); });
+  queue_->schedule_in(kDetectionTimeoutMs, [this] { check_peers(); });
 }
 
 void ControllerNode::fail() {
@@ -74,7 +73,7 @@ void ControllerNode::beat() {
     channel_->send(std::move(m));
   }
   ++sequence_;
-  queue_->schedule_in(config_.heartbeat_interval_ms, [this] { beat(); });
+  queue_->schedule_in(kHeartbeatIntervalMs, [this] { beat(); });
 }
 
 void ControllerNode::check_peers() {
@@ -88,7 +87,7 @@ void ControllerNode::check_peers() {
     const double heard = last_heard_[p];
     // Hysteresis: one late check is not proof of death when the channel
     // jitters — require `suspicion_checks` consecutive misses.
-    if (now - heard > config_.detection_timeout_ms) {
+    if (now - heard > kDetectionTimeoutMs) {
       if (++miss_counts_[p] >= std::max(config_.suspicion_checks, 1)) {
         suspected_.insert(peer);
         newly_suspected = true;
@@ -115,8 +114,7 @@ void ControllerNode::check_peers() {
     }
     if (coordinator == id_) run_recovery();
   }
-  queue_->schedule_in(config_.heartbeat_interval_ms,
-                      [this] { check_peers(); });
+  queue_->schedule_in(kHeartbeatIntervalMs, [this] { check_peers(); });
 }
 
 void ControllerNode::run_recovery() {
@@ -457,12 +455,11 @@ double ControllerNode::initial_rto(const Message& msg,
   // timer can therefore never fire before the fault-free ack arrives —
   // with faults disabled retransmission is exactly never triggered.
   return 2.0 * channel_->path_delay_ms(msg.from, msg.to) + extra +
-         config_.retransmit_margin_ms;
+         kRetransmitMarginMs;
 }
 
 void ControllerNode::arm_mod_retry(std::uint64_t xid, Message msg,
                                    double extra) {
-  if (config_.max_retries <= 0) return;
   ModRetry entry;
   entry.xid = xid;
   entry.live = true;
@@ -504,7 +501,6 @@ void ControllerNode::end_mod_retry(std::uint64_t xid) {
 }
 
 void ControllerNode::arm_role_retry(sdwan::SwitchId sw, Message msg) {
-  if (config_.max_retries <= 0) return;
   std::optional<Retry>& slot = role_retries_[static_cast<std::size_t>(sw)];
   // A re-adoption replaces the switch's earlier request and its timer.
   if (slot) queue_->cancel(slot->timer);
@@ -525,7 +521,7 @@ void ControllerNode::on_mod_timer(std::uint64_t xid) {
     end_mod_retry(xid);
     return;
   }
-  if (r->attempts >= config_.max_retries ||
+  if (r->attempts >= kMaxRetries ||
       !channel_->is_attached(r->msg.from)) {
     // Give up: the flow degrades to legacy forwarding instead of wedging
     // the wave; the audit reports it.
@@ -562,7 +558,7 @@ void ControllerNode::on_mod_timer(std::uint64_t xid) {
   }
   ++r->attempts;
   channel_->resend(r->msg, r->extra_latency_ms);
-  r->rto_ms *= config_.retransmit_backoff;
+  r->rto_ms *= kRetransmitBackoff;
   r->timer =
       queue_->schedule_in(r->rto_ms, [this, xid] { on_mod_timer(xid); });
 }
@@ -576,7 +572,7 @@ void ControllerNode::on_role_timer(sdwan::SwitchId sw) {
     slot.reset();
     return;
   }
-  if (r.attempts >= config_.max_retries ||
+  if (r.attempts >= kMaxRetries ||
       !channel_->is_attached(r.msg.from)) {
     clear_pending_role(sw);
     shared_->degraded_switches.insert(sw);
@@ -593,7 +589,7 @@ void ControllerNode::on_role_timer(sdwan::SwitchId sw) {
   }
   ++r.attempts;
   channel_->resend(r.msg);
-  r.rto_ms *= config_.retransmit_backoff;
+  r.rto_ms *= kRetransmitBackoff;
   r.timer =
       queue_->schedule_in(r.rto_ms, [this, sw] { on_role_timer(sw); });
 }

@@ -16,7 +16,7 @@
 //    jitter does not fire it spuriously; a heartbeat from a suspected
 //    peer un-suspects it and counts a spurious detection;
 //  * RoleRequests and FlowMods are retransmitted by the coordinator on an
-//    RTT-derived timeout with exponential backoff, up to `max_retries`;
+//    RTT-derived timeout with exponential backoff, up to kMaxRetries;
 //  * a message whose retries exhaust degrades gracefully: its xid/switch
 //    is dropped from the wave's pending set (the wave converges instead
 //    of wedging) and the flow/switch is reported as degraded — the
@@ -65,21 +65,24 @@ namespace pm::ctrl {
 using RecoveryPolicy = std::function<core::RecoveryPlan(
     const sdwan::FailureState&, const core::RecoveryPlan* previous)>;
 
+/// Heartbeat period; the failure detector checks its peers at the same
+/// period.
+inline constexpr double kHeartbeatIntervalMs = 50.0;
+/// A peer silent for longer than this misses its detector deadline.
+inline constexpr double kDetectionTimeoutMs = 200.0;
+/// Retry cap for RoleRequest/FlowMod retransmission; a message still
+/// unacked after this many retries degrades instead of wedging the wave.
+inline constexpr int kMaxRetries = 5;
+/// First retransmission fires at RTT-estimate + this margin; each
+/// further retry multiplies the timeout by kRetransmitBackoff.
+inline constexpr double kRetransmitMarginMs = 60.0;
+inline constexpr double kRetransmitBackoff = 2.0;
+
 struct ControllerConfig {
-  double heartbeat_interval_ms = 50.0;
-  double detection_timeout_ms = 200.0;
   /// Failure-detector hysteresis: consecutive detector checks a peer
   /// must miss its deadline before it is suspected. 1 = seed behaviour
   /// (suspect on the first late check); raise under jitter/loss.
   int suspicion_checks = 1;
-  /// Retry cap for RoleRequest/FlowMod retransmission; a message still
-  /// unacked after this many retries degrades instead of wedging the
-  /// wave. 0 disables retransmission entirely.
-  int max_retries = 5;
-  /// First retransmission fires at RTT-estimate + this margin; each
-  /// further retry multiplies the timeout by `retransmit_backoff`.
-  double retransmit_margin_ms = 60.0;
-  double retransmit_backoff = 2.0;
 };
 
 /// Lifecycle of one recovery wave through the shared store.

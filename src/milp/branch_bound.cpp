@@ -27,6 +27,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Relative optimality gap at which the search stops.
+constexpr double kGapTolerance = 1e-6;
+/// Tolerance for treating an LP value as integral.
+constexpr double kIntegralityTolerance = 1e-6;
+
 struct Node {
   /// Bound overrides relative to the root model: (var, lower, upper).
   std::vector<std::tuple<int, double, double>> bound_changes;
@@ -167,7 +172,7 @@ class BranchAndBound {
     if (!have_incumbent_) return false;
     const double gap = std::abs(bound - incumbent_value_) /
                        (1.0 + std::abs(incumbent_value_));
-    return gap <= options_.gap_tolerance;
+    return gap <= kGapTolerance;
   }
 
   Model apply_bounds(const Node& node) const {
@@ -225,14 +230,14 @@ class BranchAndBound {
 
   int most_fractional(const std::vector<double>& x) const {
     int best = -1;
-    double best_dist = options_.integrality_tolerance;
+    double best_dist = kIntegralityTolerance;
     for (int j = 0; j < model_.variable_count(); ++j) {
       if (model_.variable(j).type == VarType::kContinuous) continue;
       const double v = x[static_cast<std::size_t>(j)];
       const double dist = std::abs(v - std::round(v));
       const double frac_score = std::min(v - std::floor(v),
                                          std::ceil(v) - v);
-      if (dist > options_.integrality_tolerance && frac_score > best_dist) {
+      if (dist > kIntegralityTolerance && frac_score > best_dist) {
         best = j;
         best_dist = frac_score;
       }

@@ -26,10 +26,6 @@ namespace pm::milp {
 struct MipOptions {
   double time_limit_seconds = 60.0;
   long node_limit = 100000;
-  /// Relative optimality gap at which the search stops.
-  double gap_tolerance = 1e-6;
-  /// Tolerance for treating an LP value as integral.
-  double integrality_tolerance = 1e-6;
   /// Optional feasible starting solution (checked; ignored if infeasible).
   std::optional<std::vector<double>> warm_start;
   /// Run the presolve reductions (milp/presolve.hpp) before the search.

@@ -22,6 +22,9 @@ std::string to_string(LpStatus status) {
 
 namespace {
 
+/// Reduced-cost tolerance for pricing an entering variable.
+constexpr double kPricingTol = 1e-7;
+
 enum class VarState { kBasic, kAtLower, kAtUpper, kFreeAtZero };
 
 struct SparseEntry {
@@ -381,7 +384,7 @@ class Simplex {
       const bool bland = degenerate_run > 64;
       int entering = -1;
       int direction = 0;  // +1 = increase, -1 = decrease
-      double best_score = options_.tol;
+      double best_score = kPricingTol;
       const int total = static_cast<int>(cols_.size());
       for (int j = 0; j < total; ++j) {
         const VarState st = state_[static_cast<std::size_t>(j)];
@@ -396,11 +399,11 @@ class Simplex {
         }
         int dir = 0;
         if ((st == VarState::kAtLower || st == VarState::kFreeAtZero) &&
-            d < -options_.tol) {
+            d < -kPricingTol) {
           dir = +1;
         } else if ((st == VarState::kAtUpper ||
                     st == VarState::kFreeAtZero) &&
-                   d > options_.tol) {
+                   d > kPricingTol) {
           dir = -1;
         }
         if (dir == 0) continue;

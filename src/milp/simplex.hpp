@@ -45,7 +45,6 @@ namespace pm::milp {
 
 struct SimplexOptions {
   int max_iterations = 50000;  ///< across both phases.
-  double tol = 1e-7;           ///< feasibility/optimality tolerance.
   int refactor_every = 500;    ///< basis-inverse rebuild period.
 };
 

@@ -1,7 +1,6 @@
 #include "obs/obs.hpp"
 
 #include <fstream>
-#include <functional>
 
 namespace pm::obs {
 
@@ -30,25 +29,27 @@ std::optional<std::string> path_flag(util::CliArgs& args,
   return path;
 }
 
+}  // namespace
+
 bool write_file(const std::string& path,
                 const std::function<void(std::ostream&)>& body,
                 const char* what) {
   std::ofstream out(path);
+  if (out) {
+    body(out);
+    out.flush();
+  }
   if (!out) {
     log().error(std::string("cannot write ") + what + " to " + path);
     return false;
   }
-  body(out);
   log().info(std::string(what) + " written to " + path);
   return true;
 }
 
-}  // namespace
-
 ObsOptions parse_obs_flags(util::CliArgs& args) {
   set_level_from(args);
   ObsOptions o;
-  o.log_level = log().level();
   o.trace_out = path_flag(args, "trace-out");
   o.trace_jsonl = path_flag(args, "trace-jsonl");
   o.metrics_out = path_flag(args, "metrics-out");

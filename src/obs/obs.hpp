@@ -22,7 +22,9 @@
 // non-deterministic output and is never merged into the others.
 #pragma once
 
+#include <functional>
 #include <optional>
+#include <ostream>
 #include <string>
 
 #include "obs/log.hpp"
@@ -50,18 +52,15 @@ struct ObsOptions {
   std::optional<std::string> metrics_out;   ///< Prometheus text.
   std::optional<std::string> metrics_json;  ///< Metrics JSON.
   std::optional<std::string> profile_out;   ///< Wall-clock profile JSON.
-  LogLevel log_level = LogLevel::kInfo;
 
   bool tracing_requested() const {
     return trace_out.has_value() || trace_jsonl.has_value();
   }
-  bool metrics_requested() const {
-    return metrics_out.has_value() || metrics_json.has_value();
-  }
   /// Whether per-message (hot-path) instrumentation should be on: any
   /// trace or metrics sink was asked for.
   bool detailed_requested() const {
-    return tracing_requested() || metrics_requested();
+    return tracing_requested() || metrics_out.has_value() ||
+           metrics_json.has_value();
   }
 };
 
@@ -81,5 +80,12 @@ void write_outputs(const ObsOptions& options, const Context& ctx);
 
 /// Writes only the wall-clock profile (for benches with no Context).
 void write_profile(const ObsOptions& options);
+
+/// The one way a program writes an output file: runs `body` on a fresh
+/// stream for `path`. If the file cannot be opened or written, logs an
+/// error and returns false; otherwise logs "<what> written to <path>".
+bool write_file(const std::string& path,
+                const std::function<void(std::ostream&)>& body,
+                const char* what);
 
 }  // namespace pm::obs

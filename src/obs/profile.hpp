@@ -3,7 +3,7 @@
 // OBS_SPAN("pm.balancing") at the top of a scope records the scope's
 // wall-clock duration into the process-wide Profiler under that name
 // (count / total / min / max, plus the nesting depth it was observed
-// at). Instrumentation points live in the PM heuristic phases, Yen /
+// at). Instrumentation points live in the PM heuristic phases,
 // Dijkstra, the simplex and branch-and-bound, and the simulation
 // dispatch loop — the hot paths ROADMAP wants measured.
 //

@@ -4,6 +4,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/strings.hpp"
+
 namespace pm::sdwan {
 
 std::string FailureScenario::label(const Network& net) const {
@@ -14,6 +16,35 @@ std::string FailureScenario::label(const Network& net) const {
   }
   out += ")";
   return out;
+}
+
+FailureScenario FailureScenario::parse(const Network& net,
+                                       std::string_view nodes) {
+  auto reject = [&](const std::string& why) {
+    std::string valid;
+    for (ControllerId j = 0; j < net.controller_count(); ++j) {
+      if (j > 0) valid += ",";
+      valid += std::to_string(net.controller(j).location);
+    }
+    throw std::invalid_argument("bad failure '" + std::string(nodes) +
+                                "': " + why + " (controller nodes: " +
+                                valid + ")");
+  };
+  FailureScenario scenario;
+  for (const std::string& tok : util::split(nodes, ',')) {
+    long long node = 0;
+    if (!util::parse_int(tok, node)) reject("'" + tok + "' is not a node id");
+    ControllerId hit = -1;
+    for (ControllerId j = 0; j < net.controller_count(); ++j) {
+      if (net.controller(j).location == node) hit = j;
+    }
+    if (hit < 0) reject("node " + tok + " hosts no controller");
+    scenario.failed.push_back(hit);
+  }
+  auto& failed = scenario.failed;
+  std::sort(failed.begin(), failed.end());
+  failed.erase(std::unique(failed.begin(), failed.end()), failed.end());
+  return scenario;
 }
 
 std::vector<FailureScenario> enumerate_failures(const Network& net, int k) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sdwan/network.hpp"
@@ -21,6 +22,12 @@ struct FailureScenario {
   /// Human-readable label using the controllers' node names, e.g.
   /// "(13, 20)" for the paper's two-failure case notation.
   std::string label(const Network& net) const;
+
+  /// Inverse of label(): fails the controllers at the comma-separated
+  /// node ids in `nodes` (e.g. "13,20"). Throws std::invalid_argument,
+  /// naming the controller nodes, on a token that is not an integer or a
+  /// node that hosts no controller.
+  static FailureScenario parse(const Network& net, std::string_view nodes);
 };
 
 /// All C(controller_count, k) scenarios with exactly `k` failed

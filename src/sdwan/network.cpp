@@ -100,19 +100,10 @@ Network::Network(topo::Topology topology,
   };
 
   diversity_.resize(flows_.size());
-  beta_switches_.resize(flows_.size());
-  max_programmability_.assign(flows_.size(), 0);
   for (const Flow& f : flows_) {
     auto& div = diversity_[static_cast<std::size_t>(f.id)];
     div.reserve(f.path.size());
-    for (SwitchId s : f.path) {
-      const std::int64_t d = diversity_of(s, f.dst);
-      div.push_back(d);
-      if (d >= 2) {
-        beta_switches_[static_cast<std::size_t>(f.id)].push_back(s);
-        max_programmability_[static_cast<std::size_t>(f.id)] += d;
-      }
-    }
+    for (SwitchId s : f.path) div.push_back(diversity_of(s, f.dst));
   }
 }
 
@@ -167,16 +158,6 @@ std::int64_t Network::diversity(FlowId l, SwitchId i) const {
 std::span<const std::int64_t> Network::path_diversity(FlowId l) const {
   if (l < 0 || l >= flow_count()) throw std::out_of_range("flow id");
   return diversity_[static_cast<std::size_t>(l)];
-}
-
-const std::vector<SwitchId>& Network::programmable_switches(FlowId l) const {
-  if (l < 0 || l >= flow_count()) throw std::out_of_range("flow id");
-  return beta_switches_[static_cast<std::size_t>(l)];
-}
-
-std::int64_t Network::max_programmability(FlowId l) const {
-  if (l < 0 || l >= flow_count()) throw std::out_of_range("flow id");
-  return max_programmability_[static_cast<std::size_t>(l)];
 }
 
 }  // namespace pm::sdwan

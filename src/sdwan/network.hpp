@@ -109,13 +109,6 @@ class Network {
   /// two routes to the destination (diversity >= 2), per Sec. IV-A.
   bool beta(FlowId l, SwitchId i) const { return diversity(l, i) >= 2; }
 
-  /// The switches i on flow l's path with beta_i^l = 1, in path order.
-  const std::vector<SwitchId>& programmable_switches(FlowId l) const;
-
-  /// Total programmability of flow l if it were SDN-routed at every
-  /// beta-switch: sum of p_i^l (the flow-level upper bound).
-  std::int64_t max_programmability(FlowId l) const;
-
  private:
   topo::Topology topology_;
   NetworkConfig config_;
@@ -128,8 +121,6 @@ class Network {
   /// diversity_[l] maps path position -> p at that switch; aligned with
   /// flows_[l].path.
   std::vector<std::vector<std::int64_t>> diversity_;
-  std::vector<std::vector<SwitchId>> beta_switches_;
-  std::vector<std::int64_t> max_programmability_;
 };
 
 }  // namespace pm::sdwan

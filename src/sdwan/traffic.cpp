@@ -45,16 +45,6 @@ void apply_source_surge(TrafficMatrix& tm, const Network& net,
   }
 }
 
-void apply_dispersed_surge(TrafficMatrix& tm, double fraction,
-                           double factor) {
-  if (fraction <= 0.0) return;
-  const auto stride =
-      static_cast<std::size_t>(1.0 / std::min(fraction, 1.0));
-  for (std::size_t l = 0; l < tm.rate.size(); l += stride) {
-    tm.rate[l] *= factor;
-  }
-}
-
 LinkId make_link(SwitchId a, SwitchId b) {
   return a < b ? LinkId{a, b} : LinkId{b, a};
 }

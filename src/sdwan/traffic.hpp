@@ -37,11 +37,6 @@ TrafficMatrix gravity_traffic(const Network& net, double total_mbps);
 void apply_source_surge(TrafficMatrix& tm, const Network& net,
                         SwitchId source, double factor);
 
-/// Multiplies `fraction` of flows (every k-th by id) by `factor` — a
-/// dispersed surge. Deterministic.
-void apply_dispersed_surge(TrafficMatrix& tm, double fraction,
-                           double factor);
-
 /// An undirected link identified by its ordered endpoints (u < v).
 using LinkId = std::pair<SwitchId, SwitchId>;
 

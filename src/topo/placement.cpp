@@ -1,7 +1,6 @@
 #include "topo/placement.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -67,74 +66,6 @@ Domains k_center_domains(const Topology& topo, int k) {
       }
     }
     domains[nearest].push_back(v);
-  }
-  return domains;
-}
-
-Domains balanced_domains(const Topology& topo, int k, int slack) {
-  const int n = topo.node_count();
-  if (k < 1 || k > n) {
-    throw std::invalid_argument("k must be in [1, node_count]");
-  }
-  const auto sssp = all_sssp(topo);
-  const auto centers = k_center_seeds(sssp, n, k);
-  const std::size_t cap = static_cast<std::size_t>(
-      std::ceil(static_cast<double>(n) / k) + std::max(slack, 0));
-
-  Domains domains;
-  for (graph::NodeId c : centers) domains[c] = {c};
-
-  // Non-center nodes, closest-assignment-first so constrained nodes keep
-  // their nearest option.
-  struct Pending {
-    graph::NodeId node;
-    double best_delay;
-  };
-  std::vector<Pending> pending;
-  for (int v = 0; v < n; ++v) {
-    if (domains.contains(v)) continue;
-    double best = std::numeric_limits<double>::infinity();
-    for (graph::NodeId c : centers) {
-      best = std::min(best, sssp[static_cast<std::size_t>(c)]
-                                .dist[static_cast<std::size_t>(v)]);
-    }
-    pending.push_back({v, best});
-  }
-  std::sort(pending.begin(), pending.end(),
-            [](const Pending& a, const Pending& b) {
-              if (a.best_delay != b.best_delay) {
-                return a.best_delay < b.best_delay;
-              }
-              return a.node < b.node;
-            });
-  for (const Pending& p : pending) {
-    graph::NodeId chosen = -1;
-    double best = std::numeric_limits<double>::infinity();
-    for (graph::NodeId c : centers) {
-      if (domains.at(c).size() >= cap) continue;
-      const double d = sssp[static_cast<std::size_t>(c)]
-                           .dist[static_cast<std::size_t>(p.node)];
-      if (d < best) {
-        best = d;
-        chosen = c;
-      }
-    }
-    if (chosen < 0) {
-      // All domains at cap (possible only with tiny slack): fall back to
-      // the globally nearest center.
-      for (graph::NodeId c : centers) {
-        const double d = sssp[static_cast<std::size_t>(c)]
-                             .dist[static_cast<std::size_t>(p.node)];
-        if (d < best) {
-          best = d;
-          chosen = c;
-        }
-      }
-    }
-    domains.at(chosen).push_back(p.node);
-  }
-  for (auto& [c, members] : domains) {
-    std::sort(members.begin(), members.end());
   }
   return domains;
 }

@@ -2,13 +2,9 @@
 // needed by the custom-topology workflows and by the related-work RCP
 // experiments (Sec. VII-A cites reliable-controller-placement studies).
 //
-// Two deterministic strategies over graph propagation delays:
-//   * k_center_domains — greedy farthest-point: minimizes (2-approx) the
-//     worst switch-to-controller delay; the classic latency-driven
-//     placement.
-//   * balanced_domains — k-center seeds, then switches join the nearest
-//     controller whose domain is below the size cap, equalizing control
-//     load at a small delay cost.
+// k_center_domains is deterministic greedy farthest-point placement over
+// graph propagation delays: it minimizes (2-approx) the worst
+// switch-to-controller delay, the classic latency-driven placement.
 #pragma once
 
 #include <map>
@@ -23,9 +19,6 @@ using Domains = std::map<graph::NodeId, std::vector<graph::NodeId>>;
 /// Greedy k-center placement; returns controller node -> domain members.
 /// Throws std::invalid_argument unless 1 <= k <= node_count.
 Domains k_center_domains(const Topology& topo, int k);
-
-/// k-center seeds with a max domain size of ceil(n / k) + slack.
-Domains balanced_domains(const Topology& topo, int k, int slack = 1);
 
 /// The worst switch-to-controller shortest-path delay of a placement.
 double worst_case_delay_ms(const Topology& topo, const Domains& domains);

@@ -31,12 +31,4 @@ bool shutdown_requested() {
   return g_shutdown.load(std::memory_order_relaxed);
 }
 
-void request_shutdown() {
-  g_shutdown.store(true, std::memory_order_relaxed);
-}
-
-void reset_shutdown_flag_for_tests() {
-  g_shutdown.store(false, std::memory_order_relaxed);
-}
-
 }  // namespace pm::util

@@ -17,14 +17,7 @@ namespace pm::util {
 /// Idempotent; call once from main before entering the long loop.
 void install_shutdown_handler();
 
-/// True once a shutdown signal was received (or request_shutdown ran).
+/// True once a shutdown signal was received.
 bool shutdown_requested();
-
-/// Programmatic trigger — lets in-process harnesses and tests drive the
-/// same exit path a signal would.
-void request_shutdown();
-
-/// Clears the flag (tests only; real binaries never un-request).
-void reset_shutdown_flag_for_tests();
 
 }  // namespace pm::util

@@ -37,14 +37,6 @@ double mean(std::span<const double> sample) {
   return sum(sample) / static_cast<double>(sample.size());
 }
 
-double stddev(std::span<const double> sample) {
-  if (sample.size() < 2) return 0.0;
-  const double m = mean(sample);
-  double acc = 0.0;
-  for (double v : sample) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(sample.size() - 1));
-}
-
 double sum(std::span<const double> sample) {
   return std::accumulate(sample.begin(), sample.end(), 0.0);
 }
@@ -56,13 +48,6 @@ std::size_t bucket_index(std::span<const double> upper_bounds, double v) {
   const auto it =
       std::lower_bound(upper_bounds.begin(), upper_bounds.end(), v);
   return static_cast<std::size_t>(it - upper_bounds.begin());
-}
-
-std::vector<std::uint64_t> histogram_counts(
-    std::span<const double> sample, std::span<const double> upper_bounds) {
-  std::vector<std::uint64_t> counts(upper_bounds.size() + 1, 0);
-  for (double v : sample) ++counts[bucket_index(upper_bounds, v)];
-  return counts;
 }
 
 }  // namespace pm::util

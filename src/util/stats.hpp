@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -37,30 +36,13 @@ double quantile_sorted(std::span<const double> sorted, double q);
 
 double mean(std::span<const double> sample);
 
-/// Sample standard deviation (n-1 denominator); 0 for fewer than 2 points.
-double stddev(std::span<const double> sample);
-
 double sum(std::span<const double> sample);
 
 /// Index of the fixed-bucket histogram bucket holding `v`: the first i
 /// with v <= upper_bounds[i] (bounds ascending), or upper_bounds.size()
 /// for the implicit +Inf overflow bucket. NaN lands in the overflow
-/// bucket. The observability histograms (obs/metrics) and any offline
-/// bucketing share this rule so exports can never disagree.
+/// bucket. The observability histograms (obs/metrics) bucket by this
+/// rule.
 std::size_t bucket_index(std::span<const double> upper_bounds, double v);
-
-/// Per-bucket counts of `sample` against `upper_bounds`; the result has
-/// upper_bounds.size() + 1 entries, the last being the +Inf bucket.
-std::vector<std::uint64_t> histogram_counts(
-    std::span<const double> sample, std::span<const double> upper_bounds);
-
-/// Convenience: converts any numeric container to double for the stats API.
-template <typename Container>
-std::vector<double> to_doubles(const Container& c) {
-  std::vector<double> out;
-  out.reserve(std::size(c));
-  for (const auto& v : c) out.push_back(static_cast<double>(v));
-  return out;
-}
 
 }  // namespace pm::util

@@ -10,9 +10,6 @@ namespace pm::util {
 /// Splits `s` on `delim`, keeping empty fields.
 std::vector<std::string> split(std::string_view s, char delim);
 
-/// Splits on runs of whitespace, dropping empty fields.
-std::vector<std::string> split_ws(std::string_view s);
-
 std::string_view trim(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);

@@ -52,8 +52,7 @@ struct BruteResult {
   std::int64_t best_r = 0;
 };
 
-BruteResult brute_force_fmssm(const FailureState& state, double lambda,
-                              bool delay_constraint) {
+BruteResult brute_force_fmssm(const FailureState& state, double lambda) {
   const Network& net = state.network();
   const auto& switches = state.offline_switches();
   const auto& controllers = state.active_controllers();
@@ -105,9 +104,7 @@ BruteResult brute_force_fmssm(const FailureState& state, double lambda,
         h[o.flow] += o.p;
       }
       if (!ok) continue;
-      if (delay_constraint && delay > state.ideal_total_delay() + 1e-9) {
-        continue;
-      }
+      if (delay > state.ideal_total_delay() + 1e-9) continue;
       std::int64_t r = std::numeric_limits<std::int64_t>::max();
       std::int64_t total = 0;
       for (FlowId l : state.recoverable_flows()) {
@@ -557,8 +554,7 @@ TEST(Fmssm, OptimalMatchesBruteForceOnTinyInstances) {
   const auto result = milp::solve_mip(p.model, opts);
   ASSERT_EQ(result.status, milp::MipStatus::kOptimal);
 
-  const BruteResult brute =
-      brute_force_fmssm(state, p.lambda, /*delay_constraint=*/true);
+  const BruteResult brute = brute_force_fmssm(state, p.lambda);
   EXPECT_NEAR(result.objective, brute.objective, 1e-6)
       << "aggregated linearization must preserve the integer optimum";
 }
@@ -571,13 +567,23 @@ TEST(Fmssm, DelayConstraintOnlyRestricts) {
   const Network net(topo::ring_with_chords(6, 0, 12), domains, cfg);
   const FailureState state(net, {{1}});
   ASSERT_FALSE(state.recoverable_flows().empty());
-  const FmssmProblem with = build_fmssm(state, {.delay_constraint = true});
-  const FmssmProblem without =
-      build_fmssm(state, {.delay_constraint = false});
+  const FmssmProblem with = build_fmssm(state);
+  // The same model minus its last row, the delay budget (14).
+  milp::Model without;
+  without.set_objective_sense(with.model.objective_sense());
+  for (const milp::Variable& v : with.model.variables()) {
+    without.add_variable(v.name, v.lower, v.upper, v.objective, v.type);
+  }
+  const auto& rows = with.model.constraints();
+  ASSERT_EQ(rows.back().name, "delay");
+  for (std::size_t i = 0; i + 1 < rows.size(); ++i) {
+    without.add_constraint(rows[i].name, rows[i].terms, rows[i].sense,
+                           rows[i].rhs);
+  }
   milp::MipOptions opts;
   opts.time_limit_seconds = 30.0;
   const auto rw = milp::solve_mip(with.model, opts);
-  const auto ro = milp::solve_mip(without.model, opts);
+  const auto ro = milp::solve_mip(without, opts);
   ASSERT_TRUE(rw.has_solution());
   ASSERT_TRUE(ro.has_solution());
   EXPECT_LE(rw.objective, ro.objective + 1e-9);

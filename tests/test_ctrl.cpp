@@ -455,21 +455,18 @@ TEST(ControlPlaneTest, EveryRecoveredFlowGetsATimestamp) {
 }
 
 TEST(ControlPlaneTest, DetectionTimeoutShiftsEverything) {
-  // C13 and C20 crash together; each extra 100 ms of detection timeout
-  // moves detection and convergence by exactly 100 ms.
-  const std::vector<std::pair<double, double>> expected = {
-      {100.0, 600.0}, {200.0, 700.0}, {500.0, 1000.0}};
-  for (const auto& [timeout, detected] : expected) {
-    ctrl::ControllerConfig config;
-    config.detection_timeout_ms = timeout;
-    ControlSimulation simulation(att(), pm_policy(), config);
-    simulation.fail_controller_at(3, 500.0);
-    simulation.fail_controller_at(4, 500.0);
+  // C13 and C20 crash together; detection fires exactly one detection
+  // timeout after the crash, and convergence follows at a fixed offset.
+  for (const double crash : {400.0, 500.0, 800.0}) {
+    ControlSimulation simulation(att(), pm_policy());
+    simulation.fail_controller_at(3, crash);
+    simulation.fail_controller_at(4, crash);
     const SimulationReport report = simulation.run(5000.0);
-    ASSERT_TRUE(report.detected_at.has_value()) << timeout;
-    ASSERT_TRUE(report.converged_at.has_value()) << timeout;
-    EXPECT_NEAR(*report.detected_at, detected, 1e-9) << timeout;
-    EXPECT_NEAR(*report.converged_at, detected + 22.288, 1e-3) << timeout;
+    const double detected = crash + ctrl::kDetectionTimeoutMs;
+    ASSERT_TRUE(report.detected_at.has_value()) << crash;
+    ASSERT_TRUE(report.converged_at.has_value()) << crash;
+    EXPECT_NEAR(*report.detected_at, detected, 1e-9) << crash;
+    EXPECT_NEAR(*report.converged_at, detected + 22.288, 1e-3) << crash;
   }
 }
 

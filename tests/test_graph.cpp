@@ -5,7 +5,6 @@
 #include <random>
 
 #include "graph/graph.hpp"
-#include "graph/k_shortest.hpp"
 #include "graph/path_count.hpp"
 #include "graph/shortest_path.hpp"
 
@@ -272,67 +271,6 @@ TEST(PathCount, PolicyDispatch) {
   EXPECT_EQ(path_diversity(g, 0, 3, o), 1);  // unit weights: direct hop
   o.policy = PathCountPolicy::kNextHopCount;
   EXPECT_EQ(path_diversity(g, 0, 3, o), 3);
-}
-
-// ---------------------------------------------------------------------
-// k shortest paths
-// ---------------------------------------------------------------------
-
-TEST(KShortest, DiamondOrder) {
-  Graph g = diamond();
-  const auto paths = k_shortest_paths(g, 0, 3, 5);
-  ASSERT_EQ(paths.size(), 3u);
-  EXPECT_DOUBLE_EQ(path_length(g, paths[0]), 2.0);
-  EXPECT_DOUBLE_EQ(path_length(g, paths[1]), 2.0);
-  EXPECT_DOUBLE_EQ(path_length(g, paths[2]), 3.0);
-  EXPECT_EQ(paths[2], (std::vector<NodeId>{0, 3}));
-}
-
-TEST(KShortest, Degenerate) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_TRUE(k_shortest_paths(g, 0, 2, 3).empty());  // unreachable
-  EXPECT_TRUE(k_shortest_paths(g, 0, 1, 0).empty());  // k = 0
-  const auto self = k_shortest_paths(g, 0, 0, 2);
-  ASSERT_EQ(self.size(), 1u);
-  EXPECT_EQ(self[0], std::vector<NodeId>{0});
-}
-
-class KShortestRandom : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(KShortestRandom, SortedLooplessAndDistinct) {
-  const Graph g = random_graph(9, 0.3, GetParam());
-  const auto paths = k_shortest_paths(g, 0, g.node_count() - 1, 6);
-  ASSERT_FALSE(paths.empty());
-  double prev = 0.0;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const double len = path_length(g, paths[i]);
-    EXPECT_GE(len + 1e-12, prev);
-    prev = len;
-    // loopless
-    auto sorted = paths[i];
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
-              sorted.end());
-    // distinct
-    for (std::size_t j = i + 1; j < paths.size(); ++j) {
-      EXPECT_NE(paths[i], paths[j]);
-    }
-  }
-  // First path must be THE shortest path.
-  EXPECT_NEAR(path_length(g, paths[0]),
-              brute_force_distance(g, 0, g.node_count() - 1), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, KShortestRandom,
-                         ::testing::Values(21, 22, 23, 24, 25, 26));
-
-TEST(KShortest, FindsAllSimplePathsWhenKIsLarge) {
-  Graph g = diamond();
-  // The diamond has exactly 3 simple 0->3 paths... plus 0-1-3/0-2-3 via
-  // the chord? No: simple paths 0->3 are {0-3, 0-1-3, 0-2-3} only.
-  const auto paths = k_shortest_paths(g, 0, 3, 100);
-  EXPECT_EQ(paths.size(), 3u);
 }
 
 }  // namespace

@@ -37,7 +37,6 @@ TEST(Placement, KCenterValidatesK) {
   const Topology topo = att_topology();
   EXPECT_THROW(k_center_domains(topo, 0), std::invalid_argument);
   EXPECT_THROW(k_center_domains(topo, 26), std::invalid_argument);
-  EXPECT_THROW(balanced_domains(topo, 0), std::invalid_argument);
 }
 
 TEST(Placement, MoreControllersNeverWorsenWorstDelay) {
@@ -69,37 +68,6 @@ TEST(Placement, NodesJoinNearestCenter) {
       }
     }
   }
-}
-
-TEST(Placement, BalancedDomainsRespectCap) {
-  const Topology topo = att_topology();
-  const int k = 5;
-  const int slack = 1;
-  const Domains domains = balanced_domains(topo, k, slack);
-  expect_partition(topo, domains, k);
-  const std::size_t cap =
-      static_cast<std::size_t>((topo.node_count() + k - 1) / k + slack);
-  for (const auto& [c, members] : domains) {
-    (void)c;
-    EXPECT_LE(members.size(), cap);
-  }
-}
-
-TEST(Placement, BalancedTradesDelayForBalance) {
-  const Topology topo = att_topology();
-  const Domains centered = k_center_domains(topo, 4);
-  const Domains balanced = balanced_domains(topo, 4, 0);
-  std::size_t max_centered = 0;
-  std::size_t max_balanced = 0;
-  for (const auto& [c, m] : centered) {
-    (void)c;
-    max_centered = std::max(max_centered, m.size());
-  }
-  for (const auto& [c, m] : balanced) {
-    (void)c;
-    max_balanced = std::max(max_balanced, m.size());
-  }
-  EXPECT_LE(max_balanced, max_centered);
 }
 
 TEST(Placement, WorksOnGeneratedTopologies) {

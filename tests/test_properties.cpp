@@ -89,7 +89,7 @@ TEST(FmssmProperties, LambdaOverrideRespected) {
   const sdwan::Network net = core::make_att_network();
   const sdwan::FailureState state(net, {{4}});
   const core::FmssmProblem p =
-      core::build_fmssm(state, {.lambda = 0.125, .delay_constraint = true});
+      core::build_fmssm(state, {.lambda = 0.125});
   EXPECT_DOUBLE_EQ(p.lambda, 0.125);
   // Every w variable's objective coefficient is lambda * p.
   for (const auto& [key, var] : p.w_var) {
@@ -104,10 +104,15 @@ TEST(FmssmProperties, LambdaOverrideRespected) {
 TEST(FmssmProperties, DelayConstraintPresenceControlsRowCount) {
   const sdwan::Network net = core::make_att_network();
   const sdwan::FailureState state(net, {{4}});
-  const auto with = core::build_fmssm(state, {.delay_constraint = true});
-  const auto without = core::build_fmssm(state, {.delay_constraint = false});
-  EXPECT_EQ(with.model.constraint_count(),
-            without.model.constraint_count() + 1);
+  // Eq. (14) is the last row: one term per w variable, capped at the
+  // ideal total delay.
+  const auto p = core::build_fmssm(state);
+  const milp::Constraint& delay =
+      p.model.constraint(p.model.constraint_count() - 1);
+  EXPECT_EQ(delay.name, "delay");
+  EXPECT_EQ(delay.sense, milp::Sense::kLe);
+  EXPECT_DOUBLE_EQ(delay.rhs, state.ideal_total_delay());
+  EXPECT_EQ(delay.terms.size(), p.w_var.size());
 }
 
 // ---------------------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "graph/shortest_path.hpp"
 
@@ -166,17 +168,9 @@ TEST(Network, DiversityAndBeta) {
         EXPECT_EQ(net.diversity(f.id, s), 0);
       }
     }
-    // beta <=> diversity >= 2; programmable_switches consistent.
-    std::int64_t max_pro = 0;
+    // beta <=> diversity >= 2.
     for (SwitchId s : f.path) {
-      if (net.beta(f.id, s)) {
-        EXPECT_GE(net.diversity(f.id, s), 2);
-        max_pro += net.diversity(f.id, s);
-      }
-    }
-    EXPECT_EQ(net.max_programmability(f.id), max_pro);
-    for (SwitchId s : net.programmable_switches(f.id)) {
-      EXPECT_TRUE(net.beta(f.id, s));
+      EXPECT_EQ(net.beta(f.id, s), net.diversity(f.id, s) >= 2);
     }
   }
 }
@@ -231,6 +225,25 @@ TEST(Failure, RestCapacityClampedAndLabeled) {
   EXPECT_DOUBLE_EQ(st.rest_capacity(1), 0.0);  // clamped at zero
   EXPECT_THROW(st.rest_capacity(0), std::invalid_argument);
   EXPECT_EQ(st.scenario().label(net), "(0)");
+}
+
+TEST(Failure, ParseInvertsLabel) {
+  const auto net = core::make_att_network();
+  EXPECT_EQ(FailureScenario::parse(net, "13,20").label(net), "(13, 20)");
+  EXPECT_EQ(FailureScenario::parse(net, "20,13").failed,
+            FailureScenario::parse(net, "13,20").failed);
+  // Node 21 hosts no controller; "x" is not a node id. Both name the
+  // controller nodes.
+  for (const char* bad : {"13,21", "x"}) {
+    try {
+      FailureScenario::parse(net, bad);
+      ADD_FAILURE() << bad << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("2,5,6,13,20,22"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Failure, RejectsBadScenarios) {

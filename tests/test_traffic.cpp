@@ -52,16 +52,6 @@ TEST(Traffic, SourceSurgeOnlyHitsThatSource) {
   }
 }
 
-TEST(Traffic, DispersedSurge) {
-  auto tm = sdwan::uniform_traffic(att(), 1.0);
-  sdwan::apply_dispersed_surge(tm, 0.25, 3.0);
-  int surged = 0;
-  for (double r : tm.rate) {
-    if (r == 3.0) ++surged;
-  }
-  EXPECT_EQ(surged, 150);  // every 4th of 600
-}
-
 // ---------------------------------------------------------------------
 // Link loads
 // ---------------------------------------------------------------------
