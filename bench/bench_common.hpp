@@ -164,6 +164,21 @@ inline bool maybe_write_csv(const BenchOptions& options,
       "csv");
 }
 
+/// Logs every constraint violation in the sweep's plans. True if there
+/// was any, so the bench can exit non-zero on an invalid plan.
+inline bool report_violations(const std::vector<core::CaseResult>& results) {
+  bool any = false;
+  for (const auto& r : results) {
+    for (const auto& [algo, violations] : r.violations) {
+      for (const auto& v : violations) {
+        obs::log().error("INVALID PLAN " + r.label + "/" + algo + ": " + v);
+        any = true;
+      }
+    }
+  }
+  return any;
+}
+
 /// Prints the standard sub-figure tables shared by Figs. 4, 5 and 6.
 /// `fig` is e.g. "Fig. 5" and `subfigs` selects which panels exist.
 inline void print_failure_figure(const std::string& fig,

@@ -22,13 +22,7 @@ int main(int argc, char** argv) {
   std::cout << "=== Fig. 5: two controller failures (15 cases) ===\n";
   const auto results = core::run_failure_sweep(net, 2, options.runner());
 
-  for (const auto& r : results) {
-    for (const auto& [algo, violations] : r.violations) {
-      for (const auto& v : violations) {
-        obs::log().error("INVALID PLAN " + r.label + "/" + algo + ": " + v);
-      }
-    }
-  }
+  const bool invalid = bench::report_violations(results);
 
   bench::print_failure_figure("Fig. 5", results,
                               /*with_switch_counts=*/true,
@@ -47,5 +41,5 @@ int main(int argc, char** argv) {
   }
   if (!bench::maybe_write_csv(options, "fig5", results)) return 1;
   obs::write_profile(options.obs);
-  return 0;
+  return invalid ? 1 : 0;
 }

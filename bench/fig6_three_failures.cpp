@@ -21,13 +21,7 @@ int main(int argc, char** argv) {
   std::cout << "=== Fig. 6: three controller failures (20 cases) ===\n";
   const auto results = core::run_failure_sweep(net, 3, options.runner());
 
-  for (const auto& r : results) {
-    for (const auto& [algo, violations] : r.violations) {
-      for (const auto& v : violations) {
-        obs::log().error("INVALID PLAN " + r.label + "/" + algo + ": " + v);
-      }
-    }
-  }
+  const bool invalid = bench::report_violations(results);
 
   bench::print_failure_figure("Fig. 6", results,
                               /*with_switch_counts=*/true,
@@ -48,5 +42,5 @@ int main(int argc, char** argv) {
   }
   if (!bench::maybe_write_csv(options, "fig6", results)) return 1;
   obs::write_profile(options.obs);
-  return 0;
+  return invalid ? 1 : 0;
 }

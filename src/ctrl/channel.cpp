@@ -157,7 +157,7 @@ void ControlChannel::dispatch(Message m, double extra_latency_ms) {
 
   // Fault-injected path. Draw order is fixed (partition, drop, delay,
   // duplicate) so a given seed replays the identical fault sequence.
-  if (faults_->partitioned(m.from, m.to, queue_->now(), kind)) {
+  if (faults_->partitioned(m.from, m.to, queue_->now())) {
     if (tracing) {
       auto args = message_args(m, kind);
       args.emplace_back("reason", "partition");
@@ -166,7 +166,7 @@ void ControlChannel::dispatch(Message m, double extra_latency_ms) {
     }
     return;
   }
-  if (faults_->drop(kind)) {
+  if (faults_->drop()) {
     if (tracing) {
       auto args = message_args(m, kind);
       args.emplace_back("reason", "fault-injected");
@@ -175,10 +175,10 @@ void ControlChannel::dispatch(Message m, double extra_latency_ms) {
     }
     return;
   }
-  const double jittered = base_delay + faults_->extra_delay(kind);
-  const bool dup = faults_->duplicate(kind);
+  const double jittered = base_delay + faults_->extra_delay();
+  const bool dup = faults_->duplicate();
   if (dup) {
-    deliver_in(base_delay + faults_->extra_delay(kind), m);
+    deliver_in(base_delay + faults_->extra_delay(), m);
   }
   deliver_in(jittered, std::move(m));
 }

@@ -37,7 +37,6 @@ ControllerNode::ControllerNode(const sdwan::Network& net,
     shared.role_pending.resize(switches, 0);
     shared.wave_masters.resize(switches, -1);
   }
-  if (shared.slices.size() < controllers) shared.slices.resize(controllers);
   last_heard_.assign(controllers, 0.0);
   miss_counts_.assign(controllers, 0);
   role_retries_.resize(switches);
@@ -183,11 +182,8 @@ void ControllerNode::run_recovery() {
   shared_->pending_acks = 0;
   shared_->wave_first_xid = shared_->next_xid;
   std::fill(shared_->role_pending.begin(), shared_->role_pending.end(), 0);
-  shared_->pending_roles = 0;
-  shared_->wave_active = true;
   shared_->wave_started_at = now;
   shared_->phase = WavePhase::kPreparing;
-  std::fill(shared_->slices.begin(), shared_->slices.end(), AdopterSlice{});
   std::fill(shared_->wave_masters.begin(), shared_->wave_masters.end(), -1);
   shared_->rolled_back_flows.clear();
   shared_->pending_removals.clear();
@@ -289,7 +285,6 @@ void ControllerNode::adopt_switch(sdwan::SwitchId sw) {
   role.to = switch_endpoint(sw);
   role.body = RoleRequest{id_, shared_->wave_epoch};
   role.seq = channel_->send(role);
-  // A dead master's slice no longer waits on this switch's role reply.
   track_role(sw, id_);
   arm_role_retry(sw, std::move(role));
 }
@@ -297,18 +292,8 @@ void ControllerNode::adopt_switch(sdwan::SwitchId sw) {
 void ControllerNode::track_role(sdwan::SwitchId sw,
                                 sdwan::ControllerId adopter) {
   const auto s = static_cast<std::size_t>(sw);
-  if (shared_->role_pending[s] != 0) {
-    // Re-adoption: the reply is now owed to the new master's slice.
-    const auto prev = static_cast<std::size_t>(shared_->wave_masters[s]);
-    --shared_->slices[prev].pending_roles;
-  } else {
-    shared_->role_pending[s] = 1;
-    ++shared_->pending_roles;
-  }
+  shared_->role_pending[s] = 1;
   shared_->wave_masters[s] = adopter;
-  AdopterSlice& slice = shared_->slices[static_cast<std::size_t>(adopter)];
-  slice.active = true;
-  ++slice.pending_roles;
 }
 
 void ControllerNode::track_mod(std::uint64_t xid, const ModRecord& record) {
@@ -317,10 +302,6 @@ void ControllerNode::track_mod(std::uint64_t xid, const ModRecord& record) {
   r = record;
   r.pending = true;
   ++shared_->pending_acks;
-  AdopterSlice& slice =
-      shared_->slices[static_cast<std::size_t>(record.adopter)];
-  slice.active = true;
-  ++slice.pending_acks;
 }
 
 void ControllerNode::clear_pending_ack(std::uint64_t xid) {
@@ -329,16 +310,6 @@ void ControllerNode::clear_pending_ack(std::uint64_t xid) {
   if (!r.pending) return;
   r.pending = false;
   --shared_->pending_acks;
-  --shared_->slices[static_cast<std::size_t>(r.adopter)].pending_acks;
-}
-
-void ControllerNode::clear_pending_role(sdwan::SwitchId sw) {
-  const auto s = static_cast<std::size_t>(sw);
-  if (shared_->role_pending[s] == 0) return;
-  shared_->role_pending[s] = 0;
-  --shared_->pending_roles;
-  const auto master = static_cast<std::size_t>(shared_->wave_masters[s]);
-  --shared_->slices[master].pending_roles;
 }
 
 void ControllerNode::send_rollback_remove(sdwan::SwitchId sw,
@@ -393,7 +364,6 @@ void ControllerNode::roll_back_flow(sdwan::FlowId flow) {
   }
   for (const std::uint64_t xid : cancelled) {
     clear_pending_ack(xid);
-    slice_ack_done(xid);
     if (const Retry* retry = find_mod_retry(xid)) {
       queue_->cancel(retry->timer);
       end_mod_retry(xid);
@@ -414,37 +384,6 @@ void ControllerNode::roll_back_flow(sdwan::FlowId flow) {
         {{"flow", static_cast<int>(flow)},
          {"cancelled_installs", static_cast<std::int64_t>(cancelled.size())},
          {"removed_entries", static_cast<std::int64_t>(to_remove.size())}});
-  }
-}
-
-void ControllerNode::slice_role_done(sdwan::SwitchId sw) {
-  const sdwan::ControllerId master =
-      shared_->wave_masters[static_cast<std::size_t>(sw)];
-  if (master >= 0) maybe_mark_slice_prepared(master);
-}
-
-void ControllerNode::slice_ack_done(std::uint64_t xid) {
-  if (xid < shared_->xid_mods.size() &&
-      shared_->xid_mods[xid].adopter >= 0) {
-    maybe_mark_slice_prepared(shared_->xid_mods[xid].adopter);
-  }
-}
-
-void ControllerNode::maybe_mark_slice_prepared(
-    sdwan::ControllerId adopter) {
-  AdopterSlice& slice = shared_->slices[static_cast<std::size_t>(adopter)];
-  if (!slice.active || slice.prepared || slice.pending_acks > 0 ||
-      slice.pending_roles > 0) {
-    return;
-  }
-  slice.prepared = true;
-  if (obs::Context* obs = channel_->observability();
-      obs != nullptr && obs->tracer.enabled()) {
-    obs->tracer.instant(
-        queue_->now(), "wave", "slice.prepared",
-        tracks::controller(adopter),
-        {{"adopter", static_cast<int>(adopter)},
-         {"epoch", static_cast<std::int64_t>(shared_->wave_epoch)}});
   }
 }
 
@@ -526,7 +465,6 @@ void ControllerNode::on_mod_timer(std::uint64_t xid) {
     // Give up: the flow degrades to legacy forwarding instead of wedging
     // the wave; the audit reports it.
     clear_pending_ack(xid);
-    slice_ack_done(xid);
     const ModRecord rec = shared_->xid_mods[xid];
     if (rec.adopter >= 0) {
       shared_->degraded_flows.insert(rec.flow);
@@ -574,9 +512,8 @@ void ControllerNode::on_role_timer(sdwan::SwitchId sw) {
   }
   if (r.attempts >= kMaxRetries ||
       !channel_->is_attached(r.msg.from)) {
-    clear_pending_role(sw);
+    shared_->role_pending[static_cast<std::size_t>(sw)] = 0;
     shared_->degraded_switches.insert(sw);
-    slice_role_done(sw);
     if (obs::Context* obs = channel_->observability();
         obs != nullptr && obs->tracer.enabled()) {
       obs->tracer.instant(queue_->now(), "wave", "degrade.switch",
@@ -610,12 +547,10 @@ void ControllerNode::clear_retries() {
 }
 
 void ControllerNode::maybe_mark_converged() {
-  if (shared_->wave_active && shared_->pending_acks == 0 &&
-      shared_->converged_at < 0) {
+  if (shared_->phase == WavePhase::kPreparing && shared_->pending_acks == 0) {
     shared_->converged_at = queue_->now();
     // Commit: the last ack landed, the distributed plan is now the data
-    // plane's truth. (Per-adopter slices prepared earlier; the wave-level
-    // commit is the instant the final slice drains.)
+    // plane's truth. RoleReplies do not gate the commit.
     shared_->phase = WavePhase::kCommitted;
     shared_->committed_epoch = shared_->wave_epoch;
     if (shared_->last_plan) shared_->committed_plan = shared_->last_plan;
@@ -713,7 +648,6 @@ void ControllerNode::on_message(const Message& m) {
           shared_->degraded_flows.erase(rec.flow);
         }
       }
-      slice_ack_done(ack->xid);
     }
     maybe_mark_converged();
     return;
@@ -725,11 +659,11 @@ void ControllerNode::on_message(const Message& m) {
       ++shared_->stale_discarded;
       return;
     }
-    const bool first =
-        shared_->role_pending[static_cast<std::size_t>(reply->sw)] != 0;
-    clear_pending_role(reply->sw);
+    char& pending =
+        shared_->role_pending[static_cast<std::size_t>(reply->sw)];
+    const bool first = pending != 0;
+    pending = 0;
     shared_->degraded_switches.erase(reply->sw);
-    slice_role_done(reply->sw);
     if (first) {
       // Handover resync: the switch reported its installed entries. Any
       // entry from an earlier epoch was installed by a master that may

@@ -93,19 +93,6 @@ enum class WavePhase {
   kAborted,    ///< superseded mid-prepare (new failure / coordinator death)
 };
 
-/// Outstanding work one adopting controller owes the current wave. The
-/// wave "prepares" per adopter; a slice whose counts drain is prepared,
-/// and the wave commits when every slice is.
-struct AdopterSlice {
-  /// Whether the current wave has given this controller any work.
-  bool active = false;
-  /// Switches whose RoleRequest (sent by this adopter) awaits a reply.
-  std::size_t pending_roles = 0;
-  /// FlowMods (sent by this adopter) whose ack is outstanding.
-  std::size_t pending_acks = 0;
-  bool prepared = false;
-};
-
 /// What one outstanding (or completed) FlowMod was for.
 struct ModRecord {
   sdwan::FlowId flow = -1;
@@ -127,20 +114,18 @@ using InstalledEntries =
 /// plus the cumulative degradation record of messages that exhausted
 /// their retries.
 ///
-/// The per-wave bookkeeping is dense: xid-, switch- and
-/// controller-indexed vectors sized by ControllerNode (xid_mods grows
-/// with next_xid), with counts kept beside the pending flags.
+/// The per-wave bookkeeping is dense: xid- and switch-indexed vectors
+/// sized by ControllerNode (xid_mods grows with next_xid). The wave
+/// commits when the ack count kept beside the pending flags drains.
 struct SharedRecoveryState {
   /// Acks outstanding in the current wave: xid_mods[x].pending set.
   std::size_t pending_acks = 0;
   /// Switch-indexed: the switch's RoleRequest awaits its reply.
   std::vector<char> role_pending;
-  std::size_t pending_roles = 0;
   std::uint64_t next_xid = 1;
   /// First xid of the current wave; every pending ack is at or above it.
   std::uint64_t wave_first_xid = 1;
   double converged_at = -1.0;
-  bool wave_active = false;
   /// When the current wave's distribution began (simulated clock); feeds
   /// the wave-convergence histogram and the trace's wave span.
   double wave_started_at = -1.0;
@@ -163,8 +148,6 @@ struct SharedRecoveryState {
   WavePhase phase = WavePhase::kIdle;
   /// Controller coordinating the current/last wave.
   sdwan::ControllerId coordinator = -1;
-  /// Controller-indexed outstanding work of the current wave.
-  std::vector<AdopterSlice> slices;
   /// Acked installs the control plane believes are in the data plane,
   /// in (switch, flow) order. Removal acks erase; this is the rollback
   /// worklist when a plan drops assignments or a flow degrades.
@@ -285,18 +268,12 @@ class ControllerNode {
   /// epoch, tracked and retransmitted like the plan's own.
   void adopt_switch(sdwan::SwitchId sw);
   /// Record a RoleRequest to `sw` from `adopter` as pending in the
-  /// current wave, in the switch's and the adopter's books.
+  /// current wave and make `adopter` the switch's wave master.
   void track_role(sdwan::SwitchId sw, sdwan::ControllerId adopter);
   /// Record a FlowMod as pending in the current wave.
   void track_mod(std::uint64_t xid, const ModRecord& record);
-  /// Clear a pending ack/role (no-op if not pending), counts included.
+  /// Clear a pending ack (no-op if not pending), count included.
   void clear_pending_ack(std::uint64_t xid);
-  void clear_pending_role(sdwan::SwitchId sw);
-  /// Re-check completed work's adopter slice; a drained slice is marked
-  /// prepared (traced).
-  void slice_role_done(sdwan::SwitchId sw);
-  void slice_ack_done(std::uint64_t xid);
-  void maybe_mark_slice_prepared(sdwan::ControllerId adopter);
   void arm_mod_retry(std::uint64_t xid, Message msg, double extra);
   void arm_role_retry(sdwan::SwitchId sw, Message msg);
   /// First entry of mod_retries_ whose xid is not below `xid`.

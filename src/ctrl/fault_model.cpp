@@ -13,45 +13,40 @@ bool PartitionWindow::cuts(EndpointId x, EndpointId y,
 }
 
 bool FaultInjector::partitioned(EndpointId from, EndpointId to,
-                                double now_ms, const std::string& kind) {
+                                double now_ms) {
   for (const auto& w : model_.partitions) {
     if (w.cuts(from, to, now_ms)) {
       ++stats_.partition_drops;
-      ++stats_.by_kind[kind].partition_drops;
       return true;
     }
   }
   return false;
 }
 
-bool FaultInjector::drop(const std::string& kind) {
+bool FaultInjector::drop() {
   if (model_.drop_probability <= 0.0) return false;
   if (uniform() >= model_.drop_probability) return false;
   ++stats_.injected_drops;
-  ++stats_.by_kind[kind].drops;
   return true;
 }
 
-double FaultInjector::extra_delay(const std::string& kind) {
+double FaultInjector::extra_delay() {
   double extra = 0.0;
   if (model_.jitter_ms > 0.0) {
     extra += uniform() * model_.jitter_ms;
-    stats_.total_jitter_ms += extra;
   }
   if (model_.reorder_probability > 0.0 &&
       uniform() < model_.reorder_probability) {
     extra += model_.reorder_delay_ms;
     ++stats_.reordered;
-    ++stats_.by_kind[kind].reordered;
   }
   return extra;
 }
 
-bool FaultInjector::duplicate(const std::string& kind) {
+bool FaultInjector::duplicate() {
   if (model_.duplicate_probability <= 0.0) return false;
   if (uniform() >= model_.duplicate_probability) return false;
   ++stats_.injected_duplicates;
-  ++stats_.by_kind[kind].duplicates;
   return true;
 }
 

@@ -11,9 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <random>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "ctrl/messages.hpp"
@@ -58,21 +57,11 @@ struct ChannelFaultModel {
   }
 };
 
-/// Per-message-kind fault counters ("heartbeat", "flow-mod", ...).
-struct FaultKindStats {
-  std::uint64_t drops = 0;
-  std::uint64_t duplicates = 0;
-  std::uint64_t reordered = 0;
-  std::uint64_t partition_drops = 0;
-};
-
 struct FaultStats {
   std::uint64_t injected_drops = 0;
   std::uint64_t injected_duplicates = 0;
   std::uint64_t reordered = 0;
   std::uint64_t partition_drops = 0;
-  double total_jitter_ms = 0.0;
-  std::map<std::string, FaultKindStats> by_kind;
 };
 
 /// The seeded draw engine the channel consults on every send. Kept
@@ -87,18 +76,17 @@ class FaultInjector {
   const FaultStats& stats() const { return stats_; }
 
   /// True if a partition window cuts (from, to) at `now_ms`; counted.
-  bool partitioned(EndpointId from, EndpointId to, double now_ms,
-                   const std::string& kind);
+  bool partitioned(EndpointId from, EndpointId to, double now_ms);
 
   /// True if this message should be lost; counted.
-  bool drop(const std::string& kind);
+  bool drop();
 
   /// Extra delivery delay for this message (jitter + possible reorder
   /// hold-back); counted.
-  double extra_delay(const std::string& kind);
+  double extra_delay();
 
   /// True if a duplicate copy should also be delivered; counted.
-  bool duplicate(const std::string& kind);
+  bool duplicate();
 
  private:
   double uniform() { return uni_(rng_); }

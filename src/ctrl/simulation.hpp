@@ -91,10 +91,10 @@ class ControlSimulation {
 
   /// Runs the clock until `until_ms` and produces the report.
   ///
-  /// The report is a *view over the metrics registry*: run() first
-  /// publishes every counter into observability().metrics, then reads
-  /// the report fields back out of the registry — so the report and any
-  /// exported metrics file can never disagree.
+  /// run() builds the report once from the channel, the agents, the
+  /// shared store and one audit(), then writes observability().metrics
+  /// from it — so the report and any exported metrics file can never
+  /// disagree.
   SimulationReport run(double until_ms);
 
   /// The simulation-owned observability context. Enable the tracer
@@ -121,16 +121,15 @@ class ControlSimulation {
 
   /// Post-run consistency audit (recomputed on call): checks the data
   /// plane + agents against the committed plan and epoch. run() also
-  /// performs it and publishes the result as metrics.
+  /// performs it and reports the result.
   AuditReport audit() const;
 
  private:
-  /// Publishes channel/controller/queue counters and the data-plane
-  /// audit into the metrics registry (counters monotonic, gauges
-  /// overwritten).
-  void publish_metrics();
-  /// Builds the report purely from registry values.
-  SimulationReport report_from_metrics() const;
+  SimulationReport make_report(const AuditReport& audit_report) const;
+  /// Writes the report, plus the series it does not carry, into the
+  /// metrics registry (counters monotonic, gauges overwritten).
+  void write_metrics(const SimulationReport& report,
+                     const AuditReport& audit_report);
 
   const sdwan::Network* net_;
   obs::Context obs_;

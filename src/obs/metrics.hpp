@@ -104,7 +104,7 @@ class MetricsRegistry {
   double gauge_value(const std::string& name,
                      const Labels& labels = {}) const;
   /// Values of `label_key` -> counter value, over every series named
-  /// `name`. Lets reports re-express per-kind counter maps as a view.
+  /// `name`.
   std::map<std::string, std::uint64_t> counters_by_label(
       const std::string& name, const std::string& label_key) const;
 

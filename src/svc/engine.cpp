@@ -8,6 +8,7 @@
 #include "core/pm_algorithm.hpp"
 #include "core/retroflow.hpp"
 #include "core/serialize.hpp"
+#include "graph/graph.hpp"
 
 namespace pm::svc {
 
@@ -49,9 +50,6 @@ Engine::Engine(sdwan::Network network, EngineConfig config)
     : network_(std::move(network)),
       config_(config),
       cache_(config.cache_bytes, &metrics_),
-      legacy_tables_(
-          sdwan::compute_legacy_tables(network_.topology().graph())),
-      diversity_cache_(network_.config().path_count),
       solves_(metrics_.counter("svc_solves_total",
                                "solve requests computed (cache misses)")),
       errors_(metrics_.counter("svc_errors_total",
@@ -64,11 +62,10 @@ Engine::Engine(sdwan::Network network, EngineConfig config)
           "failure states reused across overlapping requests")),
       state_misses_(metrics_.counter("svc_state_cache_misses_total",
                                      "failure states built from scratch")) {
-  // Warm the resident diversity cache with every per-destination
-  // distance vector and record the diameter for the health payload.
+  // The diameter, for the health payload.
   const graph::Graph& g = network_.topology().graph();
   for (graph::NodeId dst = 0; dst < g.node_count(); ++dst) {
-    for (const int hops : diversity_cache_.distances(g, dst)) {
+    for (const int hops : graph::hop_distances(g, dst)) {
       diameter_hops_ = std::max(diameter_hops_, hops);
     }
   }

@@ -4,9 +4,8 @@
 // flows, OSPF tables, beta/p programmability — before answering a single
 // "what if these controllers die" question. The Engine inverts that
 // shape for online serving: it pays model construction once, keeps the
-// sdwan::Network, the legacy (OSPF) routing tables and a
-// graph::DiversityCache resident, and then answers a stream of solve
-// requests over that state:
+// sdwan::Network and a PlanCache resident, and then answers a stream of
+// solve requests over that state:
 //
 //   request --> canonical key --> PlanCache hit?  --> cached payload
 //                               \-> FailureState LRU --> algorithm -->
@@ -34,11 +33,9 @@
 #include <utility>
 #include <vector>
 
-#include "graph/diversity_cache.hpp"
 #include "obs/metrics.hpp"
 #include "sdwan/failure.hpp"
 #include "sdwan/network.hpp"
-#include "sdwan/ospf.hpp"
 #include "svc/plan_cache.hpp"
 #include "svc/protocol.hpp"
 
@@ -89,12 +86,8 @@ class Engine {
   obs::MetricsRegistry& metrics() { return metrics_; }
   PlanCache& cache() { return cache_; }
 
-  /// The resident legacy routing substrate (one table per switch).
-  const std::vector<sdwan::LegacyRoutingTable>& legacy_tables() const {
-    return legacy_tables_;
-  }
-  /// Topology diameter in hops, answered from the resident
-  /// graph::DiversityCache (health-verb payload).
+  /// Topology diameter in hops, computed at construction (health-verb
+  /// payload).
   int diameter_hops() const { return diameter_hops_; }
 
   /// Thread-safe. Checks the deadline, probes the plan cache, else
@@ -131,8 +124,6 @@ class Engine {
   EngineConfig config_;
   obs::MetricsRegistry metrics_;
   PlanCache cache_;
-  std::vector<sdwan::LegacyRoutingTable> legacy_tables_;
-  graph::DiversityCache diversity_cache_;
   int diameter_hops_ = 0;
 
   std::mutex state_mutex_;

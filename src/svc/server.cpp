@@ -283,8 +283,6 @@ std::string Server::handle_line(const std::string& line) {
       result["controllers"] =
           util::JsonValue(engine_.network().controller_count());
       result["flows"] = util::JsonValue(engine_.network().flow_count());
-      result["ospf_tables"] = util::JsonValue(
-          static_cast<std::int64_t>(engine_.legacy_tables().size()));
       result["diameter_hops"] = util::JsonValue(engine_.diameter_hops());
       result["cache_entries"] = util::JsonValue(
           static_cast<std::int64_t>(engine_.cache().entries()));

@@ -271,7 +271,7 @@ TEST(Log, ParseNamesAndAliases) {
 }
 
 // ---------------------------------------------------------------------
-// report-as-view + simulation tracing
+// report/registry agreement + simulation tracing
 // ---------------------------------------------------------------------
 
 ctrl::RecoveryPolicy pm_policy() {
@@ -283,7 +283,7 @@ ctrl::RecoveryPolicy pm_policy() {
   };
 }
 
-TEST(ObsIntegration, ReportIsAViewOverTheRegistry) {
+TEST(ObsIntegration, ReportAndRegistryAgree) {
   const sdwan::Network net = core::make_att_network();
   ctrl::ControlSimulation sim(net, pm_policy());
   sim.fail_controller_at(3, 500.0);
