@@ -11,24 +11,24 @@
 // to a lossy in-band control channel.
 //
 // Usage: ./build/bench/chaos_convergence [--seed=42] [--dup=0.02]
-//        [--until=20000] [--csv=chaos.csv] [--json] [--jobs=N]
+//        [--until=20000] [--csv=chaos.csv] [--jobs=N]
 //        [--mid-recovery] [--mid-csv=mid.csv]
 //        [--trace-out=t.json] [--metrics-out=m.prom] [--log-level=info]
 //
 // --jobs=N runs the sweep cells in parallel. Every cell owns its seeded
-// fault stream and its own simulation, so the table/CSV/JSON outputs stay
+// fault stream and its own simulation, so the table and CSV outputs stay
 // byte-identical at any job count.
 //
 // The observability flags apply to the harshest cell of the sweep
 // (highest loss + jitter) so the exported trace shows the
-// reliable-delivery machinery at its busiest; the sweep table, CSV and
-// JSON outputs are byte-identical with or without them.
+// reliable-delivery machinery at its busiest; the sweep table and CSV
+// outputs are byte-identical with or without them.
 //
 // --mid-recovery appends a second sweep that kills a SECOND controller
 // 350 ms after the first failure — inside the recovery window — once
 // targeting the coordinator and once a wave-1 adopter, which exercises
 // the failover/replan/rollback machinery of the transactional protocol.
-// The default table/CSV/JSON above are unchanged by the flag.
+// The default table and CSV above are unchanged by the flag.
 #include <iostream>
 #include <vector>
 
@@ -38,7 +38,6 @@
 #include "obs/obs.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
-#include "util/json.hpp"
 #include "util/shutdown.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -118,7 +117,6 @@ int main(int argc, char** argv) {
   const double until = args.get_double("until", 20000.0);
   std::optional<std::string> csv_path;
   if (args.has("csv")) csv_path = args.get_string("csv", "");
-  const bool as_json = args.get_bool("json", false);
   const bool mid_recovery = args.get_bool("mid-recovery", false);
   std::optional<std::string> mid_csv_path;
   if (args.has("mid-csv")) mid_csv_path = args.get_string("mid-csv", "");
@@ -221,27 +219,6 @@ int main(int argc, char** argv) {
   };
   if (csv_path && !obs::write_file(*csv_path, write_sweep_csv, "csv")) {
     return 1;
-  }
-  if (as_json) {
-    util::JsonValue rows = util::JsonValue::array();
-    for (const auto& c : cells) {
-      util::JsonValue row = util::JsonValue::object();
-      row["loss"] = c.loss;
-      row["jitter_ms"] = c.jitter_ms;
-      row["detected_ms"] = c.report.detected_at.value_or(-1.0);
-      row["converged_ms"] = c.report.converged_at.value_or(-1.0);
-      row["retransmissions"] =
-          static_cast<std::int64_t>(c.report.retransmissions);
-      row["duplicates_suppressed"] =
-          static_cast<std::int64_t>(c.report.duplicates_suppressed);
-      row["spurious_detections"] =
-          static_cast<std::int64_t>(c.report.spurious_detections);
-      row["degraded_flows"] =
-          static_cast<std::int64_t>(c.report.degraded_flows);
-      row["all_flows_deliverable"] = c.report.all_flows_deliverable;
-      rows.push_back(std::move(row));
-    }
-    std::cout << rows.to_string(2) << "\n";
   }
   if (mid_recovery && !interrupted) {
     // The coordinator after C13's failure is the lowest surviving id

@@ -49,9 +49,8 @@ RecoveryPlan plan_from_json(const util::JsonValue& json) {
     const JsonValue& mapping = json.at("mapping");
     for (std::size_t i = 0; i < mapping.size(); ++i) {
       const JsonValue& entry = mapping.at(i);
-      plan.mapping[static_cast<sdwan::SwitchId>(
-          entry.at("switch").as_int())] =
-          static_cast<sdwan::ControllerId>(entry.at("controller").as_int());
+      plan.mapping[entry.at("switch").as_int()] =
+          entry.at("controller").as_int();
     }
     const JsonValue& assignments = json.at("sdn_assignments");
     plan.sdn_assignments.reserve(assignments.size());
@@ -62,13 +61,11 @@ RecoveryPlan plan_from_json(const util::JsonValue& json) {
     bool any_controller = false;
     for (std::size_t i = 0; i < assignments.size(); ++i) {
       const JsonValue& entry = assignments.at(i);
-      plan.sdn_assignments.emplace_back(
-          static_cast<sdwan::SwitchId>(entry.at("switch").as_int()),
-          static_cast<sdwan::FlowId>(entry.at("flow").as_int()));
+      plan.sdn_assignments.emplace_back(entry.at("switch").as_int(),
+                                        entry.at("flow").as_int());
       controllers.push_back(-1);
       if (entry.contains("controller")) {
-        controllers.back() = static_cast<sdwan::ControllerId>(
-            entry.at("controller").as_int());
+        controllers.back() = entry.at("controller").as_int();
         any_controller = true;
       }
     }

@@ -1,7 +1,6 @@
 #include "svc/protocol.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace pm::svc {
 
@@ -20,12 +19,7 @@ std::vector<sdwan::ControllerId> parse_failed(const util::JsonValue& doc) {
   std::vector<sdwan::ControllerId> out;
   out.reserve(arr.size());
   for (std::size_t i = 0; i < arr.size(); ++i) {
-    const util::JsonValue& v = arr.at(i);
-    if (v.type() != util::JsonValue::Type::kNumber ||
-        v.as_number() != std::floor(v.as_number())) {
-      bad("'failed' entries must be integer controller ids");
-    }
-    out.push_back(static_cast<sdwan::ControllerId>(v.as_int()));
+    out.push_back(arr.at(i).as_int());
   }
   return out;
 }
@@ -75,8 +69,7 @@ Request parse_request(const std::string& line) {
         bad("unknown algorithm '" + p.algorithm + "'");
       }
       if (doc.contains("retroflow_candidates")) {
-        p.retroflow_candidates =
-            static_cast<int>(doc.at("retroflow_candidates").as_int());
+        p.retroflow_candidates = doc.at("retroflow_candidates").as_int();
         if (p.retroflow_candidates < 1) {
           bad("'retroflow_candidates' must be >= 1");
         }

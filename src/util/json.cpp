@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace pm::util {
 
@@ -75,6 +76,12 @@ void write_number(std::string& out, double v) {
 
 namespace {
 
+/// Deepest array/object nesting parse() accepts. The parser recurses
+/// once per level, so an unbounded depth lets one hostile request line
+/// overflow the stack. Every document this project writes is far
+/// shallower.
+constexpr int kMaxNestingDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -126,8 +133,13 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxNestingDepth) fail("nesting too deep");
+      ++depth_;
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return JsonValue(parse_string());
     if (consume_word("true")) return JsonValue(true);
     if (consume_word("false")) return JsonValue(false);
@@ -244,6 +256,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
@@ -258,8 +271,16 @@ double JsonValue::as_number() const {
   return number_;
 }
 
-std::int64_t JsonValue::as_int() const {
-  return static_cast<std::int64_t>(as_number());
+int JsonValue::as_int() const {
+  const double v = as_number();
+  // The range test comes first: casting a double outside int's range is
+  // undefined behaviour, and NaN fails both comparisons.
+  if (!(v >= std::numeric_limits<int>::min() &&
+        v <= std::numeric_limits<int>::max()) ||
+      v != std::floor(v)) {
+    throw std::out_of_range("expected an integer in int range");
+  }
+  return static_cast<int>(v);
 }
 
 const std::string& JsonValue::as_string() const {

@@ -72,7 +72,9 @@ class JsonValue {
   // Typed accessors; throw std::logic_error on type mismatch.
   bool as_bool() const;
   double as_number() const;
-  std::int64_t as_int() const;
+  /// Throws std::out_of_range unless the number is an integer in int's
+  /// range.
+  int as_int() const;
   const std::string& as_string() const;
 
   // Array interface.
@@ -90,7 +92,8 @@ class JsonValue {
   /// Serializes; `indent` > 0 pretty-prints with that many spaces.
   std::string to_string(int indent = 0) const;
 
-  /// Parses a complete JSON document (rejects trailing garbage).
+  /// Parses a complete JSON document (rejects trailing garbage). Arrays
+  /// and objects nested more than 256 deep throw JsonError.
   static JsonValue parse(std::string_view text);
 
   friend bool operator==(const JsonValue& a, const JsonValue& b);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -16,10 +15,15 @@
 #include "core/pm_algorithm.hpp"
 #include "core/scenario.hpp"
 #include "ctrl/simulation.hpp"
+#include "golden.hpp"
 #include "graph/shortest_path.hpp"
 
 namespace pm::ctrl {
 namespace {
+
+using golden::fnv1a64;
+using golden::hex64;
+using golden::read_data_file;
 
 const sdwan::Network& att() {
   static const sdwan::Network net = core::make_att_network();
@@ -1036,36 +1040,11 @@ TEST(TransactionalRecovery, AuditorFlagsTamperedState) {
 // export (detailed metrics on, so every delivery latency counts).
 // ---------------------------------------------------------------------
 
-std::string read_data_file(const std::string& name) {
-  std::ifstream in(std::string(PM_TEST_DATA_DIR) + "/" + name,
-                   std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << name;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 /// Every SimulationReport field, doubles by their bit patterns.

@@ -26,6 +26,12 @@ TEST(Json, ScalarsAndAccessors) {
   EXPECT_EQ(JsonValue("hi").as_string(), "hi");
   EXPECT_THROW(JsonValue(1.0).as_string(), std::logic_error);
   EXPECT_THROW(JsonValue("x").as_number(), std::logic_error);
+  EXPECT_EQ(JsonValue(2147483647.0).as_int(), 2147483647);
+  EXPECT_EQ(JsonValue(-2147483648.0).as_int(), -2147483647 - 1);
+  for (const double v : {4294967299.0, -4294967293.0, 2147483648.0, 1e300,
+                         2.5, std::nan("")}) {
+    EXPECT_THROW(JsonValue(v).as_int(), std::out_of_range) << v;
+  }
 }
 
 TEST(Json, ObjectPreservesInsertionOrder) {
@@ -88,6 +94,19 @@ TEST(Json, ParserRejectsMalformedInput) {
   EXPECT_THROW(JsonValue::parse("{a:1}"), JsonError); // unquoted key
   EXPECT_THROW(JsonValue::parse("[1"), JsonError);
   EXPECT_THROW(JsonValue::parse("\"\\u12g4\""), JsonError);
+}
+
+TEST(Json, ParserRejectsDeepNesting) {
+  // The parser recurses once per level; a hostile document must throw,
+  // not overflow the stack.
+  EXPECT_THROW(JsonValue::parse(std::string(100000, '[')), JsonError);
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(JsonValue::parse(nested(256)));
+  EXPECT_THROW(JsonValue::parse(nested(257)), JsonError);
+  EXPECT_THROW(JsonValue::parse(std::string(257, '{')), JsonError);
 }
 
 TEST(Json, UnicodeEscapes) {
@@ -196,6 +215,20 @@ TEST(Serialize, MalformedPlanRejected) {
   EXPECT_THROW(core::plan_from_json(JsonValue::parse(
                    R"({"algorithm": 7})")),
                std::runtime_error);
+  // A switch id must be an integer in int range, not wrap into one.
+  const auto plan_json = [](const std::string& switch_id) {
+    return R"({"algorithm":"PM","whole_switch_control":false,)"
+           R"("middle_layer_ms":0,"solve_seconds":0,"proven_optimal":false,)"
+           R"("mapping":[{"switch":)" +
+           switch_id + R"(,"controller":0}],"sdn_assignments":[]})";
+  };
+  const JsonValue valid = JsonValue::parse(plan_json("3"));
+  EXPECT_EQ(core::plan_from_json(valid).mapping.at(3), 0);
+  for (const std::string id : {"4294967299", "-4294967293", "1e300", "2.5"}) {
+    EXPECT_THROW(core::plan_from_json(JsonValue::parse(plan_json(id))),
+                 std::runtime_error)
+        << id;
+  }
 }
 
 TEST(Serialize, MetricsExportCompletes) {

@@ -2,9 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <random>
 #include <sstream>
@@ -12,6 +10,7 @@
 
 #include "core/fmssm.hpp"
 #include "core/scenario.hpp"
+#include "golden.hpp"
 #include "milp/branch_bound.hpp"
 #include "milp/model.hpp"
 #include "milp/presolve.hpp"
@@ -20,6 +19,9 @@
 
 namespace pm::milp {
 namespace {
+
+using golden::hex64;
+using golden::read_data_file;
 
 // ---------------------------------------------------------------------
 // Model container
@@ -592,21 +594,6 @@ TEST(SimplexRobustness, RefactorEveryBelowOneIsClampedToOne) {
 // path, so status, iteration count, objective and every bit of x stay
 // the same.
 // ---------------------------------------------------------------------
-
-std::string read_data_file(const std::string& name) {
-  const std::string path = std::string(PM_TEST_DATA_DIR) + "/" + name;
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
 
 std::uint64_t bits_of(double v) {
   std::uint64_t bits = 0;

@@ -10,8 +10,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <random>
@@ -26,23 +24,15 @@
 #include "core/retroflow.hpp"
 #include "core/scenario.hpp"
 #include "core/serialize.hpp"
-
-#ifndef PM_TEST_DATA_DIR
-#define PM_TEST_DATA_DIR "tests/data"
-#endif
+#include "golden.hpp"
 
 namespace pm {
 namespace {
 
+using golden::fnv1a64;
+using golden::hex64;
+using golden::read_data_file;
 using util::JsonValue;
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 /// The deterministic rendering of a plan: wall clock zeroed (same
 /// convention as svc::Engine payloads) so the bytes are a pure function
@@ -57,8 +47,7 @@ TEST(SerializeGolden, PmPlanMatchesGoldenFile) {
   const sdwan::FailureState state(net, {{3, 4}});
   const std::string produced =
       canonical_plan_json(core::run_pm(state)) + "\n";
-  const std::string golden =
-      read_file(std::string(PM_TEST_DATA_DIR) + "/plan_pm_att_3_4.json");
+  const std::string golden = read_data_file("plan_pm_att_3_4.json");
   EXPECT_EQ(produced, golden)
       << "plan JSON drifted from the golden file; if the format or the "
          "PM algorithm changed intentionally, regenerate "
@@ -68,21 +57,11 @@ TEST(SerializeGolden, PmPlanMatchesGoldenFile) {
 TEST(SerializeGolden, GoldenFileDeserializesAndValidates) {
   const sdwan::Network net = core::make_att_network();
   const sdwan::FailureState state(net, {{3, 4}});
-  const std::string golden =
-      read_file(std::string(PM_TEST_DATA_DIR) + "/plan_pm_att_3_4.json");
+  const std::string golden = read_data_file("plan_pm_att_3_4.json");
   const core::RecoveryPlan plan =
       core::plan_from_json(JsonValue::parse(golden));
   EXPECT_EQ(plan.algorithm, "PM");
   EXPECT_TRUE(core::validate_plan(state, plan).empty());
-}
-
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
 }
 
 std::vector<sdwan::ControllerId> parse_ids(const std::string& csv) {
@@ -102,8 +81,7 @@ std::vector<sdwan::ControllerId> parse_ids(const std::string& csv) {
 /// reference was retired.
 TEST(SerializeGolden, PmPlanDigestsUpToThreeFailures) {
   const sdwan::Network net = core::make_att_network();
-  std::istringstream lines(read_file(std::string(PM_TEST_DATA_DIR) +
-                                     "/pm_plan_digests_att_k3.txt"));
+  std::istringstream lines(read_data_file("pm_plan_digests_att_k3.txt"));
   struct Line {
     std::string text, seed, failed, digest;
   };
@@ -133,10 +111,7 @@ TEST(SerializeGolden, PmPlanDigestsUpToThreeFailures) {
     plan.solve_seconds = 0.0;
     const std::string report = core::write_case_report(
         state.scenario().label(net), plan, core::evaluate_plan(state, plan));
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(fnv1a64(report)));
-    EXPECT_EQ(hex, entry.digest) << entry.text;
+    EXPECT_EQ(hex64(fnv1a64(report)), entry.digest) << entry.text;
     if (entry.seed == "-") fresh.emplace(entry.failed, std::move(plan));
   }
 }

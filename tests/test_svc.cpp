@@ -15,8 +15,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -24,6 +22,7 @@
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "golden.hpp"
 #include "svc/client.hpp"
 #include "svc/engine.hpp"
 #include "svc/plan_cache.hpp"
@@ -32,12 +31,12 @@
 #include "topo/generators.hpp"
 #include "topo/placement.hpp"
 
-#ifndef PM_TEST_DATA_DIR
-#define PM_TEST_DATA_DIR "tests/data"
-#endif
-
 namespace pm {
 namespace {
+
+using golden::fnv1a64;
+using golden::hex64;
+using golden::read_data_file;
 
 using svc::Engine;
 using svc::EngineConfig;
@@ -99,6 +98,20 @@ TEST(SvcProtocol, ParseRejectsMalformedRequests) {
   EXPECT_THROW(
       svc::parse_request(R"({"verb":"solve","failed":["three"]})"),
       svc::ProtocolError);
+  // Ids must be integers in int range: 4294967299 must not wrap to
+  // controller 3.
+  for (const std::string v : {"4294967299", "-4294967293", "1e300", "2.5"}) {
+    EXPECT_THROW(
+        svc::parse_request(R"({"verb":"solve","failed":[)" + v + "]}"),
+        svc::ProtocolError)
+        << v;
+    EXPECT_THROW(svc::parse_request(
+                     R"({"verb":"solve","algorithm":"retroflow",)"
+                     R"("failed":[3],"retroflow_candidates":)" +
+                     v + "}"),
+                 svc::ProtocolError)
+        << v;
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -301,23 +314,6 @@ TEST(SvcEngine, PayloadsCarryNoSpareCapacity) {
 // switched to the streaming writer; the engine must keep every byte.
 // ---------------------------------------------------------------------
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 TEST(SvcGolden, AttThreeFourCaseReportsMatchFiles) {
   Engine engine(core::make_att_network(), small_engine_config());
   for (const std::string& algorithm : svc::known_algorithms()) {
@@ -327,8 +323,7 @@ TEST(SvcGolden, AttThreeFourCaseReportsMatchFiles) {
     const auto outcome = engine.solve(params);
     ASSERT_TRUE(outcome.ok) << outcome.error_message;
     const std::string golden =
-        read_file(std::string(PM_TEST_DATA_DIR) + "/case_report_" +
-                  algorithm + "_att_3_4.json");
+        read_data_file("case_report_" + algorithm + "_att_3_4.json");
     EXPECT_EQ(outcome.payload + "\n", golden) << algorithm;
   }
 }
@@ -342,8 +337,7 @@ struct DigestLine {
 };
 
 std::vector<DigestLine> read_digest_lines(const std::string& file) {
-  std::istringstream lines(
-      read_file(std::string(PM_TEST_DATA_DIR) + "/" + file));
+  std::istringstream lines(read_data_file(file));
   std::vector<DigestLine> out;
   for (std::string line; std::getline(lines, line);) {
     if (line.empty() || line[0] == '#') continue;
@@ -364,10 +358,7 @@ std::vector<DigestLine> read_digest_lines(const std::string& file) {
 void expect_digest(Engine& engine, const DigestLine& line) {
   const auto outcome = engine.solve(line.params);
   ASSERT_TRUE(outcome.ok) << line.text << ": " << outcome.error_message;
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(fnv1a64(outcome.payload)));
-  EXPECT_EQ(hex, line.digest) << line.text;
+  EXPECT_EQ(hex64(fnv1a64(outcome.payload)), line.digest) << line.text;
 }
 
 TEST(SvcGolden, AttCaseReportDigestsMatchUpToTwoFailures) {
@@ -507,6 +498,17 @@ TEST_F(SvcServerTest, MalformedLineKeepsConnectionUsable) {
   // Same connection still answers real requests.
   const JsonValue health = client.health();
   EXPECT_TRUE(health.at("ok").as_bool());
+}
+
+TEST_F(SvcServerTest, DeeplyNestedLineIsBadRequestAndServerSurvives) {
+  svc::Client client("127.0.0.1", server_->port());
+  const JsonValue err =
+      JsonValue::parse(client.roundtrip_line(std::string(100000, '[')));
+  ASSERT_FALSE(err.at("ok").as_bool());
+  EXPECT_EQ(err.at("error").at("code").as_string(), svc::kErrBadRequest);
+  const JsonValue solved = JsonValue::parse(
+      client.roundtrip_line(R"({"verb":"solve","failed":[3]})"));
+  EXPECT_TRUE(solved.at("ok").as_bool());
 }
 
 TEST_F(SvcServerTest, UnknownAlgorithmIsStructuredError) {
