@@ -60,7 +60,7 @@ void add_row(util::TextTable& t, const std::string& name,
 
 int main(int argc, char** argv) {
   util::CliArgs args(argc, argv);
-  const obs::ObsOptions obs_options = obs::parse_obs_flags(args);
+  const obs::ObsOptions obs_options = obs::parse_profile_flags(args);
   for (const auto& unused : args.unused()) {
     obs::log().warn("unrecognized flag --" + unused);
   }

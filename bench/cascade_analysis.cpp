@@ -15,13 +15,14 @@
 #include "bench_common.hpp"
 #include "core/naive.hpp"
 #include "sim/cascade.hpp"
+#include "util/task_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
   const double tolerance = args.get_double("tolerance", 0.0);
-  const int jobs = util::parse_jobs_flag(args);
-  const obs::ObsOptions obs_options = obs::parse_obs_flags(args);
+  const util::TaskPool pool(util::parse_jobs_flag(args));
+  const obs::ObsOptions obs_options = obs::parse_profile_flags(args);
   for (const auto& unused : args.unused()) {
     obs::log().warn("unrecognized flag --" + unused);
   }
@@ -46,15 +47,15 @@ int main(int argc, char** argv) {
     int naive_cascades = 0;
     int pm_cascades = 0;
     const auto scenarios = sdwan::enumerate_failures(net, k);
-    std::vector<std::vector<sdwan::ControllerId>> initial_sets;
-    initial_sets.reserve(scenarios.size());
-    for (const auto& sc : scenarios) initial_sets.push_back(sc.failed);
-    // The per-case trials run through the batch API so --jobs spreads
-    // them over the pool; results come back in case order.
-    const auto naive_runs =
-        sim::simulate_cascades(net, initial_sets, naive, tolerance, jobs);
-    const auto pm_runs =
-        sim::simulate_cascades(net, initial_sets, pm, tolerance, jobs);
+    // The per-case trials run on the pool; results come back in case order.
+    const auto cascades = [&](const sim::RecoveryPolicy& policy) {
+      return pool.parallel_map(
+          scenarios, [&](std::size_t, const sdwan::FailureScenario& sc) {
+            return sim::simulate_cascade(net, sc.failed, policy, tolerance);
+          });
+    };
+    const auto naive_runs = cascades(naive);
+    const auto pm_runs = cascades(pm);
     for (std::size_t c = 0; c < scenarios.size(); ++c) {
       const auto& sc = scenarios[c];
       const auto& rn = naive_runs[c];

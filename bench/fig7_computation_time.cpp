@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const double time_limit = args.get_double("optimal-time", 10.0);
   const std::string cases = args.get_string("cases", "1,2,3");
   const int jobs = util::parse_jobs_flag(args);
-  const obs::ObsOptions obs_options = obs::parse_obs_flags(args);
+  const obs::ObsOptions obs_options = obs::parse_profile_flags(args);
   for (const auto& unused : args.unused()) {
     obs::log().warn("unrecognized flag --" + unused);
   }

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const std::string sizes = args.get_string("sizes", "25,50,75,100,150");
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = util::parse_jobs_flag(args);
-  const obs::ObsOptions obs_options = obs::parse_obs_flags(args);
+  const obs::ObsOptions obs_options = obs::parse_profile_flags(args);
   for (const auto& unused : args.unused()) {
     obs::log().warn("unrecognized flag --" + unused);
   }
@@ -55,9 +55,8 @@ int main(int argc, char** argv) {
         const int controllers = std::max(3, n / 12);
         const auto domains = topo::k_center_domains(topology, controllers);
         sdwan::NetworkConfig cfg;
-        // Capacity scaled to make normal operation fit with ~15% headroom.
-        cfg.controller_capacity = 1.0;  // placeholder; fixed below
-        // First build with huge capacity to measure loads, then rebuild.
+        // Capacity scaled to make normal operation fit with ~15% headroom:
+        // first build with huge capacity to measure loads, then rebuild.
         cfg.controller_capacity = 1e9;
         sdwan::Network probe(topology, domains, cfg);
         double max_load = 0.0;

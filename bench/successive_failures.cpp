@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
-  const obs::ObsOptions obs_options = obs::parse_obs_flags(args);
+  const obs::ObsOptions obs_options = obs::parse_profile_flags(args);
   for (const auto& unused : args.unused()) {
     obs::log().warn("unrecognized flag --" + unused);
   }

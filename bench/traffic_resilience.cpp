@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   const double surge = args.get_double("surge", 8.0);
   const double total_traffic = args.get_double("total-traffic", 200000.0);
   const double link_capacity = args.get_double("link-capacity", 10000.0);
-  const obs::ObsOptions obs_options = obs::parse_obs_flags(args);
+  const obs::ObsOptions obs_options = obs::parse_profile_flags(args);
   for (const auto& unused : args.unused()) {
     obs::log().warn("unrecognized flag --" + unused);
   }

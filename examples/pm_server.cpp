@@ -7,7 +7,7 @@
 //
 // Usage:
 //   ./build/examples/pm_server [--port=7071] [--port-file=port.txt]
-//     [--jobs=N] [--cache-mb=64] [--max-queue=64] [--deadline-ms=0]
+//     [--jobs=N] [--cache-mb=64] [--max-queue=64]
 //     [--log-level=info]
 //
 // --jobs sets the solver workers: up to N uncached requests compute at
@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   server_config.port = static_cast<int>(args.get_int("port", 7071));
   server_config.max_queue =
       static_cast<int>(args.get_int("max-queue", 64));
-  server_config.default_deadline_ms = args.get_double("deadline-ms", 0.0);
   const std::string port_file = args.get_string("port-file", "");
   svc::EngineConfig engine_config;
   engine_config.jobs = util::parse_jobs_flag(args);

@@ -66,13 +66,7 @@ void ControlChannel::detach(EndpointId id) {
 }
 
 void ControlChannel::set_fault_model(const ChannelFaultModel& model) {
-  faults_ = model.active() ? std::make_unique<FaultInjector>(model)
-                           : nullptr;
-}
-
-const FaultStats& ControlChannel::fault_stats() const {
-  static const FaultStats kNone;
-  return faults_ ? faults_->stats() : kNone;
+  faults_ = FaultInjector(model);
 }
 
 void ControlChannel::set_observability(obs::Context* obs) {
@@ -150,14 +144,10 @@ void ControlChannel::dispatch(Message m, double extra_latency_ms) {
       shortest_delay(from->location, to->location) +
       extra_latency_ms;
 
-  if (!faults_) {
-    deliver_in(base_delay, std::move(m));
-    return;
-  }
-
-  // Fault-injected path. Draw order is fixed (partition, drop, delay,
-  // duplicate) so a given seed replays the identical fault sequence.
-  if (faults_->partitioned(m.from, m.to, queue_->now())) {
+  // Draw order is fixed (partition, drop, delay, duplicate) so a given
+  // seed replays the identical fault sequence. An inert model draws
+  // nothing and adds 0.0 delay, so every delivery time keeps its bits.
+  if (faults_.partitioned(m.from, m.to, queue_->now())) {
     if (tracing) {
       auto args = message_args(m, kind);
       args.emplace_back("reason", "partition");
@@ -166,7 +156,7 @@ void ControlChannel::dispatch(Message m, double extra_latency_ms) {
     }
     return;
   }
-  if (faults_->drop()) {
+  if (faults_.drop()) {
     if (tracing) {
       auto args = message_args(m, kind);
       args.emplace_back("reason", "fault-injected");
@@ -175,10 +165,10 @@ void ControlChannel::dispatch(Message m, double extra_latency_ms) {
     }
     return;
   }
-  const double jittered = base_delay + faults_->extra_delay();
-  const bool dup = faults_->duplicate();
+  const double jittered = base_delay + faults_.extra_delay();
+  const bool dup = faults_.duplicate();
   if (dup) {
-    deliver_in(base_delay + faults_->extra_delay(), m);
+    deliver_in(base_delay + faults_.extra_delay(), m);
   }
   deliver_in(jittered, std::move(m));
 }

@@ -3,18 +3,17 @@
 // their locations (in-band control). Per-message statistics are kept for
 // the convergence reports.
 //
-// An optional ChannelFaultModel makes the channel lossy: per-message
-// drops, duplicates, delay jitter, gross reordering and scheduled
-// partition windows, all drawn from one seeded engine so runs are
-// replayable. Without a model the send path is byte-for-byte the
-// fault-free one.
+// A ChannelFaultModel makes the channel lossy: per-message drops,
+// duplicates, delay jitter, gross reordering and scheduled partition
+// windows, all drawn from one seeded engine so runs are replayable. The
+// channel always consults its injector; the default inert model draws
+// nothing and delays nothing, so the send path stays the fault-free one.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -82,12 +81,11 @@ class ControlChannel {
   /// receiver can deduplicate against the original.
   void resend(Message m, double extra_latency_ms = 0.0);
 
-  /// Arms (or replaces) the fault model; statistics restart. An inert
-  /// model (active() == false) disarms injection entirely.
+  /// Replaces the fault model; draws and statistics restart.
   void set_fault_model(const ChannelFaultModel& model);
 
-  /// Injected-fault statistics; zeros when no model is armed.
-  const FaultStats& fault_stats() const;
+  /// Injected-fault statistics; zeros under an inert model.
+  const FaultStats& fault_stats() const { return faults_.stats(); }
 
   /// Attaches the observability context (tracer + metrics). The channel
   /// then traces send/recv/drop/retransmit events on the simulated clock
@@ -143,7 +141,7 @@ class ControlChannel {
   std::uint64_t retransmissions_ = 0;
   std::uint64_t next_seq_ = 0;
   std::array<std::uint64_t, kMessageKindCount> by_kind_{};
-  std::unique_ptr<FaultInjector> faults_;
+  FaultInjector faults_{ChannelFaultModel{}};
   obs::Context* obs_ = nullptr;
   obs::Histogram* latency_hist_ = nullptr;
   /// Memoized propagation delays, row-major by location: delays_[a * n +

@@ -48,8 +48,9 @@ struct ChannelFaultModel {
   std::vector<PartitionWindow> partitions;
 
   /// True when the model can affect any message at all. A
-  /// default-constructed model is inert and the channel keeps its exact
-  /// fault-free behaviour (zero-cost default path).
+  /// default-constructed model is inert: the injector draws nothing from
+  /// its engine and adds no delay, so the channel keeps its exact
+  /// fault-free behaviour.
   bool active() const {
     return drop_probability > 0.0 || duplicate_probability > 0.0 ||
            jitter_ms > 0.0 || reorder_probability > 0.0 ||

@@ -83,7 +83,7 @@ class ControlSimulation {
   /// orphaned at the same instant (their OpenFlow sessions drop).
   void fail_controller_at(sdwan::ControllerId j, double at_ms);
 
-  /// Arms the channel fault model. Call before run(); an inert model
+  /// Replaces the channel fault model. Call before run(); an inert model
   /// keeps the exact fault-free behaviour.
   void set_fault_model(const ChannelFaultModel& model) {
     channel_.set_fault_model(model);

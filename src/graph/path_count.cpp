@@ -10,7 +10,7 @@ namespace {
 /// Bounded simple-path counting by explicit-stack DFS.
 ///
 /// The traversal is iterative (a recursive version overflows the call
-/// stack on large synthetic Waxman/geometric graphs once callers ask for
+/// stack on large synthetic Waxman graphs once callers ask for
 /// generous hop budgets) and keeps all state in the local struct, so
 /// concurrent counts from pool workers never share anything.
 struct Counter {

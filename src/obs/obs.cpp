@@ -47,15 +47,20 @@ bool write_file(const std::string& path,
   return true;
 }
 
-ObsOptions parse_obs_flags(util::CliArgs& args) {
+ObsOptions parse_profile_flags(util::CliArgs& args) {
   set_level_from(args);
   ObsOptions o;
+  o.profile_out = path_flag(args, "profile-out");
+  if (o.profile_out) Profiler::global().set_enabled(true);
+  return o;
+}
+
+ObsOptions parse_obs_flags(util::CliArgs& args) {
+  ObsOptions o = parse_profile_flags(args);
   o.trace_out = path_flag(args, "trace-out");
   o.trace_jsonl = path_flag(args, "trace-jsonl");
   o.metrics_out = path_flag(args, "metrics-out");
   o.metrics_json = path_flag(args, "metrics-json");
-  o.profile_out = path_flag(args, "profile-out");
-  if (o.profile_out) Profiler::global().set_enabled(true);
   return o;
 }
 

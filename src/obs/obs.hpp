@@ -6,8 +6,8 @@
 // global (spans fire deep inside algorithms with no context to hand
 // around) and the leveled Logger likewise (obs/log.hpp).
 //
-// parse_obs_flags() gives every example/bench the same flag vocabulary
-// on top of util::CliArgs:
+// parse_obs_flags() gives every program that owns a Context the same
+// flag vocabulary on top of util::CliArgs:
 //   --trace-out=FILE     Chrome trace_event JSON (chrome://tracing,
 //                        Perfetto)
 //   --trace-jsonl=FILE   JSONL structured event log
@@ -16,6 +16,8 @@
 //   --profile-out=FILE   wall-clock span profile (non-deterministic;
 //                        implicitly enables the global profiler)
 //   --log-level=LEVEL    quiet|error|warn|info|debug
+// A program with no Context calls parse_profile_flags() and takes only
+// the last two; it warns about the other four as unrecognized.
 //
 // Determinism contract: trace and metrics files are byte-identical
 // across runs with the same seed; the profile file is the only
@@ -68,6 +70,12 @@ struct ObsOptions {
 /// global logger and enables the global profiler when --profile-out is
 /// given. Unknown --log-level values warn and keep the default.
 ObsOptions parse_obs_flags(util::CliArgs& args);
+
+/// Parses and applies only --log-level and --profile-out, for programs
+/// that own no Context: the four trace/metrics flags stay in
+/// args.unused(), so the program warns about them instead of ignoring
+/// them.
+ObsOptions parse_profile_flags(util::CliArgs& args);
 
 /// Parses and applies only --log-level (for tools with no trace/metrics
 /// surface, so the flag never shows up as "unrecognized").

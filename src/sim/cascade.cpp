@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "util/task_pool.hpp"
-
 namespace pm::sim {
 
 CascadeResult simulate_cascade(const sdwan::Network& net,
@@ -52,18 +50,6 @@ CascadeResult simulate_cascade(const sdwan::Network& net,
 
   result.final_failed.assign(failed.begin(), failed.end());
   return result;
-}
-
-std::vector<CascadeResult> simulate_cascades(
-    const sdwan::Network& net,
-    const std::vector<std::vector<sdwan::ControllerId>>& initial_sets,
-    const RecoveryPolicy& policy, double overload_tolerance, int jobs) {
-  util::TaskPool pool(jobs);
-  return pool.parallel_map(
-      initial_sets,
-      [&](std::size_t, const std::vector<sdwan::ControllerId>& initial) {
-        return simulate_cascade(net, initial, policy, overload_tolerance);
-      });
 }
 
 }  // namespace pm::sim

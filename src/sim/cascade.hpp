@@ -59,15 +59,4 @@ CascadeResult simulate_cascade(const sdwan::Network& net,
                                const RecoveryPolicy& policy,
                                double overload_tolerance = 0.0);
 
-/// Runs simulate_cascade over a batch of initial failure sets — the
-/// per-scenario trials of the cascade bench — with `jobs`-way parallelism
-/// (util::TaskPool). Results come back in input order and are identical at
-/// any job count; `policy` is invoked concurrently when jobs > 1 and must
-/// be re-entrant (the built-in planners are pure functions of the state).
-std::vector<CascadeResult> simulate_cascades(
-    const sdwan::Network& net,
-    const std::vector<std::vector<sdwan::ControllerId>>& initial_sets,
-    const RecoveryPolicy& policy, double overload_tolerance = 0.0,
-    int jobs = 1);
-
 }  // namespace pm::sim

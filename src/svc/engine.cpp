@@ -49,7 +49,7 @@ core::RecoveryPlan run_algorithm(const SolveParams& params,
 Engine::Engine(sdwan::Network network, EngineConfig config)
     : network_(std::move(network)),
       config_(config),
-      cache_(config.cache_bytes, &metrics_),
+      cache_(config.cache_bytes, metrics_),
       solves_(metrics_.counter("svc_solves_total",
                                "solve requests computed (cache misses)")),
       errors_(metrics_.counter("svc_errors_total",

@@ -2,29 +2,19 @@
 
 namespace pm::svc {
 
-PlanCache::PlanCache(std::size_t byte_budget, obs::MetricsRegistry* metrics)
+PlanCache::PlanCache(std::size_t byte_budget, obs::MetricsRegistry& metrics)
     : byte_budget_(byte_budget),
-      hits_(metrics != nullptr
-                ? metrics->counter("svc_cache_hits_total",
-                                   "plan cache lookups served from cache")
-                : own_hits_),
-      misses_(metrics != nullptr
-                  ? metrics->counter("svc_cache_misses_total",
-                                     "plan cache lookups that missed")
-                  : own_misses_),
-      evictions_(metrics != nullptr
-                     ? metrics->counter("svc_cache_evictions_total",
-                                        "entries evicted by the LRU budget")
-                     : own_evictions_),
-      oversize_(metrics != nullptr
-                    ? metrics->counter(
-                          "svc_cache_oversize_total",
-                          "payloads larger than the whole cache budget")
-                    : own_oversize_),
-      bytes_gauge_(metrics != nullptr
-                       ? metrics->gauge("svc_cache_bytes",
-                                        "resident cache size in bytes")
-                       : own_bytes_) {}
+      hits_(metrics.counter("svc_cache_hits_total",
+                            "plan cache lookups served from cache")),
+      misses_(metrics.counter("svc_cache_misses_total",
+                              "plan cache lookups that missed")),
+      evictions_(metrics.counter("svc_cache_evictions_total",
+                                 "entries evicted by the LRU budget")),
+      oversize_(metrics.counter(
+          "svc_cache_oversize_total",
+          "payloads larger than the whole cache budget")),
+      bytes_gauge_(metrics.gauge("svc_cache_bytes",
+                                 "resident cache size in bytes")) {}
 
 std::optional<std::string> PlanCache::get(const std::string& key) {
   const std::lock_guard<std::mutex> lock(mutex_);

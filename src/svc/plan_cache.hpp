@@ -35,9 +35,9 @@ namespace pm::svc {
 
 class PlanCache {
  public:
-  /// `metrics` may be null (tests); counters then stay internal-only.
-  explicit PlanCache(std::size_t byte_budget,
-                     obs::MetricsRegistry* metrics = nullptr);
+  /// The counters and the gauge live in `metrics`, which must outlive
+  /// the cache.
+  PlanCache(std::size_t byte_budget, obs::MetricsRegistry& metrics);
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -81,9 +81,6 @@ class PlanCache {
   std::unordered_map<std::string, decltype(lru_)::iterator> index_;
   std::size_t bytes_ = 0;
 
-  /// Own the counters when no registry is provided, else borrow its.
-  obs::Counter own_hits_, own_misses_, own_evictions_, own_oversize_;
-  obs::Gauge own_bytes_;
   obs::Counter& hits_;
   obs::Counter& misses_;
   obs::Counter& evictions_;

@@ -322,8 +322,7 @@ std::string Server::handle_solve(const Request& request) {
   }
   auto pending = std::make_unique<PendingSolve>();
   pending->job.params = request.solve;
-  double deadline_ms = request.solve.deadline_ms;
-  if (deadline_ms <= 0.0) deadline_ms = config_.default_deadline_ms;
+  const double deadline_ms = request.solve.deadline_ms;
   if (deadline_ms > 0.0) {
     // Stamped at admission: queueing time counts against the budget.
     pending->job.deadline =

@@ -51,8 +51,6 @@ struct ServerConfig {
   /// Bounded queue depth; a solve arriving on a full queue is shed with
   /// an `overloaded` error.
   int max_queue = 64;
-  /// Deadline applied to solve requests that carry none; <= 0 = none.
-  double default_deadline_ms = 0.0;
 };
 
 class Server {

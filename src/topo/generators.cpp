@@ -75,23 +75,6 @@ Topology waxman(int nodes, double alpha, double beta, std::uint64_t seed,
   return topo;
 }
 
-Topology random_geometric(int nodes, double radius_km, std::uint64_t seed,
-                          double side_km) {
-  std::mt19937_64 rng(seed);
-  Topology topo("geometric(n=" + std::to_string(nodes) + ")");
-  for (auto& n : place_nodes(nodes, side_km, rng)) topo.add_node(std::move(n));
-  add_spanning_tree(topo, rng);
-  for (int u = 0; u < nodes; ++u) {
-    for (int v = u + 1; v < nodes; ++v) {
-      if (topo.graph().has_edge(u, v)) continue;
-      if (node_distance_km(topo.node(u), topo.node(v)) <= radius_km) {
-        topo.add_link(u, v);
-      }
-    }
-  }
-  return topo;
-}
-
 Topology ring_with_chords(int nodes, int chords, std::uint64_t seed) {
   if (nodes < 3) throw std::invalid_argument("ring needs at least 3 nodes");
   std::mt19937_64 rng(seed);

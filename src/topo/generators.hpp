@@ -19,10 +19,6 @@ namespace pm::topo {
 Topology waxman(int nodes, double alpha, double beta, std::uint64_t seed,
                 double side_km = 4000.0);
 
-/// Random geometric graph: connect all pairs within `radius_km`.
-Topology random_geometric(int nodes, double radius_km, std::uint64_t seed,
-                          double side_km = 4000.0);
-
 /// Ring of `nodes` plus `chords` random chords — a minimal diverse-path
 /// backbone useful in unit tests.
 Topology ring_with_chords(int nodes, int chords, std::uint64_t seed);

@@ -1,108 +1,47 @@
 #include "util/task_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <system_error>
+#include <thread>
 
 namespace pm::util {
 
-namespace {
-
-/// True while this thread is executing a batch task. A nested
-/// run_indexed from such a thread runs inline: waiting for pool slots
-/// from inside a pool task can deadlock when every worker does it.
-thread_local bool tls_in_batch = false;
-
-struct BatchScope {
-  bool previous = tls_in_batch;
-  BatchScope() { tls_in_batch = true; }
-  ~BatchScope() { tls_in_batch = previous; }
-};
-
-}  // namespace
-
-TaskPool::TaskPool(int jobs) {
-  const int n = std::max(1, jobs);
-  workers_.reserve(static_cast<std::size_t>(n - 1));
-  for (int i = 0; i + 1 < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-TaskPool::~TaskPool() {
-  {
-    std::lock_guard lock(mutex_);
-    stop_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
+TaskPool::TaskPool(int jobs) : jobs_(std::max(1, jobs)) {}
 
 int TaskPool::hardware_jobs() {
   return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
-void TaskPool::drain_batch(std::unique_lock<std::mutex>& lock) {
-  while (batch_next_ < batch_n_) {
-    const std::size_t i = batch_next_++;
-    ++batch_live_;
-    auto* errors = batch_errors_;
-    const auto* fn = batch_fn_;
-    lock.unlock();
-    {
-      BatchScope scope;
-      try {
-        (*fn)(i);
-      } catch (...) {
-        (*errors)[i] = std::current_exception();
-      }
-    }
-    lock.lock();
-    --batch_live_;
-  }
-  if (batch_live_ == 0) batch_done_.notify_all();
-}
-
-void TaskPool::worker_loop() {
-  std::unique_lock lock(mutex_);
-  while (true) {
-    work_ready_.wait(lock, [&] {
-      return stop_ || (batch_fn_ != nullptr && batch_next_ < batch_n_);
-    });
-    if (stop_) return;
-    drain_batch(lock);
-  }
-}
-
 void TaskPool::run_indexed(std::size_t n,
-                           const std::function<void(std::size_t)>& fn) {
+                           const std::function<void(std::size_t)>& fn) const {
   if (n == 0) return;
   std::vector<std::exception_ptr> errors(n);
-  if (workers_.empty() || tls_in_batch || n == 1) {
-    // Serial path: a 1-job pool, a nested submission, or a single task.
-    // Every index is attempted, exactly like the pool path.
-    BatchScope scope;
-    for (std::size_t i = 0; i < n; ++i) {
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
       try {
         fn(i);
       } catch (...) {
         errors[i] = std::current_exception();
       }
     }
-  } else {
-    std::lock_guard gate(batch_gate_);
-    std::unique_lock lock(mutex_);
-    batch_n_ = n;
-    batch_next_ = 0;
-    batch_live_ = 0;
-    batch_fn_ = &fn;
-    batch_errors_ = &errors;
-    work_ready_.notify_all();
-    drain_batch(lock);  // the calling thread works alongside the pool
-    batch_done_.wait(lock,
-                     [&] { return batch_next_ >= batch_n_ && batch_live_ == 0; });
-    batch_fn_ = nullptr;
-    batch_errors_ = nullptr;
-    batch_n_ = 0;
+  };
+
+  std::vector<std::thread> helpers;
+  const std::size_t wanted =
+      std::min(static_cast<std::size_t>(jobs_), n) - 1;
+  helpers.reserve(wanted);
+  try {
+    while (helpers.size() < wanted) helpers.emplace_back(drain);
+  } catch (const std::system_error&) {
+    // Out of threads: the helpers already started and the caller cover the
+    // remaining indices.
   }
+  drain();
+  for (std::thread& helper : helpers) helper.join();
+
   for (std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
   }

@@ -1,4 +1,4 @@
-// Fixed-size worker pool with a deterministic parallel_map primitive.
+// Fork-join parallel_map primitive for the sweep drivers.
 //
 // Determinism contract (DESIGN.md "Parallel execution & caching"): the
 // sweep drivers treat every scenario — topology x failure-count x seed x
@@ -10,21 +10,17 @@
 // state) produces output byte-identical to the serial loop it replaced,
 // regardless of thread count or scheduling.
 //
-// Sizing: a pool of `jobs` runs at most `jobs` tasks concurrently. It
-// owns jobs-1 worker threads and the calling thread works alongside
-// them, so --jobs=1 owns no threads at all and runs everything inline —
-// the serial path stays the serial path, not a one-thread simulation of
-// it. parallel_map called from inside a pool task runs its batch inline
-// on that worker, so nested submission cannot deadlock on pool slots.
+// Threads: a TaskPool holds no threads. Each run_indexed call starts
+// min(jobs, n) - 1 helper threads, the calling thread works alongside
+// them, and every helper is joined before the call returns. --jobs=1
+// therefore starts no thread at all and runs everything inline. Calls are
+// independent: concurrent callers and nested calls from inside a task
+// each start their own helpers, so none waits for another's slots.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -32,31 +28,27 @@ namespace pm::util {
 
 class TaskPool {
  public:
-  /// `jobs` < 1 is clamped to 1; jobs == 1 spawns no threads.
+  /// `jobs` < 1 is clamped to 1.
   explicit TaskPool(int jobs = 1);
-  ~TaskPool();
 
-  TaskPool(const TaskPool&) = delete;
-  TaskPool& operator=(const TaskPool&) = delete;
-
-  /// Maximum concurrent tasks (worker threads + the calling thread).
-  int jobs() const { return static_cast<int>(workers_.size()) + 1; }
+  /// Maximum concurrent tasks of one call (helpers + the calling thread).
+  int jobs() const { return jobs_; }
 
   /// std::thread::hardware_concurrency() with a floor of 1 (the standard
   /// allows it to report 0).
   static int hardware_jobs();
 
-  /// Runs fn(i) for every i in [0, n) across the pool and returns when
-  /// all have finished. If any task threw, rethrows the exception of the
-  /// lowest failing index after the whole batch has run (every index is
-  /// attempted, matching the parallel schedule where later tasks may
-  /// already be in flight when an early one fails).
-  void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn);
+  /// Runs fn(i) for every i in [0, n) and returns when all have finished.
+  /// If any task threw, rethrows the exception of the lowest failing index
+  /// after every index has been attempted. A helper that cannot be started
+  /// is not an error: the threads already running drain its share.
+  void run_indexed(std::size_t n,
+                   const std::function<void(std::size_t)>& fn) const;
 
   /// Applies fn(index, item) to every item; results in submission order.
   /// The result type must be move-constructible.
   template <typename T, typename Fn>
-  auto parallel_map(const std::vector<T>& items, Fn&& fn)
+  auto parallel_map(const std::vector<T>& items, Fn&& fn) const
       -> std::vector<decltype(fn(std::size_t{0}, items[0]))> {
     using R = decltype(fn(std::size_t{0}, items[0]));
     std::vector<std::optional<R>> slots(items.size());
@@ -69,24 +61,7 @@ class TaskPool {
   }
 
  private:
-  void worker_loop();
-  /// Claims and runs indices of the current batch until none are left.
-  /// Called with `lock` held; returns with it held.
-  void drain_batch(std::unique_lock<std::mutex>& lock);
-
-  std::vector<std::thread> workers_;
-  /// Serializes concurrent run_indexed callers (one batch at a time).
-  std::mutex batch_gate_;
-  std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::condition_variable batch_done_;
-  bool stop_ = false;
-  // Current batch, guarded by mutex_.
-  std::size_t batch_n_ = 0;
-  std::size_t batch_next_ = 0;
-  std::size_t batch_live_ = 0;  ///< Claimed but not yet finished.
-  const std::function<void(std::size_t)>* batch_fn_ = nullptr;
-  std::vector<std::exception_ptr>* batch_errors_ = nullptr;
+  int jobs_;
 };
 
 }  // namespace pm::util

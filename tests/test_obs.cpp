@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/pm_algorithm.hpp"
 #include "core/scenario.hpp"
@@ -268,6 +270,27 @@ TEST(Log, ParseNamesAndAliases) {
   EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
   EXPECT_FALSE(parse_log_level("shout").has_value());
   EXPECT_STREQ(log_level_name(LogLevel::kInfo), "info");
+}
+
+// ---------------------------------------------------------------------
+// flag parsing
+// ---------------------------------------------------------------------
+
+TEST(ObsFlags, ProfileParseLeavesTraceAndMetricsFlagsUnrecognized) {
+  const char* argv[] = {"bench", "--trace-out=t.json",
+                        "--trace-jsonl=t.jsonl", "--metrics-out=m.prom",
+                        "--metrics-json=m.json"};
+  util::CliArgs profile_args(5, argv);
+  const ObsOptions profile_only = parse_profile_flags(profile_args);
+  EXPECT_FALSE(profile_only.detailed_requested());
+  EXPECT_EQ(profile_args.unused(),
+            (std::vector<std::string>{"metrics-json", "metrics-out",
+                                      "trace-jsonl", "trace-out"}));
+
+  util::CliArgs all_args(5, argv);
+  const ObsOptions all = parse_obs_flags(all_args);
+  EXPECT_EQ(all.trace_out.value_or(""), "t.json");
+  EXPECT_TRUE(all_args.unused().empty());
 }
 
 // ---------------------------------------------------------------------

@@ -120,7 +120,8 @@ TEST(SvcProtocol, ParseRejectsMalformedRequests) {
 
 TEST(SvcPlanCache, EvictsLeastRecentlyUsedUnderByteBudget) {
   // Budget fits exactly two of these entries (key 1 byte + payload 9).
-  PlanCache cache(20);
+  obs::MetricsRegistry metrics;
+  PlanCache cache(20, metrics);
   cache.put("a", "123456789");
   cache.put("b", "123456789");
   EXPECT_EQ(cache.entries(), 2u);
@@ -136,7 +137,8 @@ TEST(SvcPlanCache, EvictsLeastRecentlyUsedUnderByteBudget) {
 }
 
 TEST(SvcPlanCache, CountsHitsAndMisses) {
-  PlanCache cache(1024);
+  obs::MetricsRegistry metrics;
+  PlanCache cache(1024, metrics);
   EXPECT_FALSE(cache.get("k").has_value());
   cache.put("k", "v");
   EXPECT_TRUE(cache.get("k").has_value());
@@ -147,10 +149,14 @@ TEST(SvcPlanCache, CountsHitsAndMisses) {
   EXPECT_TRUE(cache.peek("k").has_value());
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.misses(), 1u);
+  // The counters are the registry's, so the metrics verb reports them.
+  EXPECT_EQ(metrics.counter("svc_cache_hits_total").value(), 2u);
+  EXPECT_EQ(metrics.counter("svc_cache_misses_total").value(), 1u);
 }
 
 TEST(SvcPlanCache, OversizedPayloadIsNeverStored) {
-  PlanCache cache(8);
+  obs::MetricsRegistry metrics;
+  PlanCache cache(8, metrics);
   cache.put("k", "way too large for the budget");
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.bytes(), 0u);
@@ -158,7 +164,8 @@ TEST(SvcPlanCache, OversizedPayloadIsNeverStored) {
 }
 
 TEST(SvcPlanCache, PutRefreshesExistingEntry) {
-  PlanCache cache(64);
+  obs::MetricsRegistry metrics;
+  PlanCache cache(64, metrics);
   cache.put("k", "old");
   cache.put("k", "newer");
   EXPECT_EQ(cache.entries(), 1u);

@@ -1,5 +1,5 @@
 // util::TaskPool — the deterministic parallel scenario engine: ordering,
-// exception propagation, the nested-submission deadlock guard, and the
+// exception propagation, nested and concurrent calls, and the
 // parallel-equals-serial golden contract on the real sweep drivers (one
 // figure sweep, one chaos cell grid).
 #include <atomic>
@@ -100,7 +100,8 @@ TEST(TaskPool, NestedSubmissionRunsInlineInsteadOfDeadlocking) {
   std::vector<int> outer = {0, 1, 2, 3};
   const auto out = pool.parallel_map(outer, [&](std::size_t, int o) {
     std::vector<int> inner(8, o);
-    // Same pool from inside a task: must not wait for a free slot.
+    // Same pool from inside a task: the nested call starts its own
+    // helpers, so it never waits for a slot of the outer call.
     const auto partial = pool.parallel_map(
         inner, [](std::size_t idx, int v) {
           return v * 10 + static_cast<int>(idx);
@@ -111,6 +112,37 @@ TEST(TaskPool, NestedSubmissionRunsInlineInsteadOfDeadlocking) {
   });
   // sum over idx 0..7 of (o*10 + idx) = 80*o + 28.
   EXPECT_EQ(out, (std::vector<int>{28, 108, 188, 268}));
+}
+
+TEST(TaskPool, ConcurrentCallersEachGetTheirOwnResults) {
+  const TaskPool pool(4);
+  std::vector<int> items(500);
+  for (int i = 0; i < 500; ++i) items[static_cast<std::size_t>(i)] = i;
+  std::vector<int> out_a;
+  std::vector<int> out_b;
+  std::thread a([&] {
+    out_a = pool.parallel_map(items, [](std::size_t, int v) { return v; });
+  });
+  std::thread b([&] {
+    out_b = pool.parallel_map(items, [](std::size_t, int v) { return -v; });
+  });
+  a.join();
+  b.join();
+  ASSERT_EQ(out_a.size(), items.size());
+  ASSERT_EQ(out_b.size(), items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(out_a[i], items[i]);
+    EXPECT_EQ(out_b[i], -items[i]);
+  }
+}
+
+TEST(TaskPool, FewItemsUseAtMostOneThreadEach) {
+  const TaskPool pool(8);
+  const std::vector<int> items = {0, 1};
+  const auto ids = pool.parallel_map(
+      items, [](std::size_t, int) { return std::this_thread::get_id(); });
+  const std::set<std::thread::id> distinct(ids.begin(), ids.end());
+  EXPECT_LE(distinct.size(), 2u);
 }
 
 TEST(TaskPool, ParseJobsFlag) {

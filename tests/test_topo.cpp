@@ -248,13 +248,6 @@ TEST(Generators, WaxmanDensityGrowsWithAlpha) {
   EXPECT_GT(dense.link_count(), sparse.link_count());
 }
 
-TEST(Generators, GeometricRadiusControlsDensity) {
-  const Topology near = random_geometric(40, 500.0, 7);
-  const Topology far = random_geometric(40, 2000.0, 7);
-  EXPECT_TRUE(graph::is_connected(near.graph()));
-  EXPECT_GT(far.link_count(), near.link_count());
-}
-
 TEST(Generators, RingWithChords) {
   const Topology t = ring_with_chords(10, 3, 5);
   EXPECT_EQ(t.node_count(), 10);
