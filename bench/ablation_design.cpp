@@ -60,7 +60,7 @@ void add_row(util::TextTable& t, const std::string& name,
 
 int main(int argc, char** argv) {
   util::CliArgs args(argc, argv);
-  const obs::ObsOptions obs_options = obs::parse_profile_flags(args);
+  obs::apply_log_level_flag(args);
   for (const auto& unused : args.unused()) {
     obs::log().warn("unrecognized flag --" + unused);
   }
@@ -174,6 +174,5 @@ int main(int argc, char** argv) {
     std::cout << "(small lambda preserves the two-stage priority of r; "
                  "large lambda trades balance for raw total)\n";
   }
-  obs::write_profile(obs_options);
   return 0;
 }

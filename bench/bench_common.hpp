@@ -46,10 +46,6 @@ struct BenchOptions {
   bool run_optimal = true;
   double optimal_time_limit = 20.0;
   std::optional<std::string> csv_path;
-  /// --log-level and --profile-out, applied to the global logger and
-  /// profiler by parse_bench_options. A bench owns no obs::Context, so
-  /// the trace and metrics flags are unrecognized here.
-  obs::ObsOptions obs;
   /// The invocation, verbatim, for the CSV metadata block.
   std::string command_line;
   /// --jobs=N: scenario-level parallelism of the sweep. Output is
@@ -73,7 +69,9 @@ inline BenchOptions parse_bench_options(int argc, char** argv,
     if (i > 0) o.command_line += ' ';
     o.command_line += argv[i];
   }
-  o.obs = obs::parse_profile_flags(args);
+  // A bench owns no obs::Context: only --log-level applies, and the
+  // trace and metrics flags are reported as unrecognized below.
+  obs::apply_log_level_flag(args);
   o.optimal_time_limit =
       args.get_double("optimal-time", default_time_limit);
   o.run_optimal = !args.get_bool("no-optimal", false) &&

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   util::CliArgs args(argc, argv);
   const double tolerance = args.get_double("tolerance", 0.0);
   const util::TaskPool pool(util::parse_jobs_flag(args));
-  const obs::ObsOptions obs_options = obs::parse_profile_flags(args);
+  obs::apply_log_level_flag(args);
   for (const auto& unused : args.unused()) {
     obs::log().warn("unrecognized flag --" + unused);
   }
@@ -82,6 +82,5 @@ int main(int argc, char** argv) {
               << pm_cascades << " (PM respects Eq. (3), so 0 by "
                  "construction)\n";
   }
-  obs::write_profile(obs_options);
   return 0;
 }

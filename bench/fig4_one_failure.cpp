@@ -28,6 +28,5 @@ int main(int argc, char** argv) {
                               /*with_controller_loads=*/false);
   bench::print_improvement_summary(results);
   if (!bench::maybe_write_csv(options, "fig4", results)) return 1;
-  obs::write_profile(options.obs);
   return invalid ? 1 : 0;
 }

@@ -40,6 +40,5 @@ int main(int argc, char** argv) {
               << bench::num(options.optimal_time_limit, 0) << "s)\n";
   }
   if (!bench::maybe_write_csv(options, "fig5", results)) return 1;
-  obs::write_profile(options.obs);
   return invalid ? 1 : 0;
 }

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const double time_limit = args.get_double("optimal-time", 10.0);
   const std::string cases = args.get_string("cases", "1,2,3");
   const int jobs = util::parse_jobs_flag(args);
-  const obs::ObsOptions obs_options = obs::parse_profile_flags(args);
+  obs::apply_log_level_flag(args);
   for (const auto& unused : args.unused()) {
     obs::log().warn("unrecognized flag --" + unused);
   }
@@ -62,6 +62,5 @@ int main(int argc, char** argv) {
                "Optimal runs to its "
             << bench::num(time_limit, 0)
             << "s budget per case, see DESIGN.md substitution 2)\n";
-  obs::write_profile(obs_options);
   return 0;
 }

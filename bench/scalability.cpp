@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const std::string sizes = args.get_string("sizes", "25,50,75,100,150");
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const int jobs = util::parse_jobs_flag(args);
-  const obs::ObsOptions obs_options = obs::parse_profile_flags(args);
+  obs::apply_log_level_flag(args);
   for (const auto& unused : args.unused()) {
     obs::log().warn("unrecognized flag --" + unused);
   }
@@ -109,6 +109,5 @@ int main(int argc, char** argv) {
               << rows.size() << " rows]\n";
   }
   t.print(std::cout);
-  obs::write_profile(obs_options);
   return util::shutdown_requested() ? 130 : 0;
 }

@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
-  const obs::ObsOptions obs_options = obs::parse_profile_flags(args);
+  obs::apply_log_level_flag(args);
   for (const auto& unused : args.unused()) {
     obs::log().warn("unrecognized flag --" + unused);
   }
@@ -81,6 +81,5 @@ int main(int argc, char** argv) {
             << "\n(PM is deterministic, so even from-scratch recomputation "
                "preserves most prior decisions; seeding guarantees the "
                "kept entries and never removes them)\n";
-  obs::write_profile(obs_options);
   return 0;
 }

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   const double surge = args.get_double("surge", 8.0);
   const double total_traffic = args.get_double("total-traffic", 200000.0);
   const double link_capacity = args.get_double("link-capacity", 10000.0);
-  const obs::ObsOptions obs_options = obs::parse_profile_flags(args);
+  obs::apply_log_level_flag(args);
   for (const auto& unused : args.unused()) {
     obs::log().warn("unrecognized flag --" + unused);
   }
@@ -99,6 +99,5 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n(lower is better; PM/PG should track each other and "
                "beat RetroFlow, which cannot steer the hub's flows)\n";
-  obs::write_profile(obs_options);
   return 0;
 }

@@ -13,7 +13,7 @@
 //        [--reorder=0.01] [--reorder-delay=40] [--fault-seed=42]
 //        [--trace-out=t.json] [--trace-jsonl=t.jsonl]
 //        [--metrics-out=m.prom] [--metrics-json=m.json]
-//        [--profile-out=p.json] [--log-level=info]
+//        [--log-level=info]
 //
 // --kill-at is repeatable and may land INSIDE a recovery window: killing
 // the coordinator (or an adopting controller) mid-wave exercises the

@@ -5,8 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "obs/profile.hpp"
-
 namespace pm::core {
 
 namespace {
@@ -55,7 +53,6 @@ WorkingState build_working_state(const sdwan::FailureState& state) {
 }  // namespace
 
 RecoveryPlan run_pm(const sdwan::FailureState& state, PmOptions options) {
-  OBS_SPAN("pm.run");
   const auto start = std::chrono::steady_clock::now();
   RecoveryPlan plan;
   plan.algorithm = "PM";
@@ -119,78 +116,74 @@ RecoveryPlan run_pm(const sdwan::FailureState& state, PmOptions options) {
   };
 
   // Lines 2-40: the balancing loop.
-  {
-    OBS_SPAN("pm.balancing");
-    while (test_count < max_sweeps && !recoverable_flows.empty()) {
-      // Lines 5-15: find the switch with the most least-programmability
-      // flows. `untested` is kept ascending, so ties pick the lowest id.
-      std::size_t delta = 0;
-      SwitchId i0 = -1;
-      for (SwitchId s : untested) {
-        std::size_t count = 0;
-        for (const auto& opp : state.opportunities_at(s)) {
-          if (w.h[static_cast<std::size_t>(opp.flow)] == sigma) ++count;
-        }
-        if (count > delta) {
-          delta = count;
-          i0 = s;
-          if (!options.greedy_switch_selection) break;  // first viable switch
-        }
+  while (test_count < max_sweeps && !recoverable_flows.empty()) {
+    // Lines 5-15: find the switch with the most least-programmability
+    // flows. `untested` is kept ascending, so ties pick the lowest id.
+    std::size_t delta = 0;
+    SwitchId i0 = -1;
+    for (SwitchId s : untested) {
+      std::size_t count = 0;
+      for (const auto& opp : state.opportunities_at(s)) {
+        if (w.h[static_cast<std::size_t>(opp.flow)] == sigma) ++count;
       }
-      if (i0 < 0) {
-        // No untested switch hosts a least-programmability flow: nothing in
-        // this sweep can raise the minimum, so start the next sweep.
-        restart_sweep();
-        continue;
+      if (count > delta) {
+        delta = count;
+        i0 = s;
+        if (!options.greedy_switch_selection) break;  // first viable switch
       }
-
-      // Lines 17-28: map switch i0 to a controller j0.
-      ControllerId j0 = w.mapped_to[static_cast<std::size_t>(i0)];
-      if (j0 < 0) {
-        for (ControllerId j : state.controllers_by_delay(i0)) {
-          if (w.rest[static_cast<std::size_t>(j)] >=
-              static_cast<double>(state.gamma(i0))) {
-            j0 = j;
-            break;  // nearest capable controller
-          }
-        }
-        if (j0 < 0) {
-          // Line 26: fall back to the controller with maximum residual
-          // capacity.
-          double best = -1.0;
-          for (ControllerId j : state.active_controllers()) {
-            if (w.rest[static_cast<std::size_t>(j)] > best) {
-              best = w.rest[static_cast<std::size_t>(j)];
-              j0 = j;
-            }
-          }
-        }
-        plan.mapping[i0] = j0;  // line 29: X <- X + (i0, j0)
-        w.mapped_to[static_cast<std::size_t>(i0)] = j0;
-      }
-      std::erase(untested, i0);  // line 29: S* <- S* \ s_i0
-
-      // Lines 31-36: put least-programmability flows at i0 into SDN mode.
-      for (const auto& opp : state.opportunities_at(i0)) {
-        // An assignment costs one whole control unit, so a fractional
-        // residual below 1 cannot host it.
-        if (w.h[static_cast<std::size_t>(opp.flow)] <= sigma &&
-            !w.assigned[opp.index] &&
-            w.rest[static_cast<std::size_t>(j0)] >= 1.0) {
-          w.rest[static_cast<std::size_t>(j0)] -= 1.0;
-          w.h[static_cast<std::size_t>(opp.flow)] += opp.p;
-          w.assigned[opp.index] = 1;
-        }
-      }
-
-      // Lines 37-39: sweep finished — raise the water level.
-      if (untested.empty()) restart_sweep();
     }
+    if (i0 < 0) {
+      // No untested switch hosts a least-programmability flow: nothing in
+      // this sweep can raise the minimum, so start the next sweep.
+      restart_sweep();
+      continue;
+    }
+
+    // Lines 17-28: map switch i0 to a controller j0.
+    ControllerId j0 = w.mapped_to[static_cast<std::size_t>(i0)];
+    if (j0 < 0) {
+      for (ControllerId j : state.controllers_by_delay(i0)) {
+        if (w.rest[static_cast<std::size_t>(j)] >=
+            static_cast<double>(state.gamma(i0))) {
+          j0 = j;
+          break;  // nearest capable controller
+        }
+      }
+      if (j0 < 0) {
+        // Line 26: fall back to the controller with maximum residual
+        // capacity.
+        double best = -1.0;
+        for (ControllerId j : state.active_controllers()) {
+          if (w.rest[static_cast<std::size_t>(j)] > best) {
+            best = w.rest[static_cast<std::size_t>(j)];
+            j0 = j;
+          }
+        }
+      }
+      plan.mapping[i0] = j0;  // line 29: X <- X + (i0, j0)
+      w.mapped_to[static_cast<std::size_t>(i0)] = j0;
+    }
+    std::erase(untested, i0);  // line 29: S* <- S* \ s_i0
+
+    // Lines 31-36: put least-programmability flows at i0 into SDN mode.
+    for (const auto& opp : state.opportunities_at(i0)) {
+      // An assignment costs one whole control unit, so a fractional
+      // residual below 1 cannot host it.
+      if (w.h[static_cast<std::size_t>(opp.flow)] <= sigma &&
+          !w.assigned[opp.index] &&
+          w.rest[static_cast<std::size_t>(j0)] >= 1.0) {
+        w.rest[static_cast<std::size_t>(j0)] -= 1.0;
+        w.h[static_cast<std::size_t>(opp.flow)] += opp.p;
+        w.assigned[opp.index] = 1;
+      }
+    }
+
+    // Lines 37-39: sweep finished — raise the water level.
+    if (untested.empty()) restart_sweep();
   }
 
   // Lines 42-50: utilization pass — spend leftover capacity.
   if (!options.skip_utilization_pass) {
-    OBS_SPAN("pm.utilization");
     // offline_switches() ascends, so switches are visited in the same
     // order the map-keyed working state used.
     for (const SwitchId i0 : state.offline_switches()) {

@@ -1,6 +1,5 @@
 #include "core/runner.hpp"
 
-#include "obs/profile.hpp"
 #include "util/task_pool.hpp"
 
 namespace pm::core {
@@ -18,23 +17,13 @@ CaseResult run_case(const sdwan::Network& net,
     result.violations[plan.algorithm] = validate_plan(state, plan);
   };
 
-  {
-    OBS_SPAN("runner.pm");
-    const RecoveryPlan pm_plan = run_pm(state);
-    result.pm_seconds = pm_plan.solve_seconds;
-    record(pm_plan);
-  }
-  {
-    OBS_SPAN("runner.retroflow");
-    record(run_retroflow(state));
-  }
-  {
-    OBS_SPAN("runner.pg");
-    record(run_pg(state));
-  }
+  const RecoveryPlan pm_plan = run_pm(state);
+  result.pm_seconds = pm_plan.solve_seconds;
+  record(pm_plan);
+  record(run_retroflow(state));
+  record(run_pg(state));
 
   if (options.run_optimal) {
-    OBS_SPAN("runner.optimal");
     const OptimalOutcome opt = run_optimal(state, options.optimal);
     result.optimal_seconds = opt.seconds;
     if (opt.plan) {

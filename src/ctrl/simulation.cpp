@@ -66,7 +66,6 @@ void ControlSimulation::fail_controller_at(sdwan::ControllerId j,
 }
 
 SimulationReport ControlSimulation::run(double until_ms) {
-  OBS_SPAN("ctrl.simulation.run");
   queue_.run(until_ms);
   const AuditReport audit_report = audit();
   const SimulationReport report = make_report(audit_report);

@@ -4,8 +4,6 @@
 #include <limits>
 #include <queue>
 
-#include "obs/profile.hpp"
-
 namespace pm::graph {
 
 namespace {
@@ -13,7 +11,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
 DijkstraResult dijkstra(const Graph& g, NodeId src) {
-  OBS_SPAN("graph.dijkstra");
   g.check_node(src);
   const auto n = static_cast<std::size_t>(g.node_count());
   DijkstraResult r;

@@ -8,8 +8,6 @@
 #include <limits>
 #include <tuple>
 
-#include "obs/profile.hpp"
-
 namespace pm::milp {
 
 std::string to_string(MipStatus status) {
@@ -281,7 +279,6 @@ class BranchAndBound {
 }  // namespace
 
 MipResult solve_mip(const Model& model, const MipOptions& options) {
-  OBS_SPAN("milp.branch_bound");
   if (options.presolve) {
     PresolveResult pre = presolve(model);
     if (pre.infeasible) {

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "obs/profile.hpp"
-
 namespace pm::milp {
 
 namespace {
@@ -51,7 +49,6 @@ std::vector<double> PresolveResult::restore(
 }
 
 PresolveResult presolve(const Model& model) {
-  OBS_SPAN("milp.presolve");
   PresolveResult result;
   const int n = model.variable_count();
   std::vector<WorkingVar> vars;

@@ -6,8 +6,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "obs/profile.hpp"
-
 namespace pm::milp {
 
 std::string to_string(LpStatus status) {
@@ -622,7 +620,6 @@ class Simplex {
 }  // namespace
 
 LpResult solve_lp(const Model& model, const SimplexOptions& options) {
-  OBS_SPAN("milp.simplex");
   if (model.constraint_count() == 0) {
     // Pure bound optimization.
     LpResult r;

@@ -7,9 +7,8 @@
 //
 // All values recorded here must derive from simulation state (counts,
 // simulated-clock durations) — never wall time — so identically-seeded
-// runs export byte-identical files. Wall-clock data belongs in
-// obs::Profiler, which exports to a separate, clearly non-deterministic
-// file.
+// runs export byte-identical files. Wall-clock timings (a plan's
+// solve_seconds, the benchmark's own tracer) never enter the registry.
 //
 // Exports: Prometheus text exposition format and a JSON tree.
 //

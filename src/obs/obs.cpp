@@ -47,16 +47,9 @@ bool write_file(const std::string& path,
   return true;
 }
 
-ObsOptions parse_profile_flags(util::CliArgs& args) {
+ObsOptions parse_obs_flags(util::CliArgs& args) {
   set_level_from(args);
   ObsOptions o;
-  o.profile_out = path_flag(args, "profile-out");
-  if (o.profile_out) Profiler::global().set_enabled(true);
-  return o;
-}
-
-ObsOptions parse_obs_flags(util::CliArgs& args) {
-  ObsOptions o = parse_profile_flags(args);
   o.trace_out = path_flag(args, "trace-out");
   o.trace_jsonl = path_flag(args, "trace-jsonl");
   o.metrics_out = path_flag(args, "metrics-out");
@@ -89,16 +82,6 @@ void write_outputs(const ObsOptions& options, const Context& ctx) {
                },
                "metrics json");
   }
-  write_profile(options);
-}
-
-void write_profile(const ObsOptions& options) {
-  if (!options.profile_out) return;
-  write_file(*options.profile_out,
-             [&](std::ostream& out) {
-               out << Profiler::global().to_json().to_string(2) << "\n";
-             },
-             "wall-clock profile");
 }
 
 }  // namespace pm::obs

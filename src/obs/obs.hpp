@@ -2,9 +2,8 @@
 //
 // A Context bundles the deterministic sinks — the simulated-clock event
 // tracer and the metrics registry — that a simulation harness owns and
-// threads through its components. The wall-clock Profiler is process-
-// global (spans fire deep inside algorithms with no context to hand
-// around) and the leveled Logger likewise (obs/log.hpp).
+// threads through its components. The leveled Logger is process-global
+// (obs/log.hpp).
 //
 // parse_obs_flags() gives every program that owns a Context the same
 // flag vocabulary on top of util::CliArgs:
@@ -13,15 +12,12 @@
 //   --trace-jsonl=FILE   JSONL structured event log
 //   --metrics-out=FILE   Prometheus text exposition
 //   --metrics-json=FILE  metrics as JSON
-//   --profile-out=FILE   wall-clock span profile (non-deterministic;
-//                        implicitly enables the global profiler)
 //   --log-level=LEVEL    quiet|error|warn|info|debug
-// A program with no Context calls parse_profile_flags() and takes only
-// the last two; it warns about the other four as unrecognized.
+// A program with no Context calls apply_log_level_flag() and takes only
+// the last one; it warns about the other four as unrecognized.
 //
 // Determinism contract: trace and metrics files are byte-identical
-// across runs with the same seed; the profile file is the only
-// non-deterministic output and is never merged into the others.
+// across runs with the same seed.
 #pragma once
 
 #include <functional>
@@ -31,7 +27,6 @@
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
 
@@ -53,7 +48,6 @@ struct ObsOptions {
   std::optional<std::string> trace_jsonl;   ///< JSONL event log.
   std::optional<std::string> metrics_out;   ///< Prometheus text.
   std::optional<std::string> metrics_json;  ///< Metrics JSON.
-  std::optional<std::string> profile_out;   ///< Wall-clock profile JSON.
 
   bool tracing_requested() const {
     return trace_out.has_value() || trace_jsonl.has_value();
@@ -66,28 +60,19 @@ struct ObsOptions {
   }
 };
 
-/// Parses the shared observability flags, applies --log-level to the
-/// global logger and enables the global profiler when --profile-out is
-/// given. Unknown --log-level values warn and keep the default.
+/// Parses the shared observability flags and applies --log-level to the
+/// global logger. Unknown --log-level values warn and keep the default.
 ObsOptions parse_obs_flags(util::CliArgs& args);
 
-/// Parses and applies only --log-level and --profile-out, for programs
-/// that own no Context: the four trace/metrics flags stay in
-/// args.unused(), so the program warns about them instead of ignoring
-/// them.
-ObsOptions parse_profile_flags(util::CliArgs& args);
-
-/// Parses and applies only --log-level (for tools with no trace/metrics
-/// surface, so the flag never shows up as "unrecognized").
+/// Parses and applies only --log-level, for programs that own no
+/// Context: the four trace/metrics flags stay in args.unused(), so the
+/// program warns about them instead of ignoring them.
 void apply_log_level_flag(util::CliArgs& args);
 
-/// Writes every requested file: trace/metrics from `ctx`, the profile
-/// from the global Profiler. Unwritable paths log an error and are
-/// skipped. Logs one info line per file written.
+/// Writes every requested trace/metrics file from `ctx`. Unwritable
+/// paths log an error and are skipped. Logs one info line per file
+/// written.
 void write_outputs(const ObsOptions& options, const Context& ctx);
-
-/// Writes only the wall-clock profile (for benches with no Context).
-void write_profile(const ObsOptions& options);
 
 /// The one way a program writes an output file: runs `body` on a fresh
 /// stream for `path`. If the file cannot be opened or written, logs an

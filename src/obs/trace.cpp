@@ -24,19 +24,6 @@ void Tracer::instant(double ts_ms, std::string cat, std::string name,
           std::move(args)});
 }
 
-void Tracer::begin(double ts_ms, std::string cat, std::string name,
-                   int track, Args args) {
-  if (!enabled_) return;
-  record({'B', ts_ms, 0.0, track, std::move(cat), std::move(name),
-          std::move(args)});
-}
-
-void Tracer::end(double ts_ms, std::string cat, std::string name,
-                 int track) {
-  if (!enabled_) return;
-  record({'E', ts_ms, 0.0, track, std::move(cat), std::move(name), {}});
-}
-
 void Tracer::complete(double ts_ms, double dur_ms, std::string cat,
                       std::string name, int track, Args args) {
   if (!enabled_) return;

@@ -9,9 +9,9 @@
 // Two export formats:
 //  * JSONL — one JSON object per line, for grep/jq pipelines;
 //  * Chrome trace_event JSON — loads in chrome://tracing and Perfetto;
-//    instant events ("i"), duration pairs ("B"/"E") and complete spans
-//    ("X", e.g. one recovery wave start->converged) with track-name
-//    metadata so timelines are labeled.
+//    instant events ("i") and complete spans ("X", e.g. one recovery
+//    wave start->converged) with track-name metadata so timelines are
+//    labeled.
 //
 // The tracer is a null sink by default: while disabled, record calls
 // return after one branch and allocate nothing. Call sites are expected
@@ -50,14 +50,8 @@ class Tracer {
   void instant(double ts_ms, std::string cat, std::string name, int track,
                Args args = {});
 
-  /// Begin/end of a nested duration on `track` (Chrome "B"/"E").
-  void begin(double ts_ms, std::string cat, std::string name, int track,
-             Args args = {});
-  void end(double ts_ms, std::string cat, std::string name, int track);
-
-  /// Complete span [ts_ms, ts_ms + dur_ms] (Chrome "X"); used for
-  /// recovery waves so overlapping/superseded waves cannot unbalance
-  /// B/E nesting.
+  /// Complete span [ts_ms, ts_ms + dur_ms] (Chrome "X"), e.g. one
+  /// recovery wave; overlapping or superseded spans need no nesting.
   void complete(double ts_ms, double dur_ms, std::string cat,
                 std::string name, int track, Args args = {});
 
@@ -78,7 +72,7 @@ class Tracer {
 
  private:
   struct Event {
-    char phase;  // 'i', 'B', 'E', 'X'
+    char phase;  // 'i' or 'X'
     double ts_ms;
     double dur_ms;  // 'X' only
     int track;

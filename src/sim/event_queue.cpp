@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/profile.hpp"
-
 namespace pm::sim {
 
 namespace {
@@ -55,7 +53,6 @@ bool EventQueue::cancel(EventId id) {
 }
 
 std::size_t EventQueue::run(TimeMs until) {
-  OBS_SPAN("sim.dispatch");
   std::size_t executed = 0;
   while (!heap_.empty() && heap_.front().at <= until) {
     const Key key = heap_.front();

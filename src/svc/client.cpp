@@ -12,6 +12,10 @@
 namespace pm::svc {
 
 Client::Client(const std::string& host, int port) {
+  if (port < 1 || port > 65535) {
+    throw std::runtime_error("svc::Client: port " + std::to_string(port) +
+                             " is outside [1, 65535]");
+  }
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) throw std::runtime_error("svc::Client: socket() failed");
   sockaddr_in addr{};

@@ -13,8 +13,8 @@ namespace pm::svc {
 
 class Client {
  public:
-  /// Connects immediately. Throws std::runtime_error when the server is
-  /// unreachable.
+  /// Connects immediately. Throws std::runtime_error for a port outside
+  /// [1, 65535] or when the server is unreachable.
   Client(const std::string& host, int port);
   ~Client();
 

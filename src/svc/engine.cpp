@@ -1,6 +1,7 @@
 #include "svc/engine.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/metrics.hpp"
 #include "core/naive.hpp"
@@ -186,17 +187,25 @@ std::optional<SolveOutcome> Engine::try_cached(const SolveParams& params) {
   return outcome;
 }
 
-SolveOutcome Engine::solve(const SolveParams& params) {
-  SolveJob job;
-  job.params = params;
-  if (params.deadline_ms > 0.0) {
-    job.deadline = Clock::now() + std::chrono::duration_cast<
-                                      Clock::duration>(
-                                      std::chrono::duration<double,
-                                                            std::milli>(
-                                          params.deadline_ms));
+std::optional<Clock::time_point> deadline_after(double budget_ms) {
+  // Compared as double before the cast: a tick count past the clock's
+  // range would overflow (undefined, and on x86 a deadline in the past).
+  const std::chrono::duration<double, Clock::period> budget =
+      std::chrono::duration<double, std::milli>(budget_ms);
+  if (!(budget.count() > 0.0) ||
+      budget.count() >=
+          static_cast<double>(std::numeric_limits<Clock::rep>::max())) {
+    return std::nullopt;
   }
-  return solve(job);
+  const Clock::duration ticks =
+      std::chrono::duration_cast<Clock::duration>(budget);
+  const Clock::time_point now = Clock::now();
+  if (ticks > Clock::time_point::max() - now) return std::nullopt;
+  return now + ticks;
+}
+
+SolveOutcome Engine::solve(const SolveParams& params) {
+  return solve(SolveJob{params, deadline_after(params.deadline_ms)});
 }
 
 }  // namespace pm::svc

@@ -74,6 +74,11 @@ struct SolveJob {
   std::optional<std::chrono::steady_clock::time_point> deadline;
 };
 
+/// The absolute deadline `budget_ms` from now. A budget that is not
+/// positive, or too large for the clock to represent, sets none.
+std::optional<std::chrono::steady_clock::time_point> deadline_after(
+    double budget_ms);
+
 class Engine {
  public:
   explicit Engine(sdwan::Network network, EngineConfig config = {});

@@ -96,6 +96,16 @@ Server::Server(Engine& engine, ServerConfig config)
 Server::~Server() { stop(); }
 
 void Server::start() {
+  if (config_.port < 0 || config_.port > 65535) {
+    throw std::runtime_error("svc::Server: port " +
+                             std::to_string(config_.port) +
+                             " is outside [0, 65535]");
+  }
+  if (config_.max_queue < 0) {
+    throw std::runtime_error("svc::Server: max_queue " +
+                             std::to_string(config_.max_queue) +
+                             " is negative");
+  }
   if (running_.exchange(true)) return;
   stopping_.store(false);
 #ifdef M_ARENA_MAX
@@ -322,14 +332,8 @@ std::string Server::handle_solve(const Request& request) {
   }
   auto pending = std::make_unique<PendingSolve>();
   pending->job.params = request.solve;
-  const double deadline_ms = request.solve.deadline_ms;
-  if (deadline_ms > 0.0) {
-    // Stamped at admission: queueing time counts against the budget.
-    pending->job.deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double, std::milli>(deadline_ms));
-  }
+  // Stamped at admission: queueing time counts against the budget.
+  pending->job.deadline = deadline_after(request.solve.deadline_ms);
   std::future<SolveOutcome> future = pending->promise.get_future();
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);

@@ -63,7 +63,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds 127.0.0.1, listens, spawns the acceptor and the workers.
-  /// Throws std::runtime_error when the socket cannot be set up.
+  /// Throws std::runtime_error for a port outside [0, 65535], a
+  /// negative max_queue, or when the socket cannot be set up.
   void start();
 
   /// The bound port (resolves config.port == 0 after start()).

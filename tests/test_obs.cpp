@@ -1,6 +1,6 @@
 // Tests for the observability layer (src/obs): metrics registry,
-// deterministic tracer, wall-clock profiler, leveled logger — plus the
-// report-as-view contract between ControlSimulation and its registry.
+// deterministic tracer, leveled logger — plus the report-as-view
+// contract between ControlSimulation and its registry.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -13,7 +13,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "util/json.hpp"
 
@@ -120,9 +119,7 @@ void record_canonical_events(Tracer& t) {
   t.set_track_name(1, "channel");
   t.set_track_name(10, "controller C0");
   t.instant(1.5, "channel", "send", 1, {{"kind", "heartbeat"}, {"seq", 7}});
-  t.begin(2.0, "wave", "recovery", 10);
   t.instant(2.5, "channel", "recv", 1, {{"latency_ms", 0.75}});
-  t.end(4.0, "wave", "recovery", 10);
   t.complete(2.0, 2.0, "wave", "wave", 3, {{"epoch", 1}});
 }
 
@@ -130,8 +127,6 @@ TEST(Tracer, DisabledRecordsNothing) {
   Tracer t;
   EXPECT_FALSE(t.enabled());
   t.instant(1.0, "c", "n", 1);
-  t.begin(1.0, "c", "n", 1);
-  t.end(2.0, "c", "n", 1);
   t.complete(1.0, 1.0, "c", "n", 1);
   EXPECT_EQ(t.size(), 0u);
 }
@@ -161,8 +156,8 @@ TEST(Tracer, ChromeTraceParsesAndCarriesMetadata) {
   const auto json = util::JsonValue::parse(out.str());
   ASSERT_TRUE(json.contains("traceEvents"));
   const auto& events = json.at("traceEvents");
-  // 2 thread_name metadata records + 5 events.
-  ASSERT_EQ(events.size(), 7u);
+  // 2 thread_name metadata records + 3 events.
+  ASSERT_EQ(events.size(), 5u);
   // Metadata first, naming the tracks.
   EXPECT_EQ(events.at(0).at("ph").as_string(), "M");
   EXPECT_EQ(events.at(0).at("name").as_string(), "thread_name");
@@ -190,48 +185,6 @@ TEST(Tracer, JsonlLinesParseStandalone) {
     ++lines;
   }
   EXPECT_EQ(lines, t.size());
-}
-
-// ---------------------------------------------------------------------
-// profiler
-// ---------------------------------------------------------------------
-
-TEST(Profiler, DisabledSpansCostNothingVisible) {
-  Profiler& p = Profiler::global();
-  p.set_enabled(false);
-  p.reset();
-  {
-    OBS_SPAN("test.disabled");
-  }
-  EXPECT_TRUE(p.spans().empty());
-}
-
-TEST(Profiler, NestedSpansTrackDepth) {
-  Profiler& p = Profiler::global();
-  p.set_enabled(true);
-  p.reset();
-  {
-    OBS_SPAN("test.outer");
-    EXPECT_EQ(p.current_depth(), 1);
-    {
-      OBS_SPAN("test.inner");
-      EXPECT_EQ(p.current_depth(), 2);
-    }
-  }
-  p.set_enabled(false);
-  EXPECT_EQ(p.current_depth(), 0);
-  ASSERT_EQ(p.spans().size(), 2u);
-  const auto& outer = p.spans().at("test.outer");
-  const auto& inner = p.spans().at("test.inner");
-  EXPECT_EQ(outer.count, 1u);
-  EXPECT_EQ(inner.count, 1u);
-  EXPECT_EQ(outer.max_depth, 1);
-  EXPECT_EQ(inner.max_depth, 2);
-  // Outer wall time encloses inner.
-  EXPECT_GE(outer.total_ms, inner.total_ms);
-  const auto json = p.to_json();
-  EXPECT_FALSE(json.at("deterministic").as_bool());
-  p.reset();
 }
 
 // ---------------------------------------------------------------------
@@ -276,21 +229,22 @@ TEST(Log, ParseNamesAndAliases) {
 // flag parsing
 // ---------------------------------------------------------------------
 
-TEST(ObsFlags, ProfileParseLeavesTraceAndMetricsFlagsUnrecognized) {
+TEST(ObsFlags, LogLevelParseLeavesTraceAndMetricsFlagsUnrecognized) {
   const char* argv[] = {"bench", "--trace-out=t.json",
                         "--trace-jsonl=t.jsonl", "--metrics-out=m.prom",
-                        "--metrics-json=m.json"};
-  util::CliArgs profile_args(5, argv);
-  const ObsOptions profile_only = parse_profile_flags(profile_args);
-  EXPECT_FALSE(profile_only.detailed_requested());
-  EXPECT_EQ(profile_args.unused(),
+                        "--metrics-json=m.json", "--profile-out=p.json"};
+  util::CliArgs log_args(6, argv);
+  apply_log_level_flag(log_args);
+  EXPECT_EQ(log_args.unused(),
             (std::vector<std::string>{"metrics-json", "metrics-out",
-                                      "trace-jsonl", "trace-out"}));
+                                      "profile-out", "trace-jsonl",
+                                      "trace-out"}));
 
-  util::CliArgs all_args(5, argv);
+  // --profile-out is no flag at all: even a program with a Context warns.
+  util::CliArgs all_args(6, argv);
   const ObsOptions all = parse_obs_flags(all_args);
   EXPECT_EQ(all.trace_out.value_or(""), "t.json");
-  EXPECT_TRUE(all_args.unused().empty());
+  EXPECT_EQ(all_args.unused(), (std::vector<std::string>{"profile-out"}));
 }
 
 // ---------------------------------------------------------------------

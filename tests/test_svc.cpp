@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -244,6 +245,15 @@ TEST(SvcEngine, ExpiredDeadlineReturnsDeadlineExceeded) {
   EXPECT_EQ(outcome.error_code, svc::kErrDeadlineExceeded);
   // The expired request never computed or filled the cache.
   EXPECT_FALSE(engine.try_cached(job.params).has_value());
+
+  // A budget too large for the clock's tick count sets no deadline
+  // rather than one that overflows into the past.
+  for (const double budget_ms : {1e13, 1e300}) {
+    SolveParams generous = job.params;
+    generous.deadline_ms = budget_ms;
+    const auto solved = engine.solve(generous);
+    EXPECT_TRUE(solved.ok) << budget_ms << ": " << solved.error_code;
+  }
 }
 
 TEST(SvcEngine, ConcurrentSolvesMatchSerialSolves) {
@@ -524,6 +534,24 @@ TEST_F(SvcServerTest, UnknownAlgorithmIsStructuredError) {
       R"({"verb":"solve","failed":[3],"algorithm":"magic"})"));
   ASSERT_FALSE(err.at("ok").as_bool());
   EXPECT_EQ(err.at("error").at("code").as_string(), svc::kErrBadRequest);
+}
+
+TEST(SvcServer, StartRejectsOutOfRangePortAndNegativeQueue) {
+  Engine engine(core::make_att_network(), small_engine_config());
+  for (const int port : {-1, 65536, 70000}) {
+    svc::ServerConfig config;
+    config.port = port;
+    svc::Server server(engine, config);
+    EXPECT_THROW(server.start(), std::runtime_error) << port;
+    EXPECT_FALSE(server.running());
+  }
+  svc::ServerConfig config;
+  config.max_queue = -5;
+  svc::Server server(engine, config);
+  EXPECT_THROW(server.start(), std::runtime_error);
+  EXPECT_FALSE(server.running());
+  EXPECT_THROW(svc::Client("127.0.0.1", 70000), std::runtime_error);
+  EXPECT_THROW(svc::Client("127.0.0.1", 0), std::runtime_error);
 }
 
 TEST(SvcServer, ZeroQueueShedsUncachedSolves) {
