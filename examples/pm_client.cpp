@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
   const std::string host = args.get_string("host", "127.0.0.1");
-  const int port = static_cast<int>(args.get_int("port", 7071));
+  const long long port = args.get_int("port", 7071);
   const std::string raw = args.get_string("raw", "");
   std::string verb = args.get_string("verb", "solve");
   const std::string failed_spec = args.get_string("failed", "");
@@ -38,6 +38,10 @@ int main(int argc, char** argv) {
   obs::apply_log_level_flag(args);
   for (const auto& unused : args.unused()) {
     obs::log().warn("unrecognized flag --" + unused);
+  }
+  if (port < 1 || port > 65535) {
+    std::cerr << "pm_client: --port=" << port << " is not a TCP port\n";
+    return 2;
   }
 
   std::string line = raw;
@@ -68,7 +72,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    svc::Client client(host, port);
+    svc::Client client(host, static_cast<int>(port));
     bool all_ok = true;
     for (long long i = 0; i < std::max(1LL, repeat); ++i) {
       const std::string response = client.roundtrip_line(line);

@@ -49,10 +49,14 @@ AuditReport audit_recovery(const sdwan::Network& net,
     }
   }
 
+  const auto table = [&dataplane](const SwitchAgent* agent)
+      -> const std::vector<sdwan::FlowEntry>& {
+    return dataplane.at(agent->id()).flow_table();
+  };
   if (!shared.committed_plan) {
     // No wave has committed: entries should not exist at all.
     for (const SwitchAgent* agent : agents) {
-      for (const auto& [match, epoch] : agent->entry_epochs()) {
+      for (std::size_t k = 0; k < table(agent).size(); ++k) {
         ++report.entries_checked;
         flag("unplanned-entry",
              "switch " + std::to_string(agent->id()) +
@@ -67,18 +71,18 @@ AuditReport audit_recovery(const sdwan::Network& net,
   // and no flow mixing epochs across switches.
   std::vector<std::pair<sdwan::FlowId, std::uint64_t>> flow_epochs;
   for (const SwitchAgent* agent : agents) {
-    for (const auto& [match, epoch] : agent->entry_epochs()) {
+    for (const sdwan::FlowEntry& e : table(agent)) {
       ++report.entries_checked;
-      if (epoch != shared.committed_epoch) {
+      if (e.cookie != shared.committed_epoch) {
         flag("stale-epoch",
              "switch " + std::to_string(agent->id()) + " entry (" +
-                 std::to_string(match.first) + "->" +
-                 std::to_string(match.second) + ") from epoch " +
-                 std::to_string(epoch) + ", committed epoch is " +
+                 std::to_string(e.match.src) + "->" +
+                 std::to_string(e.match.dst) + ") from epoch " +
+                 std::to_string(e.cookie) + ", committed epoch is " +
                  std::to_string(shared.committed_epoch));
       }
-      const sdwan::FlowId flow = net.flow_by_match(match.first, match.second);
-      if (flow >= 0) flow_epochs.emplace_back(flow, epoch);
+      const sdwan::FlowId flow = net.flow_by_match(e.match.src, e.match.dst);
+      if (flow >= 0) flow_epochs.emplace_back(flow, e.cookie);
     }
   }
   // Distinct (flow, epoch) pairs in flow order; a flow with several is
@@ -135,8 +139,11 @@ AuditReport audit_recovery(const sdwan::Network& net,
     }
     if (next_hop < 0) continue;  // no entry is ever sent for these
     ++report.assignments_checked;
-    const SwitchAgent* agent = agents.at(static_cast<std::size_t>(sw));
-    if (!agent->entry_epochs().contains({f.src, f.dst})) {
+    const auto& entries = dataplane.at(sw).flow_table();
+    if (std::none_of(entries.begin(), entries.end(),
+                     [&f](const sdwan::FlowEntry& e) {
+                       return e.match.src == f.src && e.match.dst == f.dst;
+                     })) {
       flag("missing-entry", sw_flow(sw, flow) + " committed but absent");
       continue;
     }
@@ -163,13 +170,13 @@ AuditReport audit_recovery(const sdwan::Network& net,
   // 4c. No entry outside the committed plan. (Cleanup adoptions may
   // master extra switches — that is legal; extra ENTRIES are not.)
   for (const SwitchAgent* agent : agents) {
-    for (const auto& [match, epoch] : agent->entry_epochs()) {
-      const sdwan::FlowId flow = net.flow_by_match(match.first, match.second);
+    for (const sdwan::FlowEntry& e : table(agent)) {
+      const sdwan::FlowId flow = net.flow_by_match(e.match.src, e.match.dst);
       if (flow < 0 || !plan.has_assignment(agent->id(), flow)) {
         flag("unplanned-entry",
              "switch " + std::to_string(agent->id()) + " entry (" +
-                 std::to_string(match.first) + "->" +
-                 std::to_string(match.second) +
+                 std::to_string(e.match.src) + "->" +
+                 std::to_string(e.match.dst) +
                  ") is not in the committed plan");
       }
     }

@@ -1,11 +1,9 @@
 #include "ctrl/channel.hpp"
 
-#include <algorithm>
 #include <array>
 #include <stdexcept>
 #include <utility>
 
-#include "graph/shortest_path.hpp"
 #include "obs/obs.hpp"
 
 namespace pm::ctrl {
@@ -40,10 +38,7 @@ ControlChannel::ControlChannel(const sdwan::Network& net,
     : net_(&net),
       queue_(&queue),
       endpoints_(static_cast<std::size_t>(net.switch_count() +
-                                          net.controller_count())),
-      delays_(static_cast<std::size_t>(net.switch_count()) *
-              static_cast<std::size_t>(net.switch_count())),
-      delay_row_filled_(static_cast<std::size_t>(net.switch_count()), 0) {}
+                                          net.controller_count())) {}
 
 void ControlChannel::attach(EndpointId id, sdwan::SwitchId location,
                             Handler handler) {
@@ -86,7 +81,17 @@ double ControlChannel::path_delay_ms(EndpointId a, EndpointId b) const {
   const Endpoint* ea = endpoint(a);
   const Endpoint* eb = endpoint(b);
   if (ea == nullptr || eb == nullptr) return 0.0;
-  return shortest_delay(ea->location, eb->location);
+  return delay_ms(a, *ea, b, *eb);
+}
+
+double ControlChannel::delay_ms(EndpointId a, const Endpoint& ea,
+                                EndpointId b, const Endpoint& eb) const {
+  const int switches = net_->switch_count();
+  if (b >= switches) return net_->delay_ms(ea.location, b - switches);
+  if (a >= switches) return net_->delay_ms(eb.location, a - switches);
+  throw std::logic_error("message between switch endpoints " +
+                         std::to_string(a) + " and " + std::to_string(b) +
+                         " has no controller end");
 }
 
 std::uint64_t ControlChannel::send(Message m, double extra_latency_ms) {
@@ -127,6 +132,8 @@ void ControlChannel::dispatch(Message m, double extra_latency_ms) {
     }
     return;
   }
+  const double base_delay =
+      delay_ms(m.from, *from, m.to, *to) + extra_latency_ms;
   const std::string& kind = message_kind(m);
   ++sent_;
   ++by_kind_[m.body.index()];
@@ -134,15 +141,6 @@ void ControlChannel::dispatch(Message m, double extra_latency_ms) {
     obs_->tracer.instant(queue_->now(), "channel", "send",
                          tracks::kChannel, message_args(m, kind));
   }
-
-  // Propagation delay between the endpoints' locations over the data
-  // network (in-band control), via the precomputed all-pairs distances in
-  // Network's delay matrix when one endpoint is a controller; otherwise
-  // re-derive from the topology. Both locations are topology nodes, so
-  // use the graph distance directly.
-  const double base_delay =
-      shortest_delay(from->location, to->location) +
-      extra_latency_ms;
 
   // Draw order is fixed (partition, drop, delay, duplicate) so a given
   // seed replays the identical fault sequence. An inert model draws
@@ -208,37 +206,6 @@ void ControlChannel::deliver_in(double delay, Message m) {
   static_assert(sim::Task::stores_inline<decltype(deliver)>(),
                 "a delivery event must not allocate");
   queue_->schedule_in(delay, std::move(deliver));
-}
-
-void ControlChannel::invalidate_delays() {
-  std::fill(delay_row_filled_.begin(), delay_row_filled_.end(), 0);
-  delay_rows_filled_ = 0;
-}
-
-std::size_t ControlChannel::cached_delay_pairs() const {
-  // Pairs with a filled end: r diagonal pairs plus every off-diagonal
-  // pair except those between two unfilled locations.
-  const std::size_t n = delay_row_filled_.size();
-  const std::size_t r = delay_rows_filled_;
-  const auto pairs = [](std::size_t k) { return k < 2 ? 0 : k * (k - 1) / 2; };
-  return r + pairs(n) - pairs(n - r);
-}
-
-double ControlChannel::shortest_delay(sdwan::SwitchId a,
-                                      sdwan::SwitchId b) const {
-  if (a == b) return 0.0;
-  const auto n = delay_row_filled_.size();
-  const auto ua = static_cast<std::size_t>(a);
-  const auto ub = static_cast<std::size_t>(b);
-  if (delay_row_filled_[ua] == 0 && delay_row_filled_[ub] == 0) {
-    const auto sssp = graph::dijkstra(net_->topology().graph(), a);
-    for (std::size_t v = 0; v < n; ++v) {
-      delays_[ua * n + v] = delays_[v * n + ua] = sssp.dist[v];
-    }
-    delay_row_filled_[ua] = 1;
-    ++delay_rows_filled_;
-  }
-  return delays_[ua * n + ub];
 }
 
 }  // namespace pm::ctrl

@@ -1,7 +1,9 @@
 // The control channel: delivers messages between endpoints over the
-// event queue, paying the propagation delay of the shortest path between
-// their locations (in-band control). Per-message statistics are kept for
-// the convergence reports.
+// event queue, paying D_ij — the network's in-band propagation delay
+// between switch i and controller j, where i is the location of the end
+// that is not controller j. Every protocol message has a controller on
+// at least one end. Per-message statistics are kept for the convergence
+// reports.
 //
 // A ChannelFaultModel makes the channel lossy: per-message drops,
 // duplicates, delay jitter, gross reordering and scheduled partition
@@ -61,7 +63,8 @@ class ControlChannel {
   void detach(EndpointId id);
 
   /// Sends `m` (m.from must be attached); delivery is scheduled after the
-  /// locations' shortest-path delay plus `extra_latency_ms`. Assigns
+  /// D_ij of its ends plus `extra_latency_ms`. Throws std::logic_error
+  /// when neither end is a controller. Assigns
   /// m.seq from the channel-wide counter and returns it, so a sender that
   /// wants ack-driven retransmission can resend() the same message.
   std::uint64_t send(Message m, double extra_latency_ms = 0.0);
@@ -94,18 +97,11 @@ class ControlChannel {
   void set_observability(obs::Context* obs);
   obs::Context* observability() const { return obs_; }
 
-  /// Propagation delay between two attached endpoints' locations; the
-  /// agents use it to size retransmission timeouts. Returns 0 if either
-  /// endpoint is unknown.
+  /// Propagation delay D_ij between two endpoints, as send() charges it;
+  /// the agents use it to size retransmission timeouts. Returns 0 if
+  /// either endpoint is unknown and throws std::logic_error when neither
+  /// is a controller.
   double path_delay_ms(EndpointId a, EndpointId b) const;
-
-  /// Drops memoized pairwise delays. Must be called whenever the
-  /// topology/failure state the delays were computed from changes
-  /// (link failures, reweighting); the simulation hooks it from its
-  /// failure events.
-  void invalidate_delays();
-  /// Location pairs {a, b} (a == b included) whose delay is memoized.
-  std::size_t cached_delay_pairs() const;
 
   std::uint64_t messages_sent() const { return sent_; }
   std::uint64_t messages_dropped() const { return dropped_; }
@@ -130,7 +126,9 @@ class ControlChannel {
   }
   void dispatch(Message m, double extra_latency_ms);
   void deliver_in(double delay, Message m);
-  double shortest_delay(sdwan::SwitchId a, sdwan::SwitchId b) const;
+  /// D_ij between known endpoints `a` (located at `ea`) and `b`.
+  double delay_ms(EndpointId a, const Endpoint& ea, EndpointId b,
+                  const Endpoint& eb) const;
 
   const sdwan::Network* net_;
   sim::EventQueue* queue_;
@@ -144,13 +142,6 @@ class ControlChannel {
   FaultInjector faults_{ChannelFaultModel{}};
   obs::Context* obs_ = nullptr;
   obs::Histogram* latency_hist_ = nullptr;
-  /// Memoized propagation delays, row-major by location: delays_[a * n +
-  /// b] is valid while row a or row b is filled. Filling a row runs one
-  /// Dijkstra from that location and writes both halves, so a pair holds
-  /// the value of the latest Dijkstra from either end.
-  mutable std::vector<double> delays_;
-  mutable std::vector<char> delay_row_filled_;
-  mutable std::size_t delay_rows_filled_ = 0;
 };
 
 }  // namespace pm::ctrl

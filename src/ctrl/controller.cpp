@@ -37,6 +37,9 @@ ControllerNode::ControllerNode(const sdwan::Network& net,
     shared.role_pending.resize(switches, 0);
     shared.wave_masters.resize(switches, -1);
   }
+  if (shared.suspicions.size() < controllers) {
+    shared.suspicions.resize(controllers);
+  }
   last_heard_.assign(controllers, 0.0);
   miss_counts_.assign(controllers, 0);
   role_retries_.resize(switches);
@@ -78,18 +81,19 @@ void ControllerNode::beat() {
 void ControllerNode::check_peers() {
   if (!alive_) return;
   const double now = queue_->now();
-  bool newly_suspected = false;
+  std::set<sdwan::ControllerId>& suspected =
+      shared_->suspicions[static_cast<std::size_t>(id_)];
   for (sdwan::ControllerId peer = 0; peer < net_->controller_count();
        ++peer) {
-    if (peer == id_ || suspected_.contains(peer)) continue;
+    if (peer == id_ || suspected.contains(peer)) continue;
     const auto p = static_cast<std::size_t>(peer);
     const double heard = last_heard_[p];
     // Hysteresis: one late check is not proof of death when the channel
     // jitters — require `suspicion_checks` consecutive misses.
     if (now - heard > kDetectionTimeoutMs) {
       if (++miss_counts_[p] >= std::max(config_.suspicion_checks, 1)) {
-        suspected_.insert(peer);
-        newly_suspected = true;
+        suspected.insert(peer);
+        if (first_detection_at_ < 0) first_detection_at_ = now;
         if (obs::Context* obs = channel_->observability();
             obs != nullptr && obs->tracer.enabled()) {
           obs->tracer.instant(now, "detector", "suspect",
@@ -102,34 +106,51 @@ void ControllerNode::check_peers() {
       miss_counts_[p] = 0;
     }
   }
-  if (newly_suspected) {
-    if (first_detection_at_ < 0) first_detection_at_ = now;
-    // Coordinator: the lowest-id controller not suspected by this node.
-    sdwan::ControllerId coordinator = id_;
-    for (sdwan::ControllerId j = 0; j < net_->controller_count(); ++j) {
-      if (j != id_ && !suspected_.contains(j)) {
-        coordinator = std::min(coordinator, j);
-      }
-    }
-    if (coordinator == id_) run_recovery();
+  // Every detector checks at the same instants; confirm after all of
+  // this instant's checks have run, so the vote sees them.
+  if (suspected.size() > confirmed_.size()) {
+    queue_->schedule_in(0.0, [this] { confirm_suspicions(); });
   }
   queue_->schedule_in(kHeartbeatIntervalMs, [this] { check_peers(); });
 }
 
+void ControllerNode::confirm_suspicions() {
+  if (!alive_) return;
+  const std::set<sdwan::ControllerId>& suspected = this->suspected();
+  bool newly_confirmed = false;
+  for (const sdwan::ControllerId peer : suspected) {
+    if (confirmed_.contains(peer)) continue;
+    // Voters: this node and every controller it does not suspect.
+    int voters = 1;
+    int agree = 1;
+    for (sdwan::ControllerId j = 0; j < net_->controller_count(); ++j) {
+      if (j == id_ || suspected.contains(j)) continue;
+      ++voters;
+      if (shared_->suspicions[static_cast<std::size_t>(j)].contains(peer)) {
+        ++agree;
+      }
+    }
+    if (2 * agree > voters) {
+      confirmed_.insert(peer);
+      newly_confirmed = true;
+    }
+  }
+  if (!newly_confirmed) return;
+  // Coordinator: the lowest-id controller not confirmed dead.
+  sdwan::ControllerId coordinator = 0;
+  while (confirmed_.contains(coordinator)) ++coordinator;
+  if (coordinator == id_) run_recovery();
+}
+
 void ControllerNode::run_recovery() {
   sdwan::FailureScenario scenario;
-  scenario.failed.assign(suspected_.begin(), suspected_.end());
+  scenario.failed.assign(confirmed_.begin(), confirmed_.end());
   const sdwan::FailureState state(*net_, scenario);
-  // Seed the policy with the last plan this node installed, or — when
-  // taking over a dead coordinator's wave — with the shared store's last
-  // distributed plan, so the successor still replans incrementally.
-  const core::RecoveryPlan* previous = nullptr;
-  if (installed_plan_) {
-    previous = &*installed_plan_;
-  } else if (shared_->last_plan) {
-    previous = &*shared_->last_plan;
-  }
-  core::RecoveryPlan plan = policy_(state, previous);
+  // Seed the policy with the shared store's last distributed plan, so
+  // every wave — a successor coordinator's included — replans
+  // incrementally.
+  core::RecoveryPlan plan = policy_(
+      state, shared_->last_plan ? &*shared_->last_plan : nullptr);
   ++recoveries_run_;
   // A new wave supersedes the old one: stale retransmission timers must
   // not resend a superseded plan's messages.
@@ -151,7 +172,7 @@ void ControllerNode::run_recovery() {
     }
   }
   if (shared_->coordinator >= 0 && shared_->coordinator != id_ &&
-      suspected_.contains(shared_->coordinator)) {
+      confirmed_.contains(shared_->coordinator)) {
     ++shared_->coordinator_failovers;
     if (obs != nullptr && obs->tracer.enabled()) {
       obs->tracer.instant(
@@ -192,7 +213,7 @@ void ControllerNode::run_recovery() {
         queue_->now(), "wave", "wave.start", tracks::kWaves,
         {{"coordinator", static_cast<int>(id_)},
          {"epoch", static_cast<std::int64_t>(shared_->wave_epoch)},
-         {"suspected", static_cast<std::int64_t>(suspected_.size())},
+         {"failed", static_cast<std::int64_t>(confirmed_.size())},
          {"mapped_switches", static_cast<std::int64_t>(plan.mapping.size())},
          {"sdn_assignments",
           static_cast<std::int64_t>(plan.sdn_assignments.size())}});
@@ -266,8 +287,7 @@ void ControllerNode::run_recovery() {
     mod.seq = channel_->send(mod, plan.middle_layer_ms);
     arm_mod_retry(body.xid, std::move(mod), plan.middle_layer_ms);
   }
-  shared_->last_plan = plan;
-  installed_plan_ = std::move(plan);
+  shared_->last_plan = std::move(plan);
   for (const auto& [sw, flow] : stale_installed) {
     send_rollback_remove(sw, flow);
   }
@@ -590,7 +610,10 @@ void ControllerNode::on_message(const Message& m) {
   if (const auto* hb = std::get_if<Heartbeat>(&m.body)) {
     last_heard_[static_cast<std::size_t>(hb->from)] = queue_->now();
     miss_counts_[static_cast<std::size_t>(hb->from)] = 0;
-    if (suspected_.erase(hb->from) > 0) {
+    std::set<sdwan::ControllerId>& suspected =
+        shared_->suspicions[static_cast<std::size_t>(id_)];
+    confirmed_.erase(hb->from);
+    if (suspected.erase(hb->from) > 0) {
       // The peer was alive all along — the detector fired on jitter or
       // loss. Count it; the next detector pass sees the peer live again.
       ++spurious_detections_;
@@ -670,13 +693,14 @@ void ControllerNode::on_message(const Message& m) {
       // have died before its ack arrived — this is the only channel
       // through which such state reaches the surviving control plane.
       // Record it, and remove whatever the current plan no longer wants.
-      for (const ReportedEntry& e : reply->entries) {
-        if (e.epoch >= shared_->wave_epoch) continue;
-        const sdwan::FlowId flow = net_->flow_by_match(e.src, e.dst);
+      for (const sdwan::FlowEntry& e : reply->entries) {
+        if (e.cookie >= shared_->wave_epoch) continue;
+        const sdwan::FlowId flow =
+            net_->flow_by_match(e.match.src, e.match.dst);
         if (flow < 0) continue;
         const auto key = std::make_pair(reply->sw, flow);
         auto& recorded = shared_->installed[key];
-        recorded = std::max(recorded, e.epoch);
+        recorded = std::max(recorded, e.cookie);
         const bool wanted =
             shared_->last_plan &&
             shared_->last_plan->has_assignment(key.first, key.second);

@@ -1,9 +1,13 @@
 // Controller-side protocol agent.
 //
 // Every live controller beacons heartbeats to its peers and runs a
-// timeout-based failure detector over them. When the detector fires, the
-// lowest-id live controller acts as recovery coordinator: it derives the
-// FailureState for the cumulative failed set, asks the pluggable
+// timeout-based failure detector over them, publishing its suspicions in
+// the shared store. A suspicion is *confirmed* once a strict majority of
+// the controllers its holder does not suspect (the holder included)
+// suspect the peer too, so one detector starved by loss cannot replan a
+// live peer away. When a peer is confirmed, the lowest-id controller not
+// confirmed dead acts as recovery coordinator: it derives the
+// FailureState for the cumulative confirmed set, asks the pluggable
 // RecoveryPolicy for a plan (seeding it with the previous plan, so
 // successive failures are handled incrementally), and distributes the
 // plan — RoleRequests to adopted switches followed by one FlowMod per SDN
@@ -60,8 +64,8 @@
 
 namespace pm::ctrl {
 
-/// Computes a plan for the failure state; `previous` is the last plan the
-/// coordinator installed (nullptr on the first failure).
+/// Computes a plan for the failure state; `previous` is the last plan any
+/// coordinator distributed (nullptr on the first failure).
 using RecoveryPolicy = std::function<core::RecoveryPlan(
     const sdwan::FailureState&, const core::RecoveryPlan* previous)>;
 
@@ -143,6 +147,9 @@ struct SharedRecoveryState {
   /// Switches whose RoleRequest retries exhausted: left orphaned on
   /// their legacy tables until a later wave re-adopts them.
   std::set<sdwan::SwitchId> degraded_switches;
+  /// Controller-indexed: the peers each failure detector suspects. A
+  /// dead controller's entry keeps what it suspected when it died.
+  std::vector<std::set<sdwan::ControllerId>> suspicions;
 
   // --- Transaction state (prepare -> commit -> rollback) ----------------
   WavePhase phase = WavePhase::kIdle;
@@ -199,9 +206,9 @@ class ControllerNode {
   /// find out via the detector.)
   void fail();
 
-  /// Controllers this node currently believes dead.
+  /// Controllers this node's detector currently suspects.
   const std::set<sdwan::ControllerId>& suspected() const {
-    return suspected_;
+    return shared_->suspicions[static_cast<std::size_t>(id_)];
   }
 
   /// Time the detector first fired (relative to the queue clock); -1 if
@@ -211,11 +218,6 @@ class ControllerNode {
   /// When the latest recovery wave finished (every flow-mod acked);
   /// -1 while not converged. Shared across controllers.
   double converged_at() const { return shared_->converged_at; }
-
-  /// The plan this node last installed as coordinator (if any).
-  const std::optional<core::RecoveryPlan>& installed_plan() const {
-    return installed_plan_;
-  }
 
   std::uint64_t recoveries_run() const { return recoveries_run_; }
 
@@ -252,6 +254,10 @@ class ControllerNode {
   void on_message(const Message& m);
   void beat();
   void check_peers();
+  /// Confirms the suspicions a majority shares (run once every detector
+  /// of the instant has checked) and, if that confirms a peer and this
+  /// node is the coordinator, runs a recovery wave.
+  void confirm_suspicions();
   void run_recovery();
   /// Roll one flow back to legacy routing: cancel its pending installs,
   /// remove its acked entries, and remember it so late acks compensate.
@@ -302,7 +308,9 @@ class ControllerNode {
   /// Peer-indexed detector state (this node's own entries unused).
   std::vector<double> last_heard_;
   std::vector<int> miss_counts_;
-  std::set<sdwan::ControllerId> suspected_;
+  /// Suspected peers a majority has confirmed; the failed set waves are
+  /// planned for.
+  std::set<sdwan::ControllerId> confirmed_;
   double first_detection_at_ = -1.0;
   std::uint64_t spurious_detections_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
@@ -314,7 +322,6 @@ class ControllerNode {
   /// Switch-indexed.
   std::vector<std::optional<Retry>> role_retries_;
 
-  std::optional<core::RecoveryPlan> installed_plan_;
   std::uint64_t recoveries_run_ = 0;
 };
 

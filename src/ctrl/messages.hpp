@@ -37,27 +37,20 @@ struct RoleRequest {
   std::uint64_t epoch = 0;
 };
 
-/// One installed flow entry as reported by a switch: the match plus the
-/// epoch of the wave that installed it.
-struct ReportedEntry {
-  sdwan::SwitchId src = -1;
-  sdwan::SwitchId dst = -1;
-  std::uint64_t epoch = 0;
-};
-
 /// Switch -> controller: role accepted. Echoes the request's epoch so
 /// controllers can ignore replies that belong to a superseded wave.
 ///
 /// `entries` is the handover resync (OpenFlow reads flow stats on a
-/// master change for the same reason): the switch reports what it has
-/// installed, so a new master learns about entries whose installing
+/// master change for the same reason): the switch reports its flow
+/// table in (src, dst) order, each entry's cookie the epoch that
+/// installed it, so a new master learns about entries whose installing
 /// controller died before the ack came back — the only way such state
 /// ever becomes visible to the surviving control plane.
 struct RoleReply {
   sdwan::SwitchId sw = -1;
   sdwan::ControllerId accepted = -1;
   std::uint64_t epoch = 0;
-  std::vector<ReportedEntry> entries;
+  std::vector<sdwan::FlowEntry> entries;
 };
 
 /// Controller -> switch: install or remove one flow entry. Carries the

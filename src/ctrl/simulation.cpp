@@ -39,11 +39,6 @@ ControlSimulation::ControlSimulation(const sdwan::Network& net,
 void ControlSimulation::fail_controller_at(sdwan::ControllerId j,
                                            double at_ms) {
   queue_.schedule_at(at_ms, [this, j] {
-    // The channel's memoized pairwise delays were computed against the
-    // pre-failure state; drop them so later sends re-derive (today the
-    // topology itself is unchanged by a controller crash, but any
-    // failure event that reweights/cuts links flows through this hook).
-    channel_.invalidate_delays();
     // Orphan every switch the controller currently masters: its original
     // domain plus any mid-wave adoptions (a successor wave's auditor
     // would otherwise find switches mastered by a dead controller).
@@ -115,13 +110,13 @@ SimulationReport ControlSimulation::make_report(
         dataplane_.trace(f.src, {f.src, f.dst}).delivered;
   }
   // The agents install exact (src, dst) matches only, so a flow has an
-  // entry iff some agent holds its match.
+  // entry iff some switch holds its match.
   std::vector<char> has_entry(static_cast<std::size_t>(net_->flow_count()),
                               0);
   for (int s = 0; s < net_->switch_count(); ++s) {
     const auto& agent = *switches_[static_cast<std::size_t>(s)];
-    for (const auto& [match, epoch] : agent.entry_epochs()) {
-      const sdwan::FlowId flow = net_->flow_by_match(match.first, match.second);
+    for (const sdwan::FlowEntry& e : dataplane_.at(s).flow_table()) {
+      const sdwan::FlowId flow = net_->flow_by_match(e.match.src, e.match.dst);
       if (flow >= 0 && has_entry[static_cast<std::size_t>(flow)] == 0) {
         has_entry[static_cast<std::size_t>(flow)] = 1;
         ++report.flows_with_entries;

@@ -1,5 +1,8 @@
 #include "ctrl/switch_agent.hpp"
 
+#include <algorithm>
+#include <tuple>
+
 #include "obs/obs.hpp"
 
 namespace pm::ctrl {
@@ -49,16 +52,19 @@ void SwitchAgent::on_message(const Message& m) {
     }
     // Always (re)reply: a duplicate request usually means our first
     // reply was lost on the way back. The reply carries the handover
-    // resync — every installed entry with its epoch tag — so the new
-    // master can reconcile state left by a crashed predecessor.
+    // resync — every installed entry with its epoch cookie, in match
+    // order — so the new master can reconcile state left by a crashed
+    // predecessor.
     Message reply;
     reply.from = switch_endpoint(id_);
     reply.to = m.from;
-    RoleReply body{id_, role->controller, role->epoch, {}};
-    body.entries.reserve(entry_epochs_.size());
-    for (const auto& [match, entry_epoch] : entry_epochs_) {
-      body.entries.push_back({match.first, match.second, entry_epoch});
-    }
+    RoleReply body{id_, role->controller, role->epoch,
+                   switch_->flow_table()};
+    std::sort(body.entries.begin(), body.entries.end(),
+              [](const sdwan::FlowEntry& a, const sdwan::FlowEntry& b) {
+                return std::tie(a.match.src, a.match.dst) <
+                       std::tie(b.match.src, b.match.dst);
+              });
     reply.body = std::move(body);
     channel_->send(reply);
     return;
@@ -90,20 +96,14 @@ void SwitchAgent::on_message(const Message& m) {
     }
     seen_seqs_.insert(m.seq);
     if (mod->epoch > epoch_) epoch_ = mod->epoch;
-    const auto key =
-        std::make_pair(mod->entry.match.src, mod->entry.match.dst);
-    if (mod->remove) {
-      switch_->remove(mod->entry.match);
-      entry_epochs_.erase(key);
-    } else {
-      // Replace-on-install: a later wave re-programming the same match
-      // supersedes the old entry instead of stacking a duplicate, and
-      // the entry's epoch tag moves forward with it.
-      if (entry_epochs_.contains(key)) {
-        switch_->remove(mod->entry.match);
-      }
-      switch_->install(mod->entry);
-      entry_epochs_[key] = mod->epoch;
+    // Replace-on-install: a later wave re-programming the same match
+    // supersedes the old entry instead of stacking a duplicate, and the
+    // entry's epoch cookie moves forward with it.
+    switch_->remove(mod->entry.match);
+    if (!mod->remove) {
+      sdwan::FlowEntry entry = mod->entry;
+      entry.cookie = mod->epoch;
+      switch_->install(entry);
     }
     ++flow_mods_applied_;
     if (obs::Context* obs = channel_->observability();

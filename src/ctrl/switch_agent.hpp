@@ -15,25 +15,19 @@
 // below the mark comes from a deposed master's superseded wave and is
 // discarded (counted, no ack) — so a coordinator that crashed mid-wave
 // cannot keep programming switches after its successor re-ran the wave.
-// Each installed entry remembers the epoch that installed it (the
-// consistency auditor checks no flow mixes epochs), and a re-install of
-// the same match replaces the old entry instead of stacking a duplicate.
+// Each installed entry carries the epoch that installed it as its
+// OpenFlow cookie (the consistency auditor checks no flow mixes epochs),
+// and a re-install of the same match replaces the old entry instead of
+// stacking a duplicate.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 
 #include "ctrl/channel.hpp"
 #include "ctrl/messages.hpp"
 #include "sdwan/hybrid_switch.hpp"
-#include "util/flat_map.hpp"
 
 namespace pm::ctrl {
-
-/// Installing epoch per flow-table entry, keyed by the entry's (src,
-/// dst) match and iterated in match order.
-using EntryEpochs =
-    util::FlatMap<std::pair<sdwan::SwitchId, sdwan::SwitchId>, std::uint64_t>;
 
 class SwitchAgent {
  public:
@@ -74,11 +68,6 @@ class SwitchAgent {
   /// high-water mark (a deposed master's superseded wave).
   std::uint64_t stale_discarded() const { return stale_discarded_; }
 
-  /// The epoch that installed each currently present flow-table entry,
-  /// keyed by the entry's (src, dst) match. The consistency auditor
-  /// reads this to detect mixed-epoch flow state.
-  const EntryEpochs& entry_epochs() const { return entry_epochs_; }
-
   /// Wire this agent's handler into the channel.
   void attach();
 
@@ -95,7 +84,6 @@ class SwitchAgent {
   std::uint64_t duplicates_suppressed_ = 0;
   std::uint64_t stale_discarded_ = 0;
   SeenSeqs seen_seqs_;
-  EntryEpochs entry_epochs_;
 };
 
 /// Endpoint id helpers shared by agents and the harness.

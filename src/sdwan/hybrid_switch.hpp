@@ -38,6 +38,9 @@ struct FlowEntry {
   std::int32_t priority = 0;  ///< higher wins.
   FlowMatch match;
   SwitchId next_hop = -1;
+  /// Opaque controller tag, as OpenFlow's cookie; the control protocol
+  /// stores the recovery epoch that installed the entry.
+  std::uint64_t cookie = 0;
 };
 
 struct Packet {
@@ -71,6 +74,8 @@ class HybridSwitch {
   std::size_t remove(const FlowMatch& match);
 
   std::size_t flow_table_size() const { return flow_table_.size(); }
+  /// The flow table in lookup order (descending priority).
+  const std::vector<FlowEntry>& flow_table() const { return flow_table_; }
 
   const LegacyRoutingTable& legacy_table() const { return legacy_; }
   LegacyRoutingTable& legacy_table() { return legacy_; }
