@@ -61,9 +61,6 @@ void add_row(util::TextTable& t, const std::string& name,
 int main(int argc, char** argv) {
   util::CliArgs args(argc, argv);
   obs::apply_log_level_flag(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
 
   std::cout << "=== Ablation: PM design choices (two-failure sweep means) "
                "===\n";

@@ -69,18 +69,15 @@ inline BenchOptions parse_bench_options(int argc, char** argv,
     if (i > 0) o.command_line += ' ';
     o.command_line += argv[i];
   }
-  // A bench owns no obs::Context: only --log-level applies, and the
-  // trace and metrics flags are reported as unrecognized below.
-  obs::apply_log_level_flag(args);
   o.optimal_time_limit =
       args.get_double("optimal-time", default_time_limit);
   o.run_optimal = !args.get_bool("no-optimal", false) &&
                   !args.get_bool("quick", false);
   o.jobs = util::parse_jobs_flag(args);
   if (args.has("csv")) o.csv_path = args.get_string("csv", "");
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
+  // A bench owns no obs::Context: only --log-level applies, and the
+  // trace and metrics flags are reported as unrecognized.
+  obs::apply_log_level_flag(args);
   return o;
 }
 

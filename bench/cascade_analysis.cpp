@@ -23,9 +23,6 @@ int main(int argc, char** argv) {
   const double tolerance = args.get_double("tolerance", 0.0);
   const util::TaskPool pool(util::parse_jobs_flag(args));
   obs::apply_log_level_flag(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
 
   const sdwan::Network net = core::make_att_network();
   std::cout << "=== Cascading controller failures (extension; cf. [8]) ===\n"

@@ -22,9 +22,6 @@ int main(int argc, char** argv) {
   const std::string cases = args.get_string("cases", "1,2,3");
   const int jobs = util::parse_jobs_flag(args);
   obs::apply_log_level_flag(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
 
   const sdwan::Network net = core::make_att_network();
   std::cout << "=== Fig. 7: computation time, PM as % of Optimal ===\n";

@@ -10,6 +10,8 @@
 // Flags: --sizes=25,50,100,150 --controllers-per-25=2 --seed=1
 // --jobs=N (sizes evaluated in parallel; the table is identical at any N)
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -23,12 +25,10 @@ int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
   const std::string sizes = args.get_string("sizes", "25,50,75,100,150");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int("seed", 1, 0, LLONG_MAX));
   const int jobs = util::parse_jobs_flag(args);
   obs::apply_log_level_flag(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
   // SIGINT/SIGTERM skip the remaining sizes (the 150-node row dominates
   // the runtime) and still print the rows that finished.
   util::install_shutdown_handler();

@@ -12,9 +12,6 @@ int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
   obs::apply_log_level_flag(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
 
   const sdwan::Network net = core::make_att_network();
   std::cout << "=== Successive failures: incremental vs from-scratch PM "

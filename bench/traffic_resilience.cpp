@@ -21,9 +21,6 @@ int main(int argc, char** argv) {
   const double total_traffic = args.get_double("total-traffic", 200000.0);
   const double link_capacity = args.get_double("link-capacity", 10000.0);
   obs::apply_log_level_flag(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
 
   const sdwan::Network net = core::make_att_network();
   std::cout << "=== Traffic resilience under recovery (extension) ===\n"

@@ -29,9 +29,6 @@ int main(int argc, char** argv) {
   const double optimal_time = args.get_double("optimal-time", 30.0);
   const std::string json_path = args.get_string("json", "");
   obs::apply_log_level_flag(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
 
   const sdwan::Network net = core::make_att_network();
 

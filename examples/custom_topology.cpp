@@ -12,6 +12,8 @@
 //   ./build/examples/custom_topology --waxman=40 --controllers=5
 //        --fail=2 --capacity=800
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <iostream>
 #include <map>
 
@@ -31,15 +33,15 @@ using namespace pm;
 int main(int argc, char** argv) {
   util::CliArgs args(argc, argv);
   const std::string gml = args.get_string("gml", "");
-  const int waxman_n = static_cast<int>(args.get_int("waxman", 30));
-  const int controllers = static_cast<int>(args.get_int("controllers", 4));
-  const int fail = static_cast<int>(args.get_int("fail", 1));
+  const auto waxman_n =
+      static_cast<int>(args.get_int("waxman", 30, 2, INT_MAX));
+  const auto controllers =
+      static_cast<int>(args.get_int("controllers", 4, 2, INT_MAX));
+  const auto fail = static_cast<int>(args.get_int("fail", 1, 1, INT_MAX));
   const double capacity = args.get_double("capacity", 0.0);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int("seed", 1, 0, LLONG_MAX));
   obs::apply_log_level_flag(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
 
   topo::Topology topology;
   try {
@@ -52,11 +54,11 @@ int main(int argc, char** argv) {
   std::cout << "topology '" << topology.name() << "': "
             << topology.node_count() << " nodes, "
             << topology.link_count() << " links\n";
-  if (controllers < 2 || controllers > topology.node_count()) {
+  if (controllers > topology.node_count()) {
     obs::log().error("--controllers must be in [2, node count]");
     return 1;
   }
-  if (fail < 1 || fail >= controllers) {
+  if (fail >= controllers) {
     obs::log().error("--fail must be in [1, controllers)");
     return 1;
   }

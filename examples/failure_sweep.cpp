@@ -15,16 +15,14 @@
 int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
-  const int k = static_cast<int>(args.get_int("k", 2));
+  const sdwan::Network net = core::make_att_network();
+  const auto k = static_cast<int>(
+      args.get_int("k", 2, 1, net.controller_count() - 1));
   const bool with_optimal = args.get_bool("optimal", false);
   const double optimal_time = args.get_double("optimal-time", 20.0);
   const std::string out_path = args.get_string("out", "sweep.csv");
   obs::apply_log_level_flag(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
 
-  const sdwan::Network net = core::make_att_network();
   core::RunnerOptions opts;
   opts.run_optimal = with_optimal;
   opts.optimal.time_limit_seconds = optimal_time;

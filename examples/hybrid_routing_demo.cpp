@@ -33,18 +33,14 @@ void print_trace(const pm::sdwan::Network& net, const std::string& title,
 int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
-  const int src = static_cast<int>(args.get_int("src", 21));
-  const int dst = static_cast<int>(args.get_int("dst", 0));
-  obs::apply_log_level_flag(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
-
   const sdwan::Network net = core::make_att_network();
-  if (src < 0 || dst < 0 || src >= net.switch_count() ||
-      dst >= net.switch_count() || src == dst) {
-    obs::log().error("--src/--dst must be distinct nodes in [0, " +
-                      std::to_string(net.switch_count()) + ")");
+  const int last = net.switch_count() - 1;
+  const auto src = static_cast<int>(args.get_int("src", 21, 0, last));
+  const auto dst = static_cast<int>(args.get_int("dst", 0, 0, last));
+  obs::apply_log_level_flag(args);
+
+  if (src == dst) {
+    obs::log().error("--src and --dst must be distinct nodes");
     return 1;
   }
   const sdwan::Packet packet{src, dst};

@@ -29,9 +29,6 @@ int main(int argc, char** argv) {
   const std::string fail_spec = args.get_string("fail", "13,20");
   const std::string plan_path = args.get_string("plan", "");
   obs::apply_log_level_flag(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
   if (plan_path.empty()) {
     obs::log().error("usage: plan_audit --fail=<nodes> --plan=<plan.json>");
     return 2;

@@ -14,6 +14,7 @@
 // --repeat sends the same request N times on one connection — the
 // second answer demonstrates the plan cache (\"cached\":true, same
 // result bytes).
+#include <climits>
 #include <iostream>
 
 #include "obs/obs.hpp"
@@ -26,23 +27,16 @@ int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
   const std::string host = args.get_string("host", "127.0.0.1");
-  const long long port = args.get_int("port", 7071);
+  const auto port = static_cast<int>(args.get_int("port", 7071, 1, 65535));
   const std::string raw = args.get_string("raw", "");
   std::string verb = args.get_string("verb", "solve");
   const std::string failed_spec = args.get_string("failed", "");
   const std::string algorithm = args.get_string("algorithm", "pm");
   const double deadline_ms = args.get_double("deadline-ms", 0.0);
   const long long retroflow_candidates =
-      args.get_int("retroflow-candidates", 2);
-  const long long repeat = args.get_int("repeat", 1);
+      args.get_int("retroflow-candidates", 2, 1, INT_MAX);
+  const long long repeat = args.get_int("repeat", 1, 1, INT_MAX);
   obs::apply_log_level_flag(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
-  if (port < 1 || port > 65535) {
-    std::cerr << "pm_client: --port=" << port << " is not a TCP port\n";
-    return 2;
-  }
 
   std::string line = raw;
   if (line.empty()) {
@@ -72,9 +66,9 @@ int main(int argc, char** argv) {
   }
 
   try {
-    svc::Client client(host, static_cast<int>(port));
+    svc::Client client(host, port);
     bool all_ok = true;
-    for (long long i = 0; i < std::max(1LL, repeat); ++i) {
+    for (long long i = 0; i < repeat; ++i) {
       const std::string response = client.roundtrip_line(line);
       std::cout << response << "\n";
       try {

@@ -15,7 +15,6 @@
 // --port=0 binds an ephemeral port; --port-file writes the resolved
 // port for scripts (the CI smoke job uses exactly that). Try it:
 //   printf '%s\n' '{"verb":"solve","failed":[3,4]}' | nc 127.0.0.1 7071
-#include <algorithm>
 #include <climits>
 #include <cstdint>
 #include <iostream>
@@ -26,38 +25,20 @@
 #include "util/cli.hpp"
 #include "util/shutdown.hpp"
 
-namespace {
-
-// Saturates at the int range, so an out-of-range value fails
-// Server::start's check instead of wrapping into range.
-int int_flag(const pm::util::CliArgs& args, const char* name, int fallback) {
-  return static_cast<int>(
-      std::clamp<long long>(args.get_int(name, fallback), INT_MIN, INT_MAX));
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
   svc::ServerConfig server_config;
-  server_config.port = int_flag(args, "port", 7071);
-  server_config.max_queue = int_flag(args, "max-queue", 64);
+  server_config.port = static_cast<int>(args.get_int("port", 7071, 0, 65535));
+  server_config.max_queue =
+      static_cast<int>(args.get_int("max-queue", 64, 0, INT_MAX));
   const std::string port_file = args.get_string("port-file", "");
   svc::EngineConfig engine_config;
   engine_config.jobs = util::parse_jobs_flag(args);
-  const long long cache_mb = args.get_int("cache-mb", 64);
-  if (cache_mb < 0 ||
-      static_cast<unsigned long long>(cache_mb) > (SIZE_MAX >> 20)) {
-    std::cerr << "pm_server: --cache-mb=" << cache_mb
-              << " is not a cache size in MiB\n";
-    return 2;
-  }
+  const long long cache_mb = args.get_int(
+      "cache-mb", 64, 0, static_cast<long long>(SIZE_MAX >> 20));
   engine_config.cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
   obs::apply_log_level_flag(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
 
   util::install_shutdown_handler();
 

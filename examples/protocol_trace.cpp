@@ -24,6 +24,8 @@
 // chrome://tracing); --metrics-out writes Prometheus text exposition.
 // Both derive from the simulated clock only, so same-seed runs produce
 // byte-identical files.
+#include <climits>
+#include <cstdint>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -45,7 +47,7 @@ int main(int argc, char** argv) {
   const double until = args.get_double("until", 10000.0);
   ctrl::ControllerConfig config;
   config.suspicion_checks =
-      static_cast<int>(args.get_int("suspicion-checks", 1));
+      static_cast<int>(args.get_int("suspicion-checks", 1, 1, INT_MAX));
   const std::vector<std::string> kill_specs = args.get_strings("kill-at");
 
   ctrl::ChannelFaultModel faults;
@@ -54,11 +56,9 @@ int main(int argc, char** argv) {
   faults.jitter_ms = args.get_double("jitter", 0.0);
   faults.reorder_probability = args.get_double("reorder", 0.0);
   faults.reorder_delay_ms = args.get_double("reorder-delay", 40.0);
-  faults.seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 42));
+  faults.seed = static_cast<std::uint64_t>(
+      args.get_int("fault-seed", 42, 0, LLONG_MAX));
   const obs::ObsOptions obs_options = obs::parse_obs_flags(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
 
   const sdwan::Network net = core::make_att_network();
   sdwan::FailureScenario scenario;

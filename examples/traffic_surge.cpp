@@ -30,17 +30,15 @@
 int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
+  const sdwan::Network net = core::make_att_network();
   const std::string fail_spec = args.get_string("fail", "13,20");
-  const int surge_node = static_cast<int>(args.get_int("surge-node", 12));
+  const auto surge_node = static_cast<int>(
+      args.get_int("surge-node", 12, 0, net.switch_count() - 1));
   const double surge = args.get_double("surge", 8.0);
   const double total_traffic = args.get_double("total-traffic", 200000.0);
   const double link_capacity = args.get_double("link-capacity", 10000.0);
   obs::apply_log_level_flag(args);
-  for (const auto& unused : args.unused()) {
-    obs::log().warn("unrecognized flag --" + unused);
-  }
 
-  const sdwan::Network net = core::make_att_network();
   sdwan::FailureScenario scenario;
   try {
     scenario = sdwan::FailureScenario::parse(net, fail_spec);

@@ -1,5 +1,11 @@
 #include "core/serialize.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <initializer_list>
+#include <string_view>
+#include <utility>
+
 namespace pm::core {
 
 using util::JsonValue;
@@ -174,6 +180,29 @@ class ReportWriter {
     number(v);
   }
 
+  /// The next array element, an object of at most three integer members
+  /// with names of at most 16 characters, formatted on the stack and
+  /// appended once. Integers take the spelling write_number gives them.
+  void int_object(
+      std::initializer_list<std::pair<std::string_view, int>> members) {
+    char buf[128];
+    char* at = buf;
+    if (!first_) *at++ = ',';
+    first_ = false;
+    char separator = '{';
+    for (const auto& [name, v] : members) {
+      *at++ = separator;
+      separator = ',';
+      *at++ = '"';
+      at = std::copy(name.begin(), name.end(), at);
+      *at++ = '"';
+      *at++ = ':';
+      at = std::to_chars(at, buf + sizeof buf, v).ptr;
+    }
+    *at++ = '}';
+    out_.append(buf, at);
+  }
+
  private:
   std::string& out_;
   bool first_ = true;
@@ -197,26 +226,22 @@ void write_plan(ReportWriter& w, const RecoveryPlan& plan) {
   w.key("mapping");
   w.open('[');
   for (const auto& [sw, ctrl] : plan.mapping) {
-    w.next();
-    w.open('{');
-    w.member("switch", sw);
-    w.member("controller", ctrl);
-    w.close('}');
+    w.int_object({{"switch", sw}, {"controller", ctrl}});
   }
   w.close(']');
 
   w.key("sdn_assignments");
   w.open('[');
   for (std::size_t k = 0; k < plan.sdn_assignments.size(); ++k) {
-    w.next();
-    w.open('{');
-    w.member("switch", plan.sdn_assignments[k].first);
-    w.member("flow", plan.sdn_assignments[k].second);
-    if (k < plan.assignment_controller.size() &&
-        plan.assignment_controller[k] >= 0) {
-      w.member("controller", plan.assignment_controller[k]);
+    const auto [sw, flow] = plan.sdn_assignments[k];
+    const int ctrl = k < plan.assignment_controller.size()
+                         ? plan.assignment_controller[k]
+                         : -1;
+    if (ctrl < 0) {
+      w.int_object({{"switch", sw}, {"flow", flow}});
+    } else {
+      w.int_object({{"switch", sw}, {"flow", flow}, {"controller", ctrl}});
     }
-    w.close('}');
   }
   w.close(']');
   w.close('}');

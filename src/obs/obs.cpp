@@ -29,6 +29,12 @@ std::optional<std::string> path_flag(util::CliArgs& args,
   return path;
 }
 
+void warn_unread(const util::CliArgs& args) {
+  for (const auto& name : args.unused()) {
+    log().warn("unrecognized flag --" + name);
+  }
+}
+
 }  // namespace
 
 bool write_file(const std::string& path,
@@ -54,10 +60,14 @@ ObsOptions parse_obs_flags(util::CliArgs& args) {
   o.trace_jsonl = path_flag(args, "trace-jsonl");
   o.metrics_out = path_flag(args, "metrics-out");
   o.metrics_json = path_flag(args, "metrics-json");
+  warn_unread(args);
   return o;
 }
 
-void apply_log_level_flag(util::CliArgs& args) { set_level_from(args); }
+void apply_log_level_flag(util::CliArgs& args) {
+  set_level_from(args);
+  warn_unread(args);
+}
 
 void write_outputs(const ObsOptions& options, const Context& ctx) {
   if (options.trace_out) {

@@ -14,7 +14,9 @@
 //   --metrics-json=FILE  metrics as JSON
 //   --log-level=LEVEL    quiet|error|warn|info|debug
 // A program with no Context calls apply_log_level_flag() and takes only
-// the last one; it warns about the other four as unrecognized.
+// the last one; it warns about the other four as unrecognized. Either
+// call ends a program's flag handling: it warns about every flag on the
+// command line that nothing read, so it comes after every get_*.
 //
 // Determinism contract: trace and metrics files are byte-identical
 // across runs with the same seed.
@@ -61,12 +63,13 @@ struct ObsOptions {
 };
 
 /// Parses the shared observability flags and applies --log-level to the
-/// global logger. Unknown --log-level values warn and keep the default.
+/// global logger, then warns about every unread flag. Unknown
+/// --log-level values warn and keep the default.
 ObsOptions parse_obs_flags(util::CliArgs& args);
 
 /// Parses and applies only --log-level, for programs that own no
-/// Context: the four trace/metrics flags stay in args.unused(), so the
-/// program warns about them instead of ignoring them.
+/// Context, then warns about every unread flag: the four trace/metrics
+/// flags among them, instead of ignoring them.
 void apply_log_level_flag(util::CliArgs& args);
 
 /// Writes every requested trace/metrics file from `ctx`. Unwritable

@@ -116,73 +116,90 @@ FailureState::FailureState(const Network& net, FailureScenario scenario)
         std::max(0.0, net.controller(j).capacity - net.normal_load(j));
   }
 
-  // Offline flows and their recovery opportunities, flow-major in one
-  // flat array. Offline switches on each path are counted from the
-  // switches' side, so flows that touch no offline switch are never
-  // read; p is read by path position.
-  const auto switch_count = static_cast<std::size_t>(net.switch_count());
+  // Offline flows: every flow crossing an offline switch, counted from
+  // the switches' side so flows that touch none are never read. A path
+  // has fewer nodes than the network, whose n(n - 1) flow ids fit an
+  // int, so a count fits 16 bits.
   const auto flow_count = static_cast<std::size_t>(net.flow_count());
-  std::vector<int> offline_on_path(flow_count, 0);
-  std::size_t incidences = 0;
+  std::vector<std::uint16_t> on_path(flow_count, 0);
+  std::size_t offline_flow_count = 0;
   for (const SwitchId s : offline_) {
     for (const FlowId l : net.flows_at(s)) {
-      ++offline_on_path[static_cast<std::size_t>(l)];
+      offline_flow_count += on_path[static_cast<std::size_t>(l)]++ == 0;
     }
-    incidences += net.flows_at(s).size();
   }
-  opportunities_.reserve(incidences);
-  flow_offset_.assign(flow_count + 1, 0);
-  switch_offset_.assign(switch_count + 1, 0);
-  for (FlowId l = 0; l < net.flow_count(); ++l) {
-    const std::size_t first = opportunities_.size();
-    flow_offset_[static_cast<std::size_t>(l)] =
-        static_cast<std::uint32_t>(first);
-    const int on_path = offline_on_path[static_cast<std::size_t>(l)];
-    if (on_path == 0) continue;
-    offline_flows_.push_back(l);
-    max_offline_on_path_ = std::max(max_offline_on_path_, on_path);
-    const auto& path = net.flow(l).path;
-    const auto p_at = net.path_diversity(l);
-    for (std::size_t k = 0; k < path.size(); ++k) {
-      const auto s = static_cast<std::size_t>(path[k]);
-      if (offline_switch_mask_[s] && p_at[k] >= 2) {
-        opportunities_.push_back({path[k], p_at[k]});
-        ++switch_offset_[s + 1];
+
+  // Recovery opportunities are the offline switches' groups in the
+  // network's index, visited position by position so that each flow's
+  // run fills in path order. Counting sort into the flow-major array: flow
+  // l's count goes to flow_offset_[l + 2], so after the prefix sum
+  // flow_offset_[l + 1] is the start of l's run and serves as its
+  // placement cursor, ending as the start of l + 1.
+  const auto gather = [&](auto&& visit) {
+    for (std::size_t position = 0; position < net.position_count();
+         ++position) {
+      for (const SwitchId s : offline_) {
+        for (const auto& opp : net.opportunities_at(s, position)) {
+          visit(static_cast<std::size_t>(s), opp);
+        }
       }
     }
-    if (opportunities_.size() > first) recoverable_flows_.push_back(l);
+  };
+  const auto switch_count = static_cast<std::size_t>(net.switch_count());
+  flow_offset_.assign(flow_count + 2, 0);
+  switch_offset_.assign(switch_count + 1, 0);
+  std::size_t recoverable_count = 0;
+  gather([&](std::size_t s, const Network::SwitchOpportunity& opp) {
+    recoverable_count +=
+        flow_offset_[static_cast<std::size_t>(opp.flow) + 2]++ == 0;
+    ++switch_offset_[s + 1];
+  });
+  // One pass over the flows, without branches: every id is written and
+  // kept only when the flow qualifies, into a spare last slot otherwise.
+  offline_flows_.resize(offline_flow_count + 1);
+  recoverable_flows_.resize(recoverable_count + 1);
+  std::size_t offline_at = 0;
+  std::size_t recoverable_at = 0;
+  std::uint32_t most = 0;
+  std::uint32_t end = 0;
+  for (std::size_t l = 0; l < flow_count; ++l) {
+    const std::uint32_t on = on_path[l];
+    const std::uint32_t count = flow_offset_[l + 2];
+    offline_flows_[offline_at] = static_cast<FlowId>(l);
+    offline_at += on != 0;
+    recoverable_flows_[recoverable_at] = static_cast<FlowId>(l);
+    recoverable_at += count != 0;
+    most = std::max(most, on);
+    end += count;
+    flow_offset_[l + 2] = end;
   }
-  opportunities_.shrink_to_fit();
-  flow_offset_.back() = static_cast<std::uint32_t>(opportunities_.size());
-
-  // The switch-major transpose, by counting sort: recoverable flows are
-  // visited in ascending id, so each switch's run ascends by flow.
+  offline_flows_.pop_back();
+  recoverable_flows_.pop_back();
+  max_offline_on_path_ = static_cast<int>(most);
   for (std::size_t s = 0; s < switch_count; ++s) {
     switch_offset_[s + 1] += switch_offset_[s];
   }
-  at_switch_.resize(opportunities_.size());
-  std::vector<std::uint32_t> cursor(switch_offset_.begin(),
-                                    switch_offset_.end() - 1);
-  for (FlowId l : recoverable_flows_) {
-    for (std::uint32_t k = flow_offset_[static_cast<std::size_t>(l)];
-         k < flow_offset_[static_cast<std::size_t>(l) + 1]; ++k) {
-      const Opportunity& opp = opportunities_[k];
-      at_switch_[cursor[static_cast<std::size_t>(opp.sw)]++] = {l, k, opp.p};
-    }
-  }
 
-  // Precomputed C(i) orderings. The planners walk controllers-by-delay in
-  // their inner loops for every candidate switch, so sort once per switch
-  // here instead of once per query there. stable_sort on the ascending
-  // active_ list breaks delay ties by controller id, matching the
-  // first-minimum scan of nearest_active_controller.
-  by_delay_.assign(static_cast<std::size_t>(net.switch_count()), active_);
+  // Every flow through an offline switch is offline, so the switch's
+  // whole index run is its opportunities_at run, and an entry's rank
+  // there is its slot in at_switch_.
+  opportunities_.resize(end);
+  at_switch_.resize(end);
+  gather([&](std::size_t s, const Network::SwitchOpportunity& opp) {
+    const std::uint32_t k =
+        flow_offset_[static_cast<std::size_t>(opp.flow) + 1]++;
+    opportunities_[k] = {static_cast<SwitchId>(s), opp.p};
+    at_switch_[switch_offset_[s] + opp.rank] = {opp.flow, k, opp.p};
+  });
+  flow_offset_.pop_back();
+
+  // C(i): the network's full order from switch i without the failed
+  // controllers, one row of active_.size() entries per switch.
+  by_delay_.reserve(switch_count * active_.size());
   for (SwitchId i = 0; i < net.switch_count(); ++i) {
-    auto& order = by_delay_[static_cast<std::size_t>(i)];
-    std::stable_sort(order.begin(), order.end(),
-                     [&](ControllerId a, ControllerId b) {
-                       return net.delay_ms(i, a) < net.delay_ms(i, b);
-                     });
+    for (const ControllerId j : net.controllers_by_delay(i)) {
+      if (active_mask_[static_cast<std::size_t>(j)]) by_delay_.push_back(j);
+    }
   }
 
   // G of Eq. (6).
@@ -231,10 +248,11 @@ FailureState::opportunities_at(SwitchId i) const {
       .subspan(first, switch_offset_[static_cast<std::size_t>(i) + 1] - first);
 }
 
-const std::vector<ControllerId>& FailureState::controllers_by_delay(
+std::span<const ControllerId> FailureState::controllers_by_delay(
     SwitchId i) const {
   net_->topology().graph().check_node(i);
-  return by_delay_[static_cast<std::size_t>(i)];
+  return std::span<const ControllerId>(by_delay_).subspan(
+      static_cast<std::size_t>(i) * active_.size(), active_.size());
 }
 
 ControllerId FailureState::nearest_active_controller(SwitchId i) const {

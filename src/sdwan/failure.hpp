@@ -107,10 +107,10 @@ class FailureState {
   std::span<const SwitchOpportunity> opportunities_at(SwitchId i) const;
 
   /// Active controllers sorted by ascending D_ij from switch `i` (the
-  /// paper's C(i) ordering; ties broken by controller id). Precomputed for
-  /// every switch at construction — the planners walk these orderings in
-  /// their inner loops, so the per-call sort they used to pay is gone.
-  const std::vector<ControllerId>& controllers_by_delay(SwitchId i) const;
+  /// paper's C(i) ordering; ties broken by controller id): the network's
+  /// full order with the failed controllers filtered out, for every
+  /// switch at construction, since the planners walk it in inner loops.
+  std::span<const ControllerId> controllers_by_delay(SwitchId i) const;
 
   /// The nearest active controller to switch `i`.
   ControllerId nearest_active_controller(SwitchId i) const;
@@ -143,9 +143,8 @@ class FailureState {
   /// [switch_offset_[i], switch_offset_[i + 1]).
   std::vector<SwitchOpportunity> at_switch_;
   std::vector<std::uint32_t> switch_offset_;
-  /// by_delay_[i] = active controllers in ascending-D_ij order from
-  /// switch i (ties by id). One sort per switch at construction.
-  std::vector<std::vector<ControllerId>> by_delay_;
+  /// Switch i's C(i) is [i * M, (i + 1) * M), M = active_.size().
+  std::vector<ControllerId> by_delay_;
   double ideal_total_delay_ = 0.0;
   int max_offline_on_path_ = 0;
 };

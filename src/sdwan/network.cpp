@@ -1,6 +1,7 @@
 #include "sdwan/network.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "graph/diversity_cache.hpp"
@@ -65,12 +66,22 @@ Network::Network(topo::Topology topology,
   for (int src = 0; src < n; ++src) {
     sssp.push_back(graph::dijkstra(topology_.graph(), src));
   }
+  by_delay_.resize(static_cast<std::size_t>(n) * controllers_.size());
   for (int i = 0; i < n; ++i) {
+    auto& row = delay_[static_cast<std::size_t>(i)];
     for (ControllerId j = 0; j < controller_count(); ++j) {
-      delay_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
+      row[static_cast<std::size_t>(j)] =
           sssp[static_cast<std::size_t>(i)]
               .dist[static_cast<std::size_t>(controllers_[static_cast<std::size_t>(j)].location)];
     }
+    // stable_sort over ascending ids breaks delay ties by id.
+    const auto order = by_delay_.begin() + i * controller_count();
+    std::iota(order, order + controller_count(), 0);
+    std::stable_sort(order, order + controller_count(),
+                     [&](ControllerId a, ControllerId b) {
+                       return row[static_cast<std::size_t>(a)] <
+                              row[static_cast<std::size_t>(b)];
+                     });
   }
 
   for (int src = 0; src < n; ++src) {
@@ -99,11 +110,41 @@ Network::Network(topo::Topology topology,
     return diversity_cache.diversity(topology_.graph(), i, dst);
   };
 
+  // The per-switch opportunity index, by counting sort on (switch,
+  // position) groups: count while filling diversity_, then place flows in
+  // ascending id, so each group ascends by flow and each switch's flows
+  // take their ranks in the same pass.
+  for (const Flow& f : flows_) {
+    position_count_ = std::max(position_count_, f.path.size());
+  }
   diversity_.resize(flows_.size());
+  group_offset_.assign(static_cast<std::size_t>(n) * position_count_ + 1, 0);
+  const auto group = [&](SwitchId s, std::size_t position) {
+    return static_cast<std::size_t>(s) * position_count_ + position;
+  };
   for (const Flow& f : flows_) {
     auto& div = diversity_[static_cast<std::size_t>(f.id)];
     div.reserve(f.path.size());
-    for (SwitchId s : f.path) div.push_back(diversity_of(s, f.dst));
+    for (std::size_t k = 0; k < f.path.size(); ++k) {
+      div.push_back(diversity_of(f.path[k], f.dst));
+      if (div.back() >= 2) ++group_offset_[group(f.path[k], k) + 1];
+    }
+  }
+  for (std::size_t b = 1; b < group_offset_.size(); ++b) {
+    group_offset_[b] += group_offset_[b - 1];
+  }
+  opportunities_.resize(group_offset_.back());
+  std::vector<std::uint32_t> cursor(group_offset_.begin(),
+                                    group_offset_.end() - 1);
+  std::vector<std::uint32_t> rank(static_cast<std::size_t>(n), 0);
+  for (const Flow& f : flows_) {
+    const auto& div = diversity_[static_cast<std::size_t>(f.id)];
+    for (std::size_t k = 0; k < f.path.size(); ++k) {
+      if (div[k] < 2) continue;
+      const auto s = static_cast<std::size_t>(f.path[k]);
+      opportunities_[cursor[group(f.path[k], k)]++] = {f.id, rank[s]++,
+                                                        div[k]};
+    }
   }
 }
 
@@ -155,9 +196,22 @@ std::int64_t Network::diversity(FlowId l, SwitchId i) const {
   return 0;
 }
 
-std::span<const std::int64_t> Network::path_diversity(FlowId l) const {
-  if (l < 0 || l >= flow_count()) throw std::out_of_range("flow id");
-  return diversity_[static_cast<std::size_t>(l)];
+std::span<const Network::SwitchOpportunity> Network::opportunities_at(
+    SwitchId i, std::size_t position) const {
+  topology_.graph().check_node(i);
+  if (position >= position_count_) {
+    throw std::out_of_range("path position out of range");
+  }
+  const std::size_t b = static_cast<std::size_t>(i) * position_count_ + position;
+  return std::span<const SwitchOpportunity>(opportunities_)
+      .subspan(group_offset_[b], group_offset_[b + 1] - group_offset_[b]);
+}
+
+std::span<const ControllerId> Network::controllers_by_delay(
+    SwitchId i) const {
+  topology_.graph().check_node(i);
+  return std::span<const ControllerId>(by_delay_).subspan(
+      static_cast<std::size_t>(i) * controllers_.size(), controllers_.size());
 }
 
 }  // namespace pm::sdwan

@@ -8,6 +8,7 @@
 // by sdwan::FailureState without copying it.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <span>
 #include <string>
@@ -101,9 +102,27 @@ class Network {
   /// destination.
   std::int64_t diversity(FlowId l, SwitchId i) const;
 
-  /// p at every position of flow l's path: path_diversity(l)[k] is
-  /// diversity(l, flow(l).path[k]), without diversity()'s path search.
-  std::span<const std::int64_t> path_diversity(FlowId l) const;
+  /// A flow with p >= 2 at a switch. `rank` is its place among all the
+  /// switch's such flows in ascending flow id.
+  struct SwitchOpportunity {
+    FlowId flow = 0;
+    std::uint32_t rank = 0;
+    std::int64_t p = 0;
+  };
+  /// The flows with p >= 2 at switch `i` whose paths cross it at
+  /// `position` (< position_count()), ascending by flow id. A failure
+  /// set's recovery opportunities are its offline switches' groups, so
+  /// FailureState gathers them here instead of walking paths; reading
+  /// the groups position by position yields each flow's in path order.
+  std::span<const SwitchOpportunity> opportunities_at(
+      SwitchId i, std::size_t position) const;
+  /// The number of path positions: the longest path's node count.
+  std::size_t position_count() const { return position_count_; }
+
+  /// Every controller in ascending D_ij from switch `i`, ties broken by
+  /// controller id. A failure state's C(i) is this order with the failed
+  /// controllers left out.
+  std::span<const ControllerId> controllers_by_delay(SwitchId i) const;
 
   /// beta_i^l — 1 iff switch `i` is on flow `l`'s path and has at least
   /// two routes to the destination (diversity >= 2), per Sec. IV-A.
@@ -121,6 +140,15 @@ class Network {
   /// diversity_[l] maps path position -> p at that switch; aligned with
   /// flows_[l].path.
   std::vector<std::vector<std::int64_t>> diversity_;
+  /// The p >= 2 pairs ordered by (switch, position, flow). Group
+  /// b = i * position_count_ + position is
+  /// [group_offset_[b], group_offset_[b + 1]).
+  std::vector<SwitchOpportunity> opportunities_;
+  std::vector<std::uint32_t> group_offset_;
+  std::size_t position_count_ = 0;
+  /// by_delay_[i * controller_count() + k] = switch i's k-th nearest
+  /// controller.
+  std::vector<ControllerId> by_delay_;
 };
 
 }  // namespace pm::sdwan

@@ -22,15 +22,6 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-std::string failed_set_key(const std::vector<sdwan::ControllerId>& failed) {
-  std::string key;
-  for (std::size_t i = 0; i < failed.size(); ++i) {
-    if (i > 0) key += ',';
-    key += std::to_string(failed[i]);
-  }
-  return key;
-}
-
 core::RecoveryPlan run_algorithm(const SolveParams& params,
                                  const sdwan::FailureState& state) {
   if (params.algorithm == "pm") return core::run_pm(state);
@@ -57,12 +48,7 @@ Engine::Engine(sdwan::Network network, EngineConfig config)
                                "solve requests that returned an error")),
       deadline_expired_(
           metrics_.counter("svc_deadline_expired_total",
-                           "requests whose deadline passed in the queue")),
-      state_hits_(metrics_.counter(
-          "svc_state_cache_hits_total",
-          "failure states reused across overlapping requests")),
-      state_misses_(metrics_.counter("svc_state_cache_misses_total",
-                                     "failure states built from scratch")) {
+                           "requests whose deadline passed in the queue")) {
   // The diameter, for the health payload.
   const graph::Graph& g = network_.topology().graph();
   for (graph::NodeId dst = 0; dst < g.node_count(); ++dst) {
@@ -93,35 +79,6 @@ std::vector<sdwan::ControllerId> Engine::canonical_failed(
   return out;
 }
 
-std::shared_ptr<const sdwan::FailureState> Engine::state_for(
-    const std::vector<sdwan::ControllerId>& failed) {
-  const std::string key = failed_set_key(failed);
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    for (auto it = state_lru_.begin(); it != state_lru_.end(); ++it) {
-      if (it->first == key) {
-        state_lru_.splice(state_lru_.begin(), state_lru_, it);
-        state_hits_.inc();
-        return state_lru_.front().second;
-      }
-    }
-  }
-  // Build outside the lock — construction walks every flow and is the
-  // expensive part overlapping requests want to share. Two threads may
-  // race on the same key; both states are identical, last insert wins.
-  state_misses_.inc();
-  sdwan::FailureScenario scenario;
-  scenario.failed = failed;
-  auto state = std::make_shared<const sdwan::FailureState>(
-      network_, std::move(scenario));
-  const std::lock_guard<std::mutex> lock(state_mutex_);
-  state_lru_.emplace_front(key, state);
-  while (state_lru_.size() > config_.state_cache_entries) {
-    state_lru_.pop_back();
-  }
-  return state;
-}
-
 SolveOutcome Engine::solve(const SolveJob& job) {
   const Clock::time_point start = Clock::now();
   SolveOutcome outcome;
@@ -145,11 +102,13 @@ SolveOutcome Engine::solve(const SolveJob& job) {
   }
 
   try {
-    const auto failed = canonical_failed(job.params.failed);
-    const auto state = state_for(failed);
+    // A state costs time in the offline switches' opportunities (the
+    // network's per-switch index), so every miss builds its own.
+    const sdwan::FailureState state(
+        network_, {canonical_failed(job.params.failed)});
 
-    core::RecoveryPlan plan = run_algorithm(job.params, *state);
-    core::RecoveryMetrics metrics = core::evaluate_plan(*state, plan);
+    core::RecoveryPlan plan = run_algorithm(job.params, state);
+    core::RecoveryMetrics metrics = core::evaluate_plan(state, plan);
     // Zero the wall-clock fields: the payload must be a pure function of
     // the canonical request so cached and recomputed responses are
     // byte-identical. Timing is reported out-of-band in solve_ms.
@@ -157,7 +116,7 @@ SolveOutcome Engine::solve(const SolveJob& job) {
     metrics.solve_seconds = 0.0;
 
     outcome.payload = core::write_case_report(
-        state->scenario().label(network_), plan, metrics);
+        state.scenario().label(network_), plan, metrics);
     outcome.ok = true;
     cache_.put(outcome.key, outcome.payload);
     solves_.inc();

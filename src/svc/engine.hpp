@@ -8,29 +8,29 @@
 // solve requests over that state:
 //
 //   request --> canonical key --> PlanCache hit?  --> cached payload
-//                               \-> FailureState LRU --> algorithm -->
+//                               \-> FailureState --> algorithm -->
 //                                   deterministic payload --> cache fill
+//
+// A FailureState is gathered from the Network's per-switch opportunity
+// index in time proportional to the offline switches' incidences, so
+// every miss builds its own and nothing but plans is cached.
 //
 // Determinism: timing fields (solve_seconds) are zeroed before
 // serialization, so a given canonical request always produces the same
 // payload bytes — which is what lets a cache hit be byte-identical to a
 // recompute, and what the CI smoke, test_svc and perfbench assert.
 //
-// Concurrency: solve() is thread-safe (the Network and every cached
-// FailureState are immutable after construction; the plan/state caches
-// lock internally). The server runs config().jobs worker threads, each
-// calling solve() on one queued request at a time, so service
-// throughput scales with --jobs like the offline sweeps do.
+// Concurrency: solve() is thread-safe (the Network is immutable after
+// construction, each solve builds its own FailureState, and the plan
+// cache locks internally). The server runs config().jobs worker
+// threads, each calling solve() on one queued request at a time, so
+// service throughput scales with --jobs like the offline sweeps do.
 #pragma once
 
 #include <chrono>
 #include <cstddef>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -47,10 +47,6 @@ struct EngineConfig {
   int jobs = 1;
   /// PlanCache byte budget.
   std::size_t cache_bytes = std::size_t{64} << 20;
-  /// FailureState LRU depth — overlapping requests (same failure set,
-  /// different algorithm) reuse the derived state instead of rebuilding
-  /// offline sets, residual capacities and opportunity lists.
-  std::size_t state_cache_entries = 16;
 };
 
 /// Outcome of one solve. On success `payload` holds the deterministic
@@ -96,7 +92,7 @@ class Engine {
   int diameter_hops() const { return diameter_hops_; }
 
   /// Thread-safe. Checks the deadline, probes the plan cache, else
-  /// computes: canonicalized failure set -> FailureState (LRU) ->
+  /// computes: canonicalized failure set -> FailureState ->
   /// algorithm -> deterministic payload -> cache fill.
   SolveOutcome solve(const SolveJob& job);
 
@@ -122,27 +118,15 @@ class Engine {
   std::vector<sdwan::ControllerId> canonical_failed(
       const std::vector<sdwan::ControllerId>& failed) const;
 
-  std::shared_ptr<const sdwan::FailureState> state_for(
-      const std::vector<sdwan::ControllerId>& failed);
-
   sdwan::Network network_;
   EngineConfig config_;
   obs::MetricsRegistry metrics_;
   PlanCache cache_;
   int diameter_hops_ = 0;
 
-  std::mutex state_mutex_;
-  /// MRU-first LRU of derived failure states, keyed by the canonical
-  /// failed-set rendering ("3,4").
-  std::list<std::pair<std::string,
-                      std::shared_ptr<const sdwan::FailureState>>>
-      state_lru_;
-
   obs::Counter& solves_;
   obs::Counter& errors_;
   obs::Counter& deadline_expired_;
-  obs::Counter& state_hits_;
-  obs::Counter& state_misses_;
 };
 
 }  // namespace pm::svc

@@ -1,6 +1,8 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cstdlib>
+#include <iostream>
 
 #include "util/strings.hpp"
 #include "util/task_pool.hpp"
@@ -8,6 +10,10 @@
 namespace pm::util {
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
+  if (argc > 0) {
+    program_ = argv[0];
+    program_.erase(0, program_.rfind('/') + 1);
+  }
   for (int i = 1; i < argc; ++i) {
     std::string tok = argv[i];
     if (!starts_with(tok, "--")) {
@@ -45,12 +51,19 @@ std::vector<std::string> CliArgs::get_strings(
   return it == flags_.end() ? std::vector<std::string>{} : it->second;
 }
 
-long long CliArgs::get_int(const std::string& name, long long fallback) const {
+long long CliArgs::get_int(const std::string& name, long long fallback,
+                           long long lo, long long hi) const {
   queried_[name] = true;
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
+  const std::string& text = it->second.back();
   long long v = 0;
-  return parse_int(it->second.back(), v) ? v : fallback;
+  if (!parse_int(text, v) || v < lo || v > hi) {
+    std::cerr << program_ << ": --" << name << "=" << text
+              << " is not an integer in [" << lo << ", " << hi << "]\n";
+    std::exit(2);
+  }
+  return v;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {

@@ -19,7 +19,11 @@ class CliArgs {
 
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
-  long long get_int(const std::string& name, long long fallback) const;
+  /// The integer value of --name, or `fallback` when absent. A value
+  /// that is not an integer or lies outside [lo, hi] is refused: the
+  /// program prints a message naming the flag and exits with status 2.
+  long long get_int(const std::string& name, long long fallback,
+                    long long lo, long long hi) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 
@@ -35,6 +39,7 @@ class CliArgs {
   std::vector<std::string> unused() const;
 
  private:
+  std::string program_;
   std::map<std::string, std::vector<std::string>> flags_;
   mutable std::map<std::string, bool> queried_;
   std::vector<std::string> positional_;

@@ -1,16 +1,23 @@
 // Helpers shared by the golden tests: reading the files under tests/data
-// (PM_TEST_DATA_DIR, set by tests/CMakeLists.txt) and the FNV-1a-64
-// digests those files record, spelled as 16 lowercase hex digits.
+// (PM_TEST_DATA_DIR, set by tests/CMakeLists.txt), the FNV-1a-64
+// digests those files record, spelled as 16 lowercase hex digits, and
+// the 150-node network of the benchmark's miss workload.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
+
+#include "sdwan/network.hpp"
+#include "topo/generators.hpp"
+#include "topo/placement.hpp"
 
 namespace pm::golden {
 
@@ -38,6 +45,26 @@ inline std::string hex64(std::uint64_t v) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
+}
+
+// The serve_misses_waxman150 network: waxman(150, 0.5, 0.25, 1) with 12
+// k-center controllers at 1.15x the peak normal load. Plans here hold
+// thousands of assignments and run controllers out of residual capacity,
+// which the ATT digests never do.
+inline sdwan::Network make_waxman150_network() {
+  topo::Topology topology = topo::waxman(150, 0.5, 0.25, 1);
+  topo::Domains domains = topo::k_center_domains(topology, 12);
+  sdwan::NetworkConfig config;
+  config.controller_capacity = 1e9;
+  double max_load = 0.0;
+  {
+    const sdwan::Network probe(topology, domains, config);
+    for (int j = 0; j < probe.controller_count(); ++j) {
+      max_load = std::max(max_load, probe.normal_load(j));
+    }
+  }
+  config.controller_capacity = 1.15 * max_load;
+  return sdwan::Network(std::move(topology), std::move(domains), config);
 }
 
 }  // namespace pm::golden

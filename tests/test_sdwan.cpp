@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -9,6 +11,7 @@
 #include "graph/shortest_path.hpp"
 
 #include "core/scenario.hpp"
+#include "golden.hpp"
 #include "sdwan/dataplane.hpp"
 #include "sdwan/failure.hpp"
 #include "sdwan/hybrid_switch.hpp"
@@ -308,6 +311,187 @@ TEST(Failure, TotalIterationsBoundsOfflinePathLength) {
   }
   EXPECT_EQ(st.max_offline_switches_on_path(), expected);
   EXPECT_GE(expected, 1);
+}
+
+// A FailureState built the way it was before the Network held a
+// per-switch opportunity index: walk every offline flow's path, sort
+// each switch's controllers by delay. The gathered state must match it
+// in every accessor.
+struct PathWalkState {
+  std::vector<SwitchId> offline;
+  std::vector<FlowId> offline_flows;
+  std::vector<FlowId> recoverable_flows;
+  /// opportunities[l] = (switch, p) of flow l in path order.
+  std::vector<std::vector<FailureState::Opportunity>> opportunities;
+  std::vector<std::uint32_t> flow_offset;
+  /// at_switch[i] = (flow, flat index, p), ascending flow id.
+  std::vector<std::vector<FailureState::SwitchOpportunity>> at_switch;
+  std::vector<std::vector<ControllerId>> by_delay;
+  double ideal_total_delay = 0.0;
+  int max_offline_on_path = 0;
+};
+
+PathWalkState path_walk_state(const Network& net,
+                              const std::vector<ControllerId>& failed) {
+  PathWalkState ref;
+  const auto n = static_cast<std::size_t>(net.switch_count());
+  std::vector<char> offline(n, 0);
+  std::vector<ControllerId> active;
+  for (ControllerId j = 0; j < net.controller_count(); ++j) {
+    if (std::find(failed.begin(), failed.end(), j) == failed.end()) {
+      active.push_back(j);
+      continue;
+    }
+    for (const SwitchId s : net.controller(j).domain) {
+      offline[static_cast<std::size_t>(s)] = 1;
+      ref.offline.push_back(s);
+    }
+  }
+  std::sort(ref.offline.begin(), ref.offline.end());
+
+  ref.opportunities.resize(static_cast<std::size_t>(net.flow_count()));
+  ref.at_switch.resize(n);
+  std::uint32_t flat = 0;
+  for (const Flow& f : net.flows()) {
+    ref.flow_offset.push_back(flat);
+    int on_path = 0;
+    auto& opps = ref.opportunities[static_cast<std::size_t>(f.id)];
+    for (const SwitchId s : f.path) {
+      if (!offline[static_cast<std::size_t>(s)]) continue;
+      ++on_path;
+      const std::int64_t p = net.diversity(f.id, s);
+      if (p < 2) continue;
+      opps.push_back({s, p});
+      ref.at_switch[static_cast<std::size_t>(s)].push_back({f.id, flat++, p});
+    }
+    if (on_path == 0) continue;
+    ref.offline_flows.push_back(f.id);
+    ref.max_offline_on_path = std::max(ref.max_offline_on_path, on_path);
+    if (!opps.empty()) ref.recoverable_flows.push_back(f.id);
+  }
+  ref.flow_offset.push_back(flat);
+
+  for (SwitchId i = 0; i < net.switch_count(); ++i) {
+    std::vector<ControllerId> order = active;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](ControllerId a, ControllerId b) {
+                       return net.delay_ms(i, a) < net.delay_ms(i, b);
+                     });
+    ref.by_delay.push_back(std::move(order));
+  }
+  for (const SwitchId i : ref.offline) {
+    ref.ideal_total_delay +=
+        static_cast<double>(net.flow_count_at(i)) *
+        net.delay_ms(i, ref.by_delay[static_cast<std::size_t>(i)].front());
+  }
+  return ref;
+}
+
+void expect_matches_path_walk(const Network& net,
+                              const FailureScenario& scenario) {
+  const FailureState st(net, scenario);
+  const PathWalkState ref = path_walk_state(net, scenario.failed);
+  const std::string label = scenario.label(net);
+  EXPECT_EQ(st.offline_switches(), ref.offline) << label;
+  EXPECT_EQ(st.offline_flows(), ref.offline_flows) << label;
+  EXPECT_EQ(st.recoverable_flows(), ref.recoverable_flows) << label;
+  EXPECT_EQ(st.opportunity_count(), ref.flow_offset.back()) << label;
+  for (FlowId l = 0; l < net.flow_count(); ++l) {
+    const auto k = static_cast<std::size_t>(l);
+    ASSERT_EQ(st.opportunity_offset(l), ref.flow_offset[k])
+        << label << " flow " << l;
+    const auto got = st.opportunities(l);
+    const auto& want = ref.opportunities[k];
+    ASSERT_EQ(got.size(), want.size()) << label << " flow " << l;
+    for (std::size_t q = 0; q < want.size(); ++q) {
+      EXPECT_EQ(got[q].sw, want[q].sw) << label << " flow " << l;
+      EXPECT_EQ(got[q].p, want[q].p) << label << " flow " << l;
+    }
+  }
+  for (SwitchId i = 0; i < net.switch_count(); ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    const auto got = st.opportunities_at(i);
+    const auto& want = ref.at_switch[k];
+    ASSERT_EQ(got.size(), want.size()) << label << " switch " << i;
+    for (std::size_t q = 0; q < want.size(); ++q) {
+      EXPECT_EQ(got[q].flow, want[q].flow) << label << " switch " << i;
+      EXPECT_EQ(got[q].index, want[q].index) << label << " switch " << i;
+      EXPECT_EQ(got[q].p, want[q].p) << label << " switch " << i;
+    }
+    const auto order = st.controllers_by_delay(i);
+    EXPECT_EQ(std::vector<ControllerId>(order.begin(), order.end()),
+              ref.by_delay[k])
+        << label << " switch " << i;
+  }
+  EXPECT_EQ(st.max_offline_switches_on_path(), ref.max_offline_on_path)
+      << label;
+  // Bit-equal, not merely close: the summation order is the same.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(st.ideal_total_delay()),
+            std::bit_cast<std::uint64_t>(ref.ideal_total_delay))
+      << label;
+}
+
+// The index holds exactly the (flow, position) pairs with p >= 2: group
+// (i, position) lists the flows crossing switch i there, ascending, and
+// each entry's rank is its flow's place among all of i's flows.
+void expect_index_complete(const Network& net) {
+  const auto n = static_cast<std::size_t>(net.switch_count());
+  std::vector<std::vector<std::vector<FlowId>>> groups(
+      n, std::vector<std::vector<FlowId>>(net.position_count()));
+  std::vector<std::vector<FlowId>> flows_at(n);
+  std::vector<std::vector<std::int64_t>> p_at(n);
+  for (const Flow& f : net.flows()) {
+    for (std::size_t k = 0; k < f.path.size(); ++k) {
+      const std::int64_t p = net.diversity(f.id, f.path[k]);
+      if (p < 2) continue;
+      const auto s = static_cast<std::size_t>(f.path[k]);
+      groups[s][k].push_back(f.id);
+      flows_at[s].push_back(f.id);
+      p_at[s].push_back(p);
+    }
+  }
+  for (SwitchId i = 0; i < net.switch_count(); ++i) {
+    const auto s = static_cast<std::size_t>(i);
+    std::size_t seen = 0;
+    for (std::size_t k = 0; k < net.position_count(); ++k) {
+      const auto got = net.opportunities_at(i, k);
+      ASSERT_EQ(got.size(), groups[s][k].size()) << i << " at " << k;
+      for (std::size_t q = 0; q < got.size(); ++q) {
+        EXPECT_EQ(got[q].flow, groups[s][k][q]) << i << " at " << k;
+        ASSERT_LT(got[q].rank, flows_at[s].size()) << i << " at " << k;
+        EXPECT_EQ(flows_at[s][got[q].rank], got[q].flow) << i << " at " << k;
+        EXPECT_EQ(p_at[s][got[q].rank], got[q].p) << i << " at " << k;
+      }
+      seen += got.size();
+    }
+    EXPECT_EQ(seen, flows_at[s].size()) << "switch " << i;
+  }
+}
+
+TEST(Failure, GatheredStateMatchesPathWalkAttUpToThreeFailures) {
+  const auto net = core::make_att_network();
+  expect_index_complete(net);
+  int sets = 0;
+  for (int k = 1; k <= 3; ++k) {
+    for (const auto& scenario : enumerate_failures(net, k)) {
+      expect_matches_path_walk(net, scenario);
+      ++sets;
+    }
+  }
+  EXPECT_EQ(sets, 41);
+}
+
+TEST(Failure, GatheredStateMatchesPathWalkWaxman150UpToTwoFailures) {
+  const Network net = golden::make_waxman150_network();
+  expect_index_complete(net);
+  int sets = 0;
+  for (int k = 1; k <= 2; ++k) {
+    for (const auto& scenario : enumerate_failures(net, k)) {
+      expect_matches_path_walk(net, scenario);
+      ++sets;
+    }
+  }
+  EXPECT_EQ(sets, 78);
 }
 
 // ---------------------------------------------------------------------

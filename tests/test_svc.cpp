@@ -29,8 +29,6 @@
 #include "svc/plan_cache.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
-#include "topo/generators.hpp"
-#include "topo/placement.hpp"
 
 namespace pm {
 namespace {
@@ -259,8 +257,7 @@ TEST(SvcEngine, ExpiredDeadlineReturnsDeadlineExceeded) {
 TEST(SvcEngine, ConcurrentSolvesMatchSerialSolves) {
   // Every thread walks the same overlapping requests (one failure set
   // under several algorithms, permuted duplicates) from its own starting
-  // point, so threads race on the FailureState LRU — kept shallow here so
-  // it also evicts under contention — and on filling the same cache keys.
+  // point, so threads race on filling the same cache keys.
   std::vector<SolveParams> requests;
   for (const auto& failed : std::vector<std::vector<sdwan::ControllerId>>{
            {3}, {4}, {3, 4}, {4, 3}, {0, 5}, {3, 4, 3}}) {
@@ -280,9 +277,7 @@ TEST(SvcEngine, ConcurrentSolvesMatchSerialSolves) {
     expected[one.key] = one.payload;
   }
 
-  EngineConfig config = small_engine_config();
-  config.state_cache_entries = 2;
-  Engine engine(core::make_att_network(), config);
+  Engine engine(core::make_att_network(), small_engine_config());
   constexpr std::size_t kThreads = 4;
   std::vector<std::vector<svc::SolveOutcome>> outcomes(kThreads);
   std::vector<std::thread> threads;
@@ -386,30 +381,10 @@ TEST(SvcGolden, AttCaseReportDigestsMatchUpToTwoFailures) {
   for (const DigestLine& line : lines) expect_digest(engine, line);
 }
 
-// The serve_misses_waxman150 network: waxman(150, 0.5, 0.25, 1) with 12
-// k-center controllers at 1.15x the peak normal load. Plans here hold
-// thousands of assignments and run controllers out of residual capacity,
-// which the ATT digests never do.
-sdwan::Network make_waxman150_network() {
-  topo::Topology topology = topo::waxman(150, 0.5, 0.25, 1);
-  topo::Domains domains = topo::k_center_domains(topology, 12);
-  sdwan::NetworkConfig config;
-  config.controller_capacity = 1e9;
-  double max_load = 0.0;
-  {
-    const sdwan::Network probe(topology, domains, config);
-    for (int j = 0; j < probe.controller_count(); ++j) {
-      max_load = std::max(max_load, probe.normal_load(j));
-    }
-  }
-  config.controller_capacity = 1.15 * max_load;
-  return sdwan::Network(std::move(topology), std::move(domains), config);
-}
-
 const char kWaxmanDigests[] = "case_report_digests_waxman150_k2.txt";
 
 TEST(SvcGolden, WaxmanCaseReportDigestsMatchSingleAndSampledPairs) {
-  Engine engine(make_waxman150_network(), small_engine_config());
+  Engine engine(golden::make_waxman150_network(), small_engine_config());
   const auto lines = read_digest_lines(kWaxmanDigests);
   // C(12,1) + C(12,2) failure sets, four algorithms each.
   ASSERT_EQ(lines.size(), (12u + 66u) * 4u);
@@ -430,7 +405,7 @@ TEST(SvcGolden, WaxmanCaseReportDigestsMatchSingleAndSampledPairs) {
 }
 
 TEST(SvcGolden, DISABLED_WaxmanCaseReportDigestsMatchUpToTwoFailures) {
-  Engine engine(make_waxman150_network(), small_engine_config());
+  Engine engine(golden::make_waxman150_network(), small_engine_config());
   const auto lines = read_digest_lines(kWaxmanDigests);
   ASSERT_EQ(lines.size(), (12u + 66u) * 4u);
   for (const DigestLine& line : lines) expect_digest(engine, line);

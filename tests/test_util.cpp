@@ -212,8 +212,8 @@ TEST(Cli, ParsesAllForms) {
   // come last or use "--flag=true".
   const char* argv[] = {"prog", "pos", "--a=1", "--b", "2", "--flag"};
   CliArgs args(6, argv);
-  EXPECT_EQ(args.get_int("a", 0), 1);
-  EXPECT_EQ(args.get_int("b", 0), 2);
+  EXPECT_EQ(args.get_int("a", 0, 0, 9), 1);
+  EXPECT_EQ(args.get_int("b", 0, 0, 9), 2);
   EXPECT_TRUE(args.get_bool("flag", false));
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "pos");
@@ -222,10 +222,26 @@ TEST(Cli, ParsesAllForms) {
 TEST(Cli, FallbacksOnMissingOrMalformed) {
   const char* argv[] = {"prog", "--n=abc"};
   CliArgs args(2, argv);
-  EXPECT_EQ(args.get_int("n", 5), 5);
-  EXPECT_EQ(args.get_int("missing", 7), 7);
+  EXPECT_DOUBLE_EQ(args.get_double("n", 2.5), 2.5);
+  EXPECT_EQ(args.get_int("missing", 7, 0, 1), 7);
   EXPECT_DOUBLE_EQ(args.get_double("missing", 1.5), 1.5);
   EXPECT_EQ(args.get_string("missing", "dflt"), "dflt");
+}
+
+TEST(Cli, RefusesIntegersOutsideTheirRange) {
+  const char* argv[] = {"/bin/prog", "--n=abc", "--k=4294967298",
+                        "--p=70000", "--e=", "--q=-1"};
+  CliArgs args(6, argv);
+  // No wrap, no fallback: each prints the flag and exits 2.
+  EXPECT_EXIT(args.get_int("n", 5, 0, 10), ::testing::ExitedWithCode(2),
+              "prog: --n=abc is not an integer in \\[0, 10\\]");
+  EXPECT_EXIT(args.get_int("k", 2, 1, 5), ::testing::ExitedWithCode(2),
+              "--k=4294967298 is not an integer in \\[1, 5\\]");
+  EXPECT_EXIT(args.get_int("p", 1, 1, 65535), ::testing::ExitedWithCode(2),
+              "--p=70000 ");
+  EXPECT_EXIT(args.get_int("e", 1, 1, 9), ::testing::ExitedWithCode(2),
+              "--e= ");
+  EXPECT_EQ(args.get_int("q", 0, -1, 1), -1);  // the bounds are inclusive
 }
 
 TEST(Cli, BoolParsing) {
@@ -239,7 +255,7 @@ TEST(Cli, BoolParsing) {
 TEST(Cli, UnusedFlagsReported) {
   const char* argv[] = {"prog", "--used=1", "--typo=2"};
   CliArgs args(3, argv);
-  (void)args.get_int("used", 0);
+  (void)args.get_int("used", 0, 0, 9);
   const auto unused = args.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "typo");
@@ -249,7 +265,7 @@ TEST(Cli, NegativeNumberAsSeparateValue) {
   // "--d -3" : "-3" does not start with "--", so it is the value.
   const char* argv[] = {"prog", "--d", "-3"};
   CliArgs args(3, argv);
-  EXPECT_EQ(args.get_int("d", 0), -3);
+  EXPECT_EQ(args.get_int("d", 0, -9, 9), -3);
 }
 
 }  // namespace
