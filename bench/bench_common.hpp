@@ -70,7 +70,8 @@ inline BenchOptions parse_bench_options(int argc, char** argv,
     o.command_line += argv[i];
   }
   o.optimal_time_limit =
-      args.get_double("optimal-time", default_time_limit);
+      args.get_double("optimal-time", default_time_limit, 0.0,
+                      util::kUnbounded);
   o.run_optimal = !args.get_bool("no-optimal", false) &&
                   !args.get_bool("quick", false);
   o.jobs = util::parse_jobs_flag(args);

@@ -20,7 +20,8 @@
 int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
-  const double tolerance = args.get_double("tolerance", 0.0);
+  const double tolerance =
+      args.get_double("tolerance", 0.0, 0.0, util::kUnbounded);
   const util::TaskPool pool(util::parse_jobs_flag(args));
   obs::apply_log_level_flag(args);
 

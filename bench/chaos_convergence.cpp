@@ -27,7 +27,7 @@
 // --mid-recovery appends a second sweep that kills a SECOND controller
 // 350 ms after the first failure — inside the recovery window — once
 // targeting the coordinator and once a wave-1 adopter, which exercises
-// the failover/replan/rollback machinery of the transactional protocol.
+// the failover/replan/sweep machinery of the transactional protocol.
 // The default table and CSV above are unchanged by the flag.
 #include <climits>
 #include <cstdint>
@@ -115,8 +115,8 @@ int main(int argc, char** argv) {
   util::CliArgs args(argc, argv);
   const auto seed =
       static_cast<std::uint64_t>(args.get_int("seed", 42, 0, LLONG_MAX));
-  const double dup = args.get_double("dup", 0.02);
-  const double until = args.get_double("until", 20000.0);
+  const double dup = args.get_double("dup", 0.02, 0.0, 1.0);
+  const double until = args.get_double("until", 20000.0, 0.0, util::kUnbounded);
   std::optional<std::string> csv_path;
   if (args.has("csv")) csv_path = args.get_string("csv", "");
   const bool mid_recovery = args.get_bool("mid-recovery", false);
@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
     // The coordinator after C13's failure is the lowest surviving id
     // (controller 0); the adopter target is the highest-id controller
     // the wave-1 plan hands switches to, so the kill lands on a node
-    // with in-flight flow-mods of its own.
+    // with in-flight slices of its own.
     sdwan::FailureScenario scenario;
     scenario.failed = {3};
     const sdwan::FailureState state(net, scenario);
@@ -268,8 +268,7 @@ int main(int argc, char** argv) {
                  "t=850 ms, inside the first wave ===\n\n";
     util::TextTable mid({"kill", "loss", "jitter_ms", "detected_ms",
                          "converged_ms", "failovers", "aborted",
-                         "rb_removes", "stale_disc", "audit_viol",
-                         "deliverable"});
+                         "stale_disc", "audit_viol", "deliverable"});
     bool mid_ok = true;
     for (const auto& c : kill_cells) {
       mid.add_row(
@@ -279,7 +278,6 @@ int main(int argc, char** argv) {
            util::format_double(c.report.converged_at.value_or(-1.0), 1),
            std::to_string(c.report.coordinator_failovers),
            std::to_string(c.report.waves_aborted),
-           std::to_string(c.report.rollback_removals),
            std::to_string(c.report.stale_discarded),
            std::to_string(c.report.audit_violations),
            c.report.all_flows_deliverable ? "yes" : "NO"});
@@ -298,8 +296,7 @@ int main(int argc, char** argv) {
       util::CsvWriter csv(out);
       csv.write_row({"kill", "loss", "jitter_ms", "detected_ms",
                      "converged_ms", "coordinator_failovers",
-                     "waves_aborted", "rollback_removals",
-                     "stale_discarded", "audit_violations",
+                     "waves_aborted", "stale_discarded", "audit_violations",
                      "all_flows_deliverable"});
       for (const auto& c : kill_cells) {
         csv.write_row(
@@ -310,7 +307,6 @@ int main(int argc, char** argv) {
                                  3),
              std::to_string(c.report.coordinator_failovers),
              std::to_string(c.report.waves_aborted),
-             std::to_string(c.report.rollback_removals),
              std::to_string(c.report.stale_discarded),
              std::to_string(c.report.audit_violations),
              c.report.all_flows_deliverable ? "true" : "false"});

@@ -18,7 +18,8 @@
 int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
-  const double time_limit = args.get_double("optimal-time", 10.0);
+  const double time_limit =
+      args.get_double("optimal-time", 10.0, 0.0, util::kUnbounded);
   const std::string cases = args.get_string("cases", "1,2,3");
   const int jobs = util::parse_jobs_flag(args);
   obs::apply_log_level_flag(args);

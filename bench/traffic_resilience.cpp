@@ -17,9 +17,11 @@
 int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
-  const double surge = args.get_double("surge", 8.0);
-  const double total_traffic = args.get_double("total-traffic", 200000.0);
-  const double link_capacity = args.get_double("link-capacity", 10000.0);
+  const double surge = args.get_double("surge", 8.0, 0.0, util::kUnbounded);
+  const double total_traffic =
+      args.get_double("total-traffic", 200000.0, 0.0, util::kUnbounded);
+  const double link_capacity =
+      args.get_double("link-capacity", 10000.0, 0.0, util::kUnbounded);
   obs::apply_log_level_flag(args);
 
   const sdwan::Network net = core::make_att_network();

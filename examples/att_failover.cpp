@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   util::CliArgs args(argc, argv);
   const std::string fail_spec = args.get_string("fail", "13,20");
   const bool with_optimal = args.get_bool("optimal", false);
-  const double optimal_time = args.get_double("optimal-time", 30.0);
+  const double optimal_time =
+      args.get_double("optimal-time", 30.0, 0.0, util::kUnbounded);
   const std::string json_path = args.get_string("json", "");
   obs::apply_log_level_flag(args);
 
@@ -114,7 +115,8 @@ int main(int argc, char** argv) {
 
   // PM's recovery on the wire: the failed controllers crash together at
   // t=500 ms, the survivors' heartbeat detectors notice, and the
-  // coordinator distributes PM's plan as RoleRequests and FlowMods.
+  // coordinator sends each adopted switch one RoleRequest carrying its
+  // slice of PM's plan.
   ctrl::ControlSimulation simulation(
       net, [](const sdwan::FailureState& st,
               const core::RecoveryPlan* previous) {
@@ -133,7 +135,7 @@ int main(int argc, char** argv) {
                "500 ms):\n"
             << "  failure detected at      " << at(report.detected_at)
             << "\n"
-            << "  last flow-mod acked at   " << at(report.converged_at)
+            << "  last role reply at       " << at(report.converged_at)
             << "\n"
             << "  flows programmed         " << report.flows_with_entries
             << "\n"

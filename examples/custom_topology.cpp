@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
   const auto controllers =
       static_cast<int>(args.get_int("controllers", 4, 2, INT_MAX));
   const auto fail = static_cast<int>(args.get_int("fail", 1, 1, INT_MAX));
-  const double capacity = args.get_double("capacity", 0.0);
+  const double capacity =
+      args.get_double("capacity", 0.0, 0.0, util::kUnbounded);
   const auto seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1, 0, LLONG_MAX));
   obs::apply_log_level_flag(args);

@@ -19,7 +19,8 @@ int main(int argc, char** argv) {
   const auto k = static_cast<int>(
       args.get_int("k", 2, 1, net.controller_count() - 1));
   const bool with_optimal = args.get_bool("optimal", false);
-  const double optimal_time = args.get_double("optimal-time", 20.0);
+  const double optimal_time =
+      args.get_double("optimal-time", 20.0, 0.0, util::kUnbounded);
   const std::string out_path = args.get_string("out", "sweep.csv");
   obs::apply_log_level_flag(args);
 

@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
   std::string verb = args.get_string("verb", "solve");
   const std::string failed_spec = args.get_string("failed", "");
   const std::string algorithm = args.get_string("algorithm", "pm");
-  const double deadline_ms = args.get_double("deadline-ms", 0.0);
+  const double deadline_ms =
+      args.get_double("deadline-ms", 0.0, 0.0, util::kUnbounded);
   const long long retroflow_candidates =
       args.get_int("retroflow-candidates", 2, 1, INT_MAX);
   const long long repeat = args.get_int("repeat", 1, 1, INT_MAX);

@@ -1,9 +1,9 @@
 // protocol_trace — the control-plane protocol end to end: heartbeats,
-// timeout-based failure detection, coordinator election, role handover
-// and flow-mod distribution, with the message counts and timeline a
-// network operator would read off a packet capture. Optionally runs the
-// whole exchange over a lossy channel (seeded fault injection) to show
-// the reliable-delivery machinery at work.
+// timeout-based failure detection, coordinator election, and one
+// RoleRequest per switch carrying its SDN slice, with the message counts
+// and timeline a network operator would read off a packet capture.
+// Optionally runs the whole exchange over a lossy channel (seeded fault
+// injection) to show the reliable-delivery machinery at work.
 //
 // Usage: ./build/examples/protocol_trace [--fail=13,20]
 //        [--second-failure-at=3000] [--until=10000]
@@ -17,8 +17,9 @@
 //
 // --kill-at is repeatable and may land INSIDE a recovery window: killing
 // the coordinator (or an adopting controller) mid-wave exercises the
-// transactional failover/replan/rollback path. <controller> is a
-// controller id or its topology node location (e.g. 850:0 or 850:4).
+// transactional failover/replan/sweep path. <controller> is a
+// controller id or its topology node location (e.g. 850:0 or 850:4);
+// a malformed spec or an unknown controller exits 2.
 //
 // --trace-out writes a Chrome trace_event file (load in Perfetto /
 // chrome://tracing); --metrics-out writes Prometheus text exposition.
@@ -43,19 +44,21 @@ int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
   const std::string fail_spec = args.get_string("fail", "13,20");
-  const double second_at = args.get_double("second-failure-at", 3000.0);
-  const double until = args.get_double("until", 10000.0);
+  const double second_at =
+      args.get_double("second-failure-at", 3000.0, 0.0, util::kUnbounded);
+  const double until = args.get_double("until", 10000.0, 0.0, util::kUnbounded);
   ctrl::ControllerConfig config;
   config.suspicion_checks =
       static_cast<int>(args.get_int("suspicion-checks", 1, 1, INT_MAX));
   const std::vector<std::string> kill_specs = args.get_strings("kill-at");
 
   ctrl::ChannelFaultModel faults;
-  faults.drop_probability = args.get_double("loss", 0.0);
-  faults.duplicate_probability = args.get_double("dup", 0.0);
-  faults.jitter_ms = args.get_double("jitter", 0.0);
-  faults.reorder_probability = args.get_double("reorder", 0.0);
-  faults.reorder_delay_ms = args.get_double("reorder-delay", 40.0);
+  faults.drop_probability = args.get_double("loss", 0.0, 0.0, 1.0);
+  faults.duplicate_probability = args.get_double("dup", 0.0, 0.0, 1.0);
+  faults.jitter_ms = args.get_double("jitter", 0.0, 0.0, util::kUnbounded);
+  faults.reorder_probability = args.get_double("reorder", 0.0, 0.0, 1.0);
+  faults.reorder_delay_ms =
+      args.get_double("reorder-delay", 40.0, 0.0, util::kUnbounded);
   faults.seed = static_cast<std::uint64_t>(
       args.get_int("fault-seed", 42, 0, LLONG_MAX));
   const obs::ObsOptions obs_options = obs::parse_obs_flags(args);
@@ -102,27 +105,30 @@ int main(int argc, char** argv) {
     at = second_at;
   }
   // Additional kills, usable inside the recovery window: each spec is
-  // <time>:<controller>, controller given as id or node location.
+  // <time>:<controller>, controller given as id or node location. A spec
+  // that names no time or no controller is refused like a bad flag.
   for (const std::string& spec : kill_specs) {
     const auto parts = util::split(spec, ':');
     double t = 0.0;
     long long who = -1;
     if (parts.size() != 2 || !util::parse_double(parts[0], t) ||
+        !(t >= 0.0 && t < util::kUnbounded) ||
         !util::parse_int(parts[1], who)) {
-      obs::log().warn("ignoring malformed --kill-at=" + spec);
-      continue;
+      std::cerr << "protocol_trace: --kill-at=" << spec
+                << " is not <time>:<controller>\n";
+      return 2;
     }
     int target = -1;
     for (int j = 0; j < net.controller_count(); ++j) {
-      if (net.controller(j).location == static_cast<int>(who)) target = j;
+      if (net.controller(j).location == who) target = j;
     }
     if (target < 0 && who >= 0 && who < net.controller_count()) {
       target = static_cast<int>(who);
     }
     if (target < 0) {
-      obs::log().warn("ignoring --kill-at=" + spec +
-                      ": no such controller");
-      continue;
+      std::cerr << "protocol_trace: --kill-at=" << spec
+                << " names no controller id or location\n";
+      return 2;
     }
     std::cout << "scheduling crash of " << net.controller(target).name
               << " at t=" << util::format_double(t, 0)
@@ -168,12 +174,10 @@ int main(int argc, char** argv) {
     }
   }
   if (report.waves_aborted > 0 || report.coordinator_failovers > 0 ||
-      report.rollback_removals > 0 || report.stale_discarded > 0) {
+      report.stale_discarded > 0) {
     std::cout << "\ntransactional recovery:\n"
               << "  waves aborted     " << report.waves_aborted << "\n"
               << "  coord failovers   " << report.coordinator_failovers
-              << "\n"
-              << "  rollback removes  " << report.rollback_removals
               << "\n"
               << "  stale discarded   " << report.stale_discarded
               << "\n";

@@ -34,9 +34,11 @@ int main(int argc, char** argv) {
   const std::string fail_spec = args.get_string("fail", "13,20");
   const auto surge_node = static_cast<int>(
       args.get_int("surge-node", 12, 0, net.switch_count() - 1));
-  const double surge = args.get_double("surge", 8.0);
-  const double total_traffic = args.get_double("total-traffic", 200000.0);
-  const double link_capacity = args.get_double("link-capacity", 10000.0);
+  const double surge = args.get_double("surge", 8.0, 0.0, util::kUnbounded);
+  const double total_traffic =
+      args.get_double("total-traffic", 200000.0, 0.0, util::kUnbounded);
+  const double link_capacity =
+      args.get_double("link-capacity", 10000.0, 0.0, util::kUnbounded);
   obs::apply_log_level_flag(args);
 
   sdwan::FailureScenario scenario;

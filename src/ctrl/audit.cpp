@@ -122,13 +122,10 @@ AuditReport audit_recovery(const sdwan::Network& net,
     }
   }
 
-  // 4a. Every committed assignment of a non-degraded flow is installed
+  // 4a. Every committed assignment on a non-degraded switch is installed
   // with the flow's path successor as next hop.
   for (const auto& [sw, flow] : plan.sdn_assignments) {
-    if (shared.degraded_flows.contains(flow) ||
-        shared.degraded_switches.contains(sw)) {
-      continue;
-    }
+    if (shared.degraded_switches.contains(sw)) continue;
     const auto& f = net.flow(flow);
     sdwan::SwitchId next_hop = -1;
     for (std::size_t i = 0; i + 1 < f.path.size(); ++i) {

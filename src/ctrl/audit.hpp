@@ -1,7 +1,7 @@
 // Post-wave consistency auditor for transactional recovery.
 //
 // After a run, the data plane and switch agents must agree with the last
-// COMMITTED plan — whatever crashed, raced or rolled back along the way.
+// COMMITTED plan — whatever crashed, raced or was swept along the way.
 // The auditor checks four invariant families:
 //
 //   orphaned-master  — no switch is mastered by a failed controller;
@@ -11,17 +11,18 @@
 //   over-capacity    — no active controller's normal + adopted load
 //                      exceeds capacity x (1 + tolerance) under the
 //                      committed plan;
-//   plan-vs-state    — every committed (switch, flow) assignment of a
-//                      non-degraded flow is installed with the path's
+//   plan-vs-state    — every committed (switch, flow) assignment on a
+//                      non-degraded switch is installed with the path's
 //                      next hop ("missing-entry" / "wrong-next-hop"),
 //                      the plan's mapping is reflected in the agents'
 //                      masters ("wrong-master"), and no entry exists
 //                      outside the committed plan ("unplanned-entry").
 //
-// Degraded flows/switches are exempt from the plan-vs-state checks —
-// degradation legitimately falls back to legacy routing — but NOT from
-// the epoch checks: a degraded flow that still holds entries is exactly
-// the half-applied state rollback exists to prevent.
+// Degraded switches are exempt from the missing-entry, wrong-next-hop and
+// wrong-master checks — their requests exhausted their retries, so they
+// legitimately fall back to legacy routing — but NOT from the epoch and
+// unplanned-entry checks: a switch keeping an older wave's entries past a
+// commit is exactly what the sweep exists to prevent.
 #pragma once
 
 #include <cstddef>

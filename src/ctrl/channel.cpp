@@ -28,8 +28,7 @@ obs::Tracer::Args message_args(const Message& m, const std::string& kind) {
 
 const std::string& message_kind_name(std::size_t index) {
   static const std::array<std::string, kMessageKindCount> kNames = {
-      "heartbeat", "role-request", "role-reply", "flow-mod",
-      "flow-mod-ack"};
+      "heartbeat", "role-request", "role-reply"};
   return kNames.at(index);
 }
 

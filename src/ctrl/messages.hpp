@@ -5,6 +5,11 @@
 // its topology node id; controller j gets switch_count + j. Messages are
 // plain data; the channel (channel.hpp) delivers them with propagation
 // delay and the agents (switch_agent.hpp, controller.hpp) react.
+//
+// Three kinds: controllers beacon Heartbeats to each other, and a
+// recovery wave sends each switch it touches one RoleRequest carrying
+// the switch's whole SDN slice, answered by one RoleReply. The switch,
+// not the flow entry, is the unit of delivery, retry and degradation.
 #pragma once
 
 #include <cstddef>
@@ -26,55 +31,34 @@ struct Heartbeat {
   std::uint64_t sequence = 0;
 };
 
-/// Controller -> switch: become (or stop being) my subordinate.
+/// Controller -> switch: become my subordinate and run exactly this SDN
+/// slice. The one message a recovery wave sends a switch.
 ///
 /// `epoch` is the recovery wave's transaction epoch (monotonically
 /// increasing across waves). A switch remembers the highest epoch it has
 /// accepted and discards requests below it, so a deposed master's stale
 /// retransmissions cannot reclaim the switch after a newer wave.
+///
+/// `entries` is the switch's complete SDN slice at that epoch (OpenFlow's
+/// bundle): the switch drops every SDN entry it holds and installs these
+/// in one step, each tagged with the epoch as its cookie. An empty slice
+/// sweeps the table.
 struct RoleRequest {
   sdwan::ControllerId controller = -1;
-  std::uint64_t epoch = 0;
-};
-
-/// Switch -> controller: role accepted. Echoes the request's epoch so
-/// controllers can ignore replies that belong to a superseded wave.
-///
-/// `entries` is the handover resync (OpenFlow reads flow stats on a
-/// master change for the same reason): the switch reports its flow
-/// table in (src, dst) order, each entry's cookie the epoch that
-/// installed it, so a new master learns about entries whose installing
-/// controller died before the ack came back — the only way such state
-/// ever becomes visible to the surviving control plane.
-struct RoleReply {
-  sdwan::SwitchId sw = -1;
-  sdwan::ControllerId accepted = -1;
   std::uint64_t epoch = 0;
   std::vector<sdwan::FlowEntry> entries;
 };
 
-/// Controller -> switch: install or remove one flow entry. Carries the
-/// wave epoch; the switch discards mods older than its epoch high-water
-/// mark (a deposed master programming against a superseded plan).
-struct FlowMod {
-  sdwan::FlowEntry entry;
-  bool remove = false;
-  /// Correlates the ack; also used to count convergence.
-  std::uint64_t xid = 0;
-  std::uint64_t epoch = 0;
-};
-
-/// Switch -> controller: flow-mod applied (barrier semantics). Echoes
-/// the mod's epoch; an ack from a superseded wave must not complete (or
-/// un-degrade) work in the current one.
-struct FlowModAck {
+/// Switch -> controller: role taken and slice applied (barrier
+/// semantics); the only ack in the protocol. Echoes the request's epoch
+/// so controllers can ignore replies that belong to a superseded wave.
+struct RoleReply {
   sdwan::SwitchId sw = -1;
-  std::uint64_t xid = 0;
+  sdwan::ControllerId accepted = -1;
   std::uint64_t epoch = 0;
 };
 
-using MessageBody =
-    std::variant<Heartbeat, RoleRequest, RoleReply, FlowMod, FlowModAck>;
+using MessageBody = std::variant<Heartbeat, RoleRequest, RoleReply>;
 
 struct Message {
   EndpointId from = -1;
@@ -111,10 +95,10 @@ class SeenSeqs {
 inline constexpr std::size_t kMessageKindCount =
     std::variant_size_v<MessageBody>;
 
-/// Human-readable tag of kind `index` ("heartbeat", "flow-mod", ...).
+/// Human-readable tag of kind `index` ("heartbeat", "role-request", ...).
 const std::string& message_kind_name(std::size_t index);
 
-/// Human-readable tag for traces ("heartbeat", "flow-mod", ...).
+/// Human-readable tag for traces ("heartbeat", "role-request", ...).
 inline const std::string& message_kind(const Message& m) {
   return message_kind_name(m.body.index());
 }

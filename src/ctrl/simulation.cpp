@@ -1,5 +1,6 @@
 #include "ctrl/simulation.hpp"
 
+#include <algorithm>
 #include <vector>
 
 namespace pm::ctrl {
@@ -30,8 +31,7 @@ ControlSimulation::ControlSimulation(const sdwan::Network& net,
   // Normal operation: every switch mastered by its domain controller.
   for (int s = 0; s < net.switch_count(); ++s) {
     const sdwan::ControllerId j = net.controller_of(s);
-    switches_[static_cast<std::size_t>(s)]->set_initial_master(
-        j, controller_endpoint(net, j));
+    switches_[static_cast<std::size_t>(s)]->set_initial_master(j);
   }
   for (auto& c : controllers_) c->start();
 }
@@ -97,11 +97,18 @@ SimulationReport ControlSimulation::make_report(
     report.stale_discarded += a->stale_discarded();
   }
   if (shared_.converged_at >= 0.0) report.converged_at = shared_.converged_at;
-  report.rollback_removals = shared_.rollback_removals;
   report.waves_aborted = shared_.waves_aborted;
   report.coordinator_failovers = shared_.coordinator_failovers;
-  report.degraded_flows = shared_.degraded_flows.size();
   report.degraded_switches = shared_.degraded_switches.size();
+  if (shared_.last_plan) {
+    std::vector<sdwan::FlowId> degraded;
+    for (const auto& [sw, flow] : shared_.last_plan->sdn_assignments) {
+      if (shared_.degraded_switches.contains(sw)) degraded.push_back(flow);
+    }
+    std::sort(degraded.begin(), degraded.end());
+    report.degraded_flows = static_cast<std::size_t>(
+        std::unique(degraded.begin(), degraded.end()) - degraded.begin());
+  }
 
   // Data-plane audit.
   report.all_flows_deliverable = !net_->flows().empty();
@@ -160,7 +167,7 @@ void ControlSimulation::write_metrics(const SimulationReport& report,
               "Messages dropped at an unknown or detached endpoint",
               channel_.messages_dropped());
   set_counter("pm_retransmissions_total",
-              "Ack-driven retransmissions (RoleRequest + FlowMod)",
+              "Reply-driven RoleRequest retransmissions",
               report.retransmissions);
   set_counter("pm_injected_drops_total", "Channel fault-injected drops",
               report.injected_drops);
@@ -190,12 +197,6 @@ void ControlSimulation::write_metrics(const SimulationReport& report,
   set_counter("pm_stale_discarded_total",
               "Stale-epoch messages discarded (switches + controllers)",
               report.stale_discarded);
-  set_counter("pm_rollback_removals_total",
-              "Compensating removal FlowMods sent by rollback",
-              report.rollback_removals);
-  set_counter("pm_rollback_failures_total",
-              "Rollback removals whose own retries exhausted",
-              shared_.rollback_failures);
   set_counter("pm_waves_aborted_total",
               "Recovery waves superseded while still preparing",
               report.waves_aborted);
@@ -217,7 +218,7 @@ void ControlSimulation::write_metrics(const SimulationReport& report,
             "First failure-detector firing; -1 = never",
             report.detected_at.value_or(-1.0));
   set_gauge("pm_converged_at_ms",
-            "Last recovery wave fully acked; -1 = not converged",
+            "Last recovery wave fully replied; -1 = not converged",
             report.converged_at.value_or(-1.0));
   set_gauge("pm_flows_with_entries",
             "Flows whose SDN entries are installed in the data plane",
@@ -225,7 +226,7 @@ void ControlSimulation::write_metrics(const SimulationReport& report,
   set_gauge("pm_adopted_switches", "Switches adopted by a new master",
             static_cast<double>(report.adopted_switches));
   set_gauge("pm_degraded_flows",
-            "Flows whose FlowMod retries exhausted (legacy-forwarded)",
+            "Flows of the last plan with an assignment on a degraded switch",
             static_cast<double>(report.degraded_flows));
   set_gauge("pm_degraded_switches",
             "Switches whose RoleRequest retries exhausted",

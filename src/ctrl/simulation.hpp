@@ -27,7 +27,7 @@ struct SimulationReport {
   /// First failure-detector firing across surviving controllers;
   /// nullopt when the detector never fired.
   std::optional<double> detected_at;
-  /// Last recovery wave fully acked (committed); nullopt while not
+  /// Last recovery wave fully replied (committed); nullopt while not
   /// converged.
   std::optional<double> converged_at;
   std::uint64_t messages_sent = 0;
@@ -42,16 +42,17 @@ struct SimulationReport {
   std::size_t adopted_switches = 0;
 
   // --- Reliable delivery under channel faults ---------------------------
-  /// Ack-driven retransmissions performed (RoleRequest + FlowMod).
+  /// Reply-driven RoleRequest retransmissions performed.
   std::uint64_t retransmissions = 0;
   /// Received messages suppressed as duplicates (switches+controllers).
   std::uint64_t duplicates_suppressed = 0;
   /// Peers suspected and later proven alive, summed over controllers.
   std::uint64_t spurious_detections = 0;
-  /// Flows whose FlowMod retries exhausted (legacy-forwarded, reported
-  /// instead of wedging the wave).
+  /// Distinct flows of the last plan with an assignment on a degraded
+  /// switch (legacy-forwarded there, reported instead of wedging the
+  /// wave).
   std::size_t degraded_flows = 0;
-  /// Switches whose RoleRequest retries exhausted (left orphaned).
+  /// Switches whose RoleRequest retries exhausted (left on legacy).
   std::size_t degraded_switches = 0;
   /// Channel-injected faults (zero when no fault model is armed).
   std::uint64_t injected_drops = 0;
@@ -62,8 +63,6 @@ struct SimulationReport {
   // --- Transactional recovery -------------------------------------------
   /// Stale-epoch messages discarded (switch agents + controllers).
   std::uint64_t stale_discarded = 0;
-  /// Compensating removal FlowMods sent by rollback.
-  std::uint64_t rollback_removals = 0;
   /// Waves superseded while still preparing.
   std::uint64_t waves_aborted = 0;
   /// Times a successor coordinator took over a dead one's wave.

@@ -1,24 +1,27 @@
 // Switch-side protocol agent: owns one HybridSwitch of the data plane and
-// reacts to control messages — RoleRequest changes its master controller,
-// FlowMod installs/removes entries (acked, barrier-style). A switch whose
-// master is gone keeps forwarding with whatever tables it has (that is
-// the whole premise of hybrid recovery: the legacy table keeps working).
+// reacts to RoleRequests. A request makes its sender the switch's master
+// and carries the switch's whole SDN slice; the agent applies it in one
+// step and answers with one RoleReply. A switch whose master is gone
+// keeps forwarding with whatever tables it has (that is the whole premise
+// of hybrid recovery: the legacy table keeps working).
+//
+// Mark and sweep: applying a slice removes every SDN entry the switch
+// holds and installs the slice's entries with the request's epoch as
+// their OpenFlow cookie, so entries of superseded waves never survive a
+// newer slice (contrail's graceful restart: mark stale, refresh, sweep).
+// An empty slice sweeps the table.
 //
 // Reliable delivery: every delivered message carries the channel's
 // sequence number. The agent remembers the seqs it has acted on, so a
 // duplicate (channel-injected copy or controller retransmission) is
-// suppressed instead of re-applied — but still re-acknowledged, because
-// the duplicate usually means the first ack was lost.
+// re-replied but not re-applied: the duplicate usually means the first
+// reply was lost.
 //
 // Transactional recovery: the agent keeps an epoch high-water mark over
-// the RoleRequests/FlowMods it has accepted. A message whose epoch is
-// below the mark comes from a deposed master's superseded wave and is
-// discarded (counted, no ack) — so a coordinator that crashed mid-wave
-// cannot keep programming switches after its successor re-ran the wave.
-// Each installed entry carries the epoch that installed it as its
-// OpenFlow cookie (the consistency auditor checks no flow mixes epochs),
-// and a re-install of the same match replaces the old entry instead of
-// stacking a duplicate.
+// the requests it has accepted. A request below the mark comes from a
+// deposed master's superseded wave and is discarded (counted, no reply),
+// so a coordinator that crashed mid-wave cannot keep programming
+// switches after its successor re-ran the wave.
 #pragma once
 
 #include <cstdint>
@@ -40,20 +43,15 @@ class SwitchAgent {
   /// Current master controller, or -1 when orphaned.
   sdwan::ControllerId master() const { return master_; }
 
-  void set_initial_master(sdwan::ControllerId j, EndpointId endpoint) {
-    master_ = j;
-    master_endpoint_ = endpoint;
-  }
+  void set_initial_master(sdwan::ControllerId j) { master_ = j; }
 
   /// Marks the master as dead (the agent itself has no failure detector;
   /// the simulation harness informs it, modeling the OpenFlow channel
   /// teardown). Tables are untouched.
-  void orphan() {
-    master_ = -1;
-    master_endpoint_ = -1;
-  }
+  void orphan() { master_ = -1; }
 
-  std::uint64_t flow_mods_applied() const { return flow_mods_applied_; }
+  /// Slices applied (one per fresh RoleRequest).
+  std::uint64_t slices_applied() const { return slices_applied_; }
 
   /// Messages whose seq was already processed (retransmits + channel
   /// duplicates) and were therefore not re-applied.
@@ -61,10 +59,10 @@ class SwitchAgent {
     return duplicates_suppressed_;
   }
 
-  /// Highest recovery epoch this switch has accepted a message from.
+  /// Highest recovery epoch this switch has accepted a request from.
   std::uint64_t epoch() const { return epoch_; }
 
-  /// RoleRequests/FlowMods discarded because their epoch was below the
+  /// RoleRequests discarded because their epoch was below the
   /// high-water mark (a deposed master's superseded wave).
   std::uint64_t stale_discarded() const { return stale_discarded_; }
 
@@ -78,9 +76,8 @@ class SwitchAgent {
   sdwan::HybridSwitch* switch_;
   ControlChannel* channel_;
   sdwan::ControllerId master_ = -1;
-  EndpointId master_endpoint_ = -1;
   std::uint64_t epoch_ = 0;
-  std::uint64_t flow_mods_applied_ = 0;
+  std::uint64_t slices_applied_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
   std::uint64_t stale_discarded_ = 0;
   SeenSeqs seen_seqs_;

@@ -73,6 +73,9 @@ class HybridSwitch {
   /// Returns the number removed.
   std::size_t remove(const FlowMatch& match);
 
+  /// Removes every flow-table entry; the legacy table is untouched.
+  void clear_flow_table() { flow_table_.clear(); }
+
   std::size_t flow_table_size() const { return flow_table_.size(); }
   /// The flow table in lookup order (descending priority).
   const std::vector<FlowEntry>& flow_table() const { return flow_table_; }

@@ -1,6 +1,5 @@
 #include "util/cli.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 
@@ -66,12 +65,20 @@ long long CliArgs::get_int(const std::string& name, long long fallback,
   return v;
 }
 
-double CliArgs::get_double(const std::string& name, double fallback) const {
+double CliArgs::get_double(const std::string& name, double fallback,
+                           double lo, double hi) const {
   queried_[name] = true;
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
+  const std::string& text = it->second.back();
   double v = 0;
-  return parse_double(it->second.back(), v) ? v : fallback;
+  // Written so that NaN fails the range test too.
+  if (!parse_double(text, v) || !(v >= lo && v <= hi)) {
+    std::cerr << program_ << ": --" << name << "=" << text
+              << " is not a number in [" << lo << ", " << hi << "]\n";
+    std::exit(2);
+  }
+  return v;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
@@ -79,15 +86,18 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   const std::string v = to_lower(it->second.back());
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  std::cerr << program_ << ": --" << name << "=" << it->second.back()
+            << " is not a boolean (true/false, 1/0, yes/no, on/off)\n";
+  std::exit(2);
 }
 
 int parse_jobs_flag(CliArgs& args) {
-  const std::string value = args.get_string("jobs", "1");
-  if (to_lower(value) == "auto") return TaskPool::hardware_jobs();
-  long long jobs = 1;
-  if (!parse_int(value, jobs)) jobs = 1;
-  return static_cast<int>(std::clamp<long long>(jobs, 1, 1024));
+  if (to_lower(args.get_string("jobs", "1")) == "auto") {
+    return TaskPool::hardware_jobs();
+  }
+  return static_cast<int>(args.get_int("jobs", 1, 1, 1024));
 }
 
 std::vector<std::string> CliArgs::unused() const {

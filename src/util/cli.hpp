@@ -3,11 +3,15 @@
 // default; unknown flags are reported so typos do not silently change runs.
 #pragma once
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace pm::util {
+
+/// Upper bound of a real-valued flag that has none.
+inline constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 
 class CliArgs {
  public:
@@ -24,7 +28,13 @@ class CliArgs {
   /// program prints a message naming the flag and exits with status 2.
   long long get_int(const std::string& name, long long fallback,
                     long long lo, long long hi) const;
-  double get_double(const std::string& name, double fallback) const;
+  /// The real value of --name, or `fallback` when absent. A value that
+  /// is not a number or lies outside [lo, hi] is refused the same way.
+  double get_double(const std::string& name, double fallback, double lo,
+                    double hi) const;
+  /// The boolean value of --name, or `fallback` when absent. Accepts
+  /// true/false, 1/0, yes/no and on/off in any case (a bare --name reads
+  /// true); anything else is refused the same way.
   bool get_bool(const std::string& name, bool fallback) const;
 
   /// Every value a repeatable flag was given, in command-line order
@@ -47,8 +57,8 @@ class CliArgs {
 
 /// The shared --jobs=N flag: scenario-level parallelism for the sweep
 /// drivers (util::TaskPool size). Accepts "auto" (hardware concurrency)
-/// or an integer; anything below 1 — including unparsable values —
-/// clamps to 1, the bit-identical serial default.
+/// or an integer in [1, 1024]; anything else is refused like get_int.
+/// Absent, it is 1, the bit-identical serial default.
 int parse_jobs_flag(CliArgs& args);
 
 }  // namespace pm::util

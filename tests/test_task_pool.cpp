@@ -156,15 +156,14 @@ TEST(TaskPool, ParseJobsFlag) {
     CliArgs args(1, argv);
     EXPECT_EQ(parse_jobs_flag(args), 1);  // default stays serial
   }
-  {
-    const char* argv[] = {"bench", "--jobs=0"};
+  // Outside "auto" and [1, 1024] the flag is refused before any pool
+  // exists, instead of clamping to a job count nobody asked for.
+  for (const char* bad : {"--jobs=0", "--jobs=banana", "--jobs=1025"}) {
+    const char* argv[] = {"bench", bad};
     CliArgs args(2, argv);
-    EXPECT_EQ(parse_jobs_flag(args), 1);  // clamped
-  }
-  {
-    const char* argv[] = {"bench", "--jobs=banana"};
-    CliArgs args(2, argv);
-    EXPECT_EQ(parse_jobs_flag(args), 1);  // unparsable clamps to serial
+    EXPECT_EXIT(parse_jobs_flag(args), ::testing::ExitedWithCode(2),
+                "is not an integer in \\[1, 1024\\]")
+        << bad;
   }
   {
     const char* argv[] = {"bench", "--jobs=auto"};

@@ -220,12 +220,35 @@ TEST(Cli, ParsesAllForms) {
 }
 
 TEST(Cli, FallbacksOnMissingOrMalformed) {
+  // A missing flag falls back; a malformed one is refused, not replaced
+  // by its fallback.
   const char* argv[] = {"prog", "--n=abc"};
   CliArgs args(2, argv);
-  EXPECT_DOUBLE_EQ(args.get_double("n", 2.5), 2.5);
+  EXPECT_EXIT(args.get_double("n", 2.5, 0.0, 10.0),
+              ::testing::ExitedWithCode(2),
+              "prog: --n=abc is not a number in \\[0, 10\\]");
   EXPECT_EQ(args.get_int("missing", 7, 0, 1), 7);
-  EXPECT_DOUBLE_EQ(args.get_double("missing", 1.5), 1.5);
+  EXPECT_DOUBLE_EQ(args.get_double("missing", 1.5, 0.0, 1.0), 1.5);
   EXPECT_EQ(args.get_string("missing", "dflt"), "dflt");
+}
+
+TEST(Cli, RefusesRealsOutsideTheirRange) {
+  const char* argv[] = {"prog", "--loss=0.O5", "--p=1.5", "--t=-1",
+                        "--e=",  "--nan=nan",   "--ok=0.25"};
+  CliArgs args(7, argv);
+  EXPECT_EXIT(args.get_double("loss", 0.0, 0.0, 1.0),
+              ::testing::ExitedWithCode(2),
+              "--loss=0.O5 is not a number in \\[0, 1\\]");
+  EXPECT_EXIT(args.get_double("p", 0.0, 0.0, 1.0),
+              ::testing::ExitedWithCode(2), "--p=1.5 ");
+  EXPECT_EXIT(args.get_double("t", 0.0, 0.0, kUnbounded),
+              ::testing::ExitedWithCode(2),
+              "--t=-1 is not a number in \\[0, inf\\]");
+  EXPECT_EXIT(args.get_double("e", 0.0, 0.0, 1.0),
+              ::testing::ExitedWithCode(2), "--e= ");
+  EXPECT_EXIT(args.get_double("nan", 0.0, 0.0, 1.0),
+              ::testing::ExitedWithCode(2), "--nan=nan ");
+  EXPECT_DOUBLE_EQ(args.get_double("ok", 0.0, 0.0, 1.0), 0.25);
 }
 
 TEST(Cli, RefusesIntegersOutsideTheirRange) {
@@ -245,11 +268,15 @@ TEST(Cli, RefusesIntegersOutsideTheirRange) {
 }
 
 TEST(Cli, BoolParsing) {
-  const char* argv[] = {"prog", "--x=yes", "--y=0", "--z=TRUE"};
-  CliArgs args(4, argv);
+  const char* argv[] = {"prog", "--x=yes", "--y=0", "--z=TRUE", "--w=Off",
+                        "--typo=ture"};
+  CliArgs args(6, argv);
   EXPECT_TRUE(args.get_bool("x", false));
   EXPECT_FALSE(args.get_bool("y", true));
   EXPECT_TRUE(args.get_bool("z", false));
+  EXPECT_FALSE(args.get_bool("w", true));
+  EXPECT_EXIT(args.get_bool("typo", false), ::testing::ExitedWithCode(2),
+              "prog: --typo=ture is not a boolean");
 }
 
 TEST(Cli, UnusedFlagsReported) {
