@@ -18,10 +18,7 @@ std::vector<double> latency_buckets() {
 }
 
 obs::Tracer::Args message_args(const Message& m, const std::string& kind) {
-  return {{"kind", kind},
-          {"from", m.from},
-          {"to", m.to},
-          {"seq", static_cast<std::int64_t>(m.seq)}};
+  return {{"kind", kind}, {"from", m.from}, {"to", m.to}};
 }
 
 }  // namespace
@@ -93,27 +90,7 @@ double ControlChannel::delay_ms(EndpointId a, const Endpoint& ea,
                          " has no controller end");
 }
 
-std::uint64_t ControlChannel::send(Message m, double extra_latency_ms) {
-  m.seq = ++next_seq_;
-  const std::uint64_t seq = m.seq;
-  dispatch(std::move(m), extra_latency_ms);
-  return seq;
-}
-
-void ControlChannel::resend(Message m, double extra_latency_ms) {
-  if (m.seq == 0) {
-    throw std::logic_error("resend of a message that was never sent");
-  }
-  ++retransmissions_;
-  if (obs_ != nullptr && obs_->tracer.enabled()) {
-    obs_->tracer.instant(queue_->now(), "channel", "retransmit",
-                         tracks::kChannel,
-                         message_args(m, message_kind(m)));
-  }
-  dispatch(std::move(m), extra_latency_ms);
-}
-
-void ControlChannel::dispatch(Message m, double extra_latency_ms) {
+void ControlChannel::send(Message m, double extra_latency_ms) {
   const Endpoint* from = endpoint(m.from);
   if (from == nullptr || !from->attached) {
     throw std::logic_error("send from unattached endpoint " +
@@ -168,6 +145,16 @@ void ControlChannel::dispatch(Message m, double extra_latency_ms) {
     deliver_in(base_delay + faults_.extra_delay(), m);
   }
   deliver_in(jittered, std::move(m));
+}
+
+void ControlChannel::resend(Message m, double extra_latency_ms) {
+  ++retransmissions_;
+  if (obs_ != nullptr && obs_->tracer.enabled()) {
+    obs_->tracer.instant(queue_->now(), "channel", "retransmit",
+                         tracks::kChannel,
+                         message_args(m, message_kind(m)));
+  }
+  send(std::move(m), extra_latency_ms);
 }
 
 void ControlChannel::deliver_in(double delay, Message m) {

@@ -3,7 +3,10 @@
 // between switch i and controller j, where i is the location of the end
 // that is not controller j. Every protocol message has a controller on
 // at least one end. Per-message statistics are kept for the convergence
-// reports.
+// reports. The channel stamps nothing on a message: a duplicate, a
+// retransmission and the original are the same bytes, and receivers
+// tell them apart by the message's own epoch or heartbeat sequence
+// (messages.hpp).
 //
 // A ChannelFaultModel makes the channel lossy: per-message drops,
 // duplicates, delay jitter, gross reordering and scheduled partition
@@ -64,10 +67,8 @@ class ControlChannel {
 
   /// Sends `m` (m.from must be attached); delivery is scheduled after the
   /// D_ij of its ends plus `extra_latency_ms`. Throws std::logic_error
-  /// when neither end is a controller. Assigns
-  /// m.seq from the channel-wide counter and returns it, so a sender that
-  /// wants ack-driven retransmission can resend() the same message.
-  std::uint64_t send(Message m, double extra_latency_ms = 0.0);
+  /// when neither end is a controller.
+  void send(Message m, double extra_latency_ms = 0.0);
 
   /// Current simulated time (agents without their own queue pointer use
   /// it to stamp trace events).
@@ -79,9 +80,10 @@ class ControlChannel {
     return e != nullptr && e->attached;
   }
 
-  /// Re-sends an already-sequenced message (ack-driven retransmission):
-  /// same path as send() — faults included — but m.seq is kept so the
-  /// receiver can deduplicate against the original.
+  /// Re-sends a message (ack-driven retransmission): send(), faults
+  /// included, that also counts and traces a retransmission. The
+  /// receiver recognises the copy by the message's own content (see
+  /// messages.hpp).
   void resend(Message m, double extra_latency_ms = 0.0);
 
   /// Replaces the fault model; draws and statistics restart.
@@ -124,7 +126,6 @@ class ControlChannel {
     const Endpoint& e = endpoints_[static_cast<std::size_t>(id)];
     return e.known ? &e : nullptr;
   }
-  void dispatch(Message m, double extra_latency_ms);
   void deliver_in(double delay, Message m);
   /// D_ij between known endpoints `a` (located at `ea`) and `b`.
   double delay_ms(EndpointId a, const Endpoint& ea, EndpointId b,
@@ -137,7 +138,6 @@ class ControlChannel {
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t retransmissions_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::array<std::uint64_t, kMessageKindCount> by_kind_{};
   FaultInjector faults_{ChannelFaultModel{}};
   obs::Context* obs_ = nullptr;

@@ -40,6 +40,7 @@ ControllerNode::ControllerNode(const sdwan::Network& net,
     shared.suspicions.resize(controllers);
   }
   last_heard_.assign(controllers, 0.0);
+  next_beat_.assign(controllers, 0);
   miss_counts_.assign(controllers, 0);
   role_retries_.resize(switches);
 }
@@ -255,7 +256,7 @@ void ControllerNode::send_slice(sdwan::SwitchId sw,
   r.msg.from = controller_endpoint(*net_, sender);
   r.msg.to = switch_endpoint(sw);
   r.msg.body = RoleRequest{sender, shared_->wave_epoch, std::move(entries)};
-  r.msg.seq = channel_->send(r.msg, extra);
+  channel_->send(r.msg, extra);
   r.extra_latency_ms = extra;
   // Worst-case fault-free RTT: request propagation (+ any middle-layer
   // latency) plus the reply's way back, then a safety margin. The first
@@ -263,7 +264,6 @@ void ControllerNode::send_slice(sdwan::SwitchId sw,
   // with faults disabled retransmission is exactly never triggered.
   r.rto_ms = 2.0 * channel_->path_delay_ms(r.msg.from, r.msg.to) + extra +
              kRetransmitMarginMs;
-  r.epoch = shared_->wave_epoch;
   r.persistent = persistent;
   r.timer = queue_->schedule_in(r.rto_ms, [this, sw] { on_role_timer(sw); });
   role_retries_[s] = std::move(r);
@@ -276,7 +276,8 @@ void ControllerNode::on_role_timer(sdwan::SwitchId sw) {
   std::optional<Retry>& slot = role_retries_[static_cast<std::size_t>(sw)];
   if (!slot) return;
   Retry& r = *slot;
-  if (!alive_ || r.epoch != shared_->wave_epoch ||
+  if (!alive_ ||
+      std::get<RoleRequest>(r.msg.body).epoch != shared_->wave_epoch ||
       shared_->role_pending[static_cast<std::size_t>(sw)] == 0) {
     slot.reset();
     return;
@@ -346,16 +347,17 @@ void ControllerNode::maybe_mark_converged() {
 
 void ControllerNode::on_message(const Message& m) {
   if (!alive_) return;
-  if (seen_seqs_.contains(m.seq)) {
-    // Channel-injected duplicate (every logical message has a unique
-    // seq; retransmissions reuse it).
-    ++duplicates_suppressed_;
-    return;
-  }
-  if (m.seq != 0) seen_seqs_.insert(m.seq);
   if (const auto* hb = std::get_if<Heartbeat>(&m.body)) {
-    last_heard_[static_cast<std::size_t>(hb->from)] = queue_->now();
-    miss_counts_[static_cast<std::size_t>(hb->from)] = 0;
+    const auto p = static_cast<std::size_t>(hb->from);
+    if (hb->sequence < next_beat_[p]) {
+      // A channel copy of a beat already heard, or one overtaken by a
+      // newer beat: it says nothing newer about the peer's liveness.
+      ++duplicates_suppressed_;
+      return;
+    }
+    next_beat_[p] = hb->sequence + 1;
+    last_heard_[p] = queue_->now();
+    miss_counts_[p] = 0;
     std::set<sdwan::ControllerId>& suspected =
         shared_->suspicions[static_cast<std::size_t>(id_)];
     confirmed_.erase(hb->from);
@@ -373,6 +375,8 @@ void ControllerNode::on_message(const Message& m) {
     }
     return;
   }
+  // A RoleReply passes no duplicate filter: applying one twice is a
+  // no-op (the epoch check and the pending flag absorb the copy).
   if (const auto* reply = std::get_if<RoleReply>(&m.body)) {
     if (reply->epoch != shared_->wave_epoch) {
       // Reply to a superseded wave's RoleRequest; the current wave's

@@ -19,6 +19,9 @@
 //    after `suspicion_checks` consecutive missed deadlines, so delay
 //    jitter does not fire it spuriously; a heartbeat from a suspected
 //    peer un-suspects it and counts a spurious detection;
+//  * each node keeps, per peer, the next heartbeat sequence it expects;
+//    a beat below it (a channel copy, or one overtaken by a newer beat)
+//    is a duplicate: it refreshes no liveness and un-suspects no one;
 //  * the coordinator retransmits each RoleRequest on an RTT-derived
 //    timeout with exponential backoff;
 //  * a request to a switch that no earlier wave reached degrades after
@@ -32,8 +35,9 @@
 //
 // Transactional recovery (epoch-guarded prepare -> commit):
 //  * every wave carries a monotonically increasing epoch, stamped into
-//    every RoleRequest; switches and controllers discard stale messages
-//    from superseded waves (see switch_agent.hpp);
+//    every RoleRequest; switches discard requests from superseded waves
+//    and re-reply to a repeat of the current one (see switch_agent.hpp),
+//    controllers discard replies from superseded waves;
 //  * a wave is PREPARING while replies are outstanding and COMMITS when
 //    the last one lands;
 //  * a slice replaces the switch's SDN entries (mark and sweep), and
@@ -186,8 +190,8 @@ class ControllerNode {
     return spurious_detections_;
   }
 
-  /// Received messages whose seq was already processed (channel
-  /// duplicates / redundant retransmissions), suppressed.
+  /// Heartbeats not newer than the last one heard from their sender
+  /// (channel copies, or beats overtaken by a newer one), ignored.
   std::uint64_t duplicates_suppressed() const {
     return duplicates_suppressed_;
   }
@@ -199,7 +203,6 @@ class ControllerNode {
     double extra_latency_ms = 0.0;
     int attempts = 0;
     double rto_ms = 0.0;
-    std::uint64_t epoch = 0;
     /// An earlier wave reached the switch: never degrade while the
     /// sender is attached.
     bool persistent = false;
@@ -219,7 +222,9 @@ class ControllerNode {
   /// the dead one's switches itself (the graceful-restart helper role).
   sdwan::ControllerId live_or_self(sdwan::ControllerId j) const;
   /// Sends `sw` its slice from `sender`, marks the reply pending in the
-  /// current wave and arms the retransmission timer.
+  /// current wave and arms the retransmission timer. A wave calls it at
+  /// most once per switch and retries resend the same message, so every
+  /// request a switch sees at one epoch is the same (switch_agent.hpp).
   void send_slice(sdwan::SwitchId sw, sdwan::ControllerId sender,
                   std::vector<sdwan::FlowEntry> entries, double extra,
                   bool persistent);
@@ -237,8 +242,11 @@ class ControllerNode {
 
   bool alive_ = false;
   std::uint64_t sequence_ = 0;
-  /// Peer-indexed detector state (this node's own entries unused).
+  /// Peer-indexed detector state (this node's own entries unused):
+  /// when the peer's newest beat arrived, and the sequence a beat must
+  /// reach to count as newer.
   std::vector<double> last_heard_;
+  std::vector<std::uint64_t> next_beat_;
   std::vector<int> miss_counts_;
   /// Suspected peers a majority has confirmed; the failed set waves are
   /// planned for.
@@ -246,7 +254,6 @@ class ControllerNode {
   double first_detection_at_ = -1.0;
   std::uint64_t spurious_detections_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
-  SeenSeqs seen_seqs_;
 
   /// Switch-indexed.
   std::vector<std::optional<Retry>> role_retries_;

@@ -10,6 +10,11 @@
 // recovery wave sends each switch it touches one RoleRequest carrying
 // the switch's whole SDN slice, answered by one RoleReply. The switch,
 // not the flow entry, is the unit of delivery, retry and degradation.
+//
+// The channel numbers nothing. Each kind carries the one field its
+// receiver filters duplicates by: a Heartbeat its sender's sequence, a
+// RoleRequest its wave's epoch. A RoleReply needs no filter, since
+// applying it twice changes nothing.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +30,9 @@ namespace pm::ctrl {
 
 using EndpointId = int;
 
-/// Controller -> controller liveness beacon.
+/// Controller -> controller liveness beacon. `sequence` counts the
+/// sender's beats from 0; a receiver acts only on a beat newer than the
+/// last one it heard from that peer.
 struct Heartbeat {
   sdwan::ControllerId from = -1;
   std::uint64_t sequence = 0;
@@ -35,9 +42,11 @@ struct Heartbeat {
 /// slice. The one message a recovery wave sends a switch.
 ///
 /// `epoch` is the recovery wave's transaction epoch (monotonically
-/// increasing across waves). A switch remembers the highest epoch it has
-/// accepted and discards requests below it, so a deposed master's stale
-/// retransmissions cannot reclaim the switch after a newer wave.
+/// increasing across waves, from 1), OpenFlow's `generation_id`. A switch
+/// remembers the highest epoch it has applied: it discards requests below
+/// that mark, so a deposed master's stale retransmissions cannot reclaim
+/// the switch after a newer wave, and re-replies to a request at the mark
+/// without applying it again.
 ///
 /// `entries` is the switch's complete SDN slice at that epoch (OpenFlow's
 /// bundle): the switch drops every SDN entry it holds and installs these
@@ -54,7 +63,6 @@ struct RoleRequest {
 /// so controllers can ignore replies that belong to a superseded wave.
 struct RoleReply {
   sdwan::SwitchId sw = -1;
-  sdwan::ControllerId accepted = -1;
   std::uint64_t epoch = 0;
 };
 
@@ -64,31 +72,6 @@ struct Message {
   EndpointId from = -1;
   EndpointId to = -1;
   MessageBody body;
-  /// Channel-assigned sequence number, unique per logical message; a
-  /// retransmission reuses the original's seq so receivers can suppress
-  /// duplicates (both channel-injected copies and redundant retries).
-  /// 0 = not yet assigned.
-  std::uint64_t seq = 0;
-};
-
-/// The channel seqs a receiver has acted on. Seqs are channel-wide and
-/// dense (1, 2, ...), so a bitmap over every seq sent so far replaces a
-/// hash set: one bit per seq, no allocation per insert.
-class SeenSeqs {
- public:
-  bool contains(std::uint64_t seq) const {
-    const std::uint64_t word = seq >> 6;
-    return seq != 0 && word < words_.size() &&
-           ((words_[word] >> (seq & 63)) & 1U) != 0;
-  }
-  void insert(std::uint64_t seq) {
-    const std::uint64_t word = seq >> 6;
-    if (word >= words_.size()) words_.resize(word + 1, 0);
-    words_[word] |= std::uint64_t{1} << (seq & 63);
-  }
-
- private:
-  std::vector<std::uint64_t> words_;
 };
 
 /// Message kinds, indexed like MessageBody's alternatives.

@@ -44,7 +44,10 @@ struct SimulationReport {
   // --- Reliable delivery under channel faults ---------------------------
   /// Reply-driven RoleRequest retransmissions performed.
   std::uint64_t retransmissions = 0;
-  /// Received messages suppressed as duplicates (switches+controllers).
+  /// Duplicates received and not acted on: switch re-replies to a
+  /// request at their epoch mark, plus controllers' heartbeats that were
+  /// copies or overtaken by a newer beat. Copied RoleReplies are absorbed
+  /// uncounted (or as stale_discarded once a newer wave began).
   std::uint64_t duplicates_suppressed = 0;
   /// Peers suspected and later proven alive, summed over controllers.
   std::uint64_t spurious_detections = 0;

@@ -29,12 +29,12 @@ void SwitchAgent::on_message(const Message& m) {
     ++stale_discarded_;
     return;
   }
-  if (seen_seqs_.contains(m.seq)) {
-    // Already applied — the reply got lost. Re-reply without
-    // re-applying.
+  // A request at the mark is the one already applied (see the invariant
+  // in switch_agent.hpp): the reply got lost or the channel copied the
+  // request. Re-reply without re-applying.
+  if (role->epoch == epoch_) {
     ++duplicates_suppressed_;
   } else {
-    seen_seqs_.insert(m.seq);
     epoch_ = role->epoch;
     if (obs::Context* obs = channel_->observability();
         obs != nullptr && obs->tracer.enabled()) {
@@ -58,7 +58,7 @@ void SwitchAgent::on_message(const Message& m) {
   Message reply;
   reply.from = switch_endpoint(id_);
   reply.to = m.from;
-  reply.body = RoleReply{id_, role->controller, role->epoch};
+  reply.body = RoleReply{id_, role->epoch};
   channel_->send(std::move(reply));
 }
 

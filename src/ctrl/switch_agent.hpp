@@ -11,17 +11,22 @@
 // newer slice (contrail's graceful restart: mark stale, refresh, sweep).
 // An empty slice sweeps the table.
 //
-// Reliable delivery: every delivered message carries the channel's
-// sequence number. The agent remembers the seqs it has acted on, so a
-// duplicate (channel-injected copy or controller retransmission) is
-// re-replied but not re-applied: the duplicate usually means the first
-// reply was lost.
+// Transactional recovery: the agent keeps an epoch high-water mark, the
+// highest epoch whose slice it has applied (OpenFlow's generation_id).
+// The mark is the agent's only duplicate filter:
+//  * a request below the mark comes from a deposed master's superseded
+//    wave and is discarded (counted, no reply), so a coordinator that
+//    crashed mid-wave cannot keep programming switches after its
+//    successor re-ran the wave;
+//  * a request at the mark is a duplicate (a channel-injected copy or a
+//    retransmission after a lost reply): it is re-replied, not
+//    re-applied, and counted;
+//  * a request above the mark is applied and raises the mark.
 //
-// Transactional recovery: the agent keeps an epoch high-water mark over
-// the requests it has accepted. A request below the mark comes from a
-// deposed master's superseded wave and is discarded (counted, no reply),
-// so a coordinator that crashed mid-wave cannot keep programming
-// switches after its successor re-ran the wave.
+// Why "at the mark" means "the same request": a wave calls send_slice
+// once per switch and stamps it with its own epoch, retries resend that
+// same message, and epochs start at 1 while the mark starts at 0. So
+// every request a switch sees at a given epoch carries the same slice.
 #pragma once
 
 #include <cstdint>
@@ -53,13 +58,14 @@ class SwitchAgent {
   /// Slices applied (one per fresh RoleRequest).
   std::uint64_t slices_applied() const { return slices_applied_; }
 
-  /// Messages whose seq was already processed (retransmits + channel
-  /// duplicates) and were therefore not re-applied.
+  /// Requests at the epoch mark (retransmits + channel duplicates of
+  /// the slice last applied): re-replied, not re-applied.
   std::uint64_t duplicates_suppressed() const {
     return duplicates_suppressed_;
   }
 
-  /// Highest recovery epoch this switch has accepted a request from.
+  /// Highest recovery epoch whose slice this switch has applied (the
+  /// mark); 0 before the first request.
   std::uint64_t epoch() const { return epoch_; }
 
   /// RoleRequests discarded because their epoch was below the
@@ -80,7 +86,6 @@ class SwitchAgent {
   std::uint64_t slices_applied_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
   std::uint64_t stale_discarded_ = 0;
-  SeenSeqs seen_seqs_;
 };
 
 /// Endpoint id helpers shared by agents and the harness.

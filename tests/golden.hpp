@@ -1,5 +1,5 @@
 // Helpers shared by the golden tests: reading the files under tests/data
-// (PM_TEST_DATA_DIR, set by tests/CMakeLists.txt), the FNV-1a-64
+// (PM_TEST_DATA_DIR, set by tests/CMakeLists.txt), the 64-bit FNV-1a
 // digests those files record, spelled as 16 lowercase hex digits, and
 // the 150-node network of the benchmark's miss workload.
 #pragma once
@@ -31,6 +31,11 @@ inline std::string read_data_file(const std::string& name) {
   return out.str();
 }
 
+/// FNV-1a with the 64-bit prime, started from 1469598103934665603. That
+/// is not standard FNV-1a-64, whose offset basis is
+/// 14695981039346656037 (one digit more), so a stock FNV-1a-64 tool
+/// computes other digests from the same bytes. Every digest file in
+/// tests/data was made with this basis; changing it rewrites them all.
 inline std::uint64_t fnv1a64(std::string_view bytes) {
   std::uint64_t hash = 1469598103934665603ull;
   for (const unsigned char c : bytes) {

@@ -152,28 +152,28 @@ TEST(Channel, CountsEveryMessageKind) {
   EXPECT_EQ(channel.messages_sent(), 3u);
 }
 
+/// The Heartbeat::sequence of a delivered heartbeat.
+std::uint64_t beat_sequence(const Message& m) {
+  return std::get<Heartbeat>(m.body).sequence;
+}
+
 TEST(Channel, ResendKeepsSequenceAndCountsRetransmission) {
+  // A retransmission is the same message sent again: the receiver sees
+  // the sender's own sequence twice, and only resend() counts.
   sim::EventQueue queue;
   ControlChannel channel(att(), queue);
   std::vector<std::uint64_t> seqs;
-  channel.attach(0, 0, [&](const Message& m) { seqs.push_back(m.seq); });
+  channel.attach(0, 0,
+                 [&](const Message& m) { seqs.push_back(beat_sequence(m)); });
   channel.attach(c13(), 13, [](const Message&) {});
-  Message m;
-  m.from = c13();
-  m.to = 0;
-  m.body = Heartbeat{0, 1};
-  m.seq = channel.send(m);
+  const Message m{c13(), 0, Heartbeat{0, 7}};
+  channel.send(m);
+  EXPECT_EQ(channel.retransmissions(), 0u);
   channel.resend(m);
   queue.run();
   EXPECT_EQ(channel.retransmissions(), 1u);
-  ASSERT_EQ(seqs.size(), 2u);
-  EXPECT_EQ(seqs[0], seqs[1]);
-  EXPECT_NE(seqs[0], 0u);
-  Message fresh;
-  fresh.from = c13();
-  fresh.to = 0;
-  fresh.body = Heartbeat{};
-  EXPECT_THROW(channel.resend(fresh), std::logic_error);
+  EXPECT_EQ(channel.messages_sent(), 2u);
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{7, 7}));
 }
 
 // ---------------------------------------------------------------------
@@ -203,7 +203,8 @@ TEST(Channel, CertainDuplicationDeliversTwiceWithSameSeq) {
   sim::EventQueue queue;
   ControlChannel channel(att(), queue);
   std::vector<std::uint64_t> seqs;
-  channel.attach(0, 0, [&](const Message& m) { seqs.push_back(m.seq); });
+  channel.attach(0, 0,
+                 [&](const Message& m) { seqs.push_back(beat_sequence(m)); });
   channel.attach(c13(), 13, [](const Message&) {});
   ChannelFaultModel model;
   model.duplicate_probability = 1.0;
@@ -235,7 +236,8 @@ TEST(Channel, JitterReordersBackToBackMessages) {
   sim::EventQueue queue;
   ControlChannel channel(att(), queue);
   std::vector<std::uint64_t> seqs;
-  channel.attach(0, 0, [&](const Message& m) { seqs.push_back(m.seq); });
+  channel.attach(0, 0,
+                 [&](const Message& m) { seqs.push_back(beat_sequence(m)); });
   channel.attach(c13(), 13, [](const Message&) {});
   ChannelFaultModel model;
   model.seed = 7;
@@ -287,7 +289,7 @@ TEST(Channel, FaultSequenceIsSeedReproducible) {
     ControlChannel channel(att(), queue);
     std::vector<std::pair<std::uint64_t, double>> deliveries;
     channel.attach(0, 0, [&](const Message& m) {
-      deliveries.emplace_back(m.seq, queue.now());
+      deliveries.emplace_back(beat_sequence(m), queue.now());
     });
     channel.attach(c13(), 13, [](const Message&) {});
     ChannelFaultModel model;
@@ -954,7 +956,7 @@ TEST(TransactionalRecovery, SliceReplacesTheTableAndDuplicatesAreRereplied) {
     m.from = ctrl_ep;
     m.to = switch_endpoint(0);
     m.body = RoleRequest{1, epoch, std::move(entries)};
-    m.seq = channel.send(m);
+    channel.send(m);
     return m;
   };
   const auto& table = dataplane.at(0).flow_table();
@@ -963,7 +965,6 @@ TEST(TransactionalRecovery, SliceReplacesTheTableAndDuplicatesAreRereplied) {
   queue.run();
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].sw, 0);
-  EXPECT_EQ(replies[0].accepted, 1);
   EXPECT_EQ(replies[0].epoch, 3u);
   EXPECT_EQ(agent.master(), 1);
   EXPECT_EQ(agent.slices_applied(), 1u);
@@ -972,7 +973,7 @@ TEST(TransactionalRecovery, SliceReplacesTheTableAndDuplicatesAreRereplied) {
 
   // The same request again (a retransmission after a lost reply): one
   // more reply, nothing re-applied.
-  channel.resend(first);
+  channel.send(first);
   queue.run();
   EXPECT_EQ(replies.size(), 2u);
   EXPECT_EQ(agent.duplicates_suppressed(), 1u);
@@ -1005,6 +1006,124 @@ TEST(TransactionalRecovery, SliceReplacesTheTableAndDuplicatesAreRereplied) {
   EXPECT_EQ(replies.size(), 4u);
   EXPECT_EQ(agent.epoch(), 5u);
   EXPECT_TRUE(table.empty());
+}
+
+/// Controller 0 alone on a raw channel: its peers 1-5 are bare endpoints
+/// the test speaks for, and the policy plans nothing.
+struct LoneController {
+  sim::EventQueue queue;
+  ControlChannel channel{att(), queue};
+  SharedRecoveryState shared;
+  ControllerNode node{att(),
+                      0,
+                      channel,
+                      queue,
+                      shared,
+                      [](const sdwan::FailureState&,
+                         const core::RecoveryPlan*) {
+                        return core::RecoveryPlan{};
+                      },
+                      {}};
+
+  LoneController() {
+    for (sdwan::ControllerId j = 1; j < att().controller_count(); ++j) {
+      channel.attach(controller_endpoint(att(), j),
+                     att().controller(j).location, [](const Message&) {});
+    }
+    node.start();
+  }
+
+  void beat(sdwan::ControllerId from, std::uint64_t sequence,
+            double extra_latency_ms = 0.0) {
+    channel.send({controller_endpoint(att(), from),
+                  controller_endpoint(att(), 0), Heartbeat{from, sequence}},
+                 extra_latency_ms);
+  }
+
+  /// Peer `j` beats every period from now on, as a live controller does.
+  void keep_alive(sdwan::ControllerId j, std::uint64_t sequence = 0) {
+    beat(j, sequence);
+    queue.schedule_in(kHeartbeatIntervalMs,
+                      [this, j, sequence] { keep_alive(j, sequence + 1); });
+  }
+
+  /// Opens a wave waiting on `sw`'s reply, as run_recovery leaves it.
+  void open_wave(sdwan::SwitchId sw) {
+    ++shared.wave_epoch;
+    std::fill(shared.role_pending.begin(), shared.role_pending.end(), 0);
+    shared.role_pending[static_cast<std::size_t>(sw)] = 1;
+    shared.pending_replies = 1;
+    shared.converged_at = -1.0;
+    shared.phase = WavePhase::kPreparing;
+  }
+};
+
+TEST(DuplicateFilters, OvertakenHeartbeatRefreshesNothing) {
+  // Peer 1 beats 3, 5 and 4, but 5 arrives first and then the peer falls
+  // silent. Beats 3 and 4 were overtaken: neither may postpone the
+  // suspicion that beat 5's age earns, nor lift it once raised.
+  LoneController c;
+  for (sdwan::ControllerId j = 2; j < att().controller_count(); ++j) {
+    c.keep_alive(j);
+  }
+  const double d = c.channel.path_delay_ms(controller_endpoint(att(), 1),
+                                           controller_endpoint(att(), 0));
+  ASSERT_LT(d, 40.0);
+  c.beat(1, 3, 150.0);  // lands at 150 + d
+  c.queue.schedule_at(10.0, [&c] { c.beat(1, 5); });  // lands at 10 + d
+  c.queue.schedule_at(20.0, [&c] { c.beat(1, 4, 600.0); });  // 620 + d
+
+  // Beat 5 is more than the detection timeout old at the 250 ms check;
+  // had beat 3 refreshed the peer, the first late check would be 400 ms.
+  c.queue.run(300.0);
+  EXPECT_TRUE(c.node.suspected().contains(1));
+  EXPECT_EQ(c.node.duplicates_suppressed(), 1u);
+
+  c.queue.run(700.0);
+  EXPECT_TRUE(c.node.suspected().contains(1));
+  EXPECT_EQ(c.node.spurious_detections(), 0u);
+  EXPECT_EQ(c.node.duplicates_suppressed(), 2u);
+  // The live peers are never suspected, so one vote confirms nothing.
+  EXPECT_EQ(c.node.suspected().size(), 1u);
+  EXPECT_EQ(c.node.recoveries_run(), 0u);
+}
+
+TEST(DuplicateFilters, ReplyCopyAfterANewerWaveIsStale) {
+  // A RoleReply passes no duplicate filter: a copy of wave 1's reply that
+  // lands once wave 2 is preparing is stale and settles nothing of wave 2,
+  // and a copy of a current reply changes nothing.
+  LoneController c;
+  const sdwan::SwitchId sw = 7;
+  c.channel.attach(switch_endpoint(sw), sw, [](const Message&) {});
+  const auto reply = [&c, sw](std::uint64_t epoch) {
+    c.channel.send({switch_endpoint(sw), controller_endpoint(att(), 0),
+                    RoleReply{sw, epoch}});
+  };
+  const auto s = static_cast<std::size_t>(sw);
+
+  c.open_wave(sw);
+  reply(1);
+  c.queue.run(50.0);
+  EXPECT_EQ(c.shared.phase, WavePhase::kCommitted);
+  EXPECT_EQ(c.shared.committed_epoch, 1u);
+
+  c.open_wave(sw);
+  reply(1);  // the channel's copy of wave 1's reply
+  c.queue.run(100.0);
+  EXPECT_EQ(c.shared.stale_discarded, 1u);
+  EXPECT_EQ(c.shared.role_pending[s], 1);
+  EXPECT_EQ(c.shared.pending_replies, 1u);
+  EXPECT_EQ(c.shared.phase, WavePhase::kPreparing);
+  EXPECT_EQ(c.node.duplicates_suppressed(), 0u);
+
+  reply(2);
+  reply(2);
+  c.queue.run(150.0);
+  EXPECT_EQ(c.shared.phase, WavePhase::kCommitted);
+  EXPECT_EQ(c.shared.committed_epoch, 2u);
+  EXPECT_EQ(c.shared.pending_replies, 0u);
+  EXPECT_EQ(c.shared.stale_discarded, 1u);
+  EXPECT_EQ(c.node.duplicates_suppressed(), 0u);
 }
 
 TEST(TransactionalRecovery, AuditorReadsTheSwitchFlowTable) {
@@ -1232,10 +1351,10 @@ TEST(CtrlGolden, DISABLED_ChaosCellDigestsAll) {
 // Golden traces
 //
 // Byte identity of the protocol's exports: each line of
-// tests/data/ctrl_trace_digests.txt holds the FNV-1a-64 digests of the
-// JSONL trace, the Chrome trace and the Prometheus export of one traced
-// run (tracer and detailed metrics on), the two runs CI makes with
-// examples/protocol_trace:
+// tests/data/ctrl_trace_digests.txt holds the golden::fnv1a64 digests
+// of the JSONL trace, the Chrome trace and the Prometheus export of one
+// traced run (tracer and detailed metrics on), the two runs CI makes
+// with examples/protocol_trace:
 //  * fail-13-20: C13 dies at 500 ms, C20 at 3000 ms, fault-free;
 //  * kill-13-0: C13 dies at 500 ms and controller 0 at 850 ms, inside
 //    the recovery wave, over 5% loss and 20 ms jitter (fault seed 42),

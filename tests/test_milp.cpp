@@ -601,7 +601,9 @@ std::uint64_t bits_of(double v) {
   return bits;
 }
 
-/// FNV-1a-64 over the little-endian bytes of each value's bit pattern.
+/// golden::fnv1a64's FNV-1a (offset basis 1469598103934665603, not
+/// standard FNV-1a-64's) over the little-endian bytes of each value's
+/// bit pattern.
 std::uint64_t fnv1a64_bits(const std::vector<double>& values) {
   std::uint64_t hash = 1469598103934665603ull;
   for (const double v : values) {
