@@ -10,8 +10,9 @@
 //     [--jobs=N] [--cache-mb=64] [--max-queue=64]
 //     [--log-level=info]
 //
-// --jobs sets the solver workers: up to N uncached requests compute at
-// once, each on its own worker; cache hits never wait for one.
+// --jobs sets how many uncached requests compute at once, each on the
+// connection thread that received it, in admission order; --max-queue
+// bounds how many more may wait. Cache hits never wait.
 // --port=0 binds an ephemeral port; --port-file writes the resolved
 // port for scripts (the CI smoke job uses exactly that). Try it:
 //   printf '%s\n' '{"verb":"solve","failed":[3,4]}' | nc 127.0.0.1 7071

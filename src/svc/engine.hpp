@@ -22,9 +22,9 @@
 //
 // Concurrency: solve() is thread-safe (the Network is immutable after
 // construction, each solve builds its own FailureState, and the plan
-// cache locks internally). The server runs config().jobs worker
-// threads, each calling solve() on one queued request at a time, so
-// service throughput scales with --jobs like the offline sweeps do.
+// cache locks internally). The server's connection threads call solve()
+// on their own admitted misses, up to config().jobs at once, so service
+// throughput scales with --jobs like the offline sweeps do.
 #pragma once
 
 #include <chrono>
@@ -42,8 +42,8 @@
 namespace pm::svc {
 
 struct EngineConfig {
-  /// Solver threads the server runs (values < 1 mean 1); each computes
-  /// one queued request at a time.
+  /// Solves the server computes at once (values < 1 mean 1), each on
+  /// the connection thread that admitted it.
   int jobs = 1;
   /// PlanCache byte budget.
   std::size_t cache_bytes = std::size_t{64} << 20;
@@ -99,8 +99,8 @@ class Engine {
   /// Cache-only probe: returns the completed outcome when the canonical
   /// request is resident (cache_hit = true), nullopt otherwise. A miss
   /// is not counted — the caller falls back to solve(), which counts
-  /// it. This is the server's fast path: hits are answered inline on
-  /// the connection thread and never consume a queue slot, so admission
+  /// it. This is the server's fast path: hits are answered before
+  /// admission and never consume a queue slot, so admission
   /// control and deadlines govern only requests that actually compute.
   /// Invalid failure sets simply miss (they are never cached) and get
   /// their bad_request verdict from the fallback solve().

@@ -17,8 +17,8 @@
 // obs::MetricsRegistry handed to the constructor, so the service's
 // `metrics` verb exposes cache effectiveness without extra plumbing.
 //
-// Thread-safe: one mutex around the index; the server's solver workers
-// and connection threads probe and fill it concurrently.
+// Thread-safe: one mutex around the index; the server's connection
+// threads probe and fill it concurrently.
 #pragma once
 
 #include <cstddef>

@@ -20,9 +20,10 @@
 // "Recovery service"): `bad_request` (malformed line, unknown verb or
 // algorithm, invalid failure set), `overloaded` (the bounded request
 // queue is full — resend later), `deadline_exceeded` (the request's
-// deadline passed before a worker picked it up), `shutting_down`
-// (server stopped while the request was queued), `internal` (bug guard;
-// the failing request is reported, the server stays up).
+// deadline passed before its connection thread could start computing
+// it), `shutting_down` (server stopping when the request arrived),
+// `internal` (bug guard; the failing request is reported, the server
+// stays up).
 #pragma once
 
 #include <string>

@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <malloc.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -109,12 +108,13 @@ void Server::start() {
   if (running_.exchange(true)) return;
   stopping_.store(false);
 #ifdef M_ARENA_MAX
-  // A payload is built on a worker, written by a connection thread and
-  // evicted by whichever worker fills the cache next, so every thread
-  // frees memory another one allocated. glibc's default of one malloc
-  // arena per thread then holds the sum of every arena's peak; one
-  // shared arena holds the peak of their sum (about 35 MB less resident
-  // on the Waxman-150 miss workload, at no measured cost in throughput).
+  // A payload is built by the connection thread that computed it, kept
+  // in the cache and freed by whichever connection thread evicts it
+  // later, so threads free memory another one allocated. glibc's
+  // default of one malloc arena per thread then holds the sum of every
+  // arena's peak; one shared arena holds the peak of their sum (about
+  // 35 MB less resident on the Waxman-150 miss workload, at no measured
+  // cost in throughput).
   mallopt(M_ARENA_MAX, 1);
 #endif
 
@@ -144,9 +144,6 @@ void Server::start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = static_cast<int>(ntohs(addr.sin_port));
 
-  for (int i = 0; i < std::max(1, engine_.config().jobs); ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
   acceptor_ = std::thread([this] { acceptor_loop(); });
   obs::log().info("svc: listening on 127.0.0.1:" + std::to_string(port_));
 }
@@ -158,36 +155,25 @@ void Server::stop() {
   const std::lock_guard<std::mutex> stop_lock(stop_mutex_);
   if (!running_.load()) return;
   stopping_.store(true);
-  // Stop accepting; the acceptor notices stopping_ on its next tick.
-  if (acceptor_.joinable()) acceptor_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  // Unblock connection reads; their loops answer what they already hold
-  // and exit.
+  // Stop accepting: shutting the listening socket down makes a blocked
+  // accept() return at once.
+  ::shutdown(listen_fd_, SHUT_RDWR);
+  acceptor_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
+  // Unblock connection reads; each loop answers what it already holds,
+  // computing any miss it admitted, and exits. The acceptor is gone, so
+  // the list can be taken whole; it is joined outside the lock, which a
+  // closing connection takes to update the gauge.
+  std::list<std::unique_ptr<Connection>> connections;
   {
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     for (const auto& c : connections_) {
       if (c->fd >= 0) ::shutdown(c->fd, SHUT_RD);
     }
+    connections.swap(connections_);
   }
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (const auto& c : connections_) {
-      if (c->thread.joinable()) c->thread.join();
-    }
-    connections_.clear();
-  }
-  // Workers drain the remaining queue, then exit. Notifying under the
-  // lock means no worker can miss the wake-up between its check of
-  // stopping_ and its wait.
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_cv_.notify_all();
-  }
-  for (std::thread& worker : workers_) worker.join();
-  workers_.clear();
+  for (const auto& c : connections) c->thread.join();
   running_.store(false);
   obs::log().info("svc: server stopped");
 }
@@ -201,20 +187,21 @@ void Server::run_until_shutdown() {
 }
 
 void Server::acceptor_loop() {
-  while (!stopping_.load()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 100);
-    reap_finished_connections();
-    if (ready <= 0) continue;
+  while (true) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (stopping_.load()) {
+      if (fd >= 0) ::close(fd);
+      return;
+    }
     if (fd < 0) continue;
+    reap_finished_connections();
     auto connection = std::make_unique<Connection>();
     Connection* raw = connection.get();
     raw->fd = fd;
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     connections_.push_back(std::move(connection));
+    connections_gauge_.set(static_cast<double>(++open_connections_));
     raw->thread = std::thread([this, raw] { connection_loop(raw); });
-    connections_gauge_.set(static_cast<double>(connections_.size()));
   }
 }
 
@@ -222,13 +209,12 @@ void Server::reap_finished_connections() {
   const std::lock_guard<std::mutex> lock(connections_mutex_);
   for (auto it = connections_.begin(); it != connections_.end();) {
     if ((*it)->done.load()) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
+      (*it)->thread.join();
       it = connections_.erase(it);
     } else {
       ++it;
     }
   }
-  connections_gauge_.set(static_cast<double>(connections_.size()));
 }
 
 void Server::connection_loop(Connection* connection) {
@@ -267,7 +253,14 @@ void Server::connection_loop(Connection* connection) {
       break;
     }
   }
-  ::close(fd);
+  {
+    // Closed under the lock stop() shuts reads down under, so stop()
+    // never reaches a descriptor number that was closed and reused.
+    const std::lock_guard<std::mutex> lock(connections_mutex_);
+    ::close(fd);
+    connection->fd = -1;
+    connections_gauge_.set(static_cast<double>(--open_connections_));
+  }
   connection->done.store(true);
 }
 
@@ -300,8 +293,8 @@ std::string Server::handle_line(const std::string& line) {
           static_cast<std::int64_t>(engine_.cache().bytes()));
       {
         const std::lock_guard<std::mutex> lock(queue_mutex_);
-        result["queue_depth"] =
-            util::JsonValue(static_cast<std::int64_t>(queue_.size()));
+        result["queue_depth"] = util::JsonValue(
+            static_cast<std::int64_t>(next_ticket_ - next_to_compute_));
       }
       head["result"] = std::move(result);
       return head.to_string(0);
@@ -323,26 +316,24 @@ std::string Server::handle_line(const std::string& line) {
 }
 
 std::string Server::handle_solve(const Request& request) {
-  // Fast path: cache hits are answered inline on the connection thread,
-  // skipping the queue -> worker round trip entirely. They
-  // never consume a queue slot, so admission control and deadlines
-  // govern only requests that actually compute.
+  // Fast path: cache hits are answered at once and never take a queue
+  // slot, so admission control and deadlines govern only requests that
+  // actually compute.
   if (auto cached = engine_.try_cached(request.solve)) {
     return solve_response_line(request.id, *cached);
   }
-  auto pending = std::make_unique<PendingSolve>();
-  pending->job.params = request.solve;
-  // Stamped at admission: queueing time counts against the budget.
-  pending->job.deadline = deadline_after(request.solve.deadline_ms);
-  std::future<SolveOutcome> future = pending->promise.get_future();
+  // Stamped at admission: waiting time counts against the budget.
+  const SolveJob job{request.solve, deadline_after(request.solve.deadline_ms)};
+  const int slots = std::max(1, engine_.config().jobs);
   {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    std::unique_lock<std::mutex> lock(queue_mutex_);
     if (stopping_.load()) {
       return error_response(request.id, kErrShuttingDown,
                             "server is shutting down")
           .to_string(0);
     }
-    if (queue_.size() >= static_cast<std::size_t>(config_.max_queue)) {
+    if (next_ticket_ - next_to_compute_ >=
+        static_cast<std::uint64_t>(config_.max_queue)) {
       shed_.inc();
       return error_response(
                  request.id, kErrOverloaded,
@@ -351,28 +342,31 @@ std::string Server::handle_solve(const Request& request) {
                      " pending); retry later")
           .to_string(0);
     }
-    queue_.push_back(std::move(pending));
-    queue_depth_.set(static_cast<double>(queue_.size()));
+    const std::uint64_t ticket = next_ticket_++;
+    queue_depth_.set(static_cast<double>(next_ticket_ - next_to_compute_));
+    queue_cv_.wait(lock, [&] {
+      return ticket == next_to_compute_ && computing_ < slots;
+    });
+    ++next_to_compute_;
+    ++computing_;
+    queue_depth_.set(static_cast<double>(next_ticket_ - next_to_compute_));
+    // The next ticket may start too if a slot is still free.
+    queue_cv_.notify_all();
   }
-  queue_cv_.notify_one();
-  return solve_response_line(request.id, future.get());
-}
-
-void Server::worker_loop() {
-  while (true) {
-    std::unique_ptr<PendingSolve> pending;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] {
-        return !queue_.empty() || stopping_.load();
-      });
-      if (queue_.empty()) return;  // stopping, and nothing left to drain
-      pending = std::move(queue_.front());
-      queue_.pop_front();
-      queue_depth_.set(static_cast<double>(queue_.size()));
+  struct SlotRelease {
+    Server& server;
+    ~SlotRelease() {
+      const std::lock_guard<std::mutex> lock(server.queue_mutex_);
+      --server.computing_;
+      server.queue_cv_.notify_all();
     }
-    pending->promise.set_value(engine_.solve(pending->job));
+  };
+  SolveOutcome outcome;
+  {
+    const SlotRelease release{*this};
+    outcome = engine_.solve(job);
   }
+  return solve_response_line(request.id, outcome);
 }
 
 }  // namespace pm::svc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <set>
 
 #include "core/fmssm.hpp"
@@ -308,6 +309,12 @@ struct PmCase {
   double capacity;
   int failed;
 };
+
+// Names each case by its fields. Without it gtest prints the struct's
+// raw bytes, padding included, so the test names changed between builds.
+void PrintTo(const PmCase& c, std::ostream* os) {
+  *os << "capacity=" << c.capacity << " failed=" << c.failed;
+}
 
 class PmProperty : public ::testing::TestWithParam<PmCase> {};
 

@@ -4,6 +4,7 @@
 // failure subsets, and varying capacity headroom.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
 
 #include "core/metrics.hpp"
@@ -24,6 +25,14 @@ struct RandomCase {
   int failures;
   double headroom;  ///< capacity = headroom * max normal load
 };
+
+// Names each case by its fields. Without it gtest prints the struct's
+// raw bytes, padding included, so the test names changed between builds.
+void PrintTo(const RandomCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << " nodes=" << c.nodes
+      << " controllers=" << c.controllers << " failures=" << c.failures
+      << " headroom=" << c.headroom;
+}
 
 class RandomNetworks : public ::testing::TestWithParam<RandomCase> {
  protected:

@@ -74,7 +74,8 @@ std::vector<sdwan::ControllerId> parse_ids(const std::string& csv) {
 }
 
 /// Each line of pm_plan_digests_att_k3.txt is `seed-set failed-set
-/// digest`: the FNV-1a-64 of the plan's case report (wall clock zeroed)
+/// digest`: the FNV-1a from offset basis 1469598103934665603
+/// (golden::fnv1a64) of the plan's case report (wall clock zeroed)
 /// with PM run from scratch (`-`) or seeded with the fresh plan of
 /// seed-set. The digests were generated, and checked against the frozen
 /// map-based run_pm that the dense planner replaced, before that

@@ -631,6 +631,141 @@ TEST(SvcServer, StopAnswersEveryQueuedMissAcrossWorkers) {
   EXPECT_EQ(engine.cache().misses(), n);
 }
 
+TEST(SvcServer, StopOnAnIdleServerReturnsPromptly) {
+  // No client ever connects: stop() must wake the acceptor at once
+  // rather than wait for it to look again.
+  Engine engine(core::make_att_network(), small_engine_config());
+  svc::Server server(engine);
+  server.start();
+  const auto start = std::chrono::steady_clock::now();
+  server.stop();
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took, std::chrono::milliseconds(50));
+  EXPECT_FALSE(server.running());
+}
+
+TEST(SvcServer, MissesComputeOneAtATimeInAdmissionOrder) {
+  // One compute slot and three distinct misses on three connections,
+  // each sent once the previous one is admitted. A sampler watches the
+  // engine meanwhile: at most one solve is ever computing, and the plan
+  // cache fills in send order. Waxman-150 pairs take about a millisecond
+  // each, long enough for the later misses to wait behind the first.
+  EngineConfig config;
+  config.jobs = 1;
+  Engine engine(golden::make_waxman150_network(), config);
+  svc::Server server(engine);
+  server.start();
+
+  const std::vector<std::vector<sdwan::ControllerId>> failed = {
+      {0, 1}, {2, 9}, {3, 4}};
+  const std::size_t n = failed.size();
+  std::vector<std::string> lines;
+  std::vector<std::string> keys;
+  for (const auto& set : failed) {
+    SolveParams params;
+    params.failed = set;
+    params.algorithm = "pm";
+    keys.push_back(svc::canonical_key(params));
+    JsonValue list = JsonValue::array();
+    for (const auto j : set) list.push_back(JsonValue(j));
+    JsonValue request = JsonValue::object();
+    request["verb"] = JsonValue("solve");
+    request["failed"] = std::move(list);
+    request["algorithm"] = JsonValue("pm");
+    lines.push_back(request.to_string(0));
+  }
+
+  std::atomic<bool> answered{false};
+  double most_waiting = 0.0;
+  bool overlapped = false;
+  bool out_of_order = false;
+  std::thread sampler([&] {
+    while (!answered.load()) {
+      // Started read before finished: a solve that has started and not
+      // finished at the first read still has not at the second, so a
+      // difference above one means two solves computed at once.
+      const std::uint64_t started = engine.cache().misses();
+      const std::uint64_t finished =
+          engine.metrics().counter_value("svc_solves_total");
+      if (started > finished + 1) overlapped = true;
+      most_waiting = std::max(
+          most_waiting, engine.metrics().gauge_value("svc_queue_depth"));
+      // Fills never leave the cache here, so probing from the last key
+      // back sees a prefix of the send order unless a later request
+      // finished before an earlier one.
+      bool later_present = false;
+      for (std::size_t i = n; i-- > 0;) {
+        const bool present = engine.cache().peek(keys[i]).has_value();
+        if (later_present && !present) out_of_order = true;
+        later_present = later_present || present;
+      }
+    }
+  });
+
+  std::vector<std::string> responses(n);
+  std::vector<std::thread> clients;
+  {
+    svc::Client probe("127.0.0.1", server.port());
+    for (std::size_t i = 0; i < n; ++i) {
+      clients.emplace_back([&, i] {
+        svc::Client client("127.0.0.1", server.port());
+        responses[i] = client.roundtrip_line(lines[i]);
+      });
+      // Admitted: its miss was counted when it started computing, or it
+      // still waits in the queue (see StopAnswersEveryQueuedMiss...).
+      while (engine.cache().misses() +
+                 static_cast<std::uint64_t>(probe.health()
+                                                .at("result")
+                                                .at("queue_depth")
+                                                .as_int()) <
+             i + 1) {
+      }
+    }
+  }
+  for (std::thread& client : clients) client.join();
+  answered.store(true);
+  sampler.join();
+  server.stop();
+  RecordProperty("most_waiting", static_cast<int>(most_waiting));
+
+  EXPECT_FALSE(overlapped);
+  EXPECT_FALSE(out_of_order);
+  for (std::size_t i = 0; i < n; ++i) {
+    const JsonValue response = JsonValue::parse(responses[i]);
+    ASSERT_TRUE(response.at("ok").as_bool()) << responses[i];
+    EXPECT_FALSE(response.at("cached").as_bool());
+    EXPECT_EQ(response.at("key").as_string(), keys[i]);
+  }
+  EXPECT_EQ(engine.cache().misses(), n);
+}
+
+TEST(SvcServer, ConnectionGaugeDropsWhenAClientCloses) {
+  Engine engine(core::make_att_network(), small_engine_config());
+  svc::Server server(engine);
+  server.start();
+  const auto open_connections = [&] {
+    return engine.metrics().gauge_value("svc_connections");
+  };
+  svc::Client staying("127.0.0.1", server.port());
+  ASSERT_TRUE(staying.health().at("ok").as_bool());
+  {
+    svc::Client leaving("127.0.0.1", server.port());
+    ASSERT_TRUE(leaving.health().at("ok").as_bool());
+    EXPECT_EQ(open_connections(), 2.0);
+  }
+  // No client connects again, so nothing but the closing connection
+  // itself can bring the gauge down.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (open_connections() != 1.0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_EQ(open_connections(), 1.0);
+  server.stop();
+  EXPECT_EQ(open_connections(), 0.0);
+}
+
 // ---------------------------------------------------------------------
 // Line framing
 // ---------------------------------------------------------------------
