@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
   const bool verbose = args.get_bool("verbose", false);
+  obs::apply_log_level_flag(args);
 
   const sdwan::Network net = core::make_att_network();
   const auto paper = topo::att_paper_flow_counts();

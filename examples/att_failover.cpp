@@ -89,9 +89,8 @@ int main(int argc, char** argv) {
     }
     if (pm.mapping.contains(13)) {
       std::size_t at13 = 0;
-      for (const auto& [sw, flow] : pm.sdn_assignments) {
-        (void)flow;
-        if (sw == 13) ++at13;
+      for (const core::Assignment& a : pm.sdn_assignments) {
+        if (a.sw == 13) ++at13;
       }
       std::cout << "  PM: recovered by mapping it to "
                 << net.controller(pm.mapping.at(13)).name << " with "

@@ -5,17 +5,7 @@
 // SIGINT/SIGTERM (graceful drain: queued requests are answered, caches
 // and counters are reported, then the process exits 0).
 //
-// Usage:
-//   ./build/examples/pm_server [--port=7071] [--port-file=port.txt]
-//     [--jobs=N] [--cache-mb=64] [--max-queue=64]
-//     [--log-level=info]
-//
-// --jobs sets how many uncached requests compute at once, each on the
-// connection thread that received it, in admission order; --max-queue
-// bounds how many more may wait. Cache hits never wait.
-// --port=0 binds an ephemeral port; --port-file writes the resolved
-// port for scripts (the CI smoke job uses exactly that). Try it:
-//   printf '%s\n' '{"verb":"solve","failed":[3,4]}' | nc 127.0.0.1 7071
+// Usage: kUsage below, which --help prints.
 #include <climits>
 #include <cstdint>
 #include <iostream>
@@ -26,9 +16,29 @@
 #include "util/cli.hpp"
 #include "util/shutdown.hpp"
 
+namespace {
+
+constexpr const char* kUsage =
+    R"(usage: pm_server [--port=7071] [--port-file=port.txt] [--jobs=N]
+                 [--cache-mb=64] [--max-queue=64] [--log-level=info]
+
+--jobs sets how many uncached requests compute at once, each on the
+connection thread that received it, in admission order; --max-queue
+bounds how many more may wait. Cache hits never wait.
+--port=0 binds an ephemeral port; --port-file writes the resolved port
+for scripts. Try it:
+  printf '%s\n' '{"verb":"solve","failed":[3,4]}' | nc 127.0.0.1 7071
+)";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
+  if (args.has("help")) {
+    std::cout << kUsage;
+    return 0;
+  }
   svc::ServerConfig server_config;
   server_config.port = static_cast<int>(args.get_int("port", 7071, 0, 65535));
   server_config.max_queue =

@@ -153,7 +153,7 @@ RecoveryPlan FmssmProblem::decode(const std::vector<double>& solution) const {
   // need sorting.
   for (const auto& [key, var] : w_var) {
     if (solution[static_cast<std::size_t>(var)] > 0.5) {
-      plan.sdn_assignments.emplace_back(std::get<0>(key), std::get<2>(key));
+      plan.sdn_assignments.push_back({std::get<0>(key), std::get<2>(key)});
     }
   }
   sort_assignments(plan);
@@ -178,10 +178,8 @@ std::vector<double> FmssmProblem::encode(const sdwan::FailureState& state,
     first = false;
   }
   x[static_cast<std::size_t>(r_var)] = static_cast<double>(min_h);
-  for (std::size_t k = 0; k < plan.sdn_assignments.size(); ++k) {
-    const auto [sw, flow] = plan.sdn_assignments[k];
-    const ControllerId j = plan.controller_of_assignment(k);
-    const auto it = w_var.find({sw, j, flow});
+  for (const Assignment& a : plan.sdn_assignments) {
+    const auto it = w_var.find({a.sw, plan.controller_of(a), a.flow});
     if (it != w_var.end()) x[static_cast<std::size_t>(it->second)] = 1.0;
   }
   return x;

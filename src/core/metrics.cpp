@@ -16,16 +16,9 @@ RecoveryMetrics evaluate_plan(const sdwan::FailureState& state,
   m.recoverable_flow_count = state.recoverable_flows().size();
   m.ideal_total_delay_ms = state.ideal_total_delay();
 
-  // Flat working arrays indexed by id: h^l per flow, the mapped
-  // controller per switch, capacity units per controller.
+  // Flat working arrays indexed by id: h^l per flow, capacity units per
+  // controller.
   std::vector<std::int64_t> h(static_cast<std::size_t>(net.flow_count()), 0);
-  std::vector<sdwan::ControllerId> mapped(
-      static_cast<std::size_t>(net.switch_count()), -1);
-  for (const auto& [sw, ctrl] : plan.mapping) {
-    if (sw >= 0 && sw < net.switch_count()) {
-      mapped[static_cast<std::size_t>(sw)] = ctrl;
-    }
-  }
   std::vector<double> load(static_cast<std::size_t>(net.controller_count()),
                            0.0);
   std::vector<char> loaded(load.size(), 0);
@@ -51,16 +44,16 @@ RecoveryMetrics evaluate_plan(const sdwan::FailureState& state,
   // One pass over Y, in (switch, flow) order. The switch's opportunities
   // ascend by flow too, so a cursor over them reads p without a path
   // search; pairs that are not opportunities fall back to diversity().
-  const auto& controllers = plan.assignment_controller;
   sdwan::SwitchId last_switch = -1;
+  sdwan::ControllerId switch_controller = -1;
   std::span<const sdwan::FailureState::SwitchOpportunity> at_switch;
   std::size_t cursor = 0;
-  for (std::size_t k = 0; k < plan.sdn_assignments.size(); ++k) {
-    const auto [sw, flow] = plan.sdn_assignments[k];
+  for (const auto& [sw, flow, controller] : plan.sdn_assignments) {
     // Switches in actual use (prune semantics: mapped + >= 1 assignment).
     if (sw != last_switch) {
       ++m.recovered_switch_count;
       last_switch = sw;
+      switch_controller = plan.controller_of(sw);
       at_switch = state.opportunities_at(sw);  // range-checks sw
       cursor = 0;
     }
@@ -73,9 +66,9 @@ RecoveryMetrics evaluate_plan(const sdwan::FailureState& state,
             : net.diversity(flow, sw);  // range-checks flow
     h[static_cast<std::size_t>(flow)] += p;
     if (plan.whole_switch_control) continue;
-    const sdwan::ControllerId j = k < controllers.size() && controllers[k] >= 0
-                                      ? controllers[k]
-                                      : mapped[static_cast<std::size_t>(sw)];
+    // plan.controller_of(), with the mapping read once per switch.
+    const sdwan::ControllerId j = controller >= 0 ? controller
+                                                  : switch_controller;
     if (j >= 0) m.total_overhead_ms += charge(sw, j, 1.0);
   }
 

@@ -17,7 +17,7 @@ RecoveryPlan run_naive_nearest(const sdwan::FailureState& state) {
   plan.sdn_assignments.reserve(state.opportunity_count());
   for (sdwan::SwitchId s : state.offline_switches()) {
     for (const auto& opp : state.opportunities_at(s)) {
-      plan.sdn_assignments.emplace_back(s, opp.flow);
+      plan.sdn_assignments.push_back({s, opp.flow});
     }
   }
   // Note: no prune — the naive takeover adopts every offline switch,

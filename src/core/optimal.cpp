@@ -19,16 +19,15 @@ RecoveryPlan trim_to_delay_budget(const sdwan::FailureState& state,
                                   RecoveryPlan plan) {
   const sdwan::Network& net = state.network();
   const double budget = state.ideal_total_delay();
-  auto& pairs = plan.sdn_assignments;
-  const std::size_t n = pairs.size();
+  auto& y = plan.sdn_assignments;
+  const std::size_t n = y.size();
   // Delay and programmability of each assignment, by position.
   std::vector<double> delay(n);
   std::vector<std::int64_t> gain(n);
   double total = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    const auto [sw, flow] = pairs[k];
-    delay[k] = net.delay_ms(sw, plan.controller_of_assignment(k));
-    gain[k] = net.diversity(flow, sw);
+    delay[k] = net.delay_ms(y[k].sw, plan.controller_of(y[k]));
+    gain[k] = net.diversity(y[k].flow, y[k].sw);
     total += delay[k];
   }
   if (total <= budget) return plan;
@@ -47,7 +46,7 @@ RecoveryPlan trim_to_delay_budget(const sdwan::FailureState& state,
   std::size_t remaining = n;
   while (total > budget && remaining > 0) {
     auto qualifies = [&](std::size_t k, std::int64_t floor) {
-      return h[static_cast<std::size_t>(pairs[k].second)] - gain[k] >= floor;
+      return h[static_cast<std::size_t>(y[k].flow)] - gain[k] >= floor;
     };
     std::size_t pick = n;
     for (const std::int64_t floor : {level, std::int64_t{1},
@@ -64,21 +63,16 @@ RecoveryPlan trim_to_delay_budget(const sdwan::FailureState& state,
     if (pick >= n) break;
     dropped[pick] = 1;
     --remaining;
-    h[static_cast<std::size_t>(pairs[pick].second)] -= gain[pick];
+    h[static_cast<std::size_t>(y[pick].flow)] -= gain[pick];
     total -= delay[pick];
   }
 
   // One compaction pass removes every dropped entry.
-  auto& controllers = plan.assignment_controller;
   std::size_t kept = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    if (dropped[k]) continue;
-    pairs[kept] = pairs[k];
-    if (!controllers.empty()) controllers[kept] = controllers[k];
-    ++kept;
+    if (!dropped[k]) y[kept++] = y[k];
   }
-  pairs.resize(kept);
-  if (!controllers.empty()) controllers.resize(kept);
+  y.resize(kept);
   prune_unused_mappings(plan);
   return plan;
 }

@@ -102,8 +102,7 @@ RecoveryPlan run_pg(const sdwan::FailureState& state) {
     for (const auto& opp : state.opportunities_at(s)) {
       const ControllerId j = taken_by[opp.index];
       if (j < 0) continue;
-      plan.sdn_assignments.emplace_back(s, opp.flow);
-      plan.assignment_controller.push_back(j);
+      plan.sdn_assignments.push_back({s, opp.flow, j});
       ++votes[static_cast<std::size_t>(j)];
       used = true;
     }

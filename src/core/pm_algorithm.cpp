@@ -73,7 +73,7 @@ RecoveryPlan run_pm(const sdwan::FailureState& state, PmOptions options) {
         w.mapped_to[static_cast<std::size_t>(sw)] = ctrl;
       }
     }
-    for (const auto& [sw, flow] : options.seed->sdn_assignments) {
+    for (const auto& [sw, flow, controller] : options.seed->sdn_assignments) {
       const ControllerId j =
           (sw >= 0 && sw < state.network().switch_count())
               ? w.mapped_to[static_cast<std::size_t>(sw)]
@@ -203,7 +203,7 @@ RecoveryPlan run_pm(const sdwan::FailureState& state, PmOptions options) {
   for (const SwitchId sw : state.offline_switches()) {
     for (const auto& opp : state.opportunities_at(sw)) {
       if (w.assigned[opp.index]) {
-        plan.sdn_assignments.emplace_back(sw, opp.flow);
+        plan.sdn_assignments.push_back({sw, opp.flow});
       }
     }
   }

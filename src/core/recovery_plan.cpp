@@ -2,19 +2,22 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <set>
-#include <stdexcept>
 
 namespace pm::core {
 
 namespace {
 
-bool strictly_ascending(const std::vector<Assignment>& pairs) {
-  return std::adjacent_find(pairs.begin(), pairs.end(),
+/// The order of sdn_assignments; the controller takes no part.
+bool switch_flow_less(const Assignment& a, const Assignment& b) {
+  return a.sw != b.sw ? a.sw < b.sw : a.flow < b.flow;
+}
+
+bool strictly_ascending(const std::vector<Assignment>& y) {
+  return std::adjacent_find(y.begin(), y.end(),
                             [](const Assignment& a, const Assignment& b) {
-                              return !(a < b);
-                            }) == pairs.end();
+                              return !switch_flow_less(a, b);
+                            }) == y.end();
 }
 
 }  // namespace
@@ -26,61 +29,25 @@ sdwan::ControllerId RecoveryPlan::controller_of(sdwan::SwitchId i) const {
 
 bool RecoveryPlan::has_assignment(sdwan::SwitchId i, sdwan::FlowId l) const {
   return std::binary_search(sdn_assignments.begin(), sdn_assignments.end(),
-                            Assignment{i, l});
+                            Assignment{i, l}, switch_flow_less);
 }
 
-sdwan::ControllerId RecoveryPlan::controller_of_assignment(
-    std::size_t k) const {
-  if (k < assignment_controller.size() && assignment_controller[k] >= 0) {
-    return assignment_controller[k];
-  }
-  return controller_of(sdn_assignments[k].first);
-}
-
-sdwan::ControllerId RecoveryPlan::controller_of_assignment(
-    sdwan::SwitchId i, sdwan::FlowId l) const {
-  const auto it = std::lower_bound(sdn_assignments.begin(),
-                                   sdn_assignments.end(), Assignment{i, l});
-  if (it != sdn_assignments.end() && *it == Assignment{i, l}) {
-    return controller_of_assignment(
-        static_cast<std::size_t>(it - sdn_assignments.begin()));
-  }
-  return controller_of(i);
+sdwan::ControllerId RecoveryPlan::controller_of(const Assignment& a) const {
+  return a.controller >= 0 ? a.controller : controller_of(a.sw);
 }
 
 void sort_assignments(RecoveryPlan& plan) {
-  auto& pairs = plan.sdn_assignments;
-  auto& controllers = plan.assignment_controller;
-  if (strictly_ascending(pairs)) return;
-  if (controllers.empty()) {
-    std::sort(pairs.begin(), pairs.end());
-    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-    return;
-  }
-  if (controllers.size() != pairs.size()) {
-    throw std::invalid_argument(
-        "assignment_controller is not aligned with sdn_assignments");
-  }
-  std::vector<std::size_t> order(pairs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return pairs[a] < pairs[b];
-                   });
-  std::vector<Assignment> sorted;
-  std::vector<sdwan::ControllerId> aligned;
-  sorted.reserve(pairs.size());
-  aligned.reserve(pairs.size());
-  for (const std::size_t k : order) {
-    if (!sorted.empty() && sorted.back() == pairs[k]) {
-      if (controllers[k] >= 0) aligned.back() = controllers[k];
-      continue;
+  auto& y = plan.sdn_assignments;
+  std::stable_sort(y.begin(), y.end(), switch_flow_less);
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < y.size(); ++k) {
+    if (kept > 0 && !switch_flow_less(y[kept - 1], y[k])) {
+      if (y[k].controller >= 0) y[kept - 1].controller = y[k].controller;
+    } else {
+      y[kept++] = y[k];
     }
-    sorted.push_back(pairs[k]);
-    aligned.push_back(controllers[k]);
   }
-  pairs = std::move(sorted);
-  controllers = std::move(aligned);
+  y.resize(kept);
 }
 
 std::map<sdwan::ControllerId, double> controller_loads(
@@ -92,8 +59,8 @@ std::map<sdwan::ControllerId, double> controller_loads(
       loads[ctrl] += static_cast<double>(state.gamma(sw));
     }
   } else {
-    for (std::size_t k = 0; k < plan.sdn_assignments.size(); ++k) {
-      const sdwan::ControllerId j = plan.controller_of_assignment(k);
+    for (const Assignment& a : plan.sdn_assignments) {
+      const sdwan::ControllerId j = plan.controller_of(a);
       if (j >= 0) loads[j] += 1.0;
     }
   }
@@ -108,13 +75,6 @@ std::vector<std::string> validate_plan(const sdwan::FailureState& state,
   if (!strictly_ascending(plan.sdn_assignments)) {
     problems.push_back("sdn_assignments not sorted and duplicate-free");
   }
-  if (!plan.assignment_controller.empty() &&
-      plan.assignment_controller.size() != plan.sdn_assignments.size()) {
-    problems.push_back(
-        "assignment_controller has " +
-        std::to_string(plan.assignment_controller.size()) + " entries for " +
-        std::to_string(plan.sdn_assignments.size()) + " assignments");
-  }
 
   for (const auto& [sw, ctrl] : plan.mapping) {
     if (!state.is_offline_switch(sw)) {
@@ -128,15 +88,15 @@ std::vector<std::string> validate_plan(const sdwan::FailureState& state,
     }
   }
 
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
-    if (!plan.mapping.contains(sw)) {
-      problems.push_back("assignment (" + std::to_string(sw) + ", " +
-                         std::to_string(flow) + ") at unmapped switch");
+  for (const Assignment& a : plan.sdn_assignments) {
+    if (!plan.mapping.contains(a.sw)) {
+      problems.push_back("assignment (" + std::to_string(a.sw) + ", " +
+                         std::to_string(a.flow) + ") at unmapped switch");
       continue;
     }
-    if (!net.beta(flow, sw)) {
-      problems.push_back("assignment (" + std::to_string(sw) + ", " +
-                         std::to_string(flow) + ") where beta = 0");
+    if (!net.beta(a.flow, a.sw)) {
+      problems.push_back("assignment (" + std::to_string(a.sw) + ", " +
+                         std::to_string(a.flow) + ") where beta = 0");
     }
   }
 
@@ -154,8 +114,8 @@ std::vector<std::int64_t> flow_programmability(
     const sdwan::FailureState& state, const RecoveryPlan& plan) {
   const sdwan::Network& net = state.network();
   std::vector<std::int64_t> h(static_cast<std::size_t>(net.flow_count()), 0);
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
-    h[static_cast<std::size_t>(flow)] += net.diversity(flow, sw);
+  for (const Assignment& a : plan.sdn_assignments) {
+    h[static_cast<std::size_t>(a.flow)] += net.diversity(a.flow, a.sw);
   }
   return h;
 }
@@ -182,10 +142,10 @@ PlanChurn plan_churn(const RecoveryPlan& before, const RecoveryPlan& after) {
   const auto b_end = before.sdn_assignments.end();
   const auto a_end = after.sdn_assignments.end();
   while (b != b_end || a != a_end) {
-    if (a == a_end || (b != b_end && *b < *a)) {
+    if (a == a_end || (b != b_end && switch_flow_less(*b, *a))) {
       ++churn.entries_removed;
       ++b;
-    } else if (b == b_end || *a < *b) {
+    } else if (b == b_end || switch_flow_less(*a, *b)) {
       ++churn.entries_added;
       ++a;
     } else {
@@ -199,13 +159,14 @@ PlanChurn plan_churn(const RecoveryPlan& before, const RecoveryPlan& after) {
 void prune_unused_mappings(RecoveryPlan& plan) {
   // mapping keys ascend, so one cursor over the sorted assignments
   // answers every "is this switch used" query.
-  const auto& pairs = plan.sdn_assignments;
-  auto cursor = pairs.begin();
+  const auto& y = plan.sdn_assignments;
+  auto cursor = y.begin();
   std::erase_if(plan.mapping, [&](const auto& kv) {
     cursor = std::lower_bound(
-        cursor, pairs.end(),
-        Assignment{kv.first, std::numeric_limits<sdwan::FlowId>::min()});
-    return cursor == pairs.end() || cursor->first != kv.first;
+        cursor, y.end(),
+        Assignment{kv.first, std::numeric_limits<sdwan::FlowId>::min()},
+        switch_flow_less);
+    return cursor == y.end() || cursor->sw != kv.first;
   });
 }
 

@@ -3,7 +3,10 @@
 //   mapping          — X: offline switch -> active controller (x_ij),
 //   sdn_assignments  — Y: (offline switch, flow) pairs routed in SDN mode
 //                      there (y_i^l = 1); all other flows at that switch
-//                      fall back to the legacy table (hybrid mode).
+//                      fall back to the legacy table (hybrid mode). Each
+//                      record may name the controller serving it (w_ijl
+//                      of the IP (P')), for flow-level plans that split a
+//                      switch across controllers.
 //
 // A plan is *valid* when it respects the constraints of problem (P):
 // one controller per switch, assignments only at mapped switches with
@@ -15,15 +18,22 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sdwan/failure.hpp"
 
 namespace pm::core {
 
-/// One SDN-mode selection: (offline switch, flow).
-using Assignment = std::pair<sdwan::SwitchId, sdwan::FlowId>;
+/// One SDN-mode selection: flow `flow` at offline switch `sw`, served by
+/// `controller`, where -1 means the switch's mapping. Identity and order
+/// are (sw, flow); == also compares the controller.
+struct Assignment {
+  sdwan::SwitchId sw;
+  sdwan::FlowId flow;
+  sdwan::ControllerId controller = -1;
+
+  bool operator==(const Assignment&) const = default;
+};
 
 struct RecoveryPlan {
   std::string algorithm;
@@ -31,18 +41,14 @@ struct RecoveryPlan {
   /// X: offline switch -> active controller.
   std::map<sdwan::SwitchId, sdwan::ControllerId> mapping;
 
-  /// Y: SDN-mode selections, (offline switch, flow), sorted ascending and
+  /// Y: SDN-mode selections, sorted ascending by (switch, flow) and
   /// duplicate-free — the invariant validate_plan checks and every
-  /// membership test (has_assignment) relies on.
+  /// membership test (has_assignment) relies on. Flow-level solutions
+  /// (PG) slice one switch across several controllers through the middle
+  /// layer and name each record's controller, which overrides `mapping`
+  /// for capacity and overhead accounting; switch-controller solutions
+  /// leave it -1.
   std::vector<Assignment> sdn_assignments;
-
-  /// Flow-level solutions (PG) may slice one switch across several
-  /// controllers through the middle layer; such plans record the exact
-  /// controller of each assignment here, aligned with sdn_assignments by
-  /// position, overriding `mapping` for capacity and overhead accounting.
-  /// An entry of -1 defers to the switch's mapping. Switch-controller
-  /// solutions leave it empty.
-  std::vector<sdwan::ControllerId> assignment_controller;
 
   /// Extra per-control-message processing latency in ms (nonzero only for
   /// PG, whose FlowVisor-style middle layer handles every message).
@@ -70,19 +76,14 @@ struct RecoveryPlan {
   /// True iff (i, l) is in sdn_assignments (a binary search).
   bool has_assignment(sdwan::SwitchId i, sdwan::FlowId l) const;
 
-  /// Controller serving the assignment at position k of sdn_assignments:
-  /// its per-pair controller if recorded, otherwise the switch's mapping.
-  sdwan::ControllerId controller_of_assignment(std::size_t k) const;
-
-  /// Controller serving assignment (i, l): the per-pair controller if
-  /// recorded, otherwise the switch's mapping. -1 if neither exists.
-  sdwan::ControllerId controller_of_assignment(sdwan::SwitchId i,
-                                               sdwan::FlowId l) const;
+  /// Controller serving assignment `a`: its own controller if it names
+  /// one, otherwise its switch's mapping; -1 if neither exists.
+  sdwan::ControllerId controller_of(const Assignment& a) const;
 };
 
 /// Restores the sdn_assignments invariant after unordered insertion:
-/// sorts the pairs, carrying assignment_controller along, and keeps one
-/// entry per pair (with the last recorded controller among duplicates).
+/// stably sorts by (switch, flow) and keeps one record per pair, with the
+/// last controller >= 0 named among duplicates.
 void sort_assignments(RecoveryPlan& plan);
 
 /// Capacity units the plan consumes per active controller, honoring the

@@ -48,7 +48,7 @@ RecoveryPlan run_retroflow(const sdwan::FailureState& state,
     plan.mapping[s] = chosen;
     // Whole-switch SDN mode: every programmable flow there is recovered.
     for (const auto& opp : flows) {
-      plan.sdn_assignments.emplace_back(s, opp.flow);
+      plan.sdn_assignments.push_back({s, opp.flow});
     }
   }
 

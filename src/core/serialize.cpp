@@ -29,14 +29,11 @@ JsonValue plan_to_json(const RecoveryPlan& plan) {
   out["mapping"] = std::move(mapping);
 
   JsonValue assignments = JsonValue::array();
-  for (std::size_t k = 0; k < plan.sdn_assignments.size(); ++k) {
+  for (const Assignment& a : plan.sdn_assignments) {
     JsonValue entry = JsonValue::object();
-    entry["switch"] = JsonValue(plan.sdn_assignments[k].first);
-    entry["flow"] = JsonValue(plan.sdn_assignments[k].second);
-    if (k < plan.assignment_controller.size() &&
-        plan.assignment_controller[k] >= 0) {
-      entry["controller"] = JsonValue(plan.assignment_controller[k]);
-    }
+    entry["switch"] = JsonValue(a.sw);
+    entry["flow"] = JsonValue(a.flow);
+    if (a.controller >= 0) entry["controller"] = JsonValue(a.controller);
     assignments.push_back(std::move(entry));
   }
   out["sdn_assignments"] = std::move(assignments);
@@ -60,22 +57,13 @@ RecoveryPlan plan_from_json(const util::JsonValue& json) {
     }
     const JsonValue& assignments = json.at("sdn_assignments");
     plan.sdn_assignments.reserve(assignments.size());
-    // Entries without a controller defer to the mapping (-1); the aligned
-    // vector is kept only if some entry names one.
-    std::vector<sdwan::ControllerId> controllers;
-    controllers.reserve(assignments.size());
-    bool any_controller = false;
     for (std::size_t i = 0; i < assignments.size(); ++i) {
       const JsonValue& entry = assignments.at(i);
-      plan.sdn_assignments.emplace_back(entry.at("switch").as_int(),
-                                        entry.at("flow").as_int());
-      controllers.push_back(-1);
-      if (entry.contains("controller")) {
-        controllers.back() = entry.at("controller").as_int();
-        any_controller = true;
-      }
+      plan.sdn_assignments.push_back(
+          {entry.at("switch").as_int(), entry.at("flow").as_int(),
+           entry.contains("controller") ? entry.at("controller").as_int()
+                                        : -1});
     }
-    if (any_controller) plan.assignment_controller = std::move(controllers);
     sort_assignments(plan);
     return plan;
   } catch (const std::logic_error& e) {
@@ -232,11 +220,7 @@ void write_plan(ReportWriter& w, const RecoveryPlan& plan) {
 
   w.key("sdn_assignments");
   w.open('[');
-  for (std::size_t k = 0; k < plan.sdn_assignments.size(); ++k) {
-    const auto [sw, flow] = plan.sdn_assignments[k];
-    const int ctrl = k < plan.assignment_controller.size()
-                         ? plan.assignment_controller[k]
-                         : -1;
+  for (const auto& [sw, flow, ctrl] : plan.sdn_assignments) {
     if (ctrl < 0) {
       w.int_object({{"switch", sw}, {"flow", flow}});
     } else {

@@ -10,6 +10,10 @@ namespace pm::ctrl {
 
 namespace {
 
+/// Relative slack of the over-capacity check, so that rounding in the
+/// summed loads is not read as an overload.
+constexpr double kOverloadTolerance = 1e-9;
+
 std::string sw_flow(sdwan::SwitchId sw, sdwan::FlowId flow) {
   return "switch " + std::to_string(sw) + ", flow " +
          std::to_string(flow);
@@ -27,8 +31,7 @@ AuditReport audit_recovery(const sdwan::Network& net,
                            const sdwan::Dataplane& dataplane,
                            const std::vector<const SwitchAgent*>& agents,
                            const std::vector<bool>& controller_alive,
-                           const SharedRecoveryState& shared,
-                           double overload_tolerance) {
+                           const SharedRecoveryState& shared) {
   AuditReport report;
   const auto flag = [&report](std::string invariant, std::string detail) {
     report.violations.push_back(
@@ -115,7 +118,7 @@ AuditReport audit_recovery(const sdwan::Network& net,
     const double adopted = loads.contains(j) ? loads.at(j) : 0.0;
     const double total = net.normal_load(j) + adopted;
     const double capacity = net.controller(j).capacity;
-    if (total > capacity * (1.0 + overload_tolerance)) {
+    if (total > capacity * (1.0 + kOverloadTolerance)) {
       flag("over-capacity",
            "controller " + std::to_string(j) + " at " +
                std::to_string(total) + " / " + std::to_string(capacity));
@@ -124,7 +127,7 @@ AuditReport audit_recovery(const sdwan::Network& net,
 
   // 4a. Every committed assignment on a non-degraded switch is installed
   // with the flow's path successor as next hop.
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
+  for (const auto& [sw, flow, controller] : plan.sdn_assignments) {
     if (shared.degraded_switches.contains(sw)) continue;
     const auto& f = net.flow(flow);
     sdwan::SwitchId next_hop = -1;

@@ -9,7 +9,7 @@
 //                      ("stale-epoch"), and no flow carries entries from
 //                      two different epochs ("mixed-epoch");
 //   over-capacity    — no active controller's normal + adopted load
-//                      exceeds capacity x (1 + tolerance) under the
+//                      exceeds capacity x (1 + 1e-9) under the
 //                      committed plan;
 //   plan-vs-state    — every committed (switch, flow) assignment on a
 //                      non-degraded switch is installed with the path's
@@ -62,6 +62,6 @@ AuditReport audit_recovery(
     const sdwan::Network& net, const sdwan::Dataplane& dataplane,
     const std::vector<const SwitchAgent*>& agents,
     const std::vector<bool>& controller_alive,
-    const SharedRecoveryState& shared, double overload_tolerance = 1e-9);
+    const SharedRecoveryState& shared);
 
 }  // namespace pm::ctrl

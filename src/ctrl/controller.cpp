@@ -213,10 +213,10 @@ void ControllerNode::run_recovery() {
   // each switch's assignments.
   auto k = plan.sdn_assignments.begin();
   for (const auto& [sw, planned] : plan.mapping) {
-    while (k != plan.sdn_assignments.end() && k->first < sw) ++k;
+    while (k != plan.sdn_assignments.end() && k->sw < sw) ++k;
     std::vector<sdwan::FlowEntry> entries;
-    for (; k != plan.sdn_assignments.end() && k->first == sw; ++k) {
-      const auto& f = net_->flow(k->second);
+    for (; k != plan.sdn_assignments.end() && k->sw == sw; ++k) {
+      const auto& f = net_->flow(k->flow);
       // The entry pins the flow at this switch to its current next hop
       // (programmability = the controller can now change it); none at
       // the path's last node.

@@ -102,8 +102,8 @@ SimulationReport ControlSimulation::make_report(
   report.degraded_switches = shared_.degraded_switches.size();
   if (shared_.last_plan) {
     std::vector<sdwan::FlowId> degraded;
-    for (const auto& [sw, flow] : shared_.last_plan->sdn_assignments) {
-      if (shared_.degraded_switches.contains(sw)) degraded.push_back(flow);
+    for (const core::Assignment& a : shared_.last_plan->sdn_assignments) {
+      if (shared_.degraded_switches.contains(a.sw)) degraded.push_back(a.flow);
     }
     std::sort(degraded.begin(), degraded.end());
     report.degraded_flows = static_cast<std::size_t>(

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "milp/presolve.hpp"
+#include "milp/simplex.hpp"
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -73,7 +74,7 @@ class BranchAndBound {
       if (have_incumbent_ && !improves(node.parent_bound)) continue;
 
       Model local = apply_bounds(node);
-      const LpResult lp = solve_lp(local, options_.lp);
+      const LpResult lp = solve_lp(local);
       if (lp.status == LpStatus::kInfeasible) {
         if (result.nodes_explored == 1) root_infeasible = true;
         continue;
@@ -336,7 +337,7 @@ MipResult solve_mip(const Model& model, const MipOptions& options) {
   }
   if (!model.has_integer_variables()) {
     // Pure LP: translate the result.
-    const LpResult lp = solve_lp(model, options.lp);
+    const LpResult lp = solve_lp(model);
     MipResult r;
     r.nodes_explored = 1;
     switch (lp.status) {

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "milp/model.hpp"
-#include "milp/simplex.hpp"
 
 namespace pm::milp {
 
@@ -30,7 +29,6 @@ struct MipOptions {
   std::optional<std::vector<double>> warm_start;
   /// Run the presolve reductions (milp/presolve.hpp) before the search.
   bool presolve = true;
-  SimplexOptions lp;
 };
 
 enum class MipStatus {

@@ -2,6 +2,8 @@
 
 #include <fstream>
 
+#include "util/strings.hpp"
+
 namespace pm::obs {
 
 namespace {
@@ -30,8 +32,10 @@ std::optional<std::string> path_flag(util::CliArgs& args,
 }
 
 void warn_unread(const util::CliArgs& args) {
-  for (const auto& name : args.unused()) {
-    log().warn("unrecognized flag --" + name);
+  for (const auto& token : args.unused()) {
+    log().warn((util::starts_with(token, "--") ? "unrecognized flag "
+                                               : "unrecognized argument ") +
+               token);
   }
 }
 

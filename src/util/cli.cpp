@@ -14,19 +14,21 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
     program_.erase(0, program_.rfind('/') + 1);
   }
   for (int i = 1; i < argc; ++i) {
-    std::string tok = argv[i];
+    const std::string tok = argv[i];
     if (!starts_with(tok, "--")) {
-      positional_.push_back(std::move(tok));
+      tokens_.emplace_back(tok, "");
       continue;
     }
-    tok = tok.substr(2);
     const std::size_t eq = tok.find('=');
+    const std::string name = tok.substr(2, eq - 2);
+    tokens_.emplace_back(tok, name);
     if (eq != std::string::npos) {
-      flags_[tok.substr(0, eq)].push_back(tok.substr(eq + 1));
+      flags_[name].push_back(tok.substr(eq + 1));
     } else if (i + 1 < argc && !starts_with(argv[i + 1], "--")) {
-      flags_[tok].push_back(argv[++i]);
+      flags_[name].push_back(argv[++i]);
+      tokens_.emplace_back(argv[i], name);
     } else {
-      flags_[tok].push_back("true");
+      flags_[name].push_back("true");
     }
   }
 }
@@ -102,8 +104,8 @@ int parse_jobs_flag(CliArgs& args) {
 
 std::vector<std::string> CliArgs::unused() const {
   std::vector<std::string> out;
-  for (const auto& [name, _] : flags_) {
-    if (!queried_.contains(name)) out.push_back(name);
+  for (const auto& [token, flag] : tokens_) {
+    if (flag.empty() || !queried_.contains(flag)) out.push_back(token);
   }
   return out;
 }

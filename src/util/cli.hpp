@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pm::util {
@@ -16,7 +17,8 @@ inline constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 class CliArgs {
  public:
   /// Parses argv. Accepts "--name=value", "--name value" and bare "--name"
-  /// (boolean true). Non-flag tokens are collected as positional arguments.
+  /// (boolean true). No program takes positional arguments: a non-flag
+  /// token that is no flag's value is only reported by unused().
   CliArgs(int argc, const char* const* argv);
 
   bool has(const std::string& name) const;
@@ -42,17 +44,19 @@ class CliArgs {
   /// single-value getters above return the LAST occurrence.
   std::vector<std::string> get_strings(const std::string& name) const;
 
-  const std::vector<std::string>& positional() const { return positional_; }
-
-  /// Names seen on the command line that were never queried via get_*.
-  /// Call at the end of flag handling to warn about typos.
+  /// The command-line tokens the program never read, as typed and in
+  /// order: those of each flag never queried via get_* (its value
+  /// included) and every token that belongs to no flag. Call at the end
+  /// of flag handling to warn about typos.
   std::vector<std::string> unused() const;
 
  private:
   std::string program_;
   std::map<std::string, std::vector<std::string>> flags_;
   mutable std::map<std::string, bool> queried_;
-  std::vector<std::string> positional_;
+  /// Every token after the program name, with the name of the flag it
+  /// belongs to ("" for none).
+  std::vector<std::pair<std::string, std::string>> tokens_;
 };
 
 /// The shared --jobs=N flag: scenario-level parallelism for the sweep

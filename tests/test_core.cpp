@@ -237,13 +237,10 @@ TEST(RecoveryPlan, PruneRemovesIdleMappings) {
 TEST(RecoveryPlan, ControllerOfAssignmentPrefersOverride) {
   RecoveryPlan p;
   p.mapping[3] = 1;
-  p.sdn_assignments = {{3, 7}, {3, 8}};
-  p.assignment_controller = {2, -1};  // -1: (3, 8) defers to the mapping
-  EXPECT_EQ(p.controller_of_assignment(3, 7), 2);
-  EXPECT_EQ(p.controller_of_assignment(std::size_t{0}), 2);
-  EXPECT_EQ(p.controller_of_assignment(std::size_t{1}), 1);
-  EXPECT_EQ(p.controller_of_assignment(3, 8), 1);
-  EXPECT_EQ(p.controller_of_assignment(5, 7), -1);
+  p.sdn_assignments = {{3, 7, 2}, {3, 8}};  // (3, 8) defers to the mapping
+  EXPECT_EQ(p.controller_of(p.sdn_assignments[0]), 2);
+  EXPECT_EQ(p.controller_of(p.sdn_assignments[1]), 1);
+  EXPECT_EQ(p.controller_of(Assignment{5, 7}), -1);
 }
 
 TEST(RecoveryPlan, ValidateReportsUnsortedOrDuplicatedAssignments) {
@@ -269,19 +266,6 @@ TEST(RecoveryPlan, ValidateReportsUnsortedOrDuplicatedAssignments) {
   EXPECT_EQ(duplicated.sdn_assignments, p.sdn_assignments);
 }
 
-TEST(RecoveryPlan, ValidateReportsMisalignedControllerVector) {
-  const Network net = small_network(100.0);
-  const FailureState state(net, {{0}});
-  RecoveryPlan p = run_pg(state);
-  ASSERT_EQ(p.assignment_controller.size(), p.sdn_assignments.size());
-  ASSERT_TRUE(validate_plan(state, p).empty());
-  p.assignment_controller.pop_back();
-  const auto problems = validate_plan(state, p);
-  EXPECT_TRUE(std::any_of(problems.begin(), problems.end(), [](const auto& m) {
-    return m.find("assignment_controller has") != std::string::npos;
-  }));
-}
-
 TEST(RecoveryPlan, PgPlanAnswersThePerPairController) {
   // ATT (13, 20): C13 and C20 are controllers 3 and 4. PG slices
   // switches across controllers, so some pair's controller differs from
@@ -289,14 +273,10 @@ TEST(RecoveryPlan, PgPlanAnswersThePerPairController) {
   const Network net = make_att_network();
   const FailureState state(net, {{3, 4}});
   const RecoveryPlan plan = run_pg(state);
-  ASSERT_EQ(plan.assignment_controller.size(), plan.sdn_assignments.size());
   std::size_t sliced = 0;
-  for (std::size_t k = 0; k < plan.sdn_assignments.size(); ++k) {
-    const auto [sw, flow] = plan.sdn_assignments[k];
-    const ControllerId j = plan.assignment_controller[k];
-    EXPECT_EQ(plan.controller_of_assignment(sw, flow), j);
-    EXPECT_EQ(plan.controller_of_assignment(k), j);
-    if (j != plan.controller_of(sw)) ++sliced;
+  for (const Assignment& a : plan.sdn_assignments) {
+    EXPECT_EQ(plan.controller_of(a), a.controller);
+    if (a.controller != plan.controller_of(a.sw)) ++sliced;
   }
   EXPECT_GT(sliced, 0u);
 }
@@ -327,10 +307,9 @@ TEST_P(PmProperty, ProducesValidBalancedPlans) {
 
   // Every mapped switch is used; every assignment sits at a mapped switch.
   std::set<SwitchId> used;
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
-    (void)flow;
-    used.insert(sw);
-    EXPECT_TRUE(plan.mapping.contains(sw));
+  for (const Assignment& a : plan.sdn_assignments) {
+    used.insert(a.sw);
+    EXPECT_TRUE(plan.mapping.contains(a.sw));
   }
   EXPECT_EQ(used.size(), plan.mapping.size());
 }

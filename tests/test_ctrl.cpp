@@ -442,7 +442,7 @@ TEST(ControlPlaneTest, EveryRecoveredFlowGetsATimestamp) {
   const sdwan::FailureState state(att(), {{3}});
   const core::RecoveryPlan plan = core::run_pm(state);
   std::uint64_t pinned = 0;
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
+  for (const auto& [sw, flow, controller] : plan.sdn_assignments) {
     const auto& path = att().flow(flow).path;
     if (path.back() != sw) ++pinned;
   }
@@ -885,7 +885,7 @@ TEST(TransactionalRecovery, CutSwitchesDegradeWholeAndTheRestKeepTheirSlices) {
   EXPECT_GE(report.degraded_flows, 1u);
   // Every assignment on a reachable switch is installed at the
   // committed epoch.
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
+  for (const auto& [sw, flow, controller] : plan.sdn_assignments) {
     if (shared.degraded_switches.contains(sw)) continue;
     const auto& f = att().flow(flow);
     if (f.path.back() == sw) continue;  // nothing to pin

@@ -129,9 +129,8 @@ TEST_F(Headline, PmRecoversTheHubFineGrained) {
   EXPECT_TRUE(plan.mapping.contains(13));
   // Fine granularity: PM controls only part of s13's flows there.
   std::size_t at_13 = 0;
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
-    (void)flow;
-    if (sw == 13) ++at_13;
+  for (const auto& a : plan.sdn_assignments) {
+    if (a.sw == 13) ++at_13;
   }
   EXPECT_GT(at_13, 0u);
   EXPECT_LT(at_13, static_cast<std::size_t>(st.gamma(13)));
@@ -213,10 +212,7 @@ TEST(DataplaneIntegration, RecoveredFlowsForwardAndRerouteable) {
   // legacy tables; recovered flows get explicit entries along their path.
   sdwan::Dataplane dp(att().topology(), sdwan::RoutingMode::kHybrid);
   std::set<FlowId> recovered;
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
-    (void)sw;
-    recovered.insert(flow);
-  }
+  for (const auto& a : plan.sdn_assignments) recovered.insert(a.flow);
   for (FlowId l : recovered) {
     const auto& f = att().flow(l);
     for (std::size_t i = 0; i + 1 < f.path.size(); ++i) {
@@ -239,7 +235,7 @@ TEST(DataplaneIntegration, RecoveredFlowsForwardAndRerouteable) {
   // assignment and divert to a different viable next hop.
   ASSERT_FALSE(plan.sdn_assignments.empty());
   bool rerouted = false;
-  for (const auto& [sw, flow] : plan.sdn_assignments) {
+  for (const auto& [sw, flow, controller] : plan.sdn_assignments) {
     const auto& f = att().flow(flow);
     // Find an alternative next hop with a path to the destination that
     // avoids coming straight back.

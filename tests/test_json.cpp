@@ -206,7 +206,7 @@ TEST(Serialize, PgPlanKeepsPerPairControllers) {
   const core::RecoveryPlan plan = core::run_pg(state);
   const core::RecoveryPlan back = core::plan_from_json(
       JsonValue::parse(core::plan_to_json(plan).to_string()));
-  EXPECT_EQ(back.assignment_controller, plan.assignment_controller);
+  EXPECT_EQ(back.sdn_assignments, plan.sdn_assignments);
 }
 
 TEST(Serialize, MalformedPlanRejected) {

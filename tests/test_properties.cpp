@@ -125,7 +125,7 @@ TEST(AlgorithmProperties, PmAssignmentsImplyOpportunities) {
     for (const auto& sc : sdwan::enumerate_failures(net, k)) {
       const sdwan::FailureState st(net, sc);
       const auto plan = core::run_pm(st);
-      for (const auto& [sw, flow] : plan.sdn_assignments) {
+      for (const auto& [sw, flow, controller] : plan.sdn_assignments) {
         const auto& opps = st.opportunities(flow);
         EXPECT_TRUE(std::any_of(opps.begin(), opps.end(),
                                 [&](const auto& o) { return o.sw == sw; }))
@@ -145,9 +145,8 @@ TEST(AlgorithmProperties, PgSlicesRespectPerControllerCapacity) {
         << net.controller(j).name;
   }
   // Every assignment has an explicit per-pair controller.
-  ASSERT_EQ(plan.assignment_controller.size(), plan.sdn_assignments.size());
-  for (const sdwan::ControllerId j : plan.assignment_controller) {
-    EXPECT_GE(j, 0);
+  for (const core::Assignment& a : plan.sdn_assignments) {
+    EXPECT_GE(a.controller, 0);
   }
 }
 

@@ -150,7 +150,6 @@ TEST(SerializeProperty, RoundTripPreservesEveryField) {
   EXPECT_EQ(back.mapping, plan.mapping);
   EXPECT_EQ(back.sdn_assignments, plan.sdn_assignments);
   EXPECT_EQ(back.whole_switch_control, plan.whole_switch_control);
-  EXPECT_EQ(back.assignment_controller, plan.assignment_controller);
   EXPECT_DOUBLE_EQ(back.middle_layer_ms, plan.middle_layer_ms);
   EXPECT_DOUBLE_EQ(back.solve_seconds, plan.solve_seconds);
 }
@@ -245,7 +244,6 @@ TEST(SerializeProperty, UnsortedOrDuplicatedAssignmentsParseToTheSortedPlan) {
   entries = std::move(shuffled);
   const core::RecoveryPlan back = core::plan_from_json(json);
   EXPECT_EQ(back.sdn_assignments, plan.sdn_assignments);
-  EXPECT_EQ(back.assignment_controller, plan.assignment_controller);
   EXPECT_EQ(core::plan_to_json(back).to_string(),
             core::plan_to_json(plan).to_string());
   EXPECT_TRUE(core::validate_plan(state, back).empty());
@@ -270,12 +268,12 @@ TEST(SerializeWriter, WholeSwitchAndPartialPerAssignmentControllers) {
   // PG with controllers recorded for only some assignments: every other
   // entry, plus the first and the last, defers to the mapping (-1).
   core::RecoveryPlan pg = core::run_pg(state);
-  ASSERT_GT(pg.assignment_controller.size(), 4u);
-  for (std::size_t k = 1; k < pg.assignment_controller.size(); k += 2) {
-    pg.assignment_controller[k] = -1;
+  ASSERT_GT(pg.sdn_assignments.size(), 4u);
+  for (std::size_t k = 1; k < pg.sdn_assignments.size(); k += 2) {
+    pg.sdn_assignments[k].controller = -1;
   }
-  pg.assignment_controller.front() = -1;
-  pg.assignment_controller.back() = -1;
+  pg.sdn_assignments.front().controller = -1;
+  pg.sdn_assignments.back().controller = -1;
   expect_writer_matches_dom("pg", pg, core::evaluate_plan(state, pg));
 }
 
@@ -305,12 +303,11 @@ TEST(SerializeWriter, RandomPlansMatchTheDom) {
       plan.mapping[sw] = static_cast<sdwan::ControllerId>(rng() % 6);
       const int flows = static_cast<int>(rng() % 8);
       for (int f = 0; f < flows; ++f) {
-        const auto pair =
-            std::make_pair(sw, static_cast<sdwan::FlowId>(rng() % 600));
-        plan.sdn_assignments.push_back(pair);
-        plan.assignment_controller.push_back(
-            rng() % 3 == 0 ? static_cast<sdwan::ControllerId>(rng() % 6)
-                           : -1);
+        const auto flow = static_cast<sdwan::FlowId>(rng() % 600);
+        plan.sdn_assignments.push_back(
+            {sw, flow,
+             rng() % 3 == 0 ? static_cast<sdwan::ControllerId>(rng() % 6)
+                            : -1});
       }
     }
     core::sort_assignments(plan);

@@ -215,8 +215,7 @@ TEST(Cli, ParsesAllForms) {
   EXPECT_EQ(args.get_int("a", 0, 0, 9), 1);
   EXPECT_EQ(args.get_int("b", 0, 0, 9), 2);
   EXPECT_TRUE(args.get_bool("flag", false));
-  ASSERT_EQ(args.positional().size(), 1u);
-  EXPECT_EQ(args.positional()[0], "pos");
+  EXPECT_EQ(args.unused(), std::vector<std::string>{"pos"});
 }
 
 TEST(Cli, FallbacksOnMissingOrMalformed) {
@@ -285,7 +284,19 @@ TEST(Cli, UnusedFlagsReported) {
   (void)args.get_int("used", 0, 0, 9);
   const auto unused = args.unused();
   ASSERT_EQ(unused.size(), 1u);
-  EXPECT_EQ(unused[0], "typo");
+  EXPECT_EQ(unused[0], "--typo=2");
+}
+
+TEST(Cli, StrayTokensAndUnreadFlagValuesReported) {
+  // No program takes positional arguments: a token that is no flag's
+  // value is unread, and so is the value an unread flag took.
+  const char* argv[] = {"prog", "stray", "--used", "1",
+                        "--bogus", "value", "--quiet"};
+  CliArgs args(7, argv);
+  EXPECT_EQ(args.get_int("used", 0, 0, 9), 1);
+  EXPECT_TRUE(args.get_bool("quiet", false));
+  EXPECT_EQ(args.unused(),
+            (std::vector<std::string>{"stray", "--bogus", "value"}));
 }
 
 TEST(Cli, NegativeNumberAsSeparateValue) {
