@@ -7,17 +7,21 @@
 //   3. Declare a controller failure and derive the FailureState.
 //   4. Run ProgrammabilityMedic and inspect the recovery plan.
 //
-// Build & run:  ./build/examples/quickstart
+// Build & run:  ./build/examples/quickstart [--log-level=LEVEL]
 #include <iostream>
 
 #include "core/metrics.hpp"
 #include "core/pm_algorithm.hpp"
+#include "obs/obs.hpp"
 #include "sdwan/failure.hpp"
 #include "topo/topology.hpp"
+#include "util/cli.hpp"
 #include "util/strings.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pm;
+  util::CliArgs args(argc, argv);
+  obs::apply_log_level_flag(args);
 
   // --- 1. Topology: two domains of a small WAN.
   topo::Topology topo("quickstart");

@@ -1,6 +1,7 @@
 #include "ctrl/controller.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/obs.hpp"
 
@@ -32,17 +33,13 @@ ControllerNode::ControllerNode(const sdwan::Network& net,
       config_(config) {
   const auto switches = static_cast<std::size_t>(net.switch_count());
   const auto controllers = static_cast<std::size_t>(net.controller_count());
-  if (shared.role_pending.size() < switches) {
-    shared.role_pending.resize(switches, 0);
-    shared.wave_masters.resize(switches, -1);
-  }
+  if (shared.requests.size() < switches) shared.requests.resize(switches);
   if (shared.suspicions.size() < controllers) {
     shared.suspicions.resize(controllers);
   }
   last_heard_.assign(controllers, 0.0);
   next_beat_.assign(controllers, 0);
   miss_counts_.assign(controllers, 0);
-  role_retries_.resize(switches);
 }
 
 void ControllerNode::start() {
@@ -59,7 +56,6 @@ void ControllerNode::start() {
 
 void ControllerNode::fail() {
   alive_ = false;
-  cancel_wave_timers();
   channel_->detach(controller_endpoint(*net_, id_));
 }
 
@@ -151,16 +147,12 @@ void ControllerNode::run_recovery() {
   core::RecoveryPlan plan = policy_(
       state, shared_->last_plan ? &*shared_->last_plan : nullptr);
   ++recoveries_run_;
-  // A new wave supersedes the old one: stale retransmission timers must
-  // not resend a superseded plan's messages.
-  cancel_wave_timers();
   const double now = queue_->now();
   obs::Context* obs = channel_->observability();
-  if (shared_->phase == WavePhase::kPreparing) {
+  if (shared_->preparing()) {
     // The previous wave never committed; this wave supersedes it (its
-    // epoch bump invalidates every in-flight message and timer).
+    // epoch bump retires every in-flight message and timer).
     ++shared_->waves_aborted;
-    shared_->phase = WavePhase::kAborted;
     if (obs != nullptr && obs->tracer.enabled()) {
       obs->tracer.instant(
           now, "wave", "wave.abort", tracks::kWaves,
@@ -179,17 +171,17 @@ void ControllerNode::run_recovery() {
            {"successor", static_cast<int>(id_)}});
     }
   }
-  // Switches an earlier wave sent a slice to (delivered or still in
-  // flight), marked by a sender: the only switches that can hold entries.
-  const std::vector<sdwan::ControllerId> reached = shared_->wave_masters;
+  // The previous wave's records, swapped for empty ones: a switch with a
+  // sender there was sent a slice (delivered or still in flight), and
+  // only such switches can hold entries.
+  const std::vector<SwitchRequest> previous = std::exchange(
+      shared_->requests,
+      std::vector<SwitchRequest>(shared_->requests.size()));
   shared_->coordinator = id_;
   ++shared_->wave_epoch;
   shared_->converged_at = -1.0;
-  std::fill(shared_->role_pending.begin(), shared_->role_pending.end(), 0);
   shared_->pending_replies = 0;
   shared_->wave_started_at = now;
-  shared_->phase = WavePhase::kPreparing;
-  std::fill(shared_->wave_masters.begin(), shared_->wave_masters.end(), -1);
   if (obs != nullptr && obs->tracer.enabled()) {
     obs->tracer.instant(
         now, "wave", "wave.start", tracks::kWaves,
@@ -227,14 +219,14 @@ void ControllerNode::run_recovery() {
         }
       }
     }
-    const bool persistent = reached[static_cast<std::size_t>(sw)] >= 0;
     send_slice(sw, live_or_self(planned), std::move(entries),
-               plan.middle_layer_ms, persistent);
+               plan.middle_layer_ms,
+               previous[static_cast<std::size_t>(sw)].sender >= 0);
   }
   // Sweep: an empty slice from this node to every switch an earlier wave
   // reached that the new plan leaves out.
-  for (std::size_t sw = 0; sw < reached.size(); ++sw) {
-    if (reached[sw] >= 0 && shared_->wave_masters[sw] < 0) {
+  for (std::size_t sw = 0; sw < previous.size(); ++sw) {
+    if (previous[sw].sender >= 0 && shared_->requests[sw].sender < 0) {
       send_slice(static_cast<sdwan::SwitchId>(sw), id_, {}, 0.0, true);
     }
   }
@@ -251,8 +243,9 @@ void ControllerNode::send_slice(sdwan::SwitchId sw,
                                 sdwan::ControllerId sender,
                                 std::vector<sdwan::FlowEntry> entries,
                                 double extra, bool persistent) {
-  const auto s = static_cast<std::size_t>(sw);
-  Retry r;
+  SwitchRequest& r = shared_->requests[static_cast<std::size_t>(sw)];
+  r.sender = sender;
+  r.pending = true;
   r.msg.from = controller_endpoint(*net_, sender);
   r.msg.to = switch_endpoint(sw);
   r.msg.body = RoleRequest{sender, shared_->wave_epoch, std::move(entries)};
@@ -265,26 +258,18 @@ void ControllerNode::send_slice(sdwan::SwitchId sw,
   r.rto_ms = 2.0 * channel_->path_delay_ms(r.msg.from, r.msg.to) + extra +
              kRetransmitMarginMs;
   r.persistent = persistent;
-  r.timer = queue_->schedule_in(r.rto_ms, [this, sw] { on_role_timer(sw); });
-  role_retries_[s] = std::move(r);
-  shared_->role_pending[s] = 1;
   ++shared_->pending_replies;
-  shared_->wave_masters[s] = sender;
+  queue_->schedule_in(r.rto_ms, [this, sw, epoch = shared_->wave_epoch] {
+    on_role_timer(sw, epoch);
+  });
 }
 
-void ControllerNode::on_role_timer(sdwan::SwitchId sw) {
-  std::optional<Retry>& slot = role_retries_[static_cast<std::size_t>(sw)];
-  if (!slot) return;
-  Retry& r = *slot;
-  if (!alive_ ||
-      std::get<RoleRequest>(r.msg.body).epoch != shared_->wave_epoch ||
-      shared_->role_pending[static_cast<std::size_t>(sw)] == 0) {
-    slot.reset();
-    return;
-  }
+void ControllerNode::on_role_timer(sdwan::SwitchId sw, std::uint64_t epoch) {
+  SwitchRequest& r = shared_->requests[static_cast<std::size_t>(sw)];
+  if (!alive_ || epoch != shared_->wave_epoch || !r.pending) return;
   if (!channel_->is_attached(r.msg.from) ||
       (r.attempts >= kMaxRetries && !r.persistent)) {
-    shared_->role_pending[static_cast<std::size_t>(sw)] = 0;
+    r.pending = false;
     --shared_->pending_replies;
     shared_->degraded_switches.insert(sw);
     if (obs::Context* obs = channel_->observability();
@@ -294,31 +279,21 @@ void ControllerNode::on_role_timer(sdwan::SwitchId sw) {
                           {{"switch", static_cast<int>(sw)},
                            {"attempts", r.attempts}});
     }
-    slot.reset();
     maybe_mark_converged();
     return;
   }
   // Past kMaxRetries (a persistent request) the timeout stops growing.
   if (r.attempts++ < kMaxRetries) r.rto_ms *= kRetransmitBackoff;
   channel_->resend(r.msg, r.extra_latency_ms);
-  r.timer =
-      queue_->schedule_in(r.rto_ms, [this, sw] { on_role_timer(sw); });
-}
-
-void ControllerNode::cancel_wave_timers() {
-  for (std::optional<Retry>& r : role_retries_) {
-    if (r) queue_->cancel(r->timer);
-    r.reset();
-  }
+  queue_->schedule_in(r.rto_ms,
+                      [this, sw, epoch] { on_role_timer(sw, epoch); });
 }
 
 void ControllerNode::maybe_mark_converged() {
-  if (shared_->phase == WavePhase::kPreparing &&
-      shared_->pending_replies == 0) {
+  if (shared_->preparing() && shared_->pending_replies == 0) {
     shared_->converged_at = queue_->now();
     // Commit: the last reply landed, the distributed plan is now the data
     // plane's truth.
-    shared_->phase = WavePhase::kCommitted;
     shared_->committed_epoch = shared_->wave_epoch;
     if (shared_->last_plan) shared_->committed_plan = shared_->last_plan;
     if (obs::Context* obs = channel_->observability();
@@ -384,10 +359,10 @@ void ControllerNode::on_message(const Message& m) {
       ++shared_->stale_discarded;
       return;
     }
-    char& pending =
-        shared_->role_pending[static_cast<std::size_t>(reply->sw)];
-    if (pending != 0) {
-      pending = 0;
+    bool& pending =
+        shared_->requests[static_cast<std::size_t>(reply->sw)].pending;
+    if (pending) {
+      pending = false;
       --shared_->pending_replies;
     }
     // A late reply (after the request degraded) un-degrades the switch.

@@ -46,10 +46,14 @@
 //    every switch that can hold an entry, so commit leaves no entry
 //    outside the committed plan and no entry of an older epoch;
 //  * if the coordinator dies mid-wave, the surviving lowest-id controller
-//    detects it, ABORTS the preparing wave (epoch bump kills its timers
-//    and messages), recomputes the plan against the updated failure set —
-//    seeded from the shared store's last distributed plan — and re-runs
-//    the wave as the new coordinator;
+//    detects it, ABORTS the preparing wave (the epoch bump retires its
+//    timers and messages), recomputes the plan against the updated
+//    failure set — seeded from the shared store's last distributed plan —
+//    and re-runs the wave as the new coordinator;
+//  * the epoch is the only thing that retires a superseded wave's work:
+//    each retransmission timer carries the epoch it was armed in and
+//    does nothing once a newer wave has begun (or its node died), so no
+//    timer is ever cancelled;
 //  * no controller sends from a dead peer's endpoint: a slice whose
 //    mapped master has died (detected or not) is sent by the coordinator,
 //    which takes the switch itself.
@@ -96,31 +100,41 @@ struct ControllerConfig {
   int suspicion_checks = 1;
 };
 
-/// Lifecycle of one recovery wave through the shared store.
-enum class WavePhase {
-  kIdle,       ///< no wave has run yet
-  kPreparing,  ///< plan distributed, replies outstanding
-  kCommitted,  ///< last reply landed; plan is the data plane's truth
-  kAborted,    ///< superseded mid-prepare (new failure / coordinator death)
+/// One switch's RoleRequest in the current recovery wave.
+struct SwitchRequest {
+  /// Sender of the request (plan mapping, or the coordinator for a
+  /// sweep), -1 if the wave sent the switch none. A switch with a sender
+  /// has been sent a slice by some wave.
+  sdwan::ControllerId sender = -1;
+  /// The request awaits its reply.
+  bool pending = false;
+  /// What a retransmission resends, at the same extra latency.
+  Message msg;
+  double extra_latency_ms = 0.0;
+  int attempts = 0;
+  double rto_ms = 0.0;
+  /// An earlier wave reached the switch: never degrade while the sender
+  /// is attached.
+  bool persistent = false;
 };
 
 /// The controllers' logically centralized data store (the paper's control
-/// plane synchronizes state across controllers): the replies outstanding
-/// in the current recovery wave, shared by every ControllerNode so an
-/// adopter's reply completes the coordinator's wave; plus the cumulative
-/// degradation record of switches whose requests exhausted their retries.
+/// plane synchronizes state across controllers): the current recovery
+/// wave's requests, shared by every ControllerNode so an adopter's reply
+/// completes the coordinator's wave; plus the cumulative degradation
+/// record of switches whose requests exhausted their retries.
 struct SharedRecoveryState {
-  /// Switch-indexed: the switch's RoleRequest awaits its reply.
-  std::vector<char> role_pending;
-  /// Replies outstanding in the current wave (role_pending set).
+  /// Switch-indexed: the current wave's request to the switch.
+  std::vector<SwitchRequest> requests;
+  /// Replies outstanding in the current wave (requests pending).
   std::size_t pending_replies = 0;
   double converged_at = -1.0;
   /// When the current wave's distribution began (simulated clock); feeds
   /// the wave-convergence histogram and the trace's wave span.
   double wave_started_at = -1.0;
-  /// Bumped per recovery wave and stamped into every RoleRequest; stale
-  /// retransmission timers and in-flight messages from an earlier wave
-  /// observe the mismatch and die.
+  /// Bumped per recovery wave and stamped into every RoleRequest and
+  /// retransmission timer; stale timers and in-flight messages from an
+  /// earlier wave observe the mismatch and die.
   std::uint64_t wave_epoch = 0;
   /// Switches whose RoleRequest retries exhausted: left on their legacy
   /// tables until a later wave reaches them (a reply removes them).
@@ -130,18 +144,17 @@ struct SharedRecoveryState {
   std::vector<std::set<sdwan::ControllerId>> suspicions;
 
   // --- Transaction state (prepare -> commit) ----------------------------
-  WavePhase phase = WavePhase::kIdle;
   /// Controller coordinating the current/last wave.
   sdwan::ControllerId coordinator = -1;
-  /// Switch-indexed sender of the switch's request in the current wave
-  /// (plan mapping, or the coordinator for a sweep), -1 if none. A switch
-  /// with an entry here has been sent a slice by some wave.
-  std::vector<sdwan::ControllerId> wave_masters;
   /// Plan of the wave being prepared (the coordinator-failover seed) and
   /// the last plan whose wave fully committed.
   std::optional<core::RecoveryPlan> last_plan;
   std::optional<core::RecoveryPlan> committed_plan;
   std::uint64_t committed_epoch = 0;
+
+  /// The current wave was distributed and has not committed yet (replies
+  /// outstanding). No wave has run while both epochs are 0.
+  bool preparing() const { return committed_epoch < wave_epoch; }
 
   // --- Transaction counters (published as metrics) ----------------------
   /// Replies discarded at controllers for an epoch mismatch.
@@ -197,18 +210,6 @@ class ControllerNode {
   }
 
  private:
-  /// One unanswered RoleRequest awaiting retransmission.
-  struct Retry {
-    Message msg;
-    double extra_latency_ms = 0.0;
-    int attempts = 0;
-    double rto_ms = 0.0;
-    /// An earlier wave reached the switch: never degrade while the
-    /// sender is attached.
-    bool persistent = false;
-    sim::EventId timer = 0;
-  };
-
   void on_message(const Message& m);
   void beat();
   void check_peers();
@@ -221,15 +222,17 @@ class ControllerNode {
   /// never speaks from a dead controller's endpoint, it takes charge of
   /// the dead one's switches itself (the graceful-restart helper role).
   sdwan::ControllerId live_or_self(sdwan::ControllerId j) const;
-  /// Sends `sw` its slice from `sender`, marks the reply pending in the
-  /// current wave and arms the retransmission timer. A wave calls it at
-  /// most once per switch and retries resend the same message, so every
-  /// request a switch sees at one epoch is the same (switch_agent.hpp).
+  /// Sends `sw` its slice from `sender`, records the request pending in
+  /// the current wave and arms the retransmission timer. A wave calls it
+  /// at most once per switch and retries resend the same message, so
+  /// every request a switch sees at one epoch is the same
+  /// (switch_agent.hpp).
   void send_slice(sdwan::SwitchId sw, sdwan::ControllerId sender,
                   std::vector<sdwan::FlowEntry> entries, double extra,
                   bool persistent);
-  void on_role_timer(sdwan::SwitchId sw);
-  void cancel_wave_timers();
+  /// Retransmission timer of `sw`'s request, armed in wave `epoch`: a
+  /// no-op once this node died, a newer wave began or the reply landed.
+  void on_role_timer(sdwan::SwitchId sw, std::uint64_t epoch);
   void maybe_mark_converged();
 
   const sdwan::Network* net_;
@@ -254,9 +257,6 @@ class ControllerNode {
   double first_detection_at_ = -1.0;
   std::uint64_t spurious_detections_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
-
-  /// Switch-indexed.
-  std::vector<std::optional<Retry>> role_retries_;
 
   std::uint64_t recoveries_run_ = 0;
 };

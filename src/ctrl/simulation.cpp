@@ -183,9 +183,6 @@ void ControlSimulation::write_metrics(const SimulationReport& report,
   set_counter("pm_sim_events_executed_total",
               "Event-queue callbacks executed",
               queue_.executed_total());
-  set_counter("pm_sim_events_cancelled_total",
-              "Cancelled event-queue entries skipped on pop",
-              queue_.cancelled_skipped_total());
   set_counter("pm_recovery_waves_total",
               "Recovery waves run by coordinators", report.recovery_waves);
   set_counter("pm_duplicates_suppressed_total",

@@ -117,7 +117,7 @@ class ControlSimulation {
   }
   sim::EventQueue& queue() { return queue_; }
 
-  /// The shared recovery store (transaction phase, committed plan/epoch,
+  /// The shared recovery store (wave and committed epochs, committed plan,
   /// degradation records) — read-only, for tests and audits.
   const SharedRecoveryState& shared_state() const { return shared_; }
 

@@ -58,7 +58,6 @@ class BranchAndBound {
     stack.push_back({{}, maximize_ ? kInfinity : -kInfinity});
     double best_open_bound = stack.back().parent_bound;
     bool any_limit_hit = false;
-    bool root_infeasible = false;
 
     while (!stack.empty()) {
       if (result.nodes_explored >= options_.node_limit ||
@@ -75,10 +74,7 @@ class BranchAndBound {
 
       Model local = apply_bounds(node);
       const LpResult lp = solve_lp(local);
-      if (lp.status == LpStatus::kInfeasible) {
-        if (result.nodes_explored == 1) root_infeasible = true;
-        continue;
-      }
+      if (lp.status == LpStatus::kInfeasible) continue;
       if (lp.status == LpStatus::kUnbounded) {
         // An unbounded relaxation at the root makes the MIP unbounded or
         // infeasible; report unbounded and stop.
@@ -137,7 +133,6 @@ class BranchAndBound {
         result.best_bound = incumbent_value_;
       } else {
         result.status = MipStatus::kInfeasible;
-        (void)root_infeasible;
       }
     } else {
       result.status = have_incumbent_ ? MipStatus::kFeasible
@@ -270,71 +265,15 @@ class BranchAndBound {
   }
 
   const Model& model_;
-  MipOptions options_;
+  const MipOptions& options_;
   bool maximize_;
   std::vector<double> incumbent_;
   double incumbent_value_ = 0.0;
   bool have_incumbent_ = false;
 };
 
-}  // namespace
-
-MipResult solve_mip(const Model& model, const MipOptions& options) {
-  if (options.presolve) {
-    PresolveResult pre = presolve(model);
-    if (pre.infeasible) {
-      MipResult r;
-      r.status = MipStatus::kInfeasible;
-      return r;
-    }
-    MipOptions inner = options;
-    inner.presolve = false;
-    // Project the warm start into the reduced space; drop it when it
-    // contradicts a presolve fixing.
-    if (options.warm_start &&
-        options.warm_start->size() == static_cast<std::size_t>(
-                                          model.variable_count())) {
-      bool consistent = true;
-      for (std::size_t j = 0; j < pre.is_fixed.size(); ++j) {
-        if (pre.is_fixed[j] &&
-            std::abs((*options.warm_start)[j] - pre.fixed_value[j]) >
-                1e-6) {
-          consistent = false;
-          break;
-        }
-      }
-      if (consistent) {
-        std::vector<double> reduced_ws;
-        reduced_ws.reserve(pre.original_index.size());
-        for (int orig : pre.original_index) {
-          reduced_ws.push_back(
-              (*options.warm_start)[static_cast<std::size_t>(orig)]);
-        }
-        inner.warm_start = std::move(reduced_ws);
-      } else {
-        inner.warm_start.reset();
-      }
-    }
-    MipResult r = solve_mip(pre.reduced, inner);
-    // Objective contribution of the variables presolve fixed.
-    double fixed_obj = 0.0;
-    for (std::size_t j = 0; j < pre.is_fixed.size(); ++j) {
-      if (pre.is_fixed[j]) {
-        fixed_obj +=
-            model.variable(static_cast<int>(j)).objective *
-            pre.fixed_value[j];
-      }
-    }
-    if (r.has_solution()) {
-      r.x = pre.restore(r.x);
-      r.objective = model.objective_value(r.x);
-    }
-    if (r.status != MipStatus::kInfeasible &&
-        r.status != MipStatus::kUnbounded) {
-      r.best_bound += fixed_obj;
-    }
-    return r;
-  }
+/// Solves a model presolve has already reduced.
+MipResult solve_reduced(const Model& model, const MipOptions& options) {
   if (!model.has_integer_variables()) {
     // Pure LP: translate the result.
     const LpResult lp = solve_lp(model);
@@ -361,6 +300,61 @@ MipResult solve_mip(const Model& model, const MipOptions& options) {
   }
   BranchAndBound solver(model, options);
   return solver.run();
+}
+
+}  // namespace
+
+MipResult solve_mip(const Model& model, const MipOptions& options) {
+  PresolveResult pre = presolve(model);
+  if (pre.infeasible) {
+    MipResult r;
+    r.status = MipStatus::kInfeasible;
+    return r;
+  }
+  MipOptions inner = options;
+  // Project the warm start into the reduced space; drop it when it
+  // contradicts a presolve fixing.
+  if (options.warm_start &&
+      options.warm_start->size() ==
+          static_cast<std::size_t>(model.variable_count())) {
+    bool consistent = true;
+    for (std::size_t j = 0; j < pre.is_fixed.size(); ++j) {
+      if (pre.is_fixed[j] &&
+          std::abs((*options.warm_start)[j] - pre.fixed_value[j]) > 1e-6) {
+        consistent = false;
+        break;
+      }
+    }
+    if (consistent) {
+      std::vector<double> reduced_ws;
+      reduced_ws.reserve(pre.original_index.size());
+      for (int orig : pre.original_index) {
+        reduced_ws.push_back(
+            (*options.warm_start)[static_cast<std::size_t>(orig)]);
+      }
+      inner.warm_start = std::move(reduced_ws);
+    } else {
+      inner.warm_start.reset();
+    }
+  }
+  MipResult r = solve_reduced(pre.reduced, inner);
+  // Objective contribution of the variables presolve fixed.
+  double fixed_obj = 0.0;
+  for (std::size_t j = 0; j < pre.is_fixed.size(); ++j) {
+    if (pre.is_fixed[j]) {
+      fixed_obj +=
+          model.variable(static_cast<int>(j)).objective * pre.fixed_value[j];
+    }
+  }
+  if (r.has_solution()) {
+    r.x = pre.restore(r.x);
+    r.objective = model.objective_value(r.x);
+  }
+  if (r.status != MipStatus::kInfeasible &&
+      r.status != MipStatus::kUnbounded) {
+    r.best_bound += fixed_obj;
+  }
+  return r;
 }
 
 }  // namespace pm::milp

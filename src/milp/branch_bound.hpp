@@ -27,8 +27,6 @@ struct MipOptions {
   long node_limit = 100000;
   /// Optional feasible starting solution (checked; ignored if infeasible).
   std::optional<std::vector<double>> warm_start;
-  /// Run the presolve reductions (milp/presolve.hpp) before the search.
-  bool presolve = true;
 };
 
 enum class MipStatus {

@@ -10,7 +10,7 @@
 //
 // The reductions preserve the optimal value exactly; restore() lifts a
 // reduced-space solution back to the original variable order. solve_mip
-// runs presolve by default (MipOptions::presolve).
+// always presolves before its search.
 #pragma once
 
 #include <vector>

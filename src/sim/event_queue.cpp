@@ -24,32 +24,18 @@ std::uint32_t EventQueue::acquire_slot() {
     free_slots_.pop_back();
     return slot;
   }
-  const auto slot = static_cast<std::uint32_t>(slot_ids_.size());
+  const std::uint32_t slot = slot_count_;
   if (slot > kSlotMask) throw std::length_error("EventQueue: too many events");
   if ((slot & (kChunkSize - 1)) == 0) {
     chunks_.push_back(std::make_unique<Task[]>(kChunkSize));
   }
-  slot_ids_.push_back(0);
+  ++slot_count_;
   return slot;
 }
 
-EventId EventQueue::push(TimeMs at, std::uint32_t slot) {
-  const EventId id = (next_seq_++ << kSlotBits) | slot;
-  slot_ids_[slot] = id;
-  heap_.push_back({std::max(at, now_), id});
+void EventQueue::push(TimeMs at, std::uint32_t slot) {
+  heap_.push_back({std::max(at, now_), (next_seq_++ << kSlotBits) | slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return id;
-}
-
-bool EventQueue::cancel(EventId id) {
-  const std::uint64_t slot = id & kSlotMask;
-  if (id == 0 || slot >= slot_ids_.size() || slot_ids_[slot] != id) {
-    return false;
-  }
-  // The key stays queued (and the slot reserved) until it is popped.
-  slot_ids_[slot] = 0;
-  task(static_cast<std::uint32_t>(slot)).reset();
-  return true;
 }
 
 std::size_t EventQueue::run(TimeMs until) {
@@ -59,12 +45,6 @@ std::size_t EventQueue::run(TimeMs until) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
     const auto slot = static_cast<std::uint32_t>(key.id & kSlotMask);
-    if (slot_ids_[slot] != key.id) {
-      ++cancelled_skipped_total_;
-      free_slots_.push_back(slot);
-      continue;
-    }
-    slot_ids_[slot] = 0;
     now_ = key.at;
     ++executed;
     // Chunks never move, so the task runs in place even if it schedules

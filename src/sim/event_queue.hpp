@@ -5,16 +5,14 @@
 // Layout: the binary heap holds 16-byte (at, id) keys only; the
 // callbacks live in a slab of reused Task slots (inline storage, chunked
 // so a slot never moves), and a popped event runs in place — nothing is
-// copied or reallocated on the dispatch path. An EventId packs the
-// scheduling sequence number (high bits, so ids order like the schedule)
-// with the slot index (low bits).
+// copied or reallocated on the dispatch path. An id packs the scheduling
+// sequence number (high bits, so ids order like the schedule) with the
+// slot index (low bits).
 //
-// schedule_* returns an EventId that can be cancelled: cancellation is
-// lazy (the key stays queued, its callback is destroyed at once and the
-// key is skipped on pop), so it is O(1) and does not perturb the
-// ordering of surviving events. The protocol agents use it to kill
-// stale retransmission timers when a new recovery wave supersedes an
-// old one.
+// Every scheduled event runs: there is no cancellation. A callback that
+// may have gone stale by the time it fires checks that itself (the
+// protocol's retransmission timers compare the wave epoch they were
+// armed in with the current one, see ctrl/controller.hpp).
 #pragma once
 
 #include <algorithm>
@@ -30,9 +28,6 @@ namespace pm::sim {
 
 /// Simulated time in milliseconds.
 using TimeMs = double;
-
-/// Handle of a scheduled event; 0 is never a valid id.
-using EventId = std::uint64_t;
 
 /// A move-only `void()` callable. Callables up to kInlineBytes (a
 /// control-message delivery closure is about 90 bytes) live inline;
@@ -150,39 +145,30 @@ class EventQueue {
 
   /// Schedules `fn` at absolute time `at` (>= now, else clamped to now).
   template <typename F>
-  EventId schedule_at(TimeMs at, F&& fn) {
+  void schedule_at(TimeMs at, F&& fn) {
     const std::uint32_t slot = acquire_slot();
     task(slot).assign(std::forward<F>(fn));
-    return push(at, slot);
+    push(at, slot);
   }
 
   /// Schedules `fn` `delay` ms from now.
   template <typename F>
-  EventId schedule_in(TimeMs delay, F&& fn) {
-    return schedule_at(now_ + std::max(delay, 0.0), std::forward<F>(fn));
+  void schedule_in(TimeMs delay, F&& fn) {
+    schedule_at(now_ + std::max(delay, 0.0), std::forward<F>(fn));
   }
-
-  /// Cancels a pending event so its callback never runs (the callback is
-  /// destroyed at once). Returns false, and changes nothing, for
-  /// never-issued, already-cancelled, running or already-fired ids.
-  bool cancel(EventId id);
 
   TimeMs now() const { return now_; }
 
   /// Runs events until the queue empties or `until` is passed.
-  /// Returns the number of events executed (cancelled entries excluded).
+  /// Returns the number of events executed.
   std::size_t run(TimeMs until = 1e18);
 
   bool empty() const { return heap_.empty(); }
-  /// Pending entries, including not-yet-popped cancelled ones.
   std::size_t pending() const { return heap_.size(); }
 
-  /// Lifetime dispatch statistics, summed over every run() call; the
-  /// observability layer publishes them as simulation metrics.
+  /// Lifetime count of executed events, summed over every run() call;
+  /// the observability layer publishes it as a simulation metric.
   std::uint64_t executed_total() const { return executed_total_; }
-  std::uint64_t cancelled_skipped_total() const {
-    return cancelled_skipped_total_;
-  }
 
  private:
   static constexpr int kSlotBits = 24;
@@ -192,25 +178,22 @@ class EventQueue {
 
   struct Key {
     TimeMs at;
-    EventId id;  // (seq << kSlotBits) | slot: orders like seq
+    std::uint64_t id;  // (seq << kSlotBits) | slot: orders like seq
   };
 
   Task& task(std::uint32_t slot) {
     return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
   }
   std::uint32_t acquire_slot();
-  EventId push(TimeMs at, std::uint32_t slot);
+  void push(TimeMs at, std::uint32_t slot);
 
   std::vector<Key> heap_;
   std::vector<std::unique_ptr<Task[]>> chunks_;
-  /// The id each slot's pending event carries; 0 once it runs, is
-  /// cancelled or the slot is free.
-  std::vector<EventId> slot_ids_;
+  std::uint32_t slot_count_ = 0;
   std::vector<std::uint32_t> free_slots_;
   TimeMs now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_total_ = 0;
-  std::uint64_t cancelled_skipped_total_ = 0;
 };
 
 }  // namespace pm::sim

@@ -722,7 +722,7 @@ TEST(TransactionalRecovery, CoordinatorKilledMidWaveFailsOverAndReplans) {
   EXPECT_GE(report.coordinator_failovers, 1u);
   EXPECT_TRUE(report.audit_clean) << report.audit_violations;
   const SharedRecoveryState& shared = simulation.shared_state();
-  EXPECT_EQ(shared.phase, WavePhase::kCommitted);
+  EXPECT_GT(shared.wave_epoch, 0u);
   ASSERT_TRUE(shared.committed_plan.has_value());
   EXPECT_EQ(shared.committed_epoch, shared.wave_epoch);
   // The successor, not the dead node, owns the committed wave.
@@ -760,7 +760,8 @@ TEST(TransactionalRecovery, AdopterKilledMidWaveIsReplannedAround) {
   EXPECT_TRUE(report.all_flows_deliverable);
   EXPECT_TRUE(report.audit_clean) << report.audit_violations;
   const SharedRecoveryState& shared = simulation.shared_state();
-  EXPECT_EQ(shared.phase, WavePhase::kCommitted);
+  EXPECT_EQ(shared.committed_epoch, shared.wave_epoch);
+  EXPECT_GT(shared.wave_epoch, 0u);
   ASSERT_TRUE(shared.committed_plan.has_value());
   // Nothing in the committed plan may reference the dead adopter.
   for (const auto& [sw, j] : shared.committed_plan->mapping) {
@@ -803,7 +804,9 @@ TEST(TransactionalRecovery, CorrelatedMidWaveKillsStillConverge) {
       ADD_FAILURE() << v.invariant << ": " << v.detail;
     }
   }
-  EXPECT_EQ(simulation.shared_state().phase, WavePhase::kCommitted);
+  EXPECT_EQ(simulation.shared_state().committed_epoch,
+            simulation.shared_state().wave_epoch);
+  EXPECT_GT(simulation.shared_state().wave_epoch, 0u);
 }
 
 TEST(TransactionalRecovery, DeadAdopterIsTakenOverNotSpokenFor) {
@@ -1009,23 +1012,19 @@ TEST(TransactionalRecovery, SliceReplacesTheTableAndDuplicatesAreRereplied) {
 }
 
 /// Controller 0 alone on a raw channel: its peers 1-5 are bare endpoints
-/// the test speaks for, and the policy plans nothing.
+/// the test speaks for, and the policy plans nothing unless one is given.
 struct LoneController {
   sim::EventQueue queue;
   ControlChannel channel{att(), queue};
   SharedRecoveryState shared;
-  ControllerNode node{att(),
-                      0,
-                      channel,
-                      queue,
-                      shared,
-                      [](const sdwan::FailureState&,
-                         const core::RecoveryPlan*) {
-                        return core::RecoveryPlan{};
-                      },
-                      {}};
+  ControllerNode node;
 
-  LoneController() {
+  explicit LoneController(
+      RecoveryPolicy policy = [](const sdwan::FailureState&,
+                                 const core::RecoveryPlan*) {
+        return core::RecoveryPlan{};
+      })
+      : node(att(), 0, channel, queue, shared, std::move(policy), {}) {
     for (sdwan::ControllerId j = 1; j < att().controller_count(); ++j) {
       channel.attach(controller_endpoint(att(), j),
                      att().controller(j).location, [](const Message&) {});
@@ -1050,11 +1049,11 @@ struct LoneController {
   /// Opens a wave waiting on `sw`'s reply, as run_recovery leaves it.
   void open_wave(sdwan::SwitchId sw) {
     ++shared.wave_epoch;
-    std::fill(shared.role_pending.begin(), shared.role_pending.end(), 0);
-    shared.role_pending[static_cast<std::size_t>(sw)] = 1;
+    std::fill(shared.requests.begin(), shared.requests.end(),
+              SwitchRequest{});
+    shared.requests[static_cast<std::size_t>(sw)].pending = true;
     shared.pending_replies = 1;
     shared.converged_at = -1.0;
-    shared.phase = WavePhase::kPreparing;
   }
 };
 
@@ -1104,26 +1103,80 @@ TEST(DuplicateFilters, ReplyCopyAfterANewerWaveIsStale) {
   c.open_wave(sw);
   reply(1);
   c.queue.run(50.0);
-  EXPECT_EQ(c.shared.phase, WavePhase::kCommitted);
+  EXPECT_EQ(c.shared.committed_epoch, c.shared.wave_epoch);
   EXPECT_EQ(c.shared.committed_epoch, 1u);
 
   c.open_wave(sw);
   reply(1);  // the channel's copy of wave 1's reply
   c.queue.run(100.0);
   EXPECT_EQ(c.shared.stale_discarded, 1u);
-  EXPECT_EQ(c.shared.role_pending[s], 1);
+  EXPECT_TRUE(c.shared.requests[s].pending);
   EXPECT_EQ(c.shared.pending_replies, 1u);
-  EXPECT_EQ(c.shared.phase, WavePhase::kPreparing);
+  EXPECT_TRUE(c.shared.preparing());
   EXPECT_EQ(c.node.duplicates_suppressed(), 0u);
 
   reply(2);
   reply(2);
   c.queue.run(150.0);
-  EXPECT_EQ(c.shared.phase, WavePhase::kCommitted);
+  EXPECT_EQ(c.shared.committed_epoch, c.shared.wave_epoch);
   EXPECT_EQ(c.shared.committed_epoch, 2u);
   EXPECT_EQ(c.shared.pending_replies, 0u);
   EXPECT_EQ(c.shared.stale_discarded, 1u);
   EXPECT_EQ(c.node.duplicates_suppressed(), 0u);
+}
+
+TEST(StaleTimers, SupersededWaveTimerResendsNothing) {
+  // Controller 0 coordinates two waves that both map switch 7 to itself.
+  // The switch never answers, so wave 1's retransmission timer is still
+  // armed when wave 2 begins. That timer must do nothing: from wave 2 on
+  // the switch hears only wave 2's request, at wave 2's own backoff
+  // (successive copies at least wave 2's first timeout apart). A live
+  // wave-1 timer would resend in between, as a second chain.
+  const sdwan::SwitchId sw = 7;
+  LoneController c([sw](const sdwan::FailureState&,
+                        const core::RecoveryPlan*) {
+    core::RecoveryPlan plan;
+    plan.mapping[sw] = 0;
+    return plan;
+  });
+  std::vector<std::pair<double, std::uint64_t>> heard;  // (time, epoch)
+  c.channel.attach(switch_endpoint(sw), sw, [&c, &heard](const Message& m) {
+    if (const auto* request = std::get_if<RoleRequest>(&m.body)) {
+      heard.emplace_back(c.queue.now(), request->epoch);
+    }
+  });
+  // Peer 3 is silent from the start and peer 4 from 1000 ms; peers 1 and
+  // 2 suspect both, so controller 0's suspicion of each wins the vote.
+  c.keep_alive(1);
+  c.keep_alive(2);
+  c.keep_alive(5);
+  for (std::uint64_t beat = 0; beat < 20; ++beat) {
+    c.queue.schedule_at(static_cast<double>(beat) * kHeartbeatIntervalMs,
+                        [&c, beat] { c.beat(4, beat); });
+  }
+  c.shared.suspicions[1] = {3, 4};
+  c.shared.suspicions[2] = {3, 4};
+
+  c.queue.run(20000.0);
+  EXPECT_EQ(c.node.recoveries_run(), 2u);
+  ASSERT_EQ(c.shared.wave_epoch, 2u);
+  EXPECT_TRUE(c.shared.degraded_switches.empty());
+  const auto wave2 =
+      std::find_if(heard.begin(), heard.end(),
+                   [](const auto& h) { return h.second == 2; });
+  ASSERT_NE(wave2, heard.end());
+  // Wave 1 was still retransmitting: it had not degraded.
+  ASSERT_GE(wave2 - heard.begin(), 2);
+  ASSERT_GE(heard.end() - wave2, kMaxRetries + 1);
+  const double first_rto =
+      2.0 * c.channel.path_delay_ms(controller_endpoint(att(), 0),
+                                    switch_endpoint(sw)) +
+      kRetransmitMarginMs;
+  for (auto h = wave2 + 1; h != heard.end(); ++h) {
+    EXPECT_EQ(h->second, 2u) << "at " << h->first << " ms";
+    EXPECT_GE(h->first - (h - 1)->first, first_rto - 1e-9)
+        << "at " << h->first << " ms";
+  }
 }
 
 TEST(TransactionalRecovery, AuditorReadsTheSwitchFlowTable) {
@@ -1521,7 +1574,9 @@ TEST(SuspicionQuorum, LoneFalseSuspicionReplansNoLivePeer) {
   simulation.fail_controller_at(1, second_kill_ms);
   const SimulationReport report = simulation.run(10000.0);
   EXPECT_TRUE(report.converged_at.has_value());
-  EXPECT_EQ(simulation.shared_state().phase, WavePhase::kCommitted);
+  EXPECT_EQ(simulation.shared_state().committed_epoch,
+            simulation.shared_state().wave_epoch);
+  EXPECT_GT(simulation.shared_state().wave_epoch, 0u);
   EXPECT_TRUE(report.all_flows_deliverable);
   EXPECT_TRUE(report.audit_clean) << report.audit_violations;
   const sdwan::FailureState state(att(), {{1, 5}});
