@@ -3,13 +3,16 @@
 //
 // The paper reports PM at 2.54% / 1.77% / 2.18% of GUROBI's time on
 // average. Our Optimal substitutes a from-scratch branch-and-bound that
-// runs to its configured budget on the large instances, so the absolute
-// ratio is smaller still — the reproduced shape is "the heuristic is
-// orders of magnitude cheaper and the gap grows with instance size".
+// runs to its fixed work budget (core::kOptimalPivotBudget simplex pivots
+// per case) on the large instances, so the absolute ratio is smaller
+// still — the reproduced shape is "the heuristic is orders of magnitude
+// cheaper and the gap grows with instance size". The plans are the same
+// on every host; the wall times reported here are what this host took to
+// spend that budget.
 //
-// Flags: --optimal-time=<sec> (per case), --cases=<k,k,...> failure sizes,
-// --jobs=N (parallel cases; reported wall times are per-case solver times,
-// so the ratios are unaffected by parallelism).
+// Flags: --cases=<k,k,...> failure sizes, --jobs=N (parallel cases;
+// reported wall times are per-case solver times, so the ratios are
+// unaffected by parallelism).
 #include <iostream>
 #include <numeric>
 
@@ -18,8 +21,6 @@
 int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
-  const double time_limit =
-      args.get_double("optimal-time", 10.0, 0.0, util::kUnbounded);
   const std::string cases = args.get_string("cases", "1,2,3");
   const int jobs = util::parse_jobs_flag(args);
   obs::apply_log_level_flag(args);
@@ -38,7 +39,6 @@ int main(int argc, char** argv) {
     }
     core::RunnerOptions opts;
     opts.run_optimal = true;
-    opts.optimal.time_limit_seconds = time_limit;
     opts.jobs = jobs;
     const auto results =
         core::run_failure_sweep(net, static_cast<int>(k), opts);
@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   std::cout << "(paper: 2.54% / 1.77% / 2.18% of GUROBI on average; here "
-               "Optimal runs to its "
-            << bench::num(time_limit, 0)
-            << "s budget per case, see DESIGN.md substitution 2)\n";
+               "Optimal runs to its budget of "
+            << core::kOptimalPivotBudget
+            << " pivots per case, see DESIGN.md substitution 2)\n";
   return 0;
 }

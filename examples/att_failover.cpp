@@ -7,7 +7,7 @@
 // message-level control-plane simulation (ctrl::ControlSimulation).
 //
 // Usage: ./build/examples/att_failover [--fail=13,20] [--optimal]
-//        [--optimal-time=30] [--json=report.json]
+//        [--json=report.json]
 #include <iostream>
 #include <optional>
 #include <stdexcept>
@@ -26,8 +26,6 @@ int main(int argc, char** argv) {
   util::CliArgs args(argc, argv);
   const std::string fail_spec = args.get_string("fail", "13,20");
   const bool with_optimal = args.get_bool("optimal", false);
-  const double optimal_time =
-      args.get_double("optimal-time", 30.0, 0.0, util::kUnbounded);
   const std::string json_path = args.get_string("json", "");
   obs::apply_log_level_flag(args);
 
@@ -57,7 +55,6 @@ int main(int argc, char** argv) {
 
   core::RunnerOptions opts;
   opts.run_optimal = with_optimal;
-  opts.optimal.time_limit_seconds = optimal_time;
   const core::CaseResult r = core::run_case(net, scenario, opts);
 
   util::TextTable t({"algorithm", "least", "total", "recovered flows",

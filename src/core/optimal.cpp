@@ -85,8 +85,7 @@ OptimalOutcome run_optimal(const sdwan::FailureState& state,
   FmssmProblem problem = build_fmssm(state, options.fmssm);
 
   milp::MipOptions mip;
-  mip.time_limit_seconds = options.time_limit_seconds;
-  mip.node_limit = kOptimalNodeLimit;
+  mip.pivot_limit = kOptimalPivotBudget;
   // Warm start with PM's plan, trimmed to the delay budget if needed.
   const RecoveryPlan pm_plan = run_pm(state);
   auto encoded = problem.encode(state, pm_plan);

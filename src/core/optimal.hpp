@@ -4,10 +4,12 @@
 //
 // The solver is warm-started with PM's heuristic solution when that
 // solution fits the delay budget (standard MIP practice; guarantees
-// Optimal >= PM whenever the budget admits PM's plan). A time or node
-// limit may stop the search before optimality is proven — the returned
-// plan then carries proven_optimal = false, mirroring the paper's Fig. 6
-// where Optimal produces results in only 12 of 20 three-failure cases.
+// Optimal >= PM whenever the budget admits PM's plan). Every solve runs to
+// the same work budget, kOptimalPivotBudget simplex pivots, so its plan
+// is the same on any host and at any load. The budget may stop the search
+// before optimality is proven — the returned plan then carries
+// proven_optimal = false, mirroring the paper's Fig. 6 where Optimal
+// produces results in only 12 of 20 three-failure cases.
 #pragma once
 
 #include <optional>
@@ -20,11 +22,13 @@ namespace pm::core {
 
 struct OptimalOptions {
   FmssmOptions fmssm;
-  double time_limit_seconds = 60.0;
 };
 
-/// Branch-and-bound node budget for every Optimal solve.
-inline constexpr long kOptimalNodeLimit = 10000;
+/// Simplex pivots, summed over the branch-and-bound nodes, that every
+/// Optimal solve may spend. The ATT k = 1 cases prove optimality at the
+/// root in under 2,000; the k = 2 and k = 3 cases that stop on it reach
+/// at most 810 nodes, so the node limit never binds first.
+inline constexpr long kOptimalPivotBudget = 200'000;
 
 struct OptimalOutcome {
   /// Present when the solver found any incumbent.

@@ -1,6 +1,6 @@
 // Scenario runner: enumerates k-controller-failure cases, runs every
 // algorithm, validates the plans and collects the metrics — the engine
-// behind benches fig4/fig5/fig6/fig7.
+// behind benches paper_figures (Figs. 4-6) and fig7_computation_time.
 #pragma once
 
 #include <map>

@@ -1,6 +1,7 @@
 #include "ctrl/channel.hpp"
 
 #include <array>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -17,8 +18,17 @@ std::vector<double> latency_buckets() {
   return {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500};
 }
 
+/// Trace arguments of a channel event. RoleRequests and RoleReplies also
+/// carry their wave epoch, so a send, drop or retransmission can be tied
+/// to the wave it belongs to.
 obs::Tracer::Args message_args(const Message& m, const std::string& kind) {
-  return {{"kind", kind}, {"from", m.from}, {"to", m.to}};
+  obs::Tracer::Args args{{"kind", kind}, {"from", m.from}, {"to", m.to}};
+  if (const auto* request = std::get_if<RoleRequest>(&m.body)) {
+    args.emplace_back("epoch", static_cast<std::int64_t>(request->epoch));
+  } else if (const auto* reply = std::get_if<RoleReply>(&m.body)) {
+    args.emplace_back("epoch", static_cast<std::int64_t>(reply->epoch));
+  }
+  return args;
 }
 
 }  // namespace

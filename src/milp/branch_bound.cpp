@@ -61,7 +61,7 @@ class BranchAndBound {
 
     while (!stack.empty()) {
       if (result.nodes_explored >= options_.node_limit ||
-          elapsed_seconds(start) > options_.time_limit_seconds) {
+          result.pivots >= options_.pivot_limit) {
         any_limit_hit = true;
         break;
       }
@@ -74,6 +74,7 @@ class BranchAndBound {
 
       Model local = apply_bounds(node);
       const LpResult lp = solve_lp(local);
+      result.pivots += lp.iterations;
       if (lp.status == LpStatus::kInfeasible) continue;
       if (lp.status == LpStatus::kUnbounded) {
         // An unbounded relaxation at the root makes the MIP unbounded or
@@ -279,6 +280,7 @@ MipResult solve_reduced(const Model& model, const MipOptions& options) {
     const LpResult lp = solve_lp(model);
     MipResult r;
     r.nodes_explored = 1;
+    r.pivots = lp.iterations;
     switch (lp.status) {
       case LpStatus::kOptimal:
         r.status = MipStatus::kOptimal;

@@ -4,10 +4,12 @@
 //  * warm start — an incumbent can be injected (we seed it with PM's
 //    heuristic solution, standard MIP practice), so the solver always
 //    reports a solution at least as good as the heuristic;
-//  * node / time limits with honest status reporting: when a limit stops
+//  * node / pivot limits with honest status reporting: when a limit stops
 //    the search before the gap closes, the status says so — this is the
 //    behaviour behind the paper's Fig. 6, where "Optimal" produces results
-//    in only 12 of 20 three-failure cases;
+//    in only 12 of 20 three-failure cases. The pivot limit counts simplex
+//    iterations summed over the nodes, so where the search stops depends
+//    on the model alone, never on the host's speed or load;
 //  * best-bound tracking for the optimality gap;
 //  * a rounding heuristic at every node to find incumbents early.
 //
@@ -23,7 +25,8 @@
 namespace pm::milp {
 
 struct MipOptions {
-  double time_limit_seconds = 60.0;
+  /// Simplex pivots summed over every node's LP; checked before each node.
+  long pivot_limit = 1000000;
   long node_limit = 100000;
   /// Optional feasible starting solution (checked; ignored if infeasible).
   std::optional<std::vector<double>> warm_start;
@@ -43,7 +46,8 @@ struct MipResult {
   std::vector<double> x;           ///< incumbent; empty if none.
   double best_bound = 0.0;         ///< proven bound on the optimum.
   long nodes_explored = 0;
-  double seconds = 0.0;
+  long pivots = 0;                 ///< simplex iterations over all nodes.
+  double seconds = 0.0;            ///< wall clock; reported, never a limit.
 
   bool has_solution() const {
     return status == MipStatus::kOptimal || status == MipStatus::kFeasible;

@@ -535,9 +535,7 @@ TEST(Fmssm, OptimalMatchesBruteForceOnTinyInstances) {
   ASSERT_FALSE(state.recoverable_flows().empty());
 
   const FmssmProblem p = build_fmssm(state);
-  milp::MipOptions opts;
-  opts.time_limit_seconds = 30.0;
-  const auto result = milp::solve_mip(p.model, opts);
+  const auto result = milp::solve_mip(p.model);
   ASSERT_EQ(result.status, milp::MipStatus::kOptimal);
 
   const BruteResult brute = brute_force_fmssm(state, p.lambda);
@@ -566,10 +564,8 @@ TEST(Fmssm, DelayConstraintOnlyRestricts) {
     without.add_constraint(rows[i].name, rows[i].terms, rows[i].sense,
                            rows[i].rhs);
   }
-  milp::MipOptions opts;
-  opts.time_limit_seconds = 30.0;
-  const auto rw = milp::solve_mip(with.model, opts);
-  const auto ro = milp::solve_mip(without, opts);
+  const auto rw = milp::solve_mip(with.model);
+  const auto ro = milp::solve_mip(without);
   ASSERT_TRUE(rw.has_solution());
   ASSERT_TRUE(ro.has_solution());
   EXPECT_LE(rw.objective, ro.objective + 1e-9);
@@ -578,8 +574,7 @@ TEST(Fmssm, DelayConstraintOnlyRestricts) {
 TEST(Optimal, AtLeastAsGoodAsItsWarmStart) {
   const Network net = small_network(40.0);
   const FailureState state(net, {{2}});
-  OptimalOptions opts;
-  opts.time_limit_seconds = 20.0;
+  const OptimalOptions opts;
   const OptimalOutcome outcome = run_optimal(state, opts);
   ASSERT_TRUE(outcome.plan.has_value());
   EXPECT_TRUE(validate_plan(state, *outcome.plan).empty());
@@ -678,7 +673,6 @@ TEST(Runner, OptimalIncludedWhenRequested) {
   const Network net = small_network(60.0, 3, 9);
   RunnerOptions opts;
   opts.run_optimal = true;
-  opts.optimal.time_limit_seconds = 20.0;
   const auto r = run_case(net, {{0}}, opts);
   EXPECT_TRUE(r.optimal_available);
   EXPECT_TRUE(r.metrics.contains("Optimal"));

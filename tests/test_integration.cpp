@@ -201,6 +201,43 @@ TEST(TwoFailureSweep, OrderingsHoldInEveryCase) {
 }
 
 // ---------------------------------------------------------------------
+// Whole three-failure sweep (Fig. 6 without Optimal)
+// ---------------------------------------------------------------------
+
+TEST(ThreeFailureSweep, OrderingsHoldInEveryCase) {
+  RunnerOptions opts;
+  opts.run_optimal = false;
+  const auto results = run_failure_sweep(att(), 3, opts);
+  ASSERT_EQ(results.size(), 20u);
+  // The cases where PM and PG leave some recoverable flow unrecovered.
+  const std::set<std::string> partial = {"(2, 5, 20)", "(2, 6, 20)",
+                                         "(5, 6, 20)", "(5, 13, 20)",
+                                         "(6, 13, 20)"};
+  for (const auto& r : results) {
+    const auto& m = r.metrics;
+    for (const auto& [name, v] : r.violations) {
+      EXPECT_TRUE(v.empty()) << r.label << "/" << name;
+    }
+    EXPECT_GE(m.at("PM").total_programmability,
+              m.at("RetroFlow").total_programmability)
+        << r.label;
+    EXPECT_GE(m.at("PM").least_programmability,
+              m.at("RetroFlow").least_programmability)
+        << r.label;
+    EXPECT_GE(m.at("PG").total_programmability,
+              m.at("PM").total_programmability)
+        << r.label;
+    // Fig. 6(c): full recovery in exactly the 15 other cases.
+    const bool full = !partial.contains(r.label);
+    for (const char* algo : {"PM", "PG"}) {
+      EXPECT_EQ(m.at(algo).recovered_flow_fraction == 1.0, full)
+          << r.label << "/" << algo << " recovers "
+          << m.at(algo).recovered_flow_fraction;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // Plan -> dataplane: recovered flows can actually be rerouted
 // ---------------------------------------------------------------------
 

@@ -343,6 +343,45 @@ TEST(Mip, NodeLimitReportsHonestStatus) {
   EXPECT_FALSE(r.has_solution());
 }
 
+TEST(Mip, PivotLimitReportsHonestStatus) {
+  // max x0 + x1 + x2 with 2(x0 + x1 + x2) <= 3: every LP vertex is one
+  // variable at 1 and another at 0.5, whose rounding breaks the row, so
+  // the root finds no incumbent and the proof needs branching.
+  Model m;
+  m.set_objective_sense(Objective::kMaximize);
+  std::vector<Term> terms;
+  for (int i = 0; i < 3; ++i) {
+    terms.push_back({m.add_binary("x" + std::to_string(i), 1.0), 2.0});
+  }
+  m.add_constraint("cap", terms, Sense::kLe, 3.0);
+  ASSERT_EQ(solve_mip(m).status, MipStatus::kOptimal);
+
+  // One pivot lets the root solve and stops the search before any child.
+  MipOptions opts;
+  opts.pivot_limit = 1;
+  const MipResult cold = solve_mip(m, opts);
+  EXPECT_EQ(cold.status, MipStatus::kNoSolutionFound);
+  EXPECT_FALSE(cold.has_solution());
+  EXPECT_EQ(cold.nodes_explored, 1);
+  EXPECT_GE(cold.pivots, 1);
+
+  opts.warm_start = std::vector<double>{1, 0, 0};  // optimal, not proven
+  const MipResult warm = solve_mip(m, opts);
+  EXPECT_EQ(warm.status, MipStatus::kFeasible);
+  EXPECT_NEAR(warm.objective, 1.0, 1e-9);
+  EXPECT_NEAR(warm.best_bound, 1.5, 1e-9);
+
+  // The budget counts work, not time: a second solve stops at the same
+  // place with the same answer.
+  const MipResult again = solve_mip(m, opts);
+  EXPECT_EQ(again.status, warm.status);
+  EXPECT_EQ(again.x, warm.x);
+  EXPECT_EQ(again.objective, warm.objective);
+  EXPECT_EQ(again.best_bound, warm.best_bound);
+  EXPECT_EQ(again.nodes_explored, warm.nodes_explored);
+  EXPECT_EQ(again.pivots, warm.pivots);
+}
+
 class MipRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MipRandom, MatchesBruteForceOnBinaryProblems) {

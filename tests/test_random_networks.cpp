@@ -8,10 +8,12 @@
 #include <random>
 
 #include "core/metrics.hpp"
+#include "core/optimal.hpp"
 #include "core/pg.hpp"
 #include "core/pm_algorithm.hpp"
 #include "core/retroflow.hpp"
 #include "sdwan/failure.hpp"
+#include "sim/cascade.hpp"
 #include "topo/generators.hpp"
 #include "topo/placement.hpp"
 
@@ -34,23 +36,24 @@ void PrintTo(const RandomCase& c, std::ostream* os) {
       << " headroom=" << c.headroom;
 }
 
+/// A Waxman WAN with k-center controller placement; every controller's
+/// capacity is `rc.headroom` times the largest normal load.
+sdwan::Network build(const RandomCase& rc) {
+  const topo::Topology topology = topo::waxman(rc.nodes, 0.5, 0.25, rc.seed);
+  const auto domains = topo::k_center_domains(topology, rc.controllers);
+  sdwan::NetworkConfig cfg;
+  cfg.controller_capacity = 1e12;
+  const sdwan::Network probe(topology, domains, cfg);
+  double max_load = 0.0;
+  for (int j = 0; j < probe.controller_count(); ++j) {
+    max_load = std::max(max_load, probe.normal_load(j));
+  }
+  cfg.controller_capacity = rc.headroom * max_load;
+  return sdwan::Network(topology, domains, cfg);
+}
+
 class RandomNetworks : public ::testing::TestWithParam<RandomCase> {
  protected:
-  static sdwan::Network build(const RandomCase& rc) {
-    const topo::Topology topology =
-        topo::waxman(rc.nodes, 0.5, 0.25, rc.seed);
-    const auto domains = topo::k_center_domains(topology, rc.controllers);
-    sdwan::NetworkConfig cfg;
-    cfg.controller_capacity = 1e12;
-    const sdwan::Network probe(topology, domains, cfg);
-    double max_load = 0.0;
-    for (int j = 0; j < probe.controller_count(); ++j) {
-      max_load = std::max(max_load, probe.normal_load(j));
-    }
-    cfg.controller_capacity = rc.headroom * max_load;
-    return sdwan::Network(topology, domains, cfg);
-  }
-
   static sdwan::FailureScenario pick_failures(const RandomCase& rc,
                                               int controller_count) {
     std::mt19937_64 rng(rc.seed * 7919 + 13);
@@ -124,6 +127,51 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomCase{10, 35, 4, 1, 1.5},
                       RandomCase{11, 45, 6, 4, 1.1},
                       RandomCase{12, 24, 3, 2, 1.02}));
+
+// One small network, 12 nodes and 3 controllers, for the checks the sweep
+// above does not make.
+sdwan::Network small_waxman(double headroom = 1.15) {
+  return build({1, 12, 3, 1, headroom});
+}
+
+TEST(SmallWaxman, TightCapacityStressesGranularity) {
+  // With barely any headroom, the switch-level mapper starves while PM
+  // still recovers something everywhere it can.
+  const sdwan::Network net = small_waxman(1.02);
+  for (int j = 0; j < net.controller_count(); ++j) {
+    const sdwan::FailureState state(net, {{j}});
+    const auto m_pm = core::evaluate_plan(state, core::run_pm(state));
+    const auto m_retro =
+        core::evaluate_plan(state, core::run_retroflow(state));
+    EXPECT_GE(m_pm.total_programmability, m_retro.total_programmability)
+        << "controller " << j;
+  }
+}
+
+TEST(SmallWaxman, OptimalAgreesOnSmallInstance) {
+  // Small enough for the exact solver to prove optimality.
+  const sdwan::Network net = small_waxman();
+  const sdwan::FailureState state(net, {{1}});
+  const auto outcome = core::run_optimal(state);
+  ASSERT_TRUE(outcome.plan.has_value());
+  EXPECT_TRUE(outcome.plan->proven_optimal);
+  EXPECT_TRUE(core::validate_plan(state, *outcome.plan).empty());
+  const auto m_opt = core::evaluate_plan(state, *outcome.plan);
+  const auto m_pm = core::evaluate_plan(state, core::run_pm(state));
+  // Optimal dominates PM on the model objective (r first).
+  EXPECT_GE(m_opt.least_programmability, m_pm.least_programmability);
+}
+
+TEST(SmallWaxman, PmNeverCascades) {
+  const sdwan::Network net = small_waxman();
+  const sim::RecoveryPolicy pm = [](const sdwan::FailureState& st) {
+    return core::run_pm(st);
+  };
+  for (int j = 0; j < net.controller_count(); ++j) {
+    const auto r = sim::simulate_cascade(net, {j}, pm);
+    EXPECT_EQ(r.induced_failures(), 0u) << "controller " << j;
+  }
+}
 
 }  // namespace
 }  // namespace pm

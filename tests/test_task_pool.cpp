@@ -197,13 +197,15 @@ void expect_same_metrics(const core::CaseResult& a,
 
 TEST(TaskPoolGolden, FigureSweepIsIdenticalAtEveryJobCount) {
   const sdwan::Network net = core::make_att_network();
-  core::RunnerOptions serial_opts;
-  serial_opts.run_optimal = false;  // keep the test fast and deterministic
-  serial_opts.jobs = 1;
 
-  // The Fig. 4 and Fig. 5 sweeps (k = 1, 2) at several pool sizes, each
-  // against its serial sweep.
+  // The Fig. 4 sweep with Optimal (its pivot budget makes it
+  // deterministic, and k = 1 proves every case at the root) and the
+  // Fig. 5 sweep without it, at several pool sizes, each against its
+  // serial sweep.
   for (int k = 1; k <= 2; ++k) {
+    core::RunnerOptions serial_opts;
+    serial_opts.run_optimal = k == 1;
+    serial_opts.jobs = 1;
     const auto serial = core::run_failure_sweep(net, k, serial_opts);
     for (const int jobs : {2, 4, 8}) {
       SCOPED_TRACE("k=" + std::to_string(k) +
@@ -214,6 +216,8 @@ TEST(TaskPoolGolden, FigureSweepIsIdenticalAtEveryJobCount) {
       ASSERT_EQ(serial.size(), parallel.size());
       for (std::size_t i = 0; i < serial.size(); ++i) {
         expect_same_metrics(serial[i], parallel[i]);
+        EXPECT_EQ(serial[i].optimal_available, parallel[i].optimal_available);
+        EXPECT_EQ(serial[i].optimal_proven, parallel[i].optimal_proven);
       }
     }
   }
