@@ -10,8 +10,6 @@
 //   4. Path-diversity policy (bounded simple paths with slack 1/2,
 //      shortest-path DAG, next-hop count) — substitution 3 in DESIGN.md.
 //   5. lambda sweep for the combined objective of problem (P).
-//
-// Flags: --csv=<path>.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -152,9 +150,9 @@ int main(int argc, char** argv) {
     }
     const sdwan::FailureState state(net, sc);
     for (const double lambda : {1e-6, 1e-4, 1e-2, 1.0}) {
-      core::OptimalOptions opts;
-      opts.fmssm.lambda = lambda;
-      const auto outcome = core::run_optimal(state, opts);
+      core::FmssmOptions fmssm;
+      fmssm.lambda = lambda;
+      const auto outcome = core::run_optimal(state, fmssm);
       if (!outcome.plan) {
         t.add_row({bench::num(lambda, 6), "-", "-",
                    milp::to_string(outcome.status)});

@@ -80,9 +80,9 @@ RecoveryPlan trim_to_delay_budget(const sdwan::FailureState& state,
 }  // namespace
 
 OptimalOutcome run_optimal(const sdwan::FailureState& state,
-                           OptimalOptions options) {
+                           const FmssmOptions& fmssm) {
   OptimalOutcome outcome;
-  FmssmProblem problem = build_fmssm(state, options.fmssm);
+  FmssmProblem problem = build_fmssm(state, fmssm);
 
   milp::MipOptions mip;
   mip.pivot_limit = kOptimalPivotBudget;

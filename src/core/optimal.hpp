@@ -20,10 +20,6 @@
 
 namespace pm::core {
 
-struct OptimalOptions {
-  FmssmOptions fmssm;
-};
-
 /// Simplex pivots, summed over the branch-and-bound nodes, that every
 /// Optimal solve may spend. The ATT k = 1 cases prove optimality at the
 /// root in under 2,000; the k = 2 and k = 3 cases that stop on it reach
@@ -40,6 +36,6 @@ struct OptimalOutcome {
 };
 
 OptimalOutcome run_optimal(const sdwan::FailureState& state,
-                           OptimalOptions options = {});
+                           const FmssmOptions& fmssm = {});
 
 }  // namespace pm::core

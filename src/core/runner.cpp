@@ -24,7 +24,7 @@ CaseResult run_case(const sdwan::Network& net,
   record(run_pg(state));
 
   if (options.run_optimal) {
-    const OptimalOutcome opt = run_optimal(state, options.optimal);
+    const OptimalOutcome opt = run_optimal(state);
     result.optimal_seconds = opt.seconds;
     if (opt.plan) {
       result.optimal_available = true;

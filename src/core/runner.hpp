@@ -37,7 +37,6 @@ struct CaseResult {
 
 struct RunnerOptions {
   bool run_optimal = true;
-  OptimalOptions optimal;
   /// Scenario-level parallelism for run_failure_sweep (the --jobs flag).
   /// 1 keeps the historical single-threaded path; any value produces
   /// byte-identical results — cases are independent and results are

