@@ -180,29 +180,10 @@ class BranchAndBound {
   static Model with_bounds(
       const Model& base,
       const std::vector<std::tuple<int, double, double>>& changes) {
-    Model out;
-    out.set_objective_sense(base.objective_sense());
-    std::vector<double> lo(static_cast<std::size_t>(base.variable_count()));
-    std::vector<double> hi(static_cast<std::size_t>(base.variable_count()));
-    for (int j = 0; j < base.variable_count(); ++j) {
-      lo[static_cast<std::size_t>(j)] = base.variable(j).lower;
-      hi[static_cast<std::size_t>(j)] = base.variable(j).upper;
-    }
+    Model out = base;
     for (const auto& [var, l, u] : changes) {
-      lo[static_cast<std::size_t>(var)] =
-          std::max(lo[static_cast<std::size_t>(var)], l);
-      hi[static_cast<std::size_t>(var)] =
-          std::min(hi[static_cast<std::size_t>(var)], u);
-    }
-    for (int j = 0; j < base.variable_count(); ++j) {
-      const Variable& v = base.variable(j);
-      out.add_variable(v.name, lo[static_cast<std::size_t>(j)],
-                       hi[static_cast<std::size_t>(j)], v.objective,
-                       VarType::kContinuous);
-    }
-    for (int i = 0; i < base.constraint_count(); ++i) {
-      const Constraint& c = base.constraint(i);
-      out.add_constraint(c.name, c.terms, c.sense, c.rhs);
+      const Variable& v = out.variable(var);
+      out.set_bounds(var, std::max(v.lower, l), std::min(v.upper, u));
     }
     return out;
   }

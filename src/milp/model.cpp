@@ -21,6 +21,16 @@ int Model::add_variable(const std::string& name, double lower, double upper,
   return variable_count() - 1;
 }
 
+void Model::set_bounds(int var, double lower, double upper) {
+  Variable& v = variables_.at(static_cast<std::size_t>(var));
+  if (lower > upper) {
+    throw std::invalid_argument("variable '" + v.name +
+                                "': lower bound exceeds upper bound");
+  }
+  v.lower = lower;
+  v.upper = upper;
+}
+
 int Model::add_constraint(const std::string& name, std::vector<Term> terms,
                           Sense sense, double rhs) {
   std::map<int, double> merged;

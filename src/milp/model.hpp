@@ -62,6 +62,10 @@ class Model {
   int add_constraint(const std::string& name, std::vector<Term> terms,
                      Sense sense, double rhs);
 
+  /// Replaces variable `var`'s bounds. Throws std::invalid_argument if
+  /// lower > upper.
+  void set_bounds(int var, double lower, double upper);
+
   void set_objective_sense(Objective sense) { objective_sense_ = sense; }
   Objective objective_sense() const { return objective_sense_; }
 

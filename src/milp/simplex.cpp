@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <map>
 #include <stdexcept>
 
@@ -25,9 +24,499 @@ constexpr double kPricingTol = 1e-7;
 
 enum class VarState { kBasic, kAtLower, kAtUpper, kFreeAtZero };
 
-struct SparseEntry {
-  int row = 0;
+/// One nonzero of a sparse vector: its index (a constraint row or a
+/// basis position, as each array says) and value.
+struct Entry {
+  int index = 0;
   double value = 0.0;
+};
+
+/// Smallest pivot magnitude the factorization accepts.
+constexpr double kSingularTol = 1e-12;
+/// Threshold partial pivoting: a factorization pivot must be at least
+/// this fraction of the largest entry in its active column.
+constexpr double kThreshold = 0.1;
+/// The Markowitz search stops after this many columns with an eligible
+/// entry.
+constexpr int kMarkowitzColumns = 4;
+/// A simplex pivot below this fraction of the largest entry in its
+/// FTRAN'd column forces a refactorization before the next iteration.
+constexpr double kEtaPivotTol = 1e-7;
+
+/// The basis matrix B (column p is the constraint column of the variable
+/// basic in position p) as a sparse LU factorization of the basis at the
+/// last refresh, B0, times one product-form eta matrix per pivot since:
+///
+///     B0 = L_0 ... L_{m-1} U,       B = B0 E_0 ... E_{t-1}.
+///
+/// Step k of the factorization pivots on (row r_k, position p_k): L_k
+/// holds its multipliers (column r_k), and U's row r_k its off-diagonal
+/// entries, stored both by step (for BTRAN) and by position (for
+/// FTRAN). E_t replaces position p of the basis by the FTRAN'd entering
+/// column w. Both solves skip the factor columns whose multiplier is an
+/// exact zero.
+class BasisFactor {
+ public:
+  /// Factorizes the basis whose position p holds column
+  /// `columns[basis[p]]`. Returns false if it is numerically singular.
+  bool factorize(const std::vector<std::vector<Entry>>& columns,
+                 const std::vector<int>& basis) {
+    m_ = static_cast<int>(basis.size());
+    const std::size_t m = basis.size();
+    pivot_row_.assign(m, -1);
+    pivot_pos_.assign(m, -1);
+    pivot_value_.assign(m, 0.0);
+    urow_start_.assign(1, 0);
+    urow_.clear();
+    l_row_.clear();
+    l_start_.assign(1, 0);
+    l_.clear();
+    eta_pos_.clear();
+    eta_pivot_.clear();
+    eta_start_.assign(1, 0);
+    eta_.clear();
+    load_rows(columns, basis);
+    // Singletons first: they pivot on B's own values and fill nothing.
+    int k = 0;
+    for (; k < m_; ++k) {
+      const int peeled = peel_singleton(k, columns, basis);
+      if (peeled < 0) return false;
+      if (peeled == 0) break;
+    }
+    if (k < m_) load_bump();
+    for (; k < m_; ++k) {
+      int r = -1;
+      int p = -1;
+      if (!choose_pivot(r, p)) return false;
+      eliminate(k, r, p);
+    }
+    // U by position: the off-diagonal entries of each column, keyed by
+    // the constraint row of the step that owns them.
+    ucol_start_.assign(m + 1, 0);
+    for (const Entry& e : urow_) {
+      ++ucol_start_[static_cast<std::size_t>(e.index) + 1];
+    }
+    for (std::size_t p = 0; p < m; ++p) ucol_start_[p + 1] += ucol_start_[p];
+    ucol_.resize(urow_.size());
+    std::vector<int> fill(ucol_start_.begin(), ucol_start_.end() - 1);
+    for (std::size_t k = 0; k < m; ++k) {
+      for (int t = urow_start_[k]; t < urow_start_[k + 1]; ++t) {
+        const Entry& e = urow_[static_cast<std::size_t>(t)];
+        int& next = fill[static_cast<std::size_t>(e.index)];
+        ucol_[static_cast<std::size_t>(next++)] = {pivot_row_[k], e.value};
+      }
+    }
+    return true;
+  }
+
+  /// Solves B x = rhs. `rhs` is indexed by constraint row and is
+  /// overwritten; `x` is indexed by basis position.
+  void ftran(std::vector<double>& rhs, std::vector<double>& x) const {
+    for (std::size_t t = 0; t < l_row_.size(); ++t) {
+      const double v = rhs[static_cast<std::size_t>(l_row_[t])];
+      if (v == 0.0) continue;
+      for (int i = l_start_[t]; i < l_start_[t + 1]; ++i) {
+        const Entry& e = l_[static_cast<std::size_t>(i)];
+        rhs[static_cast<std::size_t>(e.index)] -= e.value * v;
+      }
+    }
+    for (std::size_t k = static_cast<std::size_t>(m_); k-- > 0;) {
+      const std::size_t p = static_cast<std::size_t>(pivot_pos_[k]);
+      const double v =
+          rhs[static_cast<std::size_t>(pivot_row_[k])] / pivot_value_[k];
+      x[p] = v;
+      if (v == 0.0) continue;
+      for (int i = ucol_start_[p]; i < ucol_start_[p + 1]; ++i) {
+        const Entry& e = ucol_[static_cast<std::size_t>(i)];
+        rhs[static_cast<std::size_t>(e.index)] -= e.value * v;
+      }
+    }
+    for (std::size_t t = 0; t < eta_pos_.size(); ++t) {
+      double& xp = x[static_cast<std::size_t>(eta_pos_[t])];
+      if (xp == 0.0) continue;
+      xp /= eta_pivot_[t];
+      const double v = xp;
+      for (int i = eta_start_[t]; i < eta_start_[t + 1]; ++i) {
+        const Entry& e = eta_[static_cast<std::size_t>(i)];
+        x[static_cast<std::size_t>(e.index)] -= e.value * v;
+      }
+    }
+  }
+
+  /// Solves y^T B = c^T. `c` is indexed by basis position and is
+  /// overwritten; `y` is indexed by constraint row.
+  void btran(std::vector<double>& c, std::vector<double>& y) const {
+    for (std::size_t t = eta_pos_.size(); t-- > 0;) {
+      const std::size_t p = static_cast<std::size_t>(eta_pos_[t]);
+      double v = c[p];
+      for (int i = eta_start_[t]; i < eta_start_[t + 1]; ++i) {
+        const Entry& e = eta_[static_cast<std::size_t>(i)];
+        v -= c[static_cast<std::size_t>(e.index)] * e.value;
+      }
+      c[p] = v / eta_pivot_[t];
+    }
+    for (std::size_t k = 0; k < static_cast<std::size_t>(m_); ++k) {
+      const double v =
+          c[static_cast<std::size_t>(pivot_pos_[k])] / pivot_value_[k];
+      y[static_cast<std::size_t>(pivot_row_[k])] = v;
+      if (v == 0.0) continue;
+      for (int i = urow_start_[k]; i < urow_start_[k + 1]; ++i) {
+        const Entry& e = urow_[static_cast<std::size_t>(i)];
+        c[static_cast<std::size_t>(e.index)] -= e.value * v;
+      }
+    }
+    for (std::size_t t = l_row_.size(); t-- > 0;) {
+      double& yr = y[static_cast<std::size_t>(l_row_[t])];
+      for (int i = l_start_[t]; i < l_start_[t + 1]; ++i) {
+        const Entry& e = l_[static_cast<std::size_t>(i)];
+        yr -= y[static_cast<std::size_t>(e.index)] * e.value;
+      }
+    }
+  }
+
+  /// Records the pivot that puts the column with FTRAN'd image `w` in
+  /// basis position `p`. Returns false if w[p] is too small relative to
+  /// the rest of w for the eta file to stay accurate.
+  bool update(int p, const std::vector<double>& w) {
+    double largest = 0.0;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      if (w[i] == 0.0) continue;
+      largest = std::max(largest, std::abs(w[i]));
+      if (static_cast<int>(i) != p) eta_.push_back({static_cast<int>(i), w[i]});
+    }
+    const double pivot = w[static_cast<std::size_t>(p)];
+    eta_pos_.push_back(p);
+    eta_pivot_.push_back(pivot);
+    eta_start_.push_back(static_cast<int>(eta_.size()));
+    return std::abs(pivot) >= kEtaPivotTol * largest;
+  }
+
+ private:
+  /// Lays B out by row, counts each row's and position's nonzeros and
+  /// seeds the singleton queues.
+  void load_rows(const std::vector<std::vector<Entry>>& columns,
+                 const std::vector<int>& basis) {
+    const std::size_t m = basis.size();
+    row_count_.assign(m, 0);
+    col_count_.assign(m, 0);
+    for (std::size_t p = 0; p < m; ++p) {
+      for (const Entry& e : columns[static_cast<std::size_t>(basis[p])]) {
+        ++row_count_[static_cast<std::size_t>(e.index)];
+        ++col_count_[p];
+      }
+    }
+    brow_start_.assign(m + 1, 0);
+    for (std::size_t i = 0; i < m; ++i) {
+      brow_start_[i + 1] = brow_start_[i] + row_count_[i];
+    }
+    brow_.resize(static_cast<std::size_t>(brow_start_[m]));
+    std::vector<int> fill(brow_start_.begin(), brow_start_.end() - 1);
+    for (std::size_t p = 0; p < m; ++p) {
+      for (const Entry& e : columns[static_cast<std::size_t>(basis[p])]) {
+        int& next = fill[static_cast<std::size_t>(e.index)];
+        brow_[static_cast<std::size_t>(next++)] = {static_cast<int>(p),
+                                                   e.value};
+      }
+    }
+    seed_singletons();
+    row_done_.assign(m, 0);
+    col_done_.assign(m, 0);
+  }
+
+  void seed_singletons() {
+    row_single_.clear();
+    col_single_.clear();
+    for (int i = 0; i < m_; ++i) {
+      const std::size_t iu = static_cast<std::size_t>(i);
+      if (row_count_[iu] == 1) row_single_.push_back(i);
+      if (col_count_[iu] == 1) col_single_.push_back(i);
+    }
+  }
+
+  void record_pivot(int k, int r, int p, double value) {
+    pivot_row_[static_cast<std::size_t>(k)] = r;
+    pivot_pos_[static_cast<std::size_t>(k)] = p;
+    pivot_value_[static_cast<std::size_t>(k)] = value;
+    row_done_[static_cast<std::size_t>(r)] = 1;
+    col_done_[static_cast<std::size_t>(p)] = 1;
+  }
+
+  /// Step k on a singleton of the part of B not yet pivoted: a position
+  /// with one row left (U takes the row's other entries, L nothing), else
+  /// a row with one position left whose entry passes the threshold test
+  /// (L takes the position's other entries over it, U nothing). Neither
+  /// changes a value, so both read B itself. Returns 1 after a pivot, 0
+  /// if no singleton is left, -1 on a column that is numerically empty.
+  int peel_singleton(int k,
+                     const std::vector<std::vector<Entry>>& columns,
+                     const std::vector<int>& basis) {
+    while (!col_single_.empty()) {
+      const int p = col_single_.back();
+      col_single_.pop_back();
+      if (col_done_[static_cast<std::size_t>(p)] ||
+          col_count_[static_cast<std::size_t>(p)] != 1) {
+        continue;
+      }
+      int r = -1;
+      double a = 0.0;
+      const int j = basis[static_cast<std::size_t>(p)];
+      for (const Entry& e : columns[static_cast<std::size_t>(j)]) {
+        if (row_done_[static_cast<std::size_t>(e.index)]) continue;
+        r = e.index;
+        a = e.value;
+      }
+      if (std::abs(a) < kSingularTol) return -1;
+      record_pivot(k, r, p, a);
+      for (int t = brow_start_[static_cast<std::size_t>(r)];
+           t < brow_start_[static_cast<std::size_t>(r) + 1]; ++t) {
+        const Entry& e = brow_[static_cast<std::size_t>(t)];
+        if (col_done_[static_cast<std::size_t>(e.index)]) continue;
+        urow_.push_back(e);
+        if (--col_count_[static_cast<std::size_t>(e.index)] == 1) {
+          col_single_.push_back(e.index);
+        }
+      }
+      urow_start_.push_back(static_cast<int>(urow_.size()));
+      return 1;
+    }
+    while (!row_single_.empty()) {
+      const int r = row_single_.back();
+      row_single_.pop_back();
+      if (row_done_[static_cast<std::size_t>(r)] ||
+          row_count_[static_cast<std::size_t>(r)] != 1) {
+        continue;
+      }
+      Entry pivot;
+      for (int t = brow_start_[static_cast<std::size_t>(r)];
+           t < brow_start_[static_cast<std::size_t>(r) + 1]; ++t) {
+        const Entry& e = brow_[static_cast<std::size_t>(t)];
+        if (!col_done_[static_cast<std::size_t>(e.index)]) pivot = e;
+      }
+      const std::vector<Entry>& col = columns[static_cast<std::size_t>(
+          basis[static_cast<std::size_t>(pivot.index)])];
+      double largest = 0.0;
+      for (const Entry& e : col) {
+        if (!row_done_[static_cast<std::size_t>(e.index)]) {
+          largest = std::max(largest, std::abs(e.value));
+        }
+      }
+      const double a = std::abs(pivot.value);
+      if (a < kSingularTol || a < kThreshold * largest) continue;
+      record_pivot(k, r, pivot.index, pivot.value);
+      urow_start_.push_back(static_cast<int>(urow_.size()));
+      const std::size_t l_begin = l_.size();
+      for (const Entry& e : col) {
+        if (row_done_[static_cast<std::size_t>(e.index)]) continue;
+        l_.push_back({e.index, e.value / pivot.value});
+        if (--row_count_[static_cast<std::size_t>(e.index)] == 1) {
+          row_single_.push_back(e.index);
+        }
+      }
+      if (l_.size() > l_begin) {
+        l_row_.push_back(r);
+        l_start_.push_back(static_cast<int>(l_.size()));
+      }
+      return 1;
+    }
+    return 0;
+  }
+
+  /// Loads the rows and positions singletons left, the bump, into the
+  /// active submatrix that elimination modifies.
+  void load_bump() {
+    const std::size_t m = static_cast<std::size_t>(m_);
+    bump_col_.resize(m);
+    bump_row_.resize(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      bump_col_[i].clear();
+      bump_row_[i].clear();
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      if (row_done_[i]) continue;
+      for (int t = brow_start_[i]; t < brow_start_[i + 1]; ++t) {
+        const Entry& e = brow_[static_cast<std::size_t>(t)];
+        if (col_done_[static_cast<std::size_t>(e.index)]) continue;
+        bump_col_[static_cast<std::size_t>(e.index)].push_back(
+            {static_cast<int>(i), e.value});
+        bump_row_[i].push_back(e.index);
+      }
+    }
+    bump_cols_.clear();
+    for (std::size_t i = 0; i < m; ++i) {
+      row_count_[i] = static_cast<int>(bump_row_[i].size());
+      col_count_[i] = static_cast<int>(bump_col_[i].size());
+      if (!col_done_[i]) bump_cols_.push_back(static_cast<int>(i));
+    }
+    seed_singletons();
+    slot_.assign(m, -1);
+  }
+
+  /// Value of bump entry (r, p), 0 if there is none.
+  double bump_value(int r, int p) const {
+    for (const Entry& e : bump_col_[static_cast<std::size_t>(p)]) {
+      if (e.index == r) return e.value;
+    }
+    return 0.0;
+  }
+
+  /// Largest magnitude in bump position p.
+  double column_max(int p) const {
+    double largest = 0.0;
+    for (const Entry& e : bump_col_[static_cast<std::size_t>(p)]) {
+      largest = std::max(largest, std::abs(e.value));
+    }
+    return largest;
+  }
+
+  /// Picks the next pivot in the bump: a column singleton, else a row
+  /// singleton that passes the threshold test, else the eligible entry of
+  /// least Markowitz count (r - 1)(c - 1), larger magnitude first on
+  /// ties, over the first kMarkowitzColumns positions of fewest entries.
+  bool choose_pivot(int& r, int& p) {
+    while (!col_single_.empty()) {
+      p = col_single_.back();
+      col_single_.pop_back();
+      if (col_done_[static_cast<std::size_t>(p)] ||
+          col_count_[static_cast<std::size_t>(p)] != 1) {
+        continue;
+      }
+      const Entry& e = bump_col_[static_cast<std::size_t>(p)][0];
+      r = e.index;
+      return std::abs(e.value) >= kSingularTol;
+    }
+    while (!row_single_.empty()) {
+      r = row_single_.back();
+      row_single_.pop_back();
+      if (row_done_[static_cast<std::size_t>(r)] ||
+          row_count_[static_cast<std::size_t>(r)] != 1) {
+        continue;
+      }
+      for (const int j : bump_row_[static_cast<std::size_t>(r)]) {
+        if (!col_done_[static_cast<std::size_t>(j)]) p = j;
+      }
+      const double a = std::abs(bump_value(r, p));
+      if (a >= kSingularTol && a >= kThreshold * column_max(p)) return true;
+    }
+    // Drop pivoted positions from the bump's list, keeping its order.
+    std::erase_if(bump_cols_, [&](int j) {
+      return col_done_[static_cast<std::size_t>(j)] != 0;
+    });
+    int fewest = m_ + 1;
+    for (const int j : bump_cols_) {
+      fewest = std::min(fewest, col_count_[static_cast<std::size_t>(j)]);
+    }
+    int best_cost = -1;
+    double best_abs = 0.0;
+    int searched = 0;
+    for (const int j : bump_cols_) {
+      if (col_count_[static_cast<std::size_t>(j)] != fewest) continue;
+      const double floor =
+          std::max(kSingularTol, kThreshold * column_max(j));
+      bool eligible = false;
+      for (const Entry& e : bump_col_[static_cast<std::size_t>(j)]) {
+        const double a = std::abs(e.value);
+        if (a < floor) continue;
+        eligible = true;
+        const int cost = (fewest - 1) *
+                         (row_count_[static_cast<std::size_t>(e.index)] - 1);
+        if (best_cost < 0 || cost < best_cost ||
+            (cost == best_cost && a > best_abs)) {
+          best_cost = cost;
+          best_abs = a;
+          r = e.index;
+          p = j;
+        }
+      }
+      if (eligible && ++searched == kMarkowitzColumns) break;
+    }
+    return best_cost >= 0;
+  }
+
+  /// Factorization step k on bump pivot (r, p): the other entries of
+  /// position p over the pivot become L_k, row r's other entries become
+  /// U's row, and each position of row r loses row r and takes the
+  /// update (and fill) from L_k's rows.
+  void eliminate(int k, int r, int p) {
+    const double pivot = bump_value(r, p);
+    record_pivot(k, r, p, pivot);
+    const std::size_t l_begin = l_.size();
+    for (const Entry& e : bump_col_[static_cast<std::size_t>(p)]) {
+      if (e.index == r) continue;
+      --row_count_[static_cast<std::size_t>(e.index)];
+      if (e.value != 0.0) l_.push_back({e.index, e.value / pivot});
+    }
+    for (const int q : bump_row_[static_cast<std::size_t>(r)]) {
+      if (col_done_[static_cast<std::size_t>(q)]) continue;
+      std::vector<Entry>& col = bump_col_[static_cast<std::size_t>(q)];
+      double u = 0.0;
+      for (std::size_t t = 0; t < col.size();) {
+        if (col[t].index == r) {
+          u = col[t].value;
+          col[t] = col.back();
+          col.pop_back();
+          continue;
+        }
+        slot_[static_cast<std::size_t>(col[t].index)] = static_cast<int>(t);
+        ++t;
+      }
+      if (u != 0.0) {
+        urow_.push_back({q, u});
+        for (std::size_t t = l_begin; t < l_.size(); ++t) {
+          const Entry& l = l_[t];
+          const int s = slot_[static_cast<std::size_t>(l.index)];
+          if (s >= 0) {
+            col[static_cast<std::size_t>(s)].value -= l.value * u;
+          } else {
+            col.push_back({l.index, -l.value * u});
+            bump_row_[static_cast<std::size_t>(l.index)].push_back(q);
+            ++row_count_[static_cast<std::size_t>(l.index)];
+          }
+        }
+      }
+      for (const Entry& e : col) slot_[static_cast<std::size_t>(e.index)] = -1;
+      col_count_[static_cast<std::size_t>(q)] = static_cast<int>(col.size());
+      if (col.size() == 1) col_single_.push_back(q);
+    }
+    urow_start_.push_back(static_cast<int>(urow_.size()));
+    for (const Entry& e : bump_col_[static_cast<std::size_t>(p)]) {
+      if (e.index != r &&
+          row_count_[static_cast<std::size_t>(e.index)] == 1) {
+        row_single_.push_back(e.index);
+      }
+    }
+    if (l_.size() > l_begin) {
+      l_row_.push_back(r);
+      l_start_.push_back(static_cast<int>(l_.size()));
+    }
+  }
+
+  int m_ = 0;
+  // Factorization step k pivots on (pivot_row_[k], pivot_pos_[k]).
+  std::vector<int> pivot_row_, pivot_pos_;
+  std::vector<double> pivot_value_;
+  // U's off-diagonal entries: by step, indexed by basis position, and by
+  // basis position, indexed by the owning step's constraint row.
+  std::vector<int> urow_start_, ucol_start_;
+  std::vector<Entry> urow_, ucol_;
+  // Nonempty L columns in step order: pivot row, then (row, multiplier).
+  std::vector<int> l_row_, l_start_;
+  std::vector<Entry> l_;
+  // Eta file, one entry per pivot since the factorization: position,
+  // pivot w[p] and the other nonzeros of w, by basis position.
+  std::vector<int> eta_pos_, eta_start_;
+  std::vector<double> eta_pivot_;
+  std::vector<Entry> eta_;
+  // Factorization scratch, kept for reuse: B by row, then the bump's
+  // active submatrix, which elimination modifies.
+  std::vector<int> brow_start_;
+  std::vector<Entry> brow_;                 // by row: (position, value)
+  // The bump by position, (row, value), and by row, the positions (some
+  // of which may have been pivoted since).
+  std::vector<std::vector<Entry>> bump_col_;
+  std::vector<std::vector<int>> bump_row_;
+  std::vector<int> row_count_, col_count_, row_single_, col_single_, slot_;
+  std::vector<int> bump_cols_;  // positions in the bump, maybe pivoted
+  std::vector<char> row_done_, col_done_;
 };
 
 /// Internal solver working on the equality form with slacks + artificials.
@@ -135,8 +624,8 @@ class Simplex {
     for (int j = 0; j < n_structural_; ++j) {
       const double xj = resting_value(j);
       if (xj == 0.0) continue;
-      for (const SparseEntry& e : cols_[static_cast<std::size_t>(j)]) {
-        residual[static_cast<std::size_t>(e.row)] -= e.value * xj;
+      for (const Entry& e : cols_[static_cast<std::size_t>(j)]) {
+        residual[static_cast<std::size_t>(e.index)] -= e.value * xj;
       }
     }
     need_phase1_ = false;
@@ -161,21 +650,12 @@ class Simplex {
         need_phase1_ = true;
       }
     }
-    // Initial basis inverse: basis columns are all +-e_i (slacks are e_i,
-    // artificials are sign * e_i), so B^-1 is diagonal.
-    const std::size_t mm =
-        static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_);
-    binv_.assign(mm, 0.0);
-    row_cols_.resize(mm);
-    row_len_.assign(static_cast<std::size_t>(m_), 1);
-    for (int i = 0; i < m_; ++i) {
-      const int bj = basis_[static_cast<std::size_t>(i)];
-      binv_[idx(i, i)] = cols_[static_cast<std::size_t>(bj)][0].value;
-      row_cols_[idx(i, 0)] = i;
-    }
-    stamp_.assign(static_cast<std::size_t>(m_), 0);
     y_.resize(static_cast<std::size_t>(m_));
     w_.resize(static_cast<std::size_t>(m_));
+    row_work_.resize(static_cast<std::size_t>(m_));
+    pos_work_.resize(static_cast<std::size_t>(m_));
+    // The slack/artificial basis is diagonal, so this cannot fail.
+    factor_.factorize(cols_, basis_);
     compute_basic_values();
   }
 
@@ -193,11 +673,6 @@ class Simplex {
       case VarState::kBasic: break;
     }
     throw std::logic_error("resting_value called on basic variable");
-  }
-
-  std::size_t idx(int r, int c) const {
-    return static_cast<std::size_t>(r) * static_cast<std::size_t>(m_) +
-           static_cast<std::size_t>(c);
   }
 
   void set_phase1_costs() {
@@ -239,105 +714,19 @@ class Simplex {
 
   /// xb = B^-1 (b - A_N x_N)
   void compute_basic_values() {
-    std::vector<double> rhs = b_;
+    std::vector<double>& rhs = row_work_;
+    rhs = b_;
     const int total = static_cast<int>(cols_.size());
     for (int j = 0; j < total; ++j) {
       if (state_[static_cast<std::size_t>(j)] == VarState::kBasic) continue;
       const double xj = resting_value(j);
       if (xj == 0.0) continue;
-      for (const SparseEntry& e : cols_[static_cast<std::size_t>(j)]) {
-        rhs[static_cast<std::size_t>(e.row)] -= e.value * xj;
+      for (const Entry& e : cols_[static_cast<std::size_t>(j)]) {
+        rhs[static_cast<std::size_t>(e.index)] -= e.value * xj;
       }
     }
-    xb_.assign(static_cast<std::size_t>(m_), 0.0);
-    for (int r = 0; r < m_; ++r) {
-      double acc = 0.0;
-      for (int k = 0; k < m_; ++k) {
-        acc += binv_[idx(r, k)] * rhs[static_cast<std::size_t>(k)];
-      }
-      xb_[static_cast<std::size_t>(r)] = acc;
-    }
-  }
-
-  /// Rebuilds binv_ in place from the basis columns by Gauss-Jordan with
-  /// partial pivoting, then its row index. Each elimination step updates
-  /// only the pivot row's nonzero columns. Returns false if the basis
-  /// matrix is numerically singular.
-  bool refactorize() {
-    std::vector<double> mat(binv_.size(), 0.0);
-    for (int c = 0; c < m_; ++c) {
-      for (const SparseEntry& e :
-           cols_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(c)])]) {
-        mat[idx(e.row, c)] = e.value;
-      }
-    }
-    std::vector<double>& inv = binv_;
-    std::fill(inv.begin(), inv.end(), 0.0);
-    for (int i = 0; i < m_; ++i) inv[idx(i, i)] = 1.0;
-
-    std::vector<int> mat_cols, inv_cols, col_rows;
-    for (int col = 0; col < m_; ++col) {
-      // One pass down the column: its nonzero rows, and the pivot (the
-      // largest entry on or below the diagonal).
-      col_rows.clear();
-      int pivot_row = col;
-      double best = std::abs(mat[idx(col, col)]);
-      for (int r = 0; r < m_; ++r) {
-        const double v = std::abs(mat[idx(r, col)]);
-        if (v == 0.0) continue;
-        col_rows.push_back(r);
-        if (r > col && v > best) {
-          best = v;
-          pivot_row = r;
-        }
-      }
-      if (best < 1e-12) return false;
-      if (pivot_row != col) {
-        std::swap_ranges(&mat[idx(pivot_row, 0)], &mat[idx(pivot_row, 0)] + m_,
-                         &mat[idx(col, 0)]);
-        std::swap_ranges(&inv[idx(pivot_row, 0)], &inv[idx(pivot_row, 0)] + m_,
-                         &inv[idx(col, 0)]);
-      }
-      const double pivot = mat[idx(col, col)];
-      mat_cols.clear();
-      inv_cols.clear();
-      for (int c = 0; c < m_; ++c) {
-        mat[idx(col, c)] /= pivot;
-        inv[idx(col, c)] /= pivot;
-        if (mat[idx(col, c)] != 0.0) mat_cols.push_back(c);
-        if (inv[idx(col, c)] != 0.0) inv_cols.push_back(c);
-      }
-      for (int r : col_rows) {
-        if (r == pivot_row) r = col;  // the rows swapped places
-        else if (r == col) r = pivot_row;
-        if (r == col) continue;
-        const double f = mat[idx(r, col)];
-        for (const int c : mat_cols) mat[idx(r, c)] -= f * mat[idx(col, c)];
-        for (const int c : inv_cols) inv[idx(r, c)] -= f * inv[idx(col, c)];
-      }
-    }
-    for (int r = 0; r < m_; ++r) index_row(r);
-    return true;
-  }
-
-  /// Rebuilds row r's index from its nonzeros.
-  void index_row(int r) {
-    int len = 0;
-    for (int c = 0; c < m_; ++c) {
-      if (binv_[idx(r, c)] != 0.0) row_cols_[idx(r, len++)] = c;
-    }
-    row_len_[static_cast<std::size_t>(r)] = len;
-  }
-
-  /// Gives dense rows whose nonzeros cancelled back below m/8 an index.
-  void resparsify() {
-    for (int r = 0; r < m_; ++r) {
-      if (row_len_[static_cast<std::size_t>(r)] != kDenseRow) continue;
-      const double* row = &binv_[idx(r, 0)];
-      int nnz = 0;
-      for (int c = 0; c < m_; ++c) nnz += row[c] != 0.0;
-      if (8 * nnz <= m_) index_row(r);
-    }
+    xb_.resize(static_cast<std::size_t>(m_));
+    factor_.ftran(rhs, xb_);
   }
 
   // ------------------------------------------------------------------
@@ -350,33 +739,21 @@ class Simplex {
         return LpStatus::kIterationLimit;
       }
       ++iteration_counter;
-      if (iteration_counter % options_.refactor_every == 0) {
-        if (!refactorize()) return LpStatus::kIterationLimit;
+      if (iteration_counter % options_.refactor_every == 0 ||
+          refactor_due_) {
+        if (!factor_.factorize(cols_, basis_)) {
+          return LpStatus::kIterationLimit;
+        }
+        refactor_due_ = false;
         compute_basic_values();
-      } else if (iteration_counter % 64 == 0) {
-        resparsify();
       }
 
-      // Simplex multipliers y = c_B^T B^-1.
+      // Simplex multipliers: y^T B = c_B^T.
       std::vector<double>& y = y_;
-      std::fill(y.begin(), y.end(), 0.0);
-      for (int r = 0; r < m_; ++r) {
-        const double cb =
-            cost_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])];
-        if (cb == 0.0) continue;
-        const double* row = &binv_[idx(r, 0)];
-        const int len = row_len_[static_cast<std::size_t>(r)];
-        if (len == kDenseRow) {
-          for (int k = 0; k < m_; ++k) {
-            y[static_cast<std::size_t>(k)] += cb * row[k];
-          }
-        } else {
-          const int* cols = &row_cols_[idx(r, 0)];
-          for (int t = 0; t < len; ++t) {
-            y[static_cast<std::size_t>(cols[t])] += cb * row[cols[t]];
-          }
-        }
+      for (std::size_t r = 0; r < basis_.size(); ++r) {
+        pos_work_[r] = cost_[static_cast<std::size_t>(basis_[r])];
       }
+      factor_.btran(pos_work_, y);
 
       // Pricing.
       const bool bland = degenerate_run > 64;
@@ -392,8 +769,8 @@ class Simplex {
           continue;  // fixed variable can never improve
         }
         double d = cost_[static_cast<std::size_t>(j)];
-        for (const SparseEntry& e : cols_[static_cast<std::size_t>(j)]) {
-          d -= y[static_cast<std::size_t>(e.row)] * e.value;
+        for (const Entry& e : cols_[static_cast<std::size_t>(j)]) {
+          d -= y[static_cast<std::size_t>(e.index)] * e.value;
         }
         int dir = 0;
         if ((st == VarState::kAtLower || st == VarState::kFreeAtZero) &&
@@ -420,13 +797,11 @@ class Simplex {
 
       // w = B^-1 a_entering.
       std::vector<double>& w = w_;
-      std::fill(w.begin(), w.end(), 0.0);
-      for (const SparseEntry& e : cols_[static_cast<std::size_t>(entering)]) {
-        for (int r = 0; r < m_; ++r) {
-          w[static_cast<std::size_t>(r)] +=
-              binv_[idx(r, e.row)] * e.value;
-        }
+      std::fill(row_work_.begin(), row_work_.end(), 0.0);
+      for (const Entry& e : cols_[static_cast<std::size_t>(entering)]) {
+        row_work_[static_cast<std::size_t>(e.index)] = e.value;
       }
+      factor_.ftran(row_work_, w);
 
       // Ratio test: entering moves by t >= 0 in `direction`;
       // basic values change by -direction * t * w.
@@ -506,64 +881,7 @@ class Simplex {
       state_[static_cast<std::size_t>(entering)] = VarState::kBasic;
       xb_[static_cast<std::size_t>(leaving_row)] = entering_value;
 
-      update_inverse(leaving_row);
-    }
-  }
-
-  /// B^-1 update for a pivot on `pivot_row`: divide the pivot row by
-  /// w[pivot_row], then subtract w[r] times it from every other row r.
-  /// Only the pivot row's nonzero columns take part; new ones join each
-  /// touched sparse row's index. A row whose index would grow past m/8
-  /// goes dense (see simplex.hpp).
-  void update_inverse(int pivot_row) {
-    const double pivot = w_[static_cast<std::size_t>(pivot_row)];
-    double* prow = &binv_[idx(pivot_row, 0)];
-    pivot_cols_.clear();
-    const int plen = row_len_[static_cast<std::size_t>(pivot_row)];
-    if (plen == kDenseRow) {
-      for (int c = 0; c < m_; ++c) {
-        prow[c] /= pivot;
-        if (prow[c] != 0.0) pivot_cols_.push_back(c);
-      }
-    } else {
-      const int* cols = &row_cols_[idx(pivot_row, 0)];
-      for (int t = 0; t < plen; ++t) {
-        prow[cols[t]] /= pivot;
-        if (prow[cols[t]] != 0.0) pivot_cols_.push_back(cols[t]);
-      }
-    }
-    const int nnz = static_cast<int>(pivot_cols_.size());
-    for (int r = 0; r < m_; ++r) {
-      if (r == pivot_row) continue;
-      const double f = w_[static_cast<std::size_t>(r)];
-      if (f == 0.0) continue;
-      double* row = &binv_[idx(r, 0)];
-      int& len = row_len_[static_cast<std::size_t>(r)];
-      int* cols = &row_cols_[idx(r, 0)];
-      if (len != kDenseRow) {
-        // Mark the row's columns, dropping those that cancelled to zero.
-        if (++stamp_token_ == 0) {
-          std::fill(stamp_.begin(), stamp_.end(), 0u);
-          stamp_token_ = 1;
-        }
-        int kept = 0;
-        for (int t = 0; t < len; ++t) {
-          if (row[cols[t]] == 0.0) continue;
-          stamp_[static_cast<std::size_t>(cols[t])] = stamp_token_;
-          cols[kept++] = cols[t];
-        }
-        len = 8 * (kept + nnz) > m_ ? kDenseRow : kept;
-      }
-      if (len == kDenseRow) {
-        for (const int c : pivot_cols_) row[c] -= f * prow[c];
-        continue;
-      }
-      for (const int c : pivot_cols_) {
-        if (stamp_[static_cast<std::size_t>(c)] != stamp_token_) {
-          cols[len++] = c;
-        }
-        row[c] -= f * prow[c];
-      }
+      refactor_due_ = !factor_.update(leaving_row, w);
     }
   }
 
@@ -598,19 +916,13 @@ class Simplex {
   SimplexOptions options_;
   int m_ = 0;
   int n_structural_ = 0;
-  std::vector<std::vector<SparseEntry>> cols_;
+  std::vector<std::vector<Entry>> cols_;
   std::vector<double> lb_, ub_, cost_, b_, xb_;
-  // Dense row-major basis inverse. Sparse row r lists, in row_cols_[r*m,
-  // r*m + row_len_[r]), a superset of its nonzero columns; every other
-  // entry of the row is an exact zero. row_len_[r] == kDenseRow marks a
-  // row without an index.
-  static constexpr int kDenseRow = -1;
-  std::vector<double> binv_;
-  std::vector<int> row_cols_, row_len_;
-  std::vector<std::uint32_t> stamp_;  // merge marks, one per column
-  std::uint32_t stamp_token_ = 0;
-  std::vector<int> pivot_cols_;
-  std::vector<double> y_, w_;  // per-iteration scratch
+  BasisFactor factor_;
+  bool refactor_due_ = false;  // set by a pivot too small for the eta file
+  // Per-iteration scratch: y and w, and the solves' inputs (by constraint
+  // row and by basis position), which the solves overwrite.
+  std::vector<double> y_, w_, row_work_, pos_work_;
   std::vector<VarState> state_;
   std::vector<int> basis_;
   std::map<std::size_t, double> objective_cost_of_;

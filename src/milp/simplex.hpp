@@ -6,27 +6,28 @@
 //     s.t.       A x {<=, >=, =} b,   l <= x <= u
 //
 // Implementation notes:
-//  * Revised simplex with an explicit basis inverse B^-1, stored dense
-//    row-major and refactorized periodically by Gauss-Jordan for
-//    numerical hygiene. Constraint columns stay sparse, so pricing is
-//    cheap even for the FMSSM-sized instances (thousands of columns).
-//  * B^-1 of an FMSSM basis is mostly exact zeros, so each row of it
-//    carries an index: a superset of its nonzero columns, in one flat
-//    m x m int array. The duals y = c_B^T B^-1 read only the indexed
-//    columns of each costed row; a pivot updates only the pivot row's
-//    nonzero columns and merges new ones into each touched row's index
-//    (a stamp array marks the row's columns; entries that cancelled to
-//    zero drop out). A row whose index would exceed m/8 goes dense: it
-//    loses its index and y reads it whole, until a rescan (every 64
-//    iterations) or the next refactorization finds it sparse again.
-//  * Refactorization eliminates across the pivot row's nonzero columns
-//    only, builds the inverse in place in B^-1 (one m x m scratch
-//    matrix, not two) and then reindexes every row.
-//  * Only terms whose factor is exactly 0.0 are skipped, and every sum
-//    keeps its order, so each (finite) value of B^-1, y, w and x is the
-//    one the all-dense loops compute, up to the sign of an exact zero,
-//    which no comparison sees. The pivot path, iteration count and
-//    solution bits are the dense solver's (tests/data/ pins them).
+//  * Revised simplex on a sparse LU factorization of the basis matrix B.
+//    Constraint columns stay sparse, so pricing is cheap even for the
+//    FMSSM-sized instances (thousands of columns).
+//  * Factorization (every refactor_every iterations): row and column
+//    singletons are peeled first; they pivot on B's own values and fill
+//    nothing, and FMSSM bases (mostly slacks and columns of at most 5
+//    entries) are nearly triangular, so they take almost every step. The
+//    remaining bump is eliminated right-looking with threshold partial
+//    pivoting (a pivot is at least 0.1 of its column) and Markowitz
+//    counts. A singular basis stops the solve with kIterationLimit.
+//  * Between factorizations each pivot appends one product-form eta
+//    matrix: the pivot position and the FTRAN'd entering column. A pivot
+//    below 1e-7 of its column's largest entry forces a refactorization
+//    before the next iteration.
+//  * The duals come from a BTRAN of c_B, and the entering column w and
+//    the basic values (at each factorization) from FTRANs. Work and
+//    memory per pivot scale with the nonzeros of the factors and etas,
+//    not with m^2.
+//  * The arithmetic differs from the dense explicit B^-1 this replaced,
+//    so rounding may break pricing and ratio-test ties another way: the
+//    pivot path and solution bits are this solver's own (tests/data/
+//    pins them; objectives agree with the dense solver's to 1e-9).
 //  * Variable bounds are handled implicitly (nonbasic variables rest at a
 //    finite bound and may "bound-flip"), so binaries do not inflate the
 //    row count.
@@ -45,7 +46,7 @@ namespace pm::milp {
 
 struct SimplexOptions {
   int max_iterations = 50000;  ///< across both phases.
-  int refactor_every = 500;    ///< basis-inverse rebuild period.
+  int refactor_every = 32;     ///< basis refactorization period.
 };
 
 enum class LpStatus {

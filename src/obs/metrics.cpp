@@ -122,6 +122,12 @@ double MetricsRegistry::gauge_value(const std::string& name,
   return e != nullptr && e->gauge ? e->gauge->value() : 0.0;
 }
 
+const Histogram* MetricsRegistry::find_histogram(const std::string& name,
+                                                 const Labels& labels) const {
+  const Entry* e = find(name, labels);
+  return e != nullptr ? e->histogram.get() : nullptr;
+}
+
 std::map<std::string, std::uint64_t> MetricsRegistry::counters_by_label(
     const std::string& name, const std::string& label_key) const {
   const std::lock_guard<std::mutex> lock(mutex_);

@@ -102,6 +102,10 @@ class MetricsRegistry {
                               const Labels& labels = {}) const;
   double gauge_value(const std::string& name,
                      const Labels& labels = {}) const;
+  /// The histogram series, or nullptr when it does not exist. Unlike
+  /// histogram(), registers nothing.
+  const Histogram* find_histogram(const std::string& name,
+                                  const Labels& labels = {}) const;
   /// Values of `label_key` -> counter value, over every series named
   /// `name`.
   std::map<std::string, std::uint64_t> counters_by_label(

@@ -596,6 +596,34 @@ TEST(Optimal, AtLeastAsGoodAsItsWarmStart) {
   EXPECT_GE(opt_metrics.total_programmability, 0);
 }
 
+// On every ATT single failure the root LP bound equals the objective of
+// PM's warm start, so branch and bound prunes at the root and returns
+// PM's plan. This is why the k = 1 figures do not move when the LP's
+// last bits do.
+TEST(Optimal, AttSingleFailuresProveTheWarmStartAtTheRoot) {
+  const Network net = make_att_network();
+  const auto scenarios = sdwan::enumerate_failures(net, 1);
+  ASSERT_EQ(scenarios.size(), 6u);
+  for (const FailureScenario& scenario : scenarios) {
+    const FailureState state(net, scenario);
+    const OptimalOutcome outcome = run_optimal(state);
+    const RecoveryPlan pm_plan = run_pm(state);
+    SCOPED_TRACE("failed controller " + std::to_string(scenario.failed[0]));
+    EXPECT_EQ(outcome.status, milp::MipStatus::kOptimal);
+    EXPECT_EQ(outcome.nodes_explored, 1);
+    ASSERT_TRUE(outcome.plan.has_value());
+    EXPECT_EQ(outcome.plan->mapping, pm_plan.mapping);
+    const auto pairs = [](const RecoveryPlan& plan) {
+      std::vector<std::pair<SwitchId, FlowId>> out;
+      for (const Assignment& a : plan.sdn_assignments) {
+        out.emplace_back(a.sw, a.flow);
+      }
+      return out;
+    };
+    EXPECT_EQ(pairs(*outcome.plan), pairs(pm_plan));
+  }
+}
+
 // ---------------------------------------------------------------------
 // Metrics
 // ---------------------------------------------------------------------

@@ -1326,10 +1326,17 @@ CellColumns chaos_cell_columns(std::uint64_t index,
   std::string histograms;
   for (const char* name : {"pm_message_latency_ms", "pm_wave_convergence_ms",
                            "pm_switch_flow_entries"}) {
-    const obs::Histogram& hist =
-        simulation.observability().metrics.histogram(name, "", {});
-    for (const std::uint64_t c : hist.bucket_counts()) histograms += n(c) + ' ';
-    histograms += hex64(std::bit_cast<std::uint64_t>(hist.sum())) + '\n';
+    const obs::Histogram* hist =
+        simulation.observability().metrics.find_histogram(name);
+    if (hist == nullptr) {
+      // What an empty, bucketless series prints: its +Inf bucket and sum.
+      histograms += "0 " + hex64(0) + '\n';
+      continue;
+    }
+    for (const std::uint64_t c : hist->bucket_counts()) {
+      histograms += n(c) + ' ';
+    }
+    histograms += hex64(std::bit_cast<std::uint64_t>(hist->sum())) + '\n';
   }
   char kill[32];
   std::snprintf(kill, sizeof kill, "%.3f", second_kill_ms);

@@ -36,6 +36,17 @@ TEST(Model, VariableValidation) {
   EXPECT_DOUBLE_EQ(m.variable(b).upper, 1.0);
 }
 
+TEST(Model, SetBoundsReplacesBoundsAndValidates) {
+  Model m;
+  const int x = m.add_continuous("x", 0.0, 10.0, 1.0);
+  m.set_bounds(x, 2.0, 3.0);
+  EXPECT_DOUBLE_EQ(m.variable(x).lower, 2.0);
+  EXPECT_DOUBLE_EQ(m.variable(x).upper, 3.0);
+  EXPECT_THROW(m.set_bounds(x, 4.0, 3.0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(m.variable(x).lower, 2.0);  // unchanged on throw
+  EXPECT_THROW(m.set_bounds(1, 0.0, 1.0), std::out_of_range);
+}
+
 TEST(Model, ConstraintMergingAndValidation) {
   Model m;
   const int x = m.add_continuous("x", 0, 10, 1);
@@ -582,12 +593,28 @@ TEST(SimplexRobustness, FrequentRefactorizationAgrees) {
   }
   SimplexOptions normal;
   SimplexOptions paranoid;
-  paranoid.refactor_every = 2;  // rebuild the basis inverse constantly
+  paranoid.refactor_every = 2;  // refactorize the basis constantly
   const LpResult a = solve_lp(m, normal);
   const LpResult b = solve_lp(m, paranoid);
   ASSERT_EQ(a.status, LpStatus::kOptimal);
   ASSERT_EQ(b.status, LpStatus::kOptimal);
   EXPECT_NEAR(a.objective, b.objective, 1e-7);
+}
+
+// x enters on a pivot of 1e-9 against a column entry of 1, small enough
+// that the basis is refactorized before the next iteration.
+TEST(SimplexRobustness, TinyPivotForcesRefactorization) {
+  Model m;
+  m.set_objective_sense(Objective::kMaximize);
+  const int x = m.add_continuous("x", 0.0, kInfinity, 1.0);
+  const int y = m.add_continuous("y", 0.0, 4.0, 1.0);
+  m.add_constraint("tiny", {{x, 1e-9}, {y, -1e-9}}, Sense::kLe, 0.0);
+  m.add_constraint("cap", {{x, 1.0}, {y, 1.0}}, Sense::kLe, 10.0);
+  const LpResult r = solve_lp(m);
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 8.0, 1e-6);
+  EXPECT_NEAR(r.x[0], 4.0, 1e-6);
+  EXPECT_NEAR(r.x[1], 4.0, 1e-6);
 }
 
 TEST(SimplexRobustness, IterationLimitReported) {
@@ -629,10 +656,10 @@ TEST(SimplexRobustness, RefactorEveryBelowOneIsClampedToOne) {
 }
 
 // ---------------------------------------------------------------------
-// Golden LP results. The data files hold what the all-dense simplex of
-// commit fdefd08 produced. Skipping exact zeros must keep its pivot
-// path, so status, iteration count, objective and every bit of x stay
-// the same.
+// Golden LP results. The data files hold what the sparse LU simplex
+// produced when it replaced the dense explicit B^-1; every status was
+// the dense solver's and every objective within 1e-13 of it. Any change
+// to the pivot path, the iteration count or a bit of x shows up here.
 // ---------------------------------------------------------------------
 
 std::uint64_t bits_of(double v) {
@@ -751,9 +778,10 @@ class Draw {
 /// A seeded LP that reaches every simplex path: <=, >= and = rows (phase
 /// 1), boxed, half-bounded, free and fixed variables (bound flips,
 /// kFreeAtZero), rows tight at the resting point (degenerate pivots), a
-/// block of rows with >= 50% fill (dense rows in the basis inverse) and,
-/// in a quarter of the models, a cone on which the resting point is
-/// optimal (a run of degenerate pivots long enough for Bland's rule).
+/// block of rows with >= 50% fill (a bump with fill-in when the basis is
+/// factorized) and, in a quarter of the models, a cone on which the
+/// resting point is optimal (a run of degenerate pivots long enough for
+/// Bland's rule).
 /// Rows are built around a point x0 inside the bounds, so most models are
 /// feasible; some stay unbounded and a few get a contradictory pair of
 /// rows.

@@ -72,6 +72,23 @@ TEST(Metrics, HistogramBucketsAndSum) {
   EXPECT_EQ(h.bucket_counts()[3], 1u);  // +Inf
 }
 
+TEST(Metrics, FindHistogramRegistersNothing) {
+  MetricsRegistry m;
+  m.histogram("pm_fed_ms", "fed", {1.0}).observe(0.5);
+  std::ostringstream before;
+  m.write_prometheus(before);
+  EXPECT_EQ(m.find_histogram("pm_never_fed_ms"), nullptr);
+  EXPECT_EQ(m.find_histogram("pm_fed_ms", {{"kind", "x"}}), nullptr);
+  EXPECT_EQ(m.series_count(), 1u);
+  std::ostringstream after;
+  m.write_prometheus(after);
+  EXPECT_EQ(after.str(), before.str());
+  const Histogram* fed = m.find_histogram("pm_fed_ms");
+  ASSERT_NE(fed, nullptr);
+  EXPECT_EQ(fed->count(), 1u);
+  EXPECT_EQ(fed, &m.histogram("pm_fed_ms", "", {}));
+}
+
 TEST(Metrics, PrometheusExportIsSortedAndCumulative) {
   MetricsRegistry m;
   // Register out of sorted order; export must sort by identity.
