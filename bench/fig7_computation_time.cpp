@@ -10,9 +10,9 @@
 // on every host; the wall times reported here are what this host took to
 // spend that budget.
 //
-// Flags: --cases=<k,k,...> failure sizes, --jobs=N (parallel cases;
-// reported wall times are per-case solver times, so the ratios are
-// unaffected by parallelism).
+// Flags: --cases=<k,k,...> failure sizes (each 1..5), --jobs=N
+// (parallel cases; reported wall times are per-case solver times, so the
+// ratios are unaffected by parallelism).
 #include <iostream>
 #include <numeric>
 
@@ -21,22 +21,17 @@
 int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
-  const std::string cases = args.get_string("cases", "1,2,3");
+  const sdwan::Network net = core::make_att_network();
+  const std::vector<long long> cases =
+      args.get_ints("cases", "1,2,3", 1, net.controller_count() - 1);
   const int jobs = util::parse_jobs_flag(args);
   obs::apply_log_level_flag(args);
 
-  const sdwan::Network net = core::make_att_network();
   std::cout << "=== Fig. 7: computation time, PM as % of Optimal ===\n";
 
   util::TextTable t({"failures", "cases", "PM mean (ms)",
                      "Optimal mean (s)", "PM / Optimal"});
-  for (const std::string& tok : util::split(cases, ',')) {
-    long long k = 0;
-    if (!util::parse_int(tok, k) || k < 1 ||
-        k >= net.controller_count()) {
-      obs::log().warn("skipping bad failure count '" + tok + "'");
-      continue;
-    }
+  for (const long long k : cases) {
     core::RunnerOptions opts;
     opts.run_optimal = true;
     opts.jobs = jobs;

@@ -7,7 +7,7 @@
 // FMSSM model size grows quadratically — the reason the exact solver
 // needs budgets).
 //
-// Flags: --sizes=25,50,100,150 --controllers-per-25=2 --seed=1
+// Flags: --sizes=25,50,100,150 (each at least 10 nodes) --seed=1
 // --jobs=N (sizes evaluated in parallel; the table is identical at any N)
 #include <algorithm>
 #include <climits>
@@ -18,39 +18,31 @@
 #include "core/fmssm.hpp"
 #include "topo/generators.hpp"
 #include "topo/placement.hpp"
-#include "util/shutdown.hpp"
 #include "util/task_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
-  const std::string sizes = args.get_string("sizes", "25,50,75,100,150");
+  std::vector<int> node_counts;
+  for (const long long n : args.get_ints("sizes", "25,50,75,100,150", 10,
+                                         INT_MAX)) {
+    node_counts.push_back(static_cast<int>(n));
+  }
   const auto seed =
       static_cast<std::uint64_t>(args.get_int("seed", 1, 0, LLONG_MAX));
   const int jobs = util::parse_jobs_flag(args);
   obs::apply_log_level_flag(args);
-  // SIGINT/SIGTERM skip the remaining sizes (the 150-node row dominates
-  // the runtime) and still print the rows that finished.
-  util::install_shutdown_handler();
 
   std::cout << "=== Scalability on Waxman WANs (extension) ===\n";
   util::TextTable t({"nodes", "links", "ctrls", "offline flows",
                      "PM ms", "PG ms", "RetroFlow ms", "PM total",
                      "PG total", "model vars", "model rows"});
 
-  std::vector<int> node_counts;
-  for (const std::string& tok : util::split(sizes, ',')) {
-    long long n = 0;
-    if (!util::parse_int(tok, n) || n < 10) continue;
-    node_counts.push_back(static_cast<int>(n));
-  }
-
   // One row per size; sizes are independent, so they fan out across the
   // pool and come back in input order.
   util::TaskPool pool(jobs);
   const auto rows = pool.parallel_map(
       node_counts, [&](std::size_t, int n) -> std::vector<std::string> {
-        if (util::shutdown_requested()) return {};
         const topo::Topology topology = topo::waxman(n, 0.5, 0.25, seed);
         const int controllers = std::max(3, n / 12);
         const auto domains = topo::k_center_domains(topology, controllers);
@@ -98,16 +90,7 @@ int main(int argc, char** argv) {
                 std::to_string(problem.model.variable_count()),
                 std::to_string(problem.model.constraint_count())};
       });
-  std::size_t printed = 0;
-  for (const auto& row : rows) {
-    if (row.empty()) continue;  // skipped by a shutdown request
-    t.add_row(row);
-    ++printed;
-  }
-  if (util::shutdown_requested()) {
-    std::cout << "[interrupted: flushing " << printed << " of "
-              << rows.size() << " rows]\n";
-  }
+  for (const auto& row : rows) t.add_row(row);
   t.print(std::cout);
-  return util::shutdown_requested() ? 130 : 0;
+  return 0;
 }

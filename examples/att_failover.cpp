@@ -1,21 +1,19 @@
-// att_failover — the paper's headline scenario, end to end, with the
-// recovery timeline.
+// att_failover — the paper's headline scenario, end to end.
 //
 // Fails the controllers at the given nodes (default: 13 and 20, the
-// paper's pivotal double failure), runs all algorithms, explains what
-// happened to hub switch 13, and runs PM's recovery through the
-// message-level control-plane simulation (ctrl::ControlSimulation).
+// paper's pivotal double failure), runs all algorithms and explains what
+// happened to hub switch 13. PM's recovery of the same failure on the
+// wire (detection, last acknowledgement, messages) is what
+// `protocol_trace --fail=13,20 --until=2000` prints.
 //
 // Usage: ./build/examples/att_failover [--fail=13,20] [--optimal]
 //        [--json=report.json]
 #include <iostream>
-#include <optional>
 #include <stdexcept>
 
 #include "core/runner.hpp"
 #include "core/scenario.hpp"
 #include "core/serialize.hpp"
-#include "ctrl/simulation.hpp"
 #include "obs/obs.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
@@ -109,33 +107,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  // PM's recovery on the wire: the failed controllers crash together at
-  // t=500 ms, the survivors' heartbeat detectors notice, and the
-  // coordinator sends each adopted switch one RoleRequest carrying its
-  // slice of PM's plan.
-  ctrl::ControlSimulation simulation(
-      net, [](const sdwan::FailureState& st,
-              const core::RecoveryPlan* previous) {
-        core::PmOptions pm_opts;
-        pm_opts.seed = previous;
-        return core::run_pm(st, pm_opts);
-      });
-  for (const sdwan::ControllerId j : scenario.failed) {
-    simulation.fail_controller_at(j, 500.0);
-  }
-  const ctrl::SimulationReport report = simulation.run(2000.0);
-  const auto at = [](const std::optional<double>& t) {
-    return t ? util::format_double(*t, 1) + " ms" : std::string("never");
-  };
-  std::cout << "\nPM recovery timeline (control-plane simulation, crash at "
-               "500 ms):\n"
-            << "  failure detected at      " << at(report.detected_at)
-            << "\n"
-            << "  last role reply at       " << at(report.converged_at)
-            << "\n"
-            << "  flows programmed         " << report.flows_with_entries
-            << "\n"
-            << "  control messages by 2 s  " << report.messages_sent
-            << "\n";
   return 0;
 }

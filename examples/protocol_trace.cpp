@@ -5,9 +5,8 @@
 // Optionally runs the whole exchange over a lossy channel (seeded fault
 // injection) to show the reliable-delivery machinery at work.
 //
-// Usage: ./build/examples/protocol_trace [--fail=13,20]
-//        [--second-failure-at=3000] [--until=10000]
-//        [--kill-at=<time>:<controller>]...
+// Usage: ./build/examples/protocol_trace [--fail=13,20] [--until=10000]
+//        [--kill-at=<ms>:<node>]...
 //        [--suspicion-checks=1]
 //        [--loss=0.1] [--dup=0.05] [--jitter=20]
 //        [--reorder=0.01] [--reorder-delay=40] [--fault-seed=42]
@@ -15,11 +14,14 @@
 //        [--metrics-out=m.prom] [--metrics-json=m.json]
 //        [--log-level=info]
 //
-// --kill-at is repeatable and may land INSIDE a recovery window: killing
-// the coordinator (or an adopting controller) mid-wave exercises the
-// transactional failover/replan/sweep path. <controller> is a
-// controller id or its topology node location (e.g. 850:0 or 850:4);
-// a malformed spec or an unknown controller exits 2.
+// --fail crashes every controller at the named nodes together at
+// t = 500 ms. --kill-at is repeatable and crashes the controller at
+// <node> at t = <ms>: after a wave has converged (successive failures,
+// e.g. --fail=13 --kill-at=3000:20) or inside a recovery window, where
+// killing the coordinator or an adopting controller mid-wave exercises
+// the transactional failover/replan/sweep path. <node> is read exactly
+// like --fail; a malformed spec or a node that hosts no controller
+// exits 2.
 //
 // --trace-out writes a Chrome trace_event file (load in Perfetto /
 // chrome://tracing); --metrics-out writes Prometheus text exposition.
@@ -44,8 +46,6 @@ int main(int argc, char** argv) {
   using namespace pm;
   util::CliArgs args(argc, argv);
   const std::string fail_spec = args.get_string("fail", "13,20");
-  const double second_at =
-      args.get_double("second-failure-at", 3000.0, 0.0, util::kUnbounded);
   const double until = args.get_double("until", 10000.0, 0.0, util::kUnbounded);
   ctrl::ControllerConfig config;
   config.suspicion_checks =
@@ -72,6 +72,30 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // --fail crashes at 500 ms, then each --kill-at <ms>:<node>; a spec
+  // that names no time or no controller node is refused like a bad flag.
+  std::vector<std::pair<double, sdwan::FailureScenario>> kills = {
+      {500.0, scenario}};
+  for (const std::string& spec : kill_specs) {
+    const std::size_t colon = spec.find(':');
+    double t = 0.0;
+    if (colon == std::string::npos ||
+        !util::parse_double(spec.substr(0, colon), t) ||
+        !(t >= 0.0 && t < util::kUnbounded)) {
+      std::cerr << "protocol_trace: --kill-at=" << spec
+                << " is not <ms>:<node>\n";
+      return 2;
+    }
+    try {
+      kills.emplace_back(
+          t, sdwan::FailureScenario::parse(net, spec.substr(colon + 1)));
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "protocol_trace: --kill-at=" << spec << ": " << e.what()
+                << "\n";
+      return 2;
+    }
+  }
+
   ctrl::ControlSimulation simulation(
       net,
       [](const sdwan::FailureState& state,
@@ -87,9 +111,6 @@ int main(int argc, char** argv) {
   simulation.observability().detailed_metrics =
       obs_options.detailed_requested();
 
-  // Crash the named controllers: the first at t = 500 ms, any further
-  // ones at --second-failure-at (successive-failure mode).
-  double at = 500.0;
   std::cout << "=== Control-plane protocol trace ===\n";
   if (faults.active()) {
     std::cout << "channel faults: loss=" << faults.drop_probability
@@ -98,42 +119,12 @@ int main(int argc, char** argv) {
               << "ms reorder=" << faults.reorder_probability
               << " seed=" << faults.seed << "\n";
   }
-  for (const sdwan::ControllerId j : scenario.failed) {
-    std::cout << "scheduling crash of " << net.controller(j).name
-              << " at t=" << util::format_double(at, 0) << " ms\n";
-    simulation.fail_controller_at(j, at);
-    at = second_at;
-  }
-  // Additional kills, usable inside the recovery window: each spec is
-  // <time>:<controller>, controller given as id or node location. A spec
-  // that names no time or no controller is refused like a bad flag.
-  for (const std::string& spec : kill_specs) {
-    const auto parts = util::split(spec, ':');
-    double t = 0.0;
-    long long who = -1;
-    if (parts.size() != 2 || !util::parse_double(parts[0], t) ||
-        !(t >= 0.0 && t < util::kUnbounded) ||
-        !util::parse_int(parts[1], who)) {
-      std::cerr << "protocol_trace: --kill-at=" << spec
-                << " is not <time>:<controller>\n";
-      return 2;
+  for (const auto& [at, victims] : kills) {
+    for (const sdwan::ControllerId j : victims.failed) {
+      std::cout << "scheduling crash of " << net.controller(j).name
+                << " at t=" << util::format_double(at, 0) << " ms\n";
+      simulation.fail_controller_at(j, at);
     }
-    int target = -1;
-    for (int j = 0; j < net.controller_count(); ++j) {
-      if (net.controller(j).location == who) target = j;
-    }
-    if (target < 0 && who >= 0 && who < net.controller_count()) {
-      target = static_cast<int>(who);
-    }
-    if (target < 0) {
-      std::cerr << "protocol_trace: --kill-at=" << spec
-                << " names no controller id or location\n";
-      return 2;
-    }
-    std::cout << "scheduling crash of " << net.controller(target).name
-              << " at t=" << util::format_double(t, 0)
-              << " ms (mid-recovery kill)\n";
-    simulation.fail_controller_at(target, t);
   }
 
   const ctrl::SimulationReport report = simulation.run(until);

@@ -22,8 +22,8 @@ namespace pm::core {
 
 /// Simplex pivots, summed over the branch-and-bound nodes, that every
 /// Optimal solve may spend. The ATT k = 1 cases prove optimality at the
-/// root in under 2,000; the k = 2 and k = 3 cases that stop on it reach
-/// at most 1,020 nodes, so the node limit never binds first.
+/// root in under 2,000; the k = 2 and k = 3 cases that stop on it have
+/// explored at most 1,020 nodes by then.
 inline constexpr long kOptimalPivotBudget = 200'000;
 
 struct OptimalOutcome {

@@ -60,8 +60,7 @@ class BranchAndBound {
     bool any_limit_hit = false;
 
     while (!stack.empty()) {
-      if (result.nodes_explored >= options_.node_limit ||
-          result.pivots >= options_.pivot_limit) {
+      if (result.pivots >= options_.pivot_limit) {
         any_limit_hit = true;
         break;
       }

@@ -4,10 +4,10 @@
 //  * warm start — an incumbent can be injected (we seed it with PM's
 //    heuristic solution, standard MIP practice), so the solver always
 //    reports a solution at least as good as the heuristic;
-//  * node / pivot limits with honest status reporting: when a limit stops
+//  * a pivot limit with honest status reporting: when the limit stops
 //    the search before the gap closes, the status says so — this is the
 //    behaviour behind the paper's Fig. 6, where "Optimal" produces results
-//    in only 12 of 20 three-failure cases. The pivot limit counts simplex
+//    in only 12 of 20 three-failure cases. The limit counts simplex
 //    iterations summed over the nodes, so where the search stops depends
 //    on the model alone, never on the host's speed or load;
 //  * best-bound tracking for the optimality gap;
@@ -27,7 +27,6 @@ namespace pm::milp {
 struct MipOptions {
   /// Simplex pivots summed over every node's LP; checked before each node.
   long pivot_limit = 1000000;
-  long node_limit = 100000;
   /// Optional feasible starting solution (checked; ignored if infeasible).
   std::optional<std::vector<double>> warm_start;
 };

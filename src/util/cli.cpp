@@ -67,6 +67,23 @@ long long CliArgs::get_int(const std::string& name, long long fallback,
   return v;
 }
 
+std::vector<long long> CliArgs::get_ints(const std::string& name,
+                                         const std::string& fallback,
+                                         long long lo, long long hi) const {
+  const std::string text = get_string(name, fallback);
+  std::vector<long long> out;
+  for (const std::string& tok : split(text, ',')) {
+    long long v = 0;
+    if (!parse_int(tok, v) || v < lo || v > hi) {
+      std::cerr << program_ << ": --" << name << "=" << text << ": '" << tok
+                << "' is not an integer in [" << lo << ", " << hi << "]\n";
+      std::exit(2);
+    }
+    out.push_back(v);
+  }
+  return out;
+}
+
 double CliArgs::get_double(const std::string& name, double fallback,
                            double lo, double hi) const {
   queried_[name] = true;

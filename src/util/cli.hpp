@@ -30,6 +30,12 @@ class CliArgs {
   /// program prints a message naming the flag and exits with status 2.
   long long get_int(const std::string& name, long long fallback,
                     long long lo, long long hi) const;
+  /// The comma-separated integers of --name (of `fallback` when absent),
+  /// in order. A token that is not an integer in [lo, hi] is refused
+  /// like a bad get_int value.
+  std::vector<long long> get_ints(const std::string& name,
+                                  const std::string& fallback, long long lo,
+                                  long long hi) const;
   /// The real value of --name, or `fallback` when absent. A value that
   /// is not a number or lies outside [lo, hi] is refused the same way.
   double get_double(const std::string& name, double fallback, double lo,

@@ -1,9 +1,10 @@
-// Cooperative shutdown flag for long-running binaries (the recovery
-// service and the sweep benches). install_shutdown_handler() routes
-// SIGINT/SIGTERM to a process-wide atomic flag; loops poll
-// shutdown_requested() at convenient boundaries (between sweep cells,
-// between accepted connections) and flush whatever partial output they
-// hold instead of dying mid-write.
+// Cooperative shutdown flag for the one binary that runs until it is
+// stopped, the recovery service (examples/pm_server).
+// install_shutdown_handler() routes SIGINT/SIGTERM to a process-wide
+// atomic flag; svc::Server::run_until_shutdown() polls
+// shutdown_requested() and then drains its connections instead of dying
+// mid-reply. The sweep benches finish in well under a second and take
+// no handler.
 //
 // The handler only sets the flag — it is async-signal-safe and never
 // allocates, logs or exits. A second signal while the flag is already

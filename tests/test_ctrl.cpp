@@ -1423,11 +1423,13 @@ TEST(CtrlGolden, CellLineIgnoresExportText) {
 // tests/data/ctrl_trace_digests.txt holds the golden::fnv1a64 digests
 // of the JSONL trace, the Chrome trace and the Prometheus export of one
 // traced run (tracer and detailed metrics on), the two runs CI makes
-// with examples/protocol_trace:
-//  * fail-13-20: C13 dies at 500 ms, C20 at 3000 ms, fault-free;
-//  * kill-13-0: C13 dies at 500 ms and controller 0 at 850 ms, inside
-//    the recovery wave, over 5% loss and 20 ms jitter (fault seed 42),
-//    suspicion_checks = 3.
+// with examples/protocol_trace, whose written files CI hashes against
+// the same lines:
+//  * fail-13-20 (--fail=13 --kill-at=3000:20): C13 dies at 500 ms, C20
+//    at 3000 ms, fault-free;
+//  * kill-13-0 (--fail=13 --kill-at=850:2 ...): C13 dies at 500 ms and
+//    controller 0 (C2) at 850 ms, inside the recovery wave, over 5% loss
+//    and 20 ms jitter (fault seed 42), suspicion_checks = 3.
 // ---------------------------------------------------------------------
 
 std::string trace_digest_line(const std::string& name,

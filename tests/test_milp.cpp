@@ -316,10 +316,11 @@ TEST(Mip, WarmStartRespectedAndImproved) {
   ASSERT_EQ(r.status, MipStatus::kOptimal);
   EXPECT_NEAR(r.objective, 21.0, 1e-9);  // improved past the warm start
 
-  // With a zero node budget the warm start itself must be returned.
+  // With a zero pivot budget the search stops before the root, and the
+  // warm start itself must be returned.
   MipOptions frozen;
   frozen.warm_start = std::vector<double>{1, 0, 0, 1};
-  frozen.node_limit = 0;
+  frozen.pivot_limit = 0;
   const MipResult f = solve_mip(m, frozen);
   EXPECT_EQ(f.status, MipStatus::kFeasible);
   EXPECT_NEAR(f.objective, 12.0, 1e-9);
@@ -338,7 +339,8 @@ TEST(Mip, InfeasibleWarmStartIgnored) {
 }
 
 TEST(Mip, NodeLimitReportsHonestStatus) {
-  // A problem needing branching, with no warm start and a zero budget.
+  // A problem needing branching, with no warm start and a zero budget: the
+  // search stops before the root, so no node is explored and no pivot made.
   Model m;
   m.set_objective_sense(Objective::kMaximize);
   std::vector<Term> terms;
@@ -348,10 +350,12 @@ TEST(Mip, NodeLimitReportsHonestStatus) {
   }
   m.add_constraint("cap", terms, Sense::kLe, 7.0);
   MipOptions opts;
-  opts.node_limit = 0;
+  opts.pivot_limit = 0;
   const MipResult r = solve_mip(m, opts);
   EXPECT_EQ(r.status, MipStatus::kNoSolutionFound);
   EXPECT_FALSE(r.has_solution());
+  EXPECT_EQ(r.nodes_explored, 0);
+  EXPECT_EQ(r.pivots, 0);
 }
 
 TEST(Mip, PivotLimitReportsHonestStatus) {

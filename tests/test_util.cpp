@@ -264,6 +264,23 @@ TEST(Cli, RefusesIntegersOutsideTheirRange) {
   EXPECT_EXIT(args.get_int("e", 1, 1, 9), ::testing::ExitedWithCode(2),
               "--e= ");
   EXPECT_EQ(args.get_int("q", 0, -1, 1), -1);  // the bounds are inclusive
+
+  // A list flag: one bad token refuses the whole flag; none is skipped.
+  const char* list_argv[] = {"/bin/prog", "--sizes=abc,25", "--cases=1,9",
+                             "--gap=1,,2", "--ok=10,25"};
+  CliArgs lists(5, list_argv);
+  EXPECT_EXIT(lists.get_ints("sizes", "25", 10, 100),
+              ::testing::ExitedWithCode(2),
+              "prog: --sizes=abc,25: 'abc' is not an integer in "
+              "\\[10, 100\\]");
+  EXPECT_EXIT(lists.get_ints("cases", "1", 1, 5),
+              ::testing::ExitedWithCode(2), "--cases=1,9: '9' ");
+  EXPECT_EXIT(lists.get_ints("gap", "1", 1, 5), ::testing::ExitedWithCode(2),
+              "--gap=1,,2: '' ");
+  EXPECT_EQ(lists.get_ints("ok", "1", 10, 25),
+            (std::vector<long long>{10, 25}));
+  EXPECT_EQ(lists.get_ints("missing", "1,2,3", 1, 5),
+            (std::vector<long long>{1, 2, 3}));
 }
 
 TEST(Cli, BoolParsing) {
