@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
       static_cast<int>(args.get_int("waxman", 30, 2, INT_MAX));
   const auto controllers =
       static_cast<int>(args.get_int("controllers", 4, 2, INT_MAX));
-  const auto fail = static_cast<int>(args.get_int("fail", 1, 1, INT_MAX));
+  const auto fail =
+      static_cast<int>(args.get_int("fail", 1, 1, controllers - 1));
   const double capacity =
       args.get_double("capacity", 0.0, 0.0, util::kUnbounded);
   const auto seed =
@@ -55,13 +56,12 @@ int main(int argc, char** argv) {
   std::cout << "topology '" << topology.name() << "': "
             << topology.node_count() << " nodes, "
             << topology.link_count() << " links\n";
+  // Refused like a get_int range error, once the node count is known.
   if (controllers > topology.node_count()) {
-    obs::log().error("--controllers must be in [2, node count]");
-    return 1;
-  }
-  if (fail >= controllers) {
-    obs::log().error("--fail must be in [1, controllers)");
-    return 1;
+    std::cerr << "custom_topology: --controllers=" << controllers
+              << " is not an integer in [2, " << topology.node_count()
+              << "]\n";
+    return 2;
   }
 
   const auto domains = topo::k_center_domains(topology, controllers);

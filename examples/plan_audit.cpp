@@ -18,6 +18,7 @@
 #include "core/pm_algorithm.hpp"
 #include "core/scenario.hpp"
 #include "core/serialize.hpp"
+#include "failure_flag.hpp"
 #include "obs/obs.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
@@ -53,13 +54,8 @@ int main(int argc, char** argv) {
   }
 
   const sdwan::Network net = core::make_att_network();
-  sdwan::FailureScenario scenario;
-  try {
-    scenario = sdwan::FailureScenario::parse(net, fail_spec);
-  } catch (const std::invalid_argument& e) {
-    obs::log().error(std::string("--fail: ") + e.what());
-    return 1;
-  }
+  const sdwan::FailureScenario scenario = examples::parse_failure_or_exit(
+      net, "plan_audit", "--fail=" + fail_spec, fail_spec);
   const sdwan::FailureState state(net, scenario);
 
   std::cout << "=== Auditing " << plan.algorithm << " plan from "

@@ -20,8 +20,8 @@
 // e.g. --fail=13 --kill-at=3000:20) or inside a recovery window, where
 // killing the coordinator or an adopting controller mid-wave exercises
 // the transactional failover/replan/sweep path. <node> is read exactly
-// like --fail; a malformed spec or a node that hosts no controller
-// exits 2.
+// like --fail; a malformed spec, or a node in either flag that hosts no
+// controller, exits 2.
 //
 // --trace-out writes a Chrome trace_event file (load in Perfetto /
 // chrome://tracing); --metrics-out writes Prometheus text exposition.
@@ -30,13 +30,13 @@
 #include <climits>
 #include <cstdint>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/pm_algorithm.hpp"
 #include "core/scenario.hpp"
 #include "ctrl/simulation.hpp"
+#include "failure_flag.hpp"
 #include "obs/obs.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
@@ -64,13 +64,8 @@ int main(int argc, char** argv) {
   const obs::ObsOptions obs_options = obs::parse_obs_flags(args);
 
   const sdwan::Network net = core::make_att_network();
-  sdwan::FailureScenario scenario;
-  try {
-    scenario = sdwan::FailureScenario::parse(net, fail_spec);
-  } catch (const std::invalid_argument& e) {
-    obs::log().error(std::string("--fail: ") + e.what());
-    return 1;
-  }
+  const sdwan::FailureScenario scenario = examples::parse_failure_or_exit(
+      net, "protocol_trace", "--fail=" + fail_spec, fail_spec);
 
   // --fail crashes at 500 ms, then each --kill-at <ms>:<node>; a spec
   // that names no time or no controller node is refused like a bad flag.
@@ -86,14 +81,9 @@ int main(int argc, char** argv) {
                 << " is not <ms>:<node>\n";
       return 2;
     }
-    try {
-      kills.emplace_back(
-          t, sdwan::FailureScenario::parse(net, spec.substr(colon + 1)));
-    } catch (const std::invalid_argument& e) {
-      std::cerr << "protocol_trace: --kill-at=" << spec << ": " << e.what()
-                << "\n";
-      return 2;
-    }
+    kills.emplace_back(t, examples::parse_failure_or_exit(
+                              net, "protocol_trace", "--kill-at=" + spec,
+                              spec.substr(colon + 1)));
   }
 
   ctrl::ControlSimulation simulation(

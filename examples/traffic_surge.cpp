@@ -14,7 +14,6 @@
 // Usage: ./build/examples/traffic_surge [--fail=13,20] [--surge-node=12]
 //        [--surge=8] [--total-traffic=200000] [--link-capacity=10000]
 #include <iostream>
-#include <stdexcept>
 
 #include "core/naive.hpp"
 #include "core/pg.hpp"
@@ -22,6 +21,7 @@
 #include "core/reroute.hpp"
 #include "core/retroflow.hpp"
 #include "core/scenario.hpp"
+#include "failure_flag.hpp"
 #include "obs/obs.hpp"
 #include "util/cli.hpp"
 #include "util/strings.hpp"
@@ -41,13 +41,8 @@ int main(int argc, char** argv) {
       args.get_double("link-capacity", 10000.0, 0.0, util::kUnbounded);
   obs::apply_log_level_flag(args);
 
-  sdwan::FailureScenario scenario;
-  try {
-    scenario = sdwan::FailureScenario::parse(net, fail_spec);
-  } catch (const std::invalid_argument& e) {
-    obs::log().error(std::string("--fail: ") + e.what());
-    return 1;
-  }
+  const sdwan::FailureScenario scenario = examples::parse_failure_or_exit(
+      net, "traffic_surge", "--fail=" + fail_spec, fail_spec);
   const sdwan::FailureState state(net, scenario);
 
   sdwan::TrafficMatrix tm = sdwan::gravity_traffic(net, total_traffic);

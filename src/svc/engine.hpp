@@ -18,7 +18,7 @@
 // Determinism: timing fields (solve_seconds) are zeroed before
 // serialization, so a given canonical request always produces the same
 // payload bytes — which is what lets a cache hit be byte-identical to a
-// recompute, and what the CI smoke, test_svc and perfbench assert.
+// recompute, and what test_svc and perfbench's serve workloads assert.
 //
 // Concurrency: solve() is thread-safe (the Network is immutable after
 // construction, each solve builds its own FailureState, and the plan

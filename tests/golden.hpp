@@ -1,5 +1,6 @@
 // Helpers shared by the golden tests: reading the files under tests/data
-// (PM_TEST_DATA_DIR, set by tests/CMakeLists.txt), the 64-bit FNV-1a
+// (PM_TEST_DATA_DIR, set by tests/CMakeLists.txt) and those a program
+// wrote under the build tree (PM_TEST_OUTPUT_DIR), the 64-bit FNV-1a
 // digests those files record, spelled as 16 lowercase hex digits, and
 // the 150-node network of the benchmark's miss workload.
 #pragma once
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -21,14 +23,28 @@
 
 namespace pm::golden {
 
-/// The bytes of tests/data/<name>; a missing file fails the calling test.
-inline std::string read_data_file(const std::string& name) {
-  const std::string path = std::string(PM_TEST_DATA_DIR) + "/" + name;
+/// The bytes of the file at `path`; a missing file fails the calling
+/// test.
+inline std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << "cannot open " << path;
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+/// The bytes of tests/data/<name>.
+inline std::string read_data_file(const std::string& name) {
+  return read_file(std::string(PM_TEST_DATA_DIR) + "/" + name);
+}
+
+/// <build>/tests/<name>/, created if missing: where a test that runs a
+/// program keeps what the program wrote, for inspection after the run.
+inline std::string output_dir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(PM_TEST_OUTPUT_DIR) / name;
+  std::filesystem::create_directories(dir);
+  return dir.string() + "/";
 }
 
 /// FNV-1a with the 64-bit prime, started from 1469598103934665603. That

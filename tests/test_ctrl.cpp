@@ -4,6 +4,8 @@
 #include <bit>
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -1398,8 +1400,8 @@ void expect_chaos_cells(std::size_t cells) {
 
 TEST(CtrlGolden, ChaosCells) { expect_chaos_cells(64); }
 
-// All 1024 cells (under 1 s in Release); CI runs it with
-// --gtest_also_run_disabled_tests.
+// All 1024 cells (under 1 s in Release); `ctest -C full` runs it
+// (test_ctrl.AllChaosCellsAndKillSchedules).
 TEST(CtrlGolden, DISABLED_ChaosCellsAll) { expect_chaos_cells(1024); }
 
 // A series registered first under another help string changes cell 0's
@@ -1421,10 +1423,11 @@ TEST(CtrlGolden, CellLineIgnoresExportText) {
 //
 // Byte identity of the protocol's exports: each line of
 // tests/data/ctrl_trace_digests.txt holds the golden::fnv1a64 digests
-// of the JSONL trace, the Chrome trace and the Prometheus export of one
-// traced run (tracer and detailed metrics on), the two runs CI makes
-// with examples/protocol_trace, whose written files CI hashes against
-// the same lines:
+// of the JSONL trace, the Chrome trace, the Prometheus export and the
+// JSON metrics export of one traced run (tracer and detailed metrics
+// on). Both runs are made twice, in process and by
+// examples/protocol_trace, whose written files must hash to the same
+// lines:
 //  * fail-13-20 (--fail=13 --kill-at=3000:20): C13 dies at 500 ms, C20
 //    at 3000 ms, fault-free;
 //  * kill-13-0 (--fail=13 --kill-at=850:2 ...): C13 dies at 500 ms and
@@ -1451,7 +1454,8 @@ std::string trace_digest_line(const std::string& name,
   obs.metrics.write_prometheus(prometheus);
   return name + ' ' + hex64(fnv1a64(jsonl.str())) + ' ' +
          hex64(fnv1a64(chrome.str())) + ' ' +
-         hex64(fnv1a64(prometheus.str()));
+         hex64(fnv1a64(prometheus.str())) + ' ' +
+         hex64(fnv1a64(obs.metrics.to_json().to_string(2) + "\n"));
 }
 
 TEST(CtrlGolden, TraceDigests) {
@@ -1462,6 +1466,41 @@ TEST(CtrlGolden, TraceDigests) {
                         {}, {}),
       trace_digest_line("kill-13-0", {{failed[0], 500.0}, {0, 850.0}},
                         channel_faults(0.05, 0.0, 20.0, 42), patient_config())};
+  EXPECT_EQ(lines, golden_lines("ctrl_trace_digests.txt"));
+}
+
+/// Runs examples/protocol_trace (PM_PROTOCOL_TRACE) with `flags` and
+/// every file flag, writing to <build>/tests/traces/<name>.*; checks its
+/// stdout against tests/data/protocol_trace_<name>.txt and returns the
+/// digest line of the files it wrote.
+std::string protocol_trace_digest_line(const std::string& name,
+                                       const std::string& flags) {
+  const std::string base = golden::output_dir("traces") + name;
+  const std::vector<std::string> files = {".jsonl", ".json", ".prom",
+                                          ".metrics.json"};
+  // A file left by an earlier run must not stand in for one not written.
+  for (const std::string& file : files) std::filesystem::remove(base + file);
+  const std::string command =
+      std::string("'") + PM_PROTOCOL_TRACE + "' " + flags +
+      " --trace-jsonl='" + base + ".jsonl' --trace-out='" + base +
+      ".json' --metrics-out='" + base + ".prom' --metrics-json='" + base +
+      ".metrics.json' --log-level=quiet > '" + base + ".txt'";
+  EXPECT_EQ(std::system(command.c_str()), 0) << command;
+  EXPECT_EQ(golden::read_file(base + ".txt"),
+            read_data_file("protocol_trace_" + name + ".txt"));
+  std::string line = name;
+  for (const std::string& file : files) {
+    line += ' ' + hex64(fnv1a64(golden::read_file(base + file)));
+  }
+  return line;
+}
+
+TEST(CtrlGolden, ProtocolTraceWritesGoldenFiles) {
+  const std::vector<std::string> lines = {
+      protocol_trace_digest_line("fail-13-20", "--fail=13 --kill-at=3000:20"),
+      protocol_trace_digest_line("kill-13-0",
+                                 "--fail=13 --kill-at=850:2 --loss=0.05 "
+                                 "--jitter=20 --suspicion-checks=3")};
   EXPECT_EQ(lines, golden_lines("ctrl_trace_digests.txt"));
 }
 
@@ -1545,8 +1584,8 @@ TEST(KillScheduleProperty, DeadMastersSwitchesAreReclaimed) {
   expect_kill_schedule_recovers(508);
 }
 
-// The full property set (about 5 s in Release); CI runs it with
-// --gtest_also_run_disabled_tests.
+// The full property set (about 5 s in Release); `ctest -C full` runs it
+// (test_ctrl.AllChaosCellsAndKillSchedules).
 TEST(KillScheduleProperty, DISABLED_SeededSchedulesRecoverAll) {
   for (std::uint64_t i = 0; i < 1000; ++i) expect_kill_schedule_recovers(i);
 }

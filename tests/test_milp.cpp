@@ -752,8 +752,8 @@ TEST(MilpGolden, AttRootLpsMatchParent) {
   EXPECT_GE(check_att_root_lps(700), 6);
 }
 
-// All 21 sets, up to m = 1253 rows (several seconds in Release); CI runs
-// it with --gtest_also_run_disabled_tests.
+// All 21 sets, up to m = 1253 rows (several seconds in Release);
+// `ctest -C full` runs it (test_milp.AllRootLpGoldens).
 TEST(MilpGolden, DISABLED_AttRootLpsMatchParentAllSets) {
   EXPECT_EQ(check_att_root_lps(1 << 30), 21);
 }

@@ -3,18 +3,24 @@
 // recomputed, concurrent == serial, payloads == the committed golden
 // case reports), deadline handling, line framing, and a loopback server
 // smoke covering the admission-control contract and the graceful drain
-// end to end.
+// end to end, in process and in the pm_server binary.
 #include <gtest/gtest.h>
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <signal.h>
+#include <spawn.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -853,6 +859,71 @@ TEST_F(SvcServerTest, FramesRequestsSplitAcrossWritesOrSharingOne) {
     EXPECT_EQ(response.at("id").as_int(), id);
   }
   ::close(fd);
+}
+
+// The pm_server binary (PM_SERVER) end to end: --port-file names the
+// bound ephemeral port, and SIGTERM drains the server, which prints its
+// epilogue and exits 0. Its output stays in <build>/tests/pm_server/.
+TEST(PmServerBinary, PortFileThenSigtermDrains) {
+  const std::string dir = golden::output_dir("pm_server");
+  const std::string port_file = dir + "server.port";
+  const std::string log_file = dir + "server.log";
+  std::filesystem::remove(port_file);
+  std::string program = PM_SERVER;
+  std::string port_flag = "--port-file=" + port_file;
+  std::string zero_port = "--port=0";
+  std::string log_level = "--log-level=info";
+  char* argv[] = {program.data(), zero_port.data(), port_flag.data(),
+                  log_level.data(), nullptr};
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, log_file.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  posix_spawn_file_actions_adddup2(&actions, STDOUT_FILENO, STDERR_FILENO);
+  pid_t pid = 0;
+  const int spawned =
+      posix_spawn(&pid, program.c_str(), &actions, nullptr, argv, environ);
+  posix_spawn_file_actions_destroy(&actions);
+  ASSERT_EQ(spawned, 0) << program;
+
+  // The port file holds the port and a newline once the server listens.
+  using Clock = std::chrono::steady_clock;
+  int port = 0;
+  for (const auto give_up = Clock::now() + std::chrono::seconds(60);
+       port == 0 && Clock::now() < give_up;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::ifstream in(port_file);
+    std::string text;
+    if (std::getline(in, text) && !in.eof()) port = std::stoi(text);
+  }
+  EXPECT_NE(port, 0) << "no port in " << port_file;
+  if (port != 0) {
+    try {
+      svc::Client client("127.0.0.1", port);
+      EXPECT_TRUE(client.health().at("ok").as_bool());
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << e.what();
+    }
+  }
+
+  // SIGTERM, then SIGKILL if the drain has not ended within 60 s.
+  ::kill(pid, port != 0 ? SIGTERM : SIGKILL);
+  int status = 0;
+  pid_t done = 0;
+  for (const auto give_up = Clock::now() + std::chrono::seconds(60);
+       done == 0 && Clock::now() < give_up;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    done = ::waitpid(pid, &status, WNOHANG);
+  }
+  if (done == 0) {
+    ::kill(pid, SIGKILL);
+    done = ::waitpid(pid, &status, 0);
+    ADD_FAILURE() << "pm_server did not exit on SIGTERM";
+  }
+  ASSERT_EQ(done, pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  const std::string log = golden::read_file(log_file);
+  EXPECT_NE(log.find("drained and stopped"), std::string::npos) << log;
 }
 
 }  // namespace
