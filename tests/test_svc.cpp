@@ -861,6 +861,79 @@ TEST_F(SvcServerTest, FramesRequestsSplitAcrossWritesOrSharingOne) {
   ::close(fd);
 }
 
+// ---------------------------------------------------------------------
+// Reply bytes
+// ---------------------------------------------------------------------
+
+/// A solve reply up to its spliced `,"result":`, with the wall-clock
+/// solve_ms value (the head's last member) replaced by `#`.
+std::string masked_head(const std::string& reply) {
+  std::string head = reply.substr(0, reply.find(",\"result\":"));
+  const std::size_t ms = head.find("\"solve_ms\":") + 11;
+  head.resize(ms);
+  return head + '#';
+}
+
+TEST_F(SvcServerTest, ReplyBytesArePinned) {
+  svc::Client client("127.0.0.1", server_->port());
+  EXPECT_EQ(masked_head(client.roundtrip_line(
+                R"({"verb":"solve","failed":[4,3],"id":"r1"})")),
+            R"({"id":"r1","ok":true,"cached":false,)"
+            R"("key":"algo=pm|failed=3,4","solve_ms":#)");
+  EXPECT_EQ(masked_head(client.roundtrip_line(
+                R"({"verb":"solve","failed":[3,4],"id":7})")),
+            R"({"id":7,"ok":true,"cached":true,)"
+            R"("key":"algo=pm|failed=3,4","solve_ms":#)");
+  EXPECT_EQ(masked_head(client.roundtrip_line(
+                R"({"verb":"solve","failed":[3],"algorithm":"retroflow"})")),
+            R"({"ok":true,"cached":false,)"
+            R"("key":"algo=retroflow|failed=3|rfc=2","solve_ms":#)");
+
+  EXPECT_EQ(client.roundtrip_line(R"({"verb":"health","id":[1,{}]})"),
+            R"({"id":[1,{}],"ok":true,"result":{"status":"ok",)"
+            R"("switches":25,"controllers":6,"flows":600,)"
+            R"("diameter_hops":6,"cache_entries":2,"cache_bytes":23849,)"
+            R"("queue_depth":0}})");
+
+  EXPECT_EQ(client.roundtrip_line("this is not json"),
+            R"({"ok":false,"error":{"code":"bad_request",)"
+            R"("message":"malformed JSON: JSON error at offset 0: )"
+            R"(unexpected character"}})");
+  EXPECT_EQ(client.roundtrip_line(
+                R"({"verb":"solve","failed":[3],"algorithm":"ma\"gic",)"
+                R"("id":"e\n1"})"),
+            R"({"ok":false,"error":{"code":"bad_request",)"
+            R"("message":"unknown algorithm 'ma\"gic'"}})");
+
+  // With no request in flight, the metrics reply's result is the
+  // registry's JSON export.
+  const std::string metrics = client.roundtrip_line(R"({"verb":"metrics"})");
+  const std::string prefix = R"({"ok":true,"result":)";
+  ASSERT_EQ(metrics.substr(0, prefix.size()), prefix);
+  EXPECT_EQ(metrics.substr(prefix.size()),
+            engine_->metrics().to_json().to_string(0) + "}");
+
+  svc::ServerConfig shedding;
+  shedding.port = 0;
+  shedding.max_queue = 0;
+  svc::Server zero_queue(*engine_, shedding);
+  zero_queue.start();
+  EXPECT_EQ(svc::Client("127.0.0.1", zero_queue.port())
+                .roundtrip_line(R"({"verb":"solve","failed":[5],"id":0.5})"),
+            R"({"id":0.5,"ok":false,"error":{"code":"overloaded",)"
+            R"("message":"request queue full (0 pending); retry later"}})");
+  zero_queue.stop();
+
+  // One byte over the 1 MiB line cap, with no newline: the server
+  // answers and closes the connection.
+  const int fd = connect_loopback(server_->port());
+  send_in_pieces(fd, std::string((1u << 20) + 1, 'x'), 1u << 16);
+  EXPECT_EQ(read_line(fd),
+            R"({"ok":false,"error":{"code":"bad_request",)"
+            R"("message":"request line exceeds 1 MiB"}})");
+  ::close(fd);
+}
+
 // The pm_server binary (PM_SERVER) end to end: --port-file names the
 // bound ephemeral port, and SIGTERM drains the server, which prints its
 // epilogue and exits 0. Its output stays in <build>/tests/pm_server/.
