@@ -66,7 +66,8 @@ struct Cell {
 pm::ctrl::SimulationReport run_cell(const pm::sdwan::Network& net,
                                     const Cell& cell, double dup,
                                     std::uint64_t seed, double until_ms,
-                                    const pm::obs::ObsOptions* obs) {
+                                    const pm::obs::ObsOptions* obs,
+                                    bool& outputs_written) {
   pm::ctrl::ControllerConfig config;
   // Hysteresis sized for the sweep's jitter range: three consecutive
   // missed detector checks before suspecting a peer.
@@ -94,7 +95,7 @@ pm::ctrl::SimulationReport run_cell(const pm::sdwan::Network& net,
   simulation.fail_controller_at(cell.victim, cell.kill_at_ms);
   const pm::ctrl::SimulationReport report = simulation.run(until_ms);
   if (obs != nullptr) {
-    pm::obs::write_outputs(*obs, simulation.observability());
+    outputs_written = pm::obs::write_outputs(*obs, simulation.observability());
   }
   return report;
 }
@@ -148,9 +149,11 @@ int main(int argc, char** argv) {
   // stream, so cells fan out across the pool; parallel_map returns them
   // in sweep order, keeping the table and CSV byte-identical.
   util::TaskPool pool(jobs);
+  bool outputs_written = true;  // Only the harshest cell writes it.
   cells = pool.parallel_map(cells, [&](std::size_t i, Cell c) -> Cell {
     c.report = run_cell(net, c, dup, seed, until,
-                        i == harshest ? &obs_options : nullptr);
+                        i == harshest ? &obs_options : nullptr,
+                        outputs_written);
     return c;
   });
 
@@ -224,5 +227,5 @@ int main(int argc, char** argv) {
   if (!csv_path.empty() && !obs::write_file(csv_path, write_csv, "csv")) {
     return 1;
   }
-  return all_ok ? 0 : 1;
+  return all_ok && outputs_written ? 0 : 1;
 }

@@ -307,6 +307,7 @@ int main(int argc, char** argv) {
   // A bench owns no obs::Context: only --log-level applies, and the
   // trace and metrics flags are reported as unrecognized.
   obs::apply_log_level_flag(args);
+  if (!csv_path.empty() && !obs::check_writable(csv_path, "csv")) return 1;
 
   const sdwan::Network net = core::make_att_network();
   const std::size_t cases = sdwan::enumerate_failures(net, k).size();

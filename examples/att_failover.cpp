@@ -31,6 +31,9 @@ int main(int argc, char** argv) {
 
   const sdwan::FailureScenario scenario = examples::parse_failure_or_exit(
       net, "att_failover", "--fail=" + fail_spec, fail_spec);
+  if (!json_path.empty() && !obs::check_writable(json_path, "PM plan")) {
+    return 1;
+  }
 
   const sdwan::FailureState state(net, scenario);
   std::cout << "=== ATT failover, failure " << scenario.label(net)

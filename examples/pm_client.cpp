@@ -11,17 +11,20 @@
 //   ./build/examples/pm_client --port=7071 --verb=health|metrics
 //   ./build/examples/pm_client --port=7071 --raw='{"verb":"solve",...}'
 //
+// --failed takes controller ids (the wire field; ATT: 0-5), not the node
+// ids of every other program's --fail: `--failed=3,4` is `--fail=13,20`.
+//
 // --repeat sends the same request N times on one connection — the
 // second answer demonstrates the plan cache (\"cached\":true, same
 // result bytes).
 #include <climits>
 #include <iostream>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "svc/client.hpp"
-#include "svc/protocol.hpp"
 #include "util/cli.hpp"
-#include "util/strings.hpp"
+#include "util/json.hpp"
 
 int main(int argc, char** argv) {
   using namespace pm;
@@ -29,8 +32,11 @@ int main(int argc, char** argv) {
   const std::string host = args.get_string("host", "127.0.0.1");
   const auto port = static_cast<int>(args.get_int("port", 7071, 1, 65535));
   const std::string raw = args.get_string("raw", "");
-  std::string verb = args.get_string("verb", "solve");
-  const std::string failed_spec = args.get_string("failed", "");
+  const std::string verb = args.get_string("verb", "solve");
+  std::vector<long long> failed;
+  if (raw.empty() && verb == "solve") {
+    failed = args.get_ints("failed", "", 0, INT_MAX);
+  }
   const std::string algorithm = args.get_string("algorithm", "pm");
   const double deadline_ms =
       args.get_double("deadline-ms", 0.0, 0.0, util::kUnbounded);
@@ -41,29 +47,21 @@ int main(int argc, char** argv) {
 
   std::string line = raw;
   if (line.empty()) {
-    util::JsonValue req = util::JsonValue::object();
-    req["verb"] = util::JsonValue(verb);
+    util::JsonWriter w(line);
+    w.begin_object();
+    w.key("verb").string(verb);
     if (verb == "solve") {
-      util::JsonValue failed = util::JsonValue::array();
-      for (const std::string& tok : util::split(failed_spec, ',')) {
-        long long id = 0;
-        if (!util::parse_int(tok, id)) {
-          std::cerr << "pm_client: bad --failed entry '" << tok << "'\n";
-          return 2;
-        }
-        failed.push_back(util::JsonValue(static_cast<std::int64_t>(id)));
-      }
-      req["failed"] = std::move(failed);
-      req["algorithm"] = util::JsonValue(algorithm);
-      if (deadline_ms > 0.0) {
-        req["deadline_ms"] = util::JsonValue(deadline_ms);
-      }
+      w.key("failed").begin_array();
+      for (const long long id : failed) w.number(static_cast<double>(id));
+      w.end_array();
+      w.key("algorithm").string(algorithm);
+      if (deadline_ms > 0.0) w.key("deadline_ms").number(deadline_ms);
       if (algorithm == "retroflow") {
-        req["retroflow_candidates"] =
-            util::JsonValue(static_cast<std::int64_t>(retroflow_candidates));
+        w.key("retroflow_candidates")
+            .number(static_cast<double>(retroflow_candidates));
       }
     }
-    line = req.to_string(0);
+    w.end_object();
   }
 
   try {

@@ -185,6 +185,7 @@ int main(int argc, char** argv) {
   t.add_row({"total", std::to_string(report.messages_sent)});
   t.print(std::cout);
 
-  obs::write_outputs(obs_options, simulation.observability());
-  return report.all_flows_deliverable ? 0 : 1;
+  const bool written =
+      obs::write_outputs(obs_options, simulation.observability());
+  return report.all_flows_deliverable && written ? 0 : 1;
 }

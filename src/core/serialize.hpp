@@ -1,6 +1,7 @@
 // JSON serialization of recovery plans and metrics — lets operators
 // persist a computed plan, audit or diff it, and replay it later (the
-// examples expose this via --json flags).
+// examples expose this via --json flags). The service serves
+// write_case_report; the tree builders are its reference.
 #pragma once
 
 #include "core/metrics.hpp"
@@ -23,11 +24,10 @@ util::JsonValue case_report_to_json(const std::string& label,
                                     const RecoveryPlan& plan,
                                     const RecoveryMetrics& metrics);
 
-/// The same case report streamed straight into a string, with no JSON
-/// tree: byte-identical to case_report_to_json(...).to_string(0), using
-/// util::json's number and string spellings. The result carries no
-/// spare capacity, so a cache that charges size() charges what is
-/// resident.
+/// The same case report streamed by util::JsonWriter straight into a
+/// string, with no JSON tree: byte-identical to
+/// case_report_to_json(...).to_string(0). The result carries no spare
+/// capacity, so a cache that charges size() charges what is resident.
 std::string write_case_report(const std::string& label,
                               const RecoveryPlan& plan,
                               const RecoveryMetrics& metrics);

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "util/json.hpp"
 #include "util/stats.hpp"
 
 namespace pm::obs {
@@ -21,8 +22,6 @@ std::string format_value(double v) {
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
 }
-
-std::string format_bound(double b) { return format_value(b); }
 
 }  // namespace
 
@@ -175,7 +174,7 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
           cumulative += h.bucket_counts()[i];
           const std::string le =
               i < h.upper_bounds().size()
-                  ? format_bound(h.upper_bounds()[i])
+                  ? format_value(h.upper_bounds()[i])
                   : "+Inf";
           Labels bucket_labels = entry.labels;
           bucket_labels.emplace_back("le", le);
@@ -191,45 +190,48 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
   }
 }
 
-util::JsonValue MetricsRegistry::to_json() const {
+std::string MetricsRegistry::to_json(int indent) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  util::JsonValue doc = util::JsonValue::array();
+  std::string out;
+  util::JsonWriter w(out, indent);
+  w.begin_array();
   for (const auto& [key, entry] : entries_) {
-    util::JsonValue m = util::JsonValue::object();
-    m["name"] = key.first;
+    w.begin_object();
+    w.key("name").string(key.first);
     if (!key.second.empty()) {
-      util::JsonValue labels = util::JsonValue::object();
-      for (const auto& [k, v] : entry.labels) labels[k] = v;
-      m["labels"] = std::move(labels);
+      w.key("labels").begin_object();
+      for (const auto& [k, v] : entry.labels) w.key(k).string(v);
+      w.end_object();
     }
     switch (entry.kind) {
       case Kind::kCounter:
-        m["type"] = "counter";
-        m["value"] = static_cast<std::int64_t>(entry.counter->value());
+        w.key("type").string("counter");
+        w.key("value").number(static_cast<double>(entry.counter->value()));
         break;
       case Kind::kGauge:
-        m["type"] = "gauge";
-        m["value"] = entry.gauge->value();
+        w.key("type").string("gauge");
+        w.key("value").number(entry.gauge->value());
         break;
       case Kind::kHistogram: {
-        m["type"] = "histogram";
         const Histogram& h = *entry.histogram;
-        m["count"] = static_cast<std::int64_t>(h.count());
-        m["sum"] = h.sum();
-        util::JsonValue bounds = util::JsonValue::array();
-        for (double b : h.upper_bounds()) bounds.push_back(b);
-        m["upper_bounds"] = std::move(bounds);
-        util::JsonValue counts = util::JsonValue::array();
+        w.key("type").string("histogram");
+        w.key("count").number(static_cast<double>(h.count()));
+        w.key("sum").number(h.sum());
+        w.key("upper_bounds").begin_array();
+        for (double b : h.upper_bounds()) w.number(b);
+        w.end_array();
+        w.key("bucket_counts").begin_array();
         for (std::uint64_t c : h.bucket_counts()) {
-          counts.push_back(static_cast<std::int64_t>(c));
+          w.number(static_cast<double>(c));
         }
-        m["bucket_counts"] = std::move(counts);
+        w.end_array();
         break;
       }
     }
-    doc.push_back(std::move(m));
+    w.end_object();
   }
-  return doc;
+  w.end_array();
+  return out;
 }
 
 }  // namespace pm::obs

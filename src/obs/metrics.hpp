@@ -10,7 +10,7 @@
 // runs export byte-identical files. Wall-clock timings (a plan's
 // solve_seconds, the benchmark's own tracer) never enter the registry.
 //
-// Exports: Prometheus text exposition format and a JSON tree.
+// Exports: Prometheus text exposition format and JSON.
 //
 // Thread-safety: Counter and Gauge updates are atomic (relaxed — they are
 // independent statistics, not synchronization), and the registry guards its
@@ -30,8 +30,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "util/json.hpp"
 
 namespace pm::obs {
 
@@ -119,7 +117,8 @@ class MetricsRegistry {
   /// Prometheus text exposition format.
   void write_prometheus(std::ostream& out) const;
 
-  util::JsonValue to_json() const;
+  /// The JSON export: `indent` > 0 pretty-prints, as JsonWriter does.
+  std::string to_json(int indent = 0) const;
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

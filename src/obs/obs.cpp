@@ -1,5 +1,6 @@
 #include "obs/obs.hpp"
 
+#include <filesystem>
 #include <fstream>
 
 #include "util/strings.hpp"
@@ -31,6 +32,11 @@ std::optional<std::string> path_flag(util::CliArgs& args,
   return path;
 }
 
+bool cannot_write(const std::string& path, const char* what) {
+  log().error(std::string("cannot write ") + what + " to " + path);
+  return false;
+}
+
 void warn_unread(const util::CliArgs& args) {
   for (const auto& token : args.unused()) {
     log().warn((util::starts_with(token, "--") ? "unrecognized flag "
@@ -49,11 +55,16 @@ bool write_file(const std::string& path,
     body(out);
     out.flush();
   }
-  if (!out) {
-    log().error(std::string("cannot write ") + what + " to " + path);
-    return false;
-  }
+  if (!out) return cannot_write(path, what);
   log().info(std::string(what) + " written to " + path);
+  return true;
+}
+
+bool check_writable(const std::string& path, const char* what) {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  if (!std::ofstream(path, std::ios::app)) return cannot_write(path, what);
+  if (!existed) std::filesystem::remove(path, ec);
   return true;
 }
 
@@ -73,29 +84,22 @@ void apply_log_level_flag(util::CliArgs& args) {
   warn_unread(args);
 }
 
-void write_outputs(const ObsOptions& options, const Context& ctx) {
-  if (options.trace_out) {
-    write_file(*options.trace_out,
-               [&](std::ostream& out) { ctx.tracer.write_chrome_trace(out); },
-               "chrome trace");
-  }
-  if (options.trace_jsonl) {
-    write_file(*options.trace_jsonl,
-               [&](std::ostream& out) { ctx.tracer.write_jsonl(out); },
-               "trace jsonl");
-  }
-  if (options.metrics_out) {
-    write_file(*options.metrics_out,
-               [&](std::ostream& out) { ctx.metrics.write_prometheus(out); },
-               "prometheus metrics");
-  }
-  if (options.metrics_json) {
-    write_file(*options.metrics_json,
-               [&](std::ostream& out) {
-                 out << ctx.metrics.to_json().to_string(2) << "\n";
-               },
-               "metrics json");
-  }
+bool write_outputs(const ObsOptions& options, const Context& ctx) {
+  bool ok = true;
+  const auto write = [&](const std::optional<std::string>& path,
+                         const char* what,
+                         const std::function<void(std::ostream&)>& body) {
+    if (path) ok &= write_file(*path, body, what);
+  };
+  write(options.trace_out, "chrome trace",
+        [&](std::ostream& out) { ctx.tracer.write_chrome_trace(out); });
+  write(options.trace_jsonl, "trace jsonl",
+        [&](std::ostream& out) { ctx.tracer.write_jsonl(out); });
+  write(options.metrics_out, "prometheus metrics",
+        [&](std::ostream& out) { ctx.metrics.write_prometheus(out); });
+  write(options.metrics_json, "metrics json",
+        [&](std::ostream& out) { out << ctx.metrics.to_json(2) << "\n"; });
+  return ok;
 }
 
 }  // namespace pm::obs

@@ -19,7 +19,9 @@
 // command line that nothing read, so it comes after every get_*.
 //
 // Determinism contract: trace and metrics files are byte-identical
-// across runs with the same seed.
+// across runs with the same seed. A requested file that cannot be
+// written logs "cannot write <what> to <path>" and the program exits 1;
+// a long run checks its paths with check_writable() before it starts.
 #pragma once
 
 #include <functional>
@@ -72,10 +74,10 @@ ObsOptions parse_obs_flags(util::CliArgs& args);
 /// flags among them, instead of ignoring them.
 void apply_log_level_flag(util::CliArgs& args);
 
-/// Writes every requested trace/metrics file from `ctx`. Unwritable
-/// paths log an error and are skipped. Logs one info line per file
-/// written.
-void write_outputs(const ObsOptions& options, const Context& ctx);
+/// Writes every requested trace/metrics file from `ctx` through
+/// write_file. An unwritable path logs an error and the rest are still
+/// written. Returns whether every requested file was written.
+bool write_outputs(const ObsOptions& options, const Context& ctx);
 
 /// The one way a program writes an output file: runs `body` on a fresh
 /// stream for `path`. If the file cannot be opened or written, logs an
@@ -83,5 +85,10 @@ void write_outputs(const ObsOptions& options, const Context& ctx);
 bool write_file(const std::string& path,
                 const std::function<void(std::ostream&)>& body,
                 const char* what);
+
+/// Whether write_file could open `path` now, checked without changing
+/// it: an existing file keeps its bytes, and a file the check creates is
+/// removed again. Logs write_file's error when it cannot.
+bool check_writable(const std::string& path, const char* what);
 
 }  // namespace pm::obs

@@ -4,10 +4,10 @@ namespace pm::obs {
 
 namespace {
 
-util::JsonValue args_object(const Tracer::Args& args) {
-  util::JsonValue obj = util::JsonValue::object();
-  for (const auto& [key, value] : args) obj[key] = value;
-  return obj;
+void write_args(util::JsonWriter& w, const Tracer::Args& args) {
+  w.key("args").begin_object();
+  for (const auto& [key, value] : args) w.key(key).value(value);
+  w.end_object();
 }
 
 }  // namespace
@@ -33,57 +33,67 @@ void Tracer::complete(double ts_ms, double dur_ms, std::string cat,
 
 void Tracer::write_jsonl(std::ostream& out) const {
   const std::lock_guard<std::mutex> lock(mutex_);
+  std::string line;
   for (const Event& e : events_) {
-    util::JsonValue line = util::JsonValue::object();
-    line["ts_ms"] = e.ts_ms;
-    line["ph"] = std::string(1, e.phase);
-    if (e.phase == 'X') line["dur_ms"] = e.dur_ms;
-    line["track"] = e.track;
+    line.clear();
+    util::JsonWriter w(line);
+    w.begin_object();
+    w.key("ts_ms").number(e.ts_ms);
+    w.key("ph").string(std::string_view(&e.phase, 1));
+    if (e.phase == 'X') w.key("dur_ms").number(e.dur_ms);
+    w.key("track").number(e.track);
     const auto named = track_names_.find(e.track);
-    if (named != track_names_.end()) line["track_name"] = named->second;
-    line["cat"] = e.cat;
-    line["name"] = e.name;
-    if (!e.args.empty()) line["args"] = args_object(e.args);
-    out << line.to_string() << "\n";
+    if (named != track_names_.end()) {
+      w.key("track_name").string(named->second);
+    }
+    w.key("cat").string(e.cat);
+    w.key("name").string(e.name);
+    if (!e.args.empty()) write_args(w, e.args);
+    w.end_object();
+    line += '\n';
+    out << line;
   }
 }
 
 void Tracer::write_chrome_trace(std::ostream& out) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  util::JsonValue events = util::JsonValue::array();
+  std::string text;  // Streamed out after each event.
+  util::JsonWriter w(text, 2);
+  w.begin_object();
+  w.key("traceEvents").begin_array();
 
   // Track-name metadata first so viewers label rows before data arrives.
   for (const auto& [track, name] : track_names_) {
-    util::JsonValue meta = util::JsonValue::object();
-    meta["ph"] = "M";
-    meta["name"] = "thread_name";
-    meta["pid"] = 1;
-    meta["tid"] = track;
-    util::JsonValue args = util::JsonValue::object();
-    args["name"] = name;
-    meta["args"] = std::move(args);
-    events.push_back(std::move(meta));
+    w.begin_object();
+    w.key("ph").string("M");
+    w.key("name").string("thread_name");
+    w.key("pid").number(1);
+    w.key("tid").number(track);
+    write_args(w, {{"name", name}});
+    w.end_object();
   }
 
   for (const Event& e : events_) {
-    util::JsonValue ev = util::JsonValue::object();
-    ev["name"] = e.name;
-    ev["cat"] = e.cat;
-    ev["ph"] = std::string(1, e.phase);
-    if (e.phase == 'i') ev["s"] = "t";  // instant scoped to its thread
+    w.begin_object();
+    w.key("name").string(e.name);
+    w.key("cat").string(e.cat);
+    w.key("ph").string(std::string_view(&e.phase, 1));
+    if (e.phase == 'i') w.key("s").string("t");  // scoped to its thread
     // trace_event timestamps are microseconds.
-    ev["ts"] = e.ts_ms * 1000.0;
-    if (e.phase == 'X') ev["dur"] = e.dur_ms * 1000.0;
-    ev["pid"] = 1;
-    ev["tid"] = e.track;
-    if (!e.args.empty()) ev["args"] = args_object(e.args);
-    events.push_back(std::move(ev));
+    w.key("ts").number(e.ts_ms * 1000.0);
+    if (e.phase == 'X') w.key("dur").number(e.dur_ms * 1000.0);
+    w.key("pid").number(1);
+    w.key("tid").number(e.track);
+    if (!e.args.empty()) write_args(w, e.args);
+    w.end_object();
+    out << text;
+    text.clear();
   }
 
-  util::JsonValue doc = util::JsonValue::object();
-  doc["traceEvents"] = std::move(events);
-  doc["displayTimeUnit"] = "ms";
-  out << doc.to_string(2) << "\n";
+  w.end_array();
+  w.key("displayTimeUnit").string("ms");
+  w.end_object();
+  out << text << "\n";
 }
 
 }  // namespace pm::obs

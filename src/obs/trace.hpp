@@ -6,7 +6,7 @@
 // the channel, the switch population — rendered as one timeline row
 // each) and a small bag of typed args.
 //
-// Two export formats:
+// Two export formats, both streamed by util::JsonWriter with no tree:
 //  * JSONL — one JSON object per line, for grep/jq pipelines;
 //  * Chrome trace_event JSON — loads in chrome://tracing and Perfetto;
 //    instant events ("i") and complete spans ("X", e.g. one recovery

@@ -76,21 +76,12 @@ std::string Client::roundtrip_line(const std::string& line) {
   }
 }
 
-util::JsonValue Client::request(const util::JsonValue& request_doc) {
-  return util::JsonValue::parse(
-      roundtrip_line(request_doc.to_string(0)));
-}
-
 util::JsonValue Client::health() {
-  util::JsonValue req = util::JsonValue::object();
-  req["verb"] = util::JsonValue("health");
-  return request(req);
+  return util::JsonValue::parse(roundtrip_line(R"({"verb":"health"})"));
 }
 
 util::JsonValue Client::metrics() {
-  util::JsonValue req = util::JsonValue::object();
-  req["verb"] = util::JsonValue("metrics");
-  return request(req);
+  return util::JsonValue::parse(roundtrip_line(R"({"verb":"metrics"})"));
 }
 
 }  // namespace pm::svc

@@ -26,10 +26,7 @@ class Client {
   /// connection drops mid-exchange.
   std::string roundtrip_line(const std::string& line);
 
-  /// Serializes `request` compactly, exchanges it, parses the response.
-  util::JsonValue request(const util::JsonValue& request_doc);
-
-  /// Convenience verbs.
+  /// The health and metrics verbs; each returns the parsed response.
   util::JsonValue health();
   util::JsonValue metrics();
 

@@ -104,17 +104,25 @@ std::string canonical_key(const SolveParams& params) {
   return key;
 }
 
-util::JsonValue error_response(const util::JsonValue& id,
-                               const std::string& code,
-                               const std::string& message) {
-  util::JsonValue out = util::JsonValue::object();
-  if (!id.is_null()) out["id"] = id;
-  out["ok"] = util::JsonValue(false);
-  util::JsonValue error = util::JsonValue::object();
-  error["code"] = util::JsonValue(code);
-  error["message"] = util::JsonValue(message);
-  out["error"] = std::move(error);
-  return out;
+void open_response(util::JsonWriter& w, const util::JsonValue& id,
+                   bool ok) {
+  w.begin_object();
+  if (!id.is_null()) w.key("id").value(id);
+  w.key("ok").boolean(ok);
+}
+
+std::string error_response(const util::JsonValue& id,
+                           const std::string& code,
+                           const std::string& message) {
+  std::string line;
+  util::JsonWriter w(line);
+  open_response(w, id, false);
+  w.key("error").begin_object();
+  w.key("code").string(code);
+  w.key("message").string(message);
+  w.end_object();
+  w.end_object();
+  return line;
 }
 
 }  // namespace pm::svc

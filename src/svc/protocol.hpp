@@ -9,7 +9,8 @@
 //   {"verb":"health"}
 //
 // Responses echo the request id (when one was given) and either carry a
-// result or a structured error:
+// result (a solve's is its cached payload, spliced in verbatim) or a
+// structured error:
 //
 //   {"id":"req-1","ok":true,"cached":false,"key":"...","solve_ms":3.1,
 //    "result":{...}}
@@ -86,10 +87,13 @@ Request parse_request(const std::string& line);
 /// excluded — it shapes scheduling, never the plan.
 std::string canonical_key(const SolveParams& params);
 
-/// {"id":...,"ok":false,"error":{"code":...,"message":...}} — `id` is
-/// omitted when null.
-util::JsonValue error_response(const util::JsonValue& id,
-                               const std::string& code,
-                               const std::string& message);
+/// Opens a response object and writes its head, `{"id":...,"ok":<ok>`
+/// (`id` omitted when null); the caller adds the rest and closes it.
+void open_response(util::JsonWriter& w, const util::JsonValue& id, bool ok);
+
+/// The line {"id":...,"ok":false,"error":{"code":...,"message":...}}.
+std::string error_response(const util::JsonValue& id,
+                           const std::string& code,
+                           const std::string& message);
 
 }  // namespace pm::svc

@@ -47,22 +47,18 @@ bool write_line(int fd, std::string line) {
 std::string solve_response_line(const util::JsonValue& id,
                                 const SolveOutcome& outcome) {
   if (!outcome.ok) {
-    return error_response(id, outcome.error_code, outcome.error_message)
-        .to_string(0);
+    return error_response(id, outcome.error_code, outcome.error_message);
   }
-  util::JsonValue head = util::JsonValue::object();
-  if (!id.is_null()) head["id"] = id;
-  head["ok"] = util::JsonValue(true);
-  head["cached"] = util::JsonValue(outcome.cache_hit);
-  head["key"] = util::JsonValue(outcome.key);
-  head["solve_ms"] = util::JsonValue(outcome.solve_ms);
-  std::string line = head.to_string(0);
-  line.pop_back();  // strip '}' to splice the result member in
-  // Room for the payload, the closing brace and write_line's newline.
-  line.reserve(line.size() + outcome.payload.size() + 16);
-  line += ",\"result\":";
-  line += outcome.payload;
-  line += '}';
+  std::string line;
+  // Room for the head, the payload and write_line's newline.
+  line.reserve(128 + outcome.key.size() + outcome.payload.size());
+  util::JsonWriter w(line);
+  open_response(w, id, true);
+  w.key("cached").boolean(outcome.cache_hit);
+  w.key("key").string(outcome.key);
+  w.key("solve_ms").number(outcome.solve_ms);
+  w.key("result").raw(outcome.payload);
+  w.end_object();
   return line;
 }
 
@@ -248,8 +244,7 @@ void Server::connection_loop(Connection* connection) {
     if (buffer.size() > kMaxLineBytes) {
       bad_requests_.inc();
       write_line(fd, error_response(util::JsonValue(), kErrBadRequest,
-                                    "request line exceeds 1 MiB")
-                         .to_string(0));
+                                    "request line exceeds 1 MiB"));
       break;
     }
   }
@@ -270,49 +265,48 @@ std::string Server::handle_line(const std::string& line) {
     request = parse_request(line);
   } catch (const ProtocolError& e) {
     bad_requests_.inc();
-    return error_response(util::JsonValue(), e.code(), e.what())
-        .to_string(0);
+    return error_response(util::JsonValue(), e.code(), e.what());
   }
 
   switch (request.verb) {
     case Verb::kHealth: {
       requests_health_.inc();
-      util::JsonValue head = util::JsonValue::object();
-      if (!request.id.is_null()) head["id"] = request.id;
-      head["ok"] = util::JsonValue(true);
-      util::JsonValue result = util::JsonValue::object();
-      result["status"] = util::JsonValue("ok");
-      result["switches"] = util::JsonValue(engine_.network().switch_count());
-      result["controllers"] =
-          util::JsonValue(engine_.network().controller_count());
-      result["flows"] = util::JsonValue(engine_.network().flow_count());
-      result["diameter_hops"] = util::JsonValue(engine_.diameter_hops());
-      result["cache_entries"] = util::JsonValue(
-          static_cast<std::int64_t>(engine_.cache().entries()));
-      result["cache_bytes"] = util::JsonValue(
-          static_cast<std::int64_t>(engine_.cache().bytes()));
+      const sdwan::Network& net = engine_.network();
+      std::string line;
+      util::JsonWriter w(line);
+      open_response(w, request.id, true);
+      w.key("result").begin_object();
+      w.key("status").string("ok");
+      w.key("switches").number(net.switch_count());
+      w.key("controllers").number(net.controller_count());
+      w.key("flows").number(net.flow_count());
+      w.key("diameter_hops").number(engine_.diameter_hops());
+      w.key("cache_entries")
+          .number(static_cast<double>(engine_.cache().entries()));
+      w.key("cache_bytes").number(static_cast<double>(engine_.cache().bytes()));
       {
         const std::lock_guard<std::mutex> lock(queue_mutex_);
-        result["queue_depth"] = util::JsonValue(
-            static_cast<std::int64_t>(next_ticket_ - next_to_compute_));
+        w.key("queue_depth")
+            .number(static_cast<double>(next_ticket_ - next_to_compute_));
       }
-      head["result"] = std::move(result);
-      return head.to_string(0);
+      w.end_object();
+      w.end_object();
+      return line;
     }
     case Verb::kMetrics: {
       requests_metrics_.inc();
-      util::JsonValue head = util::JsonValue::object();
-      if (!request.id.is_null()) head["id"] = request.id;
-      head["ok"] = util::JsonValue(true);
-      head["result"] = engine_.metrics().to_json();
-      return head.to_string(0);
+      std::string line;
+      util::JsonWriter w(line);
+      open_response(w, request.id, true);
+      w.key("result").raw(engine_.metrics().to_json());
+      w.end_object();
+      return line;
     }
     case Verb::kSolve:
       requests_solve_.inc();
       return handle_solve(request);
   }
-  return error_response(request.id, kErrInternal, "unhandled verb")
-      .to_string(0);
+  return error_response(request.id, kErrInternal, "unhandled verb");
 }
 
 std::string Server::handle_solve(const Request& request) {
@@ -329,18 +323,15 @@ std::string Server::handle_solve(const Request& request) {
     std::unique_lock<std::mutex> lock(queue_mutex_);
     if (stopping_.load()) {
       return error_response(request.id, kErrShuttingDown,
-                            "server is shutting down")
-          .to_string(0);
+                            "server is shutting down");
     }
     if (next_ticket_ - next_to_compute_ >=
         static_cast<std::uint64_t>(config_.max_queue)) {
       shed_.inc();
-      return error_response(
-                 request.id, kErrOverloaded,
-                 "request queue full (" +
-                     std::to_string(config_.max_queue) +
-                     " pending); retry later")
-          .to_string(0);
+      return error_response(request.id, kErrOverloaded,
+                            "request queue full (" +
+                                std::to_string(config_.max_queue) +
+                                " pending); retry later");
     }
     const std::uint64_t ticket = next_ticket_++;
     queue_depth_.set(static_cast<double>(next_ticket_ - next_to_compute_));

@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -26,55 +27,6 @@ const char* type_name(JsonValue::Type t) {
   throw std::logic_error(std::string("expected ") + type_name(want) +
                          ", got " + type_name(got));
 }
-
-}  // namespace
-
-void write_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  out += '"';
-}
-
-void write_number(std::string& out, double v) {
-  // JSON has no NaN/Inf literal; %g would emit "nan"/"inf" and corrupt
-  // the document. The wire protocol (src/svc) depends on every writer
-  // output being parseable, so non-finite numbers deterministically
-  // degrade to null.
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  if (v == std::floor(v) && std::abs(v) < 9.0e15) {
-    char buf[24];
-    const auto end =
-        std::to_chars(buf, buf + sizeof buf, static_cast<long long>(v)).ptr;
-    out.append(buf, end);
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-namespace {
 
 /// Deepest array/object nesting parse() accepts. The parser recurses
 /// once per level, so an unbounded depth lets one hostile request line
@@ -339,62 +291,9 @@ const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
   return object_;
 }
 
-void JsonValue::write(std::string& out, int indent, int depth) const {
-  const std::string pad =
-      indent > 0 ? "\n" + std::string(static_cast<std::size_t>(indent) *
-                                          (static_cast<std::size_t>(depth) + 1),
-                                      ' ')
-                 : "";
-  const std::string close_pad =
-      indent > 0 ? "\n" + std::string(static_cast<std::size_t>(indent) *
-                                          static_cast<std::size_t>(depth),
-                                      ' ')
-                 : "";
-  switch (type_) {
-    case Type::kNull: out += "null"; return;
-    case Type::kBool: out += bool_ ? "true" : "false"; return;
-    case Type::kNumber: write_number(out, number_); return;
-    case Type::kString: write_escaped(out, string_); return;
-    case Type::kArray: {
-      if (array_.empty()) {
-        out += "[]";
-        return;
-      }
-      out += '[';
-      for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (i > 0) out += ',';
-        out += pad;
-        array_[i].write(out, indent, depth + 1);
-      }
-      out += close_pad;
-      out += ']';
-      return;
-    }
-    case Type::kObject: {
-      if (object_.empty()) {
-        out += "{}";
-        return;
-      }
-      out += '{';
-      bool first = true;
-      for (const auto& [k, v] : object_) {
-        if (!first) out += ',';
-        first = false;
-        out += pad;
-        write_escaped(out, k);
-        out += indent > 0 ? ": " : ":";
-        v.write(out, indent, depth + 1);
-      }
-      out += close_pad;
-      out += '}';
-      return;
-    }
-  }
-}
-
 std::string JsonValue::to_string(int indent) const {
   std::string out;
-  write(out, indent, 0);
+  JsonWriter(out, indent).value(*this);
   return out;
 }
 
@@ -414,6 +313,131 @@ bool operator==(const JsonValue& a, const JsonValue& b) {
     case JsonValue::Type::kObject: return a.object_ == b.object_;
   }
   return false;
+}
+
+void JsonWriter::separate() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (depth_ == 0) return;
+  if (!first_) out_ += ',';
+  first_ = false;
+  if (indent_ > 0) newline();
+}
+
+void JsonWriter::newline() {
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_ * depth_), ' ');
+}
+
+void JsonWriter::open(char bracket) {
+  separate();
+  out_ += bracket;
+  ++depth_;
+  first_ = true;
+}
+
+void JsonWriter::close(char bracket) {
+  --depth_;
+  if (!first_ && indent_ > 0) newline();
+  out_ += bracket;
+  first_ = false;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  separate();
+  escaped(name);
+  out_ += indent_ > 0 ? ": " : ":";
+  after_key_ = true;
+  return *this;
+}
+
+void JsonWriter::number(double v) {
+  separate();
+  // JSON has no NaN/Inf literal, and the wire protocol (src/svc) needs
+  // every line parseable.
+  if (!std::isfinite(v)) {
+    out_ += "null";
+    return;
+  }
+  if (v == std::floor(v) && std::abs(v) < 9.0e15) {
+    char buf[24];
+    const auto end =
+        std::to_chars(buf, buf + sizeof buf, static_cast<long long>(v)).ptr;
+    out_.append(buf, end);
+    return;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  out_ += buf;
+}
+
+void JsonWriter::escaped(std::string_view s) {
+  out_ += '"';
+  // Bytes that need no escape are appended a run at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out_.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
+      case '\b': out_ += "\\b"; break;
+      case '\f': out_ += "\\f"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out_ += buf;
+      }
+    }
+  }
+  out_.append(s.data() + run, s.size() - run);
+  out_ += '"';
+}
+
+void JsonWriter::value(const JsonValue& v) {
+  switch (v.type_) {
+    case JsonValue::Type::kNull: raw("null"); return;
+    case JsonValue::Type::kBool: boolean(v.bool_); return;
+    case JsonValue::Type::kNumber: number(v.number_); return;
+    case JsonValue::Type::kString: string(v.string_); return;
+    case JsonValue::Type::kArray:
+      begin_array();
+      for (const JsonValue& element : v.array_) value(element);
+      end_array();
+      return;
+    case JsonValue::Type::kObject:
+      begin_object();
+      for (const auto& [k, member] : v.object_) key(k).value(member);
+      end_object();
+      return;
+  }
+}
+
+void JsonWriter::int_object(
+    std::initializer_list<std::pair<std::string_view, int>> members) {
+  char buf[128];
+  char* at = buf;
+  if (!first_) *at++ = ',';
+  first_ = false;
+  char separator = '{';
+  for (const auto& [name, v] : members) {
+    *at++ = separator;
+    separator = ',';
+    *at++ = '"';
+    at = std::copy(name.begin(), name.end(), at);
+    *at++ = '"';
+    *at++ = ':';
+    at = std::to_chars(at, buf + sizeof buf, v).ptr;
+  }
+  *at++ = '}';
+  out_.append(buf, at);
 }
 
 }  // namespace pm::util

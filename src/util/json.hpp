@@ -1,6 +1,7 @@
-// Minimal JSON value tree with a writer and a recursive-descent parser —
-// used to persist recovery plans and reports (core/serialize.hpp) so
-// plans can be audited, diffed and replayed across runs.
+// JSON: a value tree with a recursive-descent parser, and JsonWriter,
+// the one serializer. Plans, case reports, service replies, metrics and
+// traces stream through JsonWriter with no tree; a tree's to_string()
+// walks it into one.
 //
 // Scope: the JSON subset needed here — null/bool/number/string/array/
 // object, UTF-8 pass-through, \uXXXX escapes for BMP code points. Object
@@ -11,8 +12,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -33,15 +33,7 @@ class JsonError : public std::runtime_error {
   std::size_t offset_;
 };
 
-/// The writer's number and string spellings, shared by JsonValue and the
-/// streaming writers that emit the same bytes without building a tree
-/// (core::write_case_report). Non-finite numbers append `null`; integral
-/// values below 9e15 in magnitude append as integers; every other number
-/// appends as %.17g.
-void write_number(std::string& out, double v);
-/// Appends `s` as a quoted JSON string, escaping quotes, backslashes and
-/// control characters; other bytes (UTF-8) pass through.
-void write_escaped(std::string& out, std::string_view s);
+class JsonWriter;
 
 class JsonValue {
  public:
@@ -89,7 +81,8 @@ class JsonValue {
   bool contains(const std::string& key) const;
   const std::vector<std::pair<std::string, JsonValue>>& members() const;
 
-  /// Serializes; `indent` > 0 pretty-prints with that many spaces.
+  /// Serializes through JsonWriter; `indent` > 0 pretty-prints with
+  /// that many spaces per level.
   std::string to_string(int indent = 0) const;
 
   /// Parses a complete JSON document (rejects trailing garbage). Arrays
@@ -97,16 +90,75 @@ class JsonValue {
   static JsonValue parse(std::string_view text);
 
   friend bool operator==(const JsonValue& a, const JsonValue& b);
+  friend class JsonWriter;
 
  private:
-  void write(std::string& out, int indent, int depth) const;
-
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
   std::string string_;
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;
+};
+
+/// Appends one JSON document to a string as its parts are named, with
+/// no tree. key() starts an object member and the value call that
+/// follows completes it; array elements need no separator call.
+/// `indent` > 0 pretty-prints: one member or element per line, `indent`
+/// spaces per level, `": "` after keys, empty containers as `{}`/`[]`.
+/// Non-finite numbers write `null`, integral ones below 9e15 in
+/// magnitude write as integers, the rest as %.17g; strings escape
+/// quotes, backslashes and control bytes. The writer keeps no position
+/// in `out`, so a caller may stream out the text so far and clear it.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out, int indent = 0)
+      : out_(out), indent_(indent) {}
+
+  void begin_object() { open('{'); }
+  void end_object() { close('}'); }
+  void begin_array() { open('['); }
+  void end_array() { close(']'); }
+
+  /// Starts the next member of the open object.
+  JsonWriter& key(std::string_view name);
+
+  void boolean(bool b) { raw(b ? "true" : "false"); }
+  void number(double v);
+  void string(std::string_view s) {
+    separate();
+    escaped(s);
+  }
+  /// A whole tree.
+  void value(const JsonValue& v);
+  /// Bytes that already are one JSON value (a cached case report).
+  void raw(std::string_view json) {
+    separate();
+    out_ += json;
+  }
+
+  /// The next array element: an object of at most three integer members
+  /// with names of at most 16 characters, formatted on the stack and
+  /// appended once (the case report's lists). Compact output only.
+  void int_object(
+      std::initializer_list<std::pair<std::string_view, int>> members);
+
+ private:
+  /// What precedes the next value: nothing after a key or at the top
+  /// level, else a comma unless it comes first, then pretty's newline.
+  void separate();
+  /// `s` quoted and escaped, with no separator.
+  void escaped(std::string_view s);
+  void open(char bracket);
+  void close(char bracket);
+  void newline();
+
+  std::string& out_;
+  int indent_;
+  int depth_ = 0;
+  /// No element yet in the innermost open container.
+  bool first_ = true;
+  bool after_key_ = false;
 };
 
 }  // namespace pm::util

@@ -1455,7 +1455,7 @@ std::string trace_digest_line(const std::string& name,
   return name + ' ' + hex64(fnv1a64(jsonl.str())) + ' ' +
          hex64(fnv1a64(chrome.str())) + ' ' +
          hex64(fnv1a64(prometheus.str())) + ' ' +
-         hex64(fnv1a64(obs.metrics.to_json().to_string(2) + "\n"));
+         hex64(fnv1a64(obs.metrics.to_json(2) + "\n"));
 }
 
 TEST(CtrlGolden, TraceDigests) {

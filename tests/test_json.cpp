@@ -59,6 +59,70 @@ TEST(Json, WriterCompactAndPretty) {
   EXPECT_NE(pretty.find("\n  \"n\": 3"), std::string::npos);
 }
 
+/// {"a":[],"b":{},"c":[1,{"d":[true,"x"]},[]],"e":{"f":null}}, streamed.
+std::string streamed(int indent) {
+  std::string out;
+  util::JsonWriter w(out, indent);
+  w.begin_object();
+  w.key("a").begin_array();
+  w.end_array();
+  w.key("b").begin_object();
+  w.end_object();
+  w.key("c").begin_array();
+  w.number(1);
+  w.begin_object();
+  w.key("d").begin_array();
+  w.boolean(true);
+  w.string("x");
+  w.end_array();
+  w.end_object();
+  w.begin_array();
+  w.end_array();
+  w.end_array();
+  w.key("e").begin_object();
+  w.key("f").value(JsonValue());
+  w.end_object();
+  w.end_object();
+  return out;
+}
+
+TEST(Json, StreamingWriterNestsCompactAndPretty) {
+  const std::string compact =
+      R"({"a":[],"b":{},"c":[1,{"d":[true,"x"]},[]],"e":{"f":null}})";
+  EXPECT_EQ(streamed(0), compact);
+  EXPECT_EQ(streamed(2),
+            "{\n"
+            "  \"a\": [],\n"
+            "  \"b\": {},\n"
+            "  \"c\": [\n"
+            "    1,\n"
+            "    {\n"
+            "      \"d\": [\n"
+            "        true,\n"
+            "        \"x\"\n"
+            "      ]\n"
+            "    },\n"
+            "    []\n"
+            "  ],\n"
+            "  \"e\": {\n"
+            "    \"f\": null\n"
+            "  }\n"
+            "}");
+  // The tree writes through the same writer.
+  const JsonValue tree = JsonValue::parse(compact);
+  EXPECT_EQ(tree.to_string(), compact);
+  EXPECT_EQ(tree.to_string(2), streamed(2));
+
+  std::string spliced;
+  util::JsonWriter w(spliced);
+  w.begin_array();
+  w.raw(R"({"k":1})");
+  w.int_object({{"switch", 3}, {"flow", -4}});
+  w.number(0.5);
+  w.end_array();
+  EXPECT_EQ(spliced, R"([{"k":1},{"switch":3,"flow":-4},0.5])");
+}
+
 TEST(Json, StringEscaping) {
   JsonValue v(std::string("a\"b\\c\nd\x01"));
   EXPECT_EQ(v.to_string(), "\"a\\\"b\\\\c\\nd\\u0001\"");

@@ -115,7 +115,7 @@ TEST(Metrics, JsonExportParses) {
   MetricsRegistry m;
   m.counter("pm_a_total", "", {{"kind", "x"}}).inc(1);
   m.histogram("pm_h_ms", "", {2.0}).observe(1.0);
-  const auto json = util::JsonValue::parse(m.to_json().to_string(2));
+  const auto json = util::JsonValue::parse(m.to_json(2));
   ASSERT_EQ(json.size(), 2u);
   EXPECT_EQ(json.at(0).at("name").as_string(), "pm_a_total");
   EXPECT_EQ(json.at(0).at("labels").at("kind").as_string(), "x");

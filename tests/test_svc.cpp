@@ -911,7 +911,7 @@ TEST_F(SvcServerTest, ReplyBytesArePinned) {
   const std::string prefix = R"({"ok":true,"result":)";
   ASSERT_EQ(metrics.substr(0, prefix.size()), prefix);
   EXPECT_EQ(metrics.substr(prefix.size()),
-            engine_->metrics().to_json().to_string(0) + "}");
+            engine_->metrics().to_json() + "}");
 
   svc::ServerConfig shedding;
   shedding.port = 0;
