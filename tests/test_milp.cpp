@@ -9,6 +9,7 @@
 #include <string>
 
 #include "core/fmssm.hpp"
+#include "core/pm_algorithm.hpp"
 #include "core/scenario.hpp"
 #include "golden.hpp"
 #include "milp/branch_bound.hpp"
@@ -190,6 +191,63 @@ TEST(Simplex, DegenerateProblemTerminates) {
   const LpResult r = solve_lp(m);
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.objective, -2.0, 1e-9);
+}
+
+// ---------------------------------------------------------------------
+// LP: pricing rules. Dantzig's rule takes the largest |d_j| and, on a
+// tie, the lowest column index; fixed columns are never priced; after a
+// run of more than 64 degenerate steps Bland's rule takes the first
+// eligible column. Each model below moves x or the iteration count when
+// one of these rules changes.
+// ---------------------------------------------------------------------
+
+TEST(Simplex, PricingTieEntersTheLowerIndex) {
+  // min -x0 - x1 s.t. x0 + x1 <= 1: both start with d = -1. x0 enters,
+  // the slack leaves, and the next pricing finds d_x1 = 0.
+  Model m;
+  const int x0 = m.add_continuous("x0", 0, kInfinity, -1);
+  const int x1 = m.add_continuous("x1", 0, kInfinity, -1);
+  m.add_constraint("c", {{x0, 1}, {x1, 1}}, Sense::kLe, 1);
+  const LpResult r = solve_lp(m);
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  EXPECT_EQ(r.iterations, 2);
+  EXPECT_EQ(r.x[0], 1.0);
+  EXPECT_EQ(r.x[1], 0.0);
+}
+
+TEST(Simplex, PricingNeverEntersAFixedColumn) {
+  // z is fixed at 0 with the best reduced cost, -5. Priced, it would take
+  // a zero-length bound flip before x entered: one more iteration.
+  Model m;
+  const int z = m.add_continuous("z", 0, 0, -5);
+  const int x = m.add_continuous("x", 0, kInfinity, -1);
+  m.add_constraint("c", {{z, 1}, {x, 1}}, Sense::kLe, 1);
+  const LpResult r = solve_lp(m);
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  EXPECT_EQ(r.iterations, 2);
+  EXPECT_EQ(r.x[0], 0.0);
+  EXPECT_EQ(r.x[1], 1.0);
+}
+
+TEST(Simplex, BlandsRuleEntersTheFirstEligibleColumn) {
+  // min -x0 - 2 x1 - 100 sum t_k s.t. x0 + x1 <= 1, t_k in [0, 1e-12]
+  // and in no row. Dantzig flips the 65 t_k first, each a degenerate
+  // step; the run of 65 turns Bland's rule on, which enters x0 (first
+  // eligible) where Dantzig would enter x1 (|d| = 2). x1 then replaces
+  // x0: 65 + 3 iterations, against 65 + 2 for a direct x1.
+  Model m;
+  const int x0 = m.add_continuous("x0", 0, kInfinity, -1);
+  const int x1 = m.add_continuous("x1", 0, kInfinity, -2);
+  for (int k = 0; k < 65; ++k) {
+    m.add_continuous("t", 0, 1e-12, -100);
+  }
+  m.add_constraint("c", {{x0, 1}, {x1, 1}}, Sense::kLe, 1);
+  const LpResult r = solve_lp(m);
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  EXPECT_EQ(r.iterations, 68);
+  EXPECT_EQ(r.x[0], 0.0);
+  EXPECT_EQ(r.x[1], 1.0);
+  for (std::size_t k = 2; k < r.x.size(); ++k) EXPECT_EQ(r.x[k], 1e-12) << k;
 }
 
 // ---------------------------------------------------------------------
@@ -756,6 +814,43 @@ TEST(MilpGolden, AttRootLpsMatchParent) {
 // `ctest -C full` runs it (test_milp.AllRootLpGoldens).
 TEST(MilpGolden, DISABLED_AttRootLpsMatchParentAllSets) {
   EXPECT_EQ(check_att_root_lps(1 << 30), 21);
+}
+
+/// Branch and bound on one ATT FMSSM model, PM's plan as warm start
+/// (as run_optimal does), stopped by `pivot_limit`. Line format:
+/// failed-set status nodes pivots objective-bits best-bound-bits
+/// x-digest.
+std::string node_lp_line(const std::string& failed, long pivot_limit) {
+  const sdwan::Network net = core::make_att_network();
+  for (sdwan::FailureScenario& scenario :
+       sdwan::enumerate_failures(net, 2)) {
+    if (failed_csv(scenario) != failed) continue;
+    const sdwan::FailureState state(net, std::move(scenario));
+    const core::FmssmProblem problem = core::build_fmssm(state);
+    MipOptions options;
+    options.pivot_limit = pivot_limit;
+    options.warm_start = problem.encode(state, core::run_pm(state));
+    const MipResult mip = solve_mip(problem.model, options);
+    return failed + " " + to_string(mip.status) + " " +
+           std::to_string(mip.nodes_explored) + " " +
+           std::to_string(mip.pivots) + " " + hex64(bits_of(mip.objective)) +
+           " " + hex64(bits_of(mip.best_bound)) + " " +
+           hex64(fnv1a64_bits(mip.x));
+  }
+  return "no failure set " + failed;
+}
+
+// Node LPs solve models whose columns branching fixed, which no root LP
+// golden reaches.
+TEST(MilpGolden, BranchAndBoundNodesMatchParent) {
+  EXPECT_EQ(node_lp_line("2,4", 6000),
+            "2,4 feasible (limit hit) 10 6520 40078b5b20ce5f04 "
+            "4007fdc1c0a18214 1dee668aee913a43");
+  // PM's plan breaks this set's delay budget, so the search starts
+  // without an incumbent and finds none within the limit.
+  EXPECT_EQ(node_lp_line("4,5", 4000),
+            "4,5 no solution found 3 5081 0000000000000000 "
+            "4007d79b2a48b5c6 14650fb0739d0383");
 }
 
 /// Draws straight from the engine's output, so the models do not depend
