@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace pm::milp {
@@ -576,14 +575,10 @@ class Simplex {
     state_.assign(static_cast<std::size_t>(total), VarState::kAtLower);
     b_.assign(static_cast<std::size_t>(m_), 0.0);
 
-    const double sign = model_.objective_sense() == Objective::kMaximize
-                            ? -1.0
-                            : 1.0;
     for (int j = 0; j < n_structural_; ++j) {
       const Variable& v = model_.variable(j);
       lb_[static_cast<std::size_t>(j)] = v.lower;
       ub_[static_cast<std::size_t>(j)] = v.upper;
-      objective_cost_of_[static_cast<std::size_t>(j)] = sign * v.objective;
       state_[static_cast<std::size_t>(j)] = resting_state(v.lower, v.upper);
     }
     for (int i = 0; i < m_; ++i) {
@@ -651,6 +646,7 @@ class Simplex {
       }
     }
     y_.resize(static_cast<std::size_t>(m_));
+    d_.resize(static_cast<std::size_t>(total));
     w_.resize(static_cast<std::size_t>(m_));
     row_work_.resize(static_cast<std::size_t>(m_));
     pos_work_.resize(static_cast<std::size_t>(m_));
@@ -684,7 +680,11 @@ class Simplex {
 
   void set_phase2_costs() {
     std::fill(cost_.begin(), cost_.end(), 0.0);
-    for (const auto& [j, c] : objective_cost_of_) cost_[j] = c;
+    const double sign =
+        model_.objective_sense() == Objective::kMaximize ? -1.0 : 1.0;
+    for (int j = 0; j < n_structural_; ++j) {
+      cost_[static_cast<std::size_t>(j)] = sign * model_.variable(j).objective;
+    }
     // Pin artificials to zero so they cannot re-enter with value > 0.
     for (int i = 0; i < m_; ++i) {
       const int a = n_structural_ + m_ + i;
@@ -733,6 +733,7 @@ class Simplex {
   // The simplex loop (minimization).
   // ------------------------------------------------------------------
   LpStatus iterate(int& iteration_counter) {
+    collect_priceable();
     int degenerate_run = 0;
     while (true) {
       if (iteration_counter >= options_.max_iterations) {
@@ -755,23 +756,31 @@ class Simplex {
       }
       factor_.btran(pos_work_, y);
 
-      // Pricing.
+      // Pricing: d = c - A^T y by row, over the rows with a nonzero dual,
+      // then Dantzig's rule over the priceable columns in ascending order.
+      // Each d_j takes its terms in ascending row order, and a skipped
+      // term y_i a_ij is a zero, so d_j has the bits of the column's own
+      // dot product (up to the sign of a zero).
+      std::copy(cost_.begin(), cost_.end(), d_.begin());
+      const std::vector<Constraint>& rows = model_.constraints();
+      for (int i = 0; i < m_; ++i) {
+        const double yi = y[static_cast<std::size_t>(i)];
+        if (yi == 0.0) continue;
+        for (const Term& t : rows[static_cast<std::size_t>(i)].terms) {
+          d_[static_cast<std::size_t>(t.var)] -= yi * t.coeff;
+        }
+        for (const int j : {n_structural_ + i, n_structural_ + m_ + i}) {
+          d_[static_cast<std::size_t>(j)] -=
+              yi * cols_[static_cast<std::size_t>(j)].front().value;
+        }
+      }
       const bool bland = degenerate_run > 64;
       int entering = -1;
       int direction = 0;  // +1 = increase, -1 = decrease
       double best_score = kPricingTol;
-      const int total = static_cast<int>(cols_.size());
-      for (int j = 0; j < total; ++j) {
+      for (const int j : priceable_) {
         const VarState st = state_[static_cast<std::size_t>(j)];
-        if (st == VarState::kBasic) continue;
-        if (lb_[static_cast<std::size_t>(j)] ==
-            ub_[static_cast<std::size_t>(j)]) {
-          continue;  // fixed variable can never improve
-        }
-        double d = cost_[static_cast<std::size_t>(j)];
-        for (const Entry& e : cols_[static_cast<std::size_t>(j)]) {
-          d -= y[static_cast<std::size_t>(e.index)] * e.value;
-        }
+        const double d = d_[static_cast<std::size_t>(j)];
         int dir = 0;
         if ((st == VarState::kAtLower || st == VarState::kFreeAtZero) &&
             d < -kPricingTol) {
@@ -879,9 +888,32 @@ class Simplex {
       }
       basis_[static_cast<std::size_t>(leaving_row)] = entering;
       state_[static_cast<std::size_t>(entering)] = VarState::kBasic;
+      priceable_.erase(
+          std::lower_bound(priceable_.begin(), priceable_.end(), entering));
+      if (lb_[static_cast<std::size_t>(leaving)] !=
+          ub_[static_cast<std::size_t>(leaving)]) {
+        priceable_.insert(
+            std::lower_bound(priceable_.begin(), priceable_.end(), leaving),
+            leaving);
+      }
       xb_[static_cast<std::size_t>(leaving_row)] = entering_value;
 
       refactor_due_ = !factor_.update(leaving_row, w);
+    }
+  }
+
+  /// The columns pricing may pick, in ascending order: the nonbasic ones
+  /// that are not fixed. A fixed column can never improve the objective.
+  /// Bounds change only between phases, so each phase collects the list
+  /// once and each pivot keeps it.
+  void collect_priceable() {
+    priceable_.clear();
+    for (int j = 0; j < static_cast<int>(cols_.size()); ++j) {
+      if (state_[static_cast<std::size_t>(j)] != VarState::kBasic &&
+          lb_[static_cast<std::size_t>(j)] !=
+              ub_[static_cast<std::size_t>(j)]) {
+        priceable_.push_back(j);
+      }
     }
   }
 
@@ -920,12 +952,13 @@ class Simplex {
   std::vector<double> lb_, ub_, cost_, b_, xb_;
   BasisFactor factor_;
   bool refactor_due_ = false;  // set by a pivot too small for the eta file
-  // Per-iteration scratch: y and w, and the solves' inputs (by constraint
-  // row and by basis position), which the solves overwrite.
-  std::vector<double> y_, w_, row_work_, pos_work_;
+  // Per-iteration scratch: y, the reduced costs d and w, and the solves'
+  // inputs (by constraint row and by basis position), which the solves
+  // overwrite.
+  std::vector<double> y_, d_, w_, row_work_, pos_work_;
   std::vector<VarState> state_;
   std::vector<int> basis_;
-  std::map<std::size_t, double> objective_cost_of_;
+  std::vector<int> priceable_;  // ascending; see collect_priceable()
   bool need_phase1_ = true;
 };
 

@@ -7,8 +7,6 @@
 //
 // Implementation notes:
 //  * Revised simplex on a sparse LU factorization of the basis matrix B.
-//    Constraint columns stay sparse, so pricing is cheap even for the
-//    FMSSM-sized instances (thousands of columns).
 //  * Factorization (every refactor_every iterations): row and column
 //    singletons are peeled first; they pivot on B's own values and fill
 //    nothing, and FMSSM bases (mostly slacks and columns of at most 5
@@ -35,6 +33,21 @@
 //    artificials are pinned to [0, 0] for phase 2.
 //  * Dantzig pricing with a Bland's-rule fallback after a run of
 //    degenerate pivots, which guarantees termination.
+//  * Pricing computes d = c - A^T y by row, over the rows whose dual y_i
+//    is nonzero (Hall and McKinnon's hyper-sparse PRICE): each such row
+//    of the model, then its slack and artificial, subtracts y_i a_ij
+//    from d_j. On the ATT FMSSM root LPs 40% of the rows carry a nonzero
+//    dual, so most rows are skipped.
+//  * The entering column is chosen from an ascending list of the
+//    priceable columns, the nonbasic ones whose bounds differ. Each
+//    phase builds it (phase 2 pins the artificials) and each pivot
+//    removes the entering column and inserts the leaving one unless it is
+//    fixed.
+//  * Both give the bits of a column-wise pass over every column: d_j
+//    takes its terms in ascending row order, and a skipped term y_i a_ij
+//    is a zero, which changes at most the sign of a zero d_j. The
+//    ascending scan with a strict comparison takes the lowest index on a
+//    tie, and Bland's rule the first eligible column.
 #pragma once
 
 #include <string>
